@@ -99,6 +99,7 @@ class IndexTables:
     """Per-arm index interpolation tables on log-variance grids."""
 
     grids: list[np.ndarray]
+    log_grids: list[np.ndarray]
     values: list[np.ndarray]
     out_of_range: int = 0
 
@@ -107,7 +108,7 @@ class IndexTables:
         if v < g[0] or v > g[-1]:
             self.out_of_range += 1
         lv = math.log(max(v, g[0]))
-        return float(np.interp(lv, np.log(g), self.values[arm]))
+        return float(np.interp(lv, self.log_grids[arm], self.values[arm]))
 
 
 def _reach_bound(p: ArmParams, v0: float, horizon: int) -> float:
@@ -130,6 +131,7 @@ def build_index_tables(
     is evaluated with the arm's weighted cost, so weights are baked in.
     """
     grids: list[np.ndarray] = []
+    log_grids: list[np.ndarray] = []
     values: list[np.ndarray] = []
     cache: dict = {}
     T = truncation_horizon(scenario.beta, eps)
@@ -149,11 +151,12 @@ def build_index_tables(
             num, den, _ = _marginal_sums_batch(
                 p.r, p.a0, p.a1, p.c0, p.c1, scenario.beta, wcost, g, g, T
             )
-            cache[key] = (g, num / den)
-        g, lam = cache[key]
+            cache[key] = (g, np.log(g), num / den)
+        g, log_g, lam = cache[key]
         grids.append(g)
+        log_grids.append(log_g)
         values.append(lam)
-    return IndexTables(grids, values)
+    return IndexTables(grids, log_grids, values)
 
 
 @dataclass

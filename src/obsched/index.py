@@ -3,9 +3,12 @@
 The index at state x is the ratio of the discounted uncertainty-cost
 difference to the discounted observation-effort difference between the two
 forced-first-action variants of the x-threshold policy, both sums
-truncated at the same horizon T.  Also: closed forms for the noiseless
-case, the discount-to-one limit, Q-values of threshold policies, and grid
-tabulation with monotonicity accounting.
+truncated at the same horizon T.  Threshold orbits are eventually
+periodic, so the truncated sums are not stepped to T: once an orbit
+repeats a state bit for bit, the rest of the sum up to T is evaluated in
+closed form as a geometric series over its cycle.  Also: closed forms for
+the noiseless case, the discount-to-one limit, Q-values of threshold
+policies, and grid tabulation with monotonicity accounting.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .dynamics import (
     KNIFE_EDGE_TOL,
     ArmParams,
     ThresholdWord,
-    is_knife_edge,
     phi,
     threshold_word,
 )
@@ -30,6 +32,17 @@ from .words import Word, is_balanced
 
 MAX_TRUNCATION_STEPS = 5_000_000
 BETA_LIMIT_WARN = 0.999
+
+
+def _debug(msg: str, *args: object) -> None:
+    """Log to the "obsched" logger at debug level.
+
+    ``logging`` is imported on first use: importing it with the package
+    would add about 6% (3 ms) to the package's import time.
+    """
+    import logging
+
+    logging.getLogger("obsched").debug(msg, *args)
 
 
 class UncertifiedPeriodError(RuntimeError):
@@ -101,7 +114,18 @@ def _knife_branch(p: ArmParams, s: float, v: float, recent: list[int]) -> int:
     return 1 if windows[1] else 0
 
 
-def _orbit_sums(
+def _cycle_factors(beta, n, m):
+    """(1 + beta^n + ... + beta^(n(m-1)), beta^(nm)) for m >= 1 whole periods.
+
+    expm1 keeps 1 - beta^n accurate when beta^n is close to one; at
+    beta = 0 the factors are (1, 0).  Broadcasts over numpy arrays.
+    """
+    with np.errstate(divide="ignore"):
+        lb = np.log(beta)
+    return np.expm1(n * m * lb) / np.expm1(n * lb), np.exp(n * m * lb)
+
+
+def _orbit_terms(
     p: ArmParams,
     cost: CostFn,
     beta: float,
@@ -109,56 +133,92 @@ def _orbit_sums(
     s: float,
     first_action: int,
     T: int,
-) -> tuple[float, float, bool]:
-    """Discounted cost and work sums of one forced-first-action orbit.
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Summands of the discounted cost and work sums of one forced-first-action orbit.
+
+    The summands add up to the sums truncated at T, but are evaluated in
+    closed form after an exact repeat: for t >= 1 the action depends only
+    on the state, so once a state recurs bit for bit at step t after step
+    k >= 1 the orbit has period n = t - k from k on.  The cycle's summands
+    then appear once scaled by the geometric factor of the whole periods
+    up to T, and the leftover partial period once scaled by its discount.
+    Returning summands lets callers difference two orbits with one
+    ``math.fsum`` before any large partial sum is rounded.
 
     Threshold ties within the knife-edge tolerance are resolved by
-    :func:`_knife_branch` and flagged.
+    :func:`_knife_branch` and flagged; that rule reads the action history,
+    so after a tie the orbit is stepped all the way to T.  The cost is
+    evaluated once, on the array of visited states.
     """
+    tol = -1.0 if math.isinf(s) else KNIFE_EDGE_TOL * max(1.0, abs(s))
     v = float(x)
-    disc = 1.0
-    cost_sum = 0.0
-    work_sum = 0.0
     knife = False
+    states: list[float] = []
     acts: list[int] = []
+    seen: dict[float, int] = {}
     for t in range(T + 1):
         if t == 0:
             act = first_action
-        elif is_knife_edge(v, s):
+        elif abs(v - s) <= tol:
             knife = True
             act = _knife_branch(p, s, v, acts)
         else:
+            if not knife:
+                k = seen.setdefault(v, t)
+                if k < t:
+                    break
             act = int(v >= s)
-        cost_sum += disc * cost.eval(v)
-        work_sum += disc * p.work_cost(act)
+        states.append(v)
         acts.append(act)
         v = phi(p, act, v)
-        disc *= beta
-    return cost_sum, work_sum, knife
+    else:
+        k = t = T + 1
+        _debug(
+            "orbit from x=%r (first action %d, threshold %r) reached T=%d"
+            " with no repeat%s", x, first_action, s, T,
+            " after a knife-edge tie" if knife else "",
+        )
+    disc = beta ** np.arange(t, dtype=float)
+    terms = disc * np.stack([cost.eval(np.array(states)), np.where(acts, p.c1, p.c0)])
+    if k < t:
+        m, rem = divmod(T + 1 - k, t - k)
+        geo, tail = _cycle_factors(beta, t - k, m)
+        terms = np.concatenate(
+            [terms[:, :k], geo * terms[:, k:], tail * terms[:, k : k + rem]], axis=1
+        )
+    return terms[0], terms[1], knife
+
+
+def _fsum_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a) - sum(b), rounded once."""
+    return math.fsum(np.concatenate([a, -b]))
 
 
 def marginal_cost(q: IndexQuery, s: float) -> float:
     """Discounted uncertainty-cost surplus of starting passive over active."""
     T = q.horizon
-    c0, _, _ = _orbit_sums(q.params, q.cost, q.beta, q.x, s, 0, T)
-    c1, _, _ = _orbit_sums(q.params, q.cost, q.beta, q.x, s, 1, T)
-    return c0 - c1
+    c0, _, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 0, T)
+    c1, _, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 1, T)
+    return _fsum_diff(c0, c1)
 
 
 def marginal_work(q: IndexQuery, s: float) -> float:
     """Discounted observation-effort surplus of starting active over passive."""
     T = q.horizon
-    _, w0, _ = _orbit_sums(q.params, q.cost, q.beta, q.x, s, 0, T)
-    _, w1, _ = _orbit_sums(q.params, q.cost, q.beta, q.x, s, 1, T)
-    return w1 - w0
+    _, w0, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 0, T)
+    _, w1, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 1, T)
+    return _fsum_diff(w1, w0)
 
 
 def whittle_index(q: IndexQuery, word_max_len: int = 64) -> IndexRecord:
     """Truncated-sum approximation of the Whittle index at q.x.
 
-    Both marginal sums share the same horizon; the certified threshold word
-    at x (when one exists within ``word_max_len``) is attached to the
-    record, and iterates tying the threshold set the knife-edge flag.
+    Both marginal sums share the same horizon T; each orbit's sum is
+    truncated at T but evaluated in closed form after the orbit's first
+    exact repeat, and the two orbits are differenced before rounding.  The
+    certified threshold word at x (when one exists within
+    ``word_max_len``) is attached to the record, and iterates tying the
+    threshold set the knife-edge flag.
     """
     if q.beta > BETA_LIMIT_WARN:
         warnings.warn(
@@ -167,10 +227,10 @@ def whittle_index(q: IndexQuery, word_max_len: int = 64) -> IndexRecord:
             stacklevel=2,
         )
     T = q.horizon
-    c0, w0, k0 = _orbit_sums(q.params, q.cost, q.beta, q.x, q.x, 0, T)
-    c1, w1, k1 = _orbit_sums(q.params, q.cost, q.beta, q.x, q.x, 1, T)
-    num = c0 - c1
-    den = w1 - w0
+    c0, w0, k0 = _orbit_terms(q.params, q.cost, q.beta, q.x, q.x, 0, T)
+    c1, w1, k1 = _orbit_terms(q.params, q.cost, q.beta, q.x, q.x, 1, T)
+    num = _fsum_diff(c0, c1)
+    den = _fsum_diff(w1, w0)
     gap = q.params.c1 - q.params.c0
     slack = gap * q.beta ** (T + 1) / max(1e-300, 1.0 - q.beta)
     if den <= 0.0 or den < (1.0 - q.beta) * gap - slack - 1e-15:
@@ -235,8 +295,8 @@ def q_value(
     T: int,
 ) -> float:
     """Discounted cost-to-go plus nu-priced work of the s-threshold policy."""
-    csum, wsum, _ = _orbit_sums(params, cost, beta, x, s, a, T)
-    return csum + nu * wsum
+    cterms, wterms, _ = _orbit_terms(params, cost, beta, x, s, a, T)
+    return math.fsum(cterms) + nu * math.fsum(wterms)
 
 
 def closed_form_noiseless(r: float, beta: float, x: float) -> float:
@@ -344,31 +404,108 @@ def _marginal_sums_batch(
     """Marginal cost, marginal work, knife-edge flags; everything broadcasts.
 
     Plain >= comparisons decide actions here; points that ever tie a
-    threshold are flagged so scalar re-evaluation can arbitrate.
+    threshold are flagged so scalar re-evaluation can arbitrate.  The sums
+    are truncated at T, but each one is evaluated in closed form once its
+    orbit repeats a state exactly (see :func:`_threshold_sums_batch`).
     """
     r, a0, a1, c0, c1, beta, x, s = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (r, a0, a1, c0, c1, beta, x, s))
     )
-    r2 = r * r
     tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
-    mcost = np.zeros_like(x)
-    mwork = np.zeros_like(x)
-    knife = np.zeros(x.shape, dtype=bool)
-    for first in (0, 1):
-        v = x.copy()
-        disc = np.ones_like(x)
-        sign = 1.0 if first == 0 else -1.0
-        for t in range(T + 1):
-            if t == 0:
-                act = np.full(x.shape, bool(first))
-            else:
-                act = v >= s
-                knife |= np.abs(v - s) <= tol
-            mcost += sign * disc * cost.eval(v)
-            mwork -= sign * disc * np.where(act, c1, c0)
-            v = _phi_batch(r2, a0, a1, act, v)
-            disc *= beta
-    return mcost, mwork, knife
+    par = np.stack([r * r, a0, a1, c0, c1, beta, s, tol]).reshape(8, -1)
+    xs = x.ravel()
+    (cost0, work0, knife0, open0), (cost1, work1, knife1, open1) = (
+        _threshold_sums_batch(par, cost, xs, first, T) for first in (0, 1)
+    )
+    if open0 or open1:
+        _debug(
+            "%d of %d batch orbits reached T=%d with no repeat",
+            open0 + open1, 2 * xs.size, T,
+        )
+    return (
+        (cost0 - cost1).reshape(x.shape),
+        (work1 - work0).reshape(x.shape),
+        (knife0 | knife1).reshape(x.shape),
+    )
+
+
+def _threshold_step(
+    par: np.ndarray, cost: CostFn, v: np.ndarray, disc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted (cost, work) summands at states v, and the next states."""
+    r2, a0, a1, c0, c1, _, s, _ = par
+    act = v >= s
+    terms = disc * np.stack([cost.eval(v), np.where(act, c1, c0)])
+    return terms, _phi_batch(r2, a0, a1, act, v)
+
+
+def _threshold_sums_batch(
+    par: np.ndarray, cost: CostFn, x: np.ndarray, first: int, T: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Cost and work sums of s-threshold orbits with a forced first action.
+
+    ``par`` holds one column (r^2, a0, a1, c0, c1, beta, s, knife-edge
+    tolerance) per start x.  Returns both sums truncated at T, the
+    knife-edge flags and the number of orbits stepped to T without a
+    repeat.  Repeats are found by Brent's method: each orbit is compared
+    bitwise with an anchor state retaken at t = 1, 2, 4, ...  An orbit back
+    at its anchor state at step t is periodic from the anchor step k with
+    period t - k and stops stepping.  Its sum is the part before k, plus
+    the cycle's sum times the geometric factor of the whole periods up to
+    T, plus the leftover partial period, replayed from the anchor.  Memory
+    stays O(len(x)).
+    """
+    r2, a0, a1, c0, c1, _, s, tol = par
+    knife = np.zeros(x.size, dtype=bool)
+    # Per orbit, once it repeats: anchor step, period, anchor state, and
+    # the sums over one cycle and (in ``sums`` until the tail is added)
+    # before the anchor.
+    k_rep = np.zeros(x.size, dtype=np.int64)
+    n_rep = np.zeros(x.size, dtype=np.int64)
+    u_rep = np.empty(x.size)
+    sums = np.empty((2, x.size))
+    cyc_rep = np.empty((2, x.size))
+    head = np.stack([cost.eval(x), c1 if first else c0])  # summed over t < k
+    cyc = np.zeros_like(head)  # summed over k <= t
+    v = _phi_batch(r2, a0, a1, bool(first), x)
+    anchor, k = v, 1
+    # Columns of the orbits still stepping; repeating ones are moved out.
+    live, lpar, lknife = np.arange(x.size), par, knife.copy()
+    for t in range(1, T + 1):
+        if t > k:
+            hit = v == anchor
+            if hit.any():
+                ids = live[hit]
+                k_rep[ids], n_rep[ids], u_rep[ids] = k, t - k, anchor[hit]
+                sums[:, ids], cyc_rep[:, ids] = head[:, hit], cyc[:, hit]
+                knife[ids] = lknife[hit]
+                keep = ~hit
+                live, v, anchor, lknife = live[keep], v[keep], anchor[keep], lknife[keep]
+                lpar, head, cyc = lpar[:, keep], head[:, keep], cyc[:, keep]
+                if not live.size:
+                    break
+            if t == 2 * k:
+                head += cyc
+                cyc = np.zeros_like(head)
+                anchor, k = v, t
+        lknife |= np.abs(v - lpar[6]) <= lpar[7]
+        terms, v = _threshold_step(lpar, cost, v, lpar[5] ** t)
+        cyc += terms
+    knife[live] = lknife
+    sums[:, live] = head + cyc
+    idx = np.flatnonzero(n_rep)
+    if idx.size:
+        k, n, u = k_rep[idx], n_rep[idx], u_rep[idx]
+        rpar = par[:, idx]
+        beta = rpar[5]
+        m, rem = np.divmod(T + 1 - k, n)
+        geo, tail = _cycle_factors(beta, n, m)
+        part = np.zeros((2, idx.size))
+        for j in range(int(rem.max())):
+            terms, u = _threshold_step(rpar, cost, u, np.where(j < rem, beta ** (k + j), 0.0))
+            part += terms
+        sums[:, idx] = sums[:, idx] + geo * cyc_rep[:, idx] + tail * part
+    return sums[0], sums[1], knife, live.size
 
 
 @dataclass(frozen=True)

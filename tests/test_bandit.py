@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -189,6 +190,14 @@ class TestTablesAndExports:
         tables = build_index_tables(sc, n_points=64)
         tables.lookup(0, 1e9)
         assert tables.out_of_range == 1
+
+    def test_lookup_interpolates_on_log_grid(self):
+        sc = fig7_scenario(horizon=10)
+        tables = build_index_tables(sc, n_points=64)
+        g, lam = tables.grids[0], tables.values[0]
+        for v in (g[0], 0.5 * (g[10] + g[11]), g[-1], 1e9):
+            want = np.interp(math.log(max(v, g[0])), np.log(g), lam)
+            assert tables.lookup(0, v) == float(want)
 
     def test_csv_export(self):
         sc = two_arm_scenario(horizon=3)

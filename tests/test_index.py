@@ -1,16 +1,29 @@
 """Marginal sums, the index, closed forms, limit procedure, Q-values."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from obsched import costs
-from obsched.dynamics import ArmParams, fixed_point, threshold_word, y0, y1
+from obsched.dynamics import (
+    ArmParams,
+    fixed_point,
+    is_knife_edge,
+    phi,
+    threshold_word,
+    y0,
+    y1,
+)
 from obsched.index import (
     IndexQuery,
     UncertifiedPeriodError,
+    _knife_branch,
     _marginal_sums_batch,
+    _orbit_terms,
     closed_form_noiseless,
     closed_form_noiseless_limit,
     index_beta1,
@@ -30,6 +43,32 @@ def random_params(rng, r_lo=0.3, r_hi=1.0, a1_max=3.0):
     a0 = float(rng.uniform(0.0, 0.5))
     a1 = a0 + float(rng.uniform(0.05, a1_max))
     return ArmParams(r=r, a0=a0, a1=a1)
+
+
+def marginal_sums_mp(p, beta, x, T, dps=50):
+    """(numerator, denominator) of the index at x, summed to T in mpmath.
+
+    Linear cost; the orbit, its threshold decisions and the discount are
+    all carried at ``dps`` digits.
+    """
+    import mpmath as mp
+
+    mp.mp.dps = dps
+    r2 = mp.mpf(p.r) ** 2
+    num = mp.mpf(0)
+    den = mp.mpf(0)
+    for first in (0, 1):
+        v = mp.mpf(x)
+        disc = mp.mpf(1)
+        sgn = 1 if first == 0 else -1
+        for t in range(T + 1):
+            act = first if t == 0 else (1 if v >= x else 0)
+            num += sgn * disc * v
+            den -= sgn * disc * act
+            a = mp.mpf(p.a1 if act else p.a0)
+            v = (r2 * v + 1) / (a * r2 * v + a + 1)
+            disc *= mp.mpf(beta)
+    return num, den
 
 
 class TestTruncation:
@@ -83,7 +122,7 @@ class TestMarginals:
         rng = np.random.default_rng(24)
         for _ in range(30):
             p = random_params(rng)
-            beta = float(rng.uniform(0.1, 0.95))
+            beta = float(rng.uniform(0.1, 0.999))
             x = float(rng.uniform(0.1, 8.0))
             s = float(rng.uniform(0.1, 8.0))
             T = truncation_horizon(beta, 1e-12)
@@ -96,6 +135,148 @@ class TestMarginals:
             q = IndexQuery(p, costs.linear(), beta, x, T=T)
             assert mc[0] == pytest.approx(marginal_cost(q, s), rel=1e-12, abs=1e-12)
             assert mw[0] == pytest.approx(marginal_work(q, s), rel=1e-12, abs=1e-12)
+
+
+def stepped_sums(p, cost, beta, x, s, first, T):
+    """Reference orbit sums: every state stepped to T, terms added by fsum.
+
+    Returns (cost sum, work sum, sum of |terms|, knife-edge flag); ties are
+    resolved by the same balanced-continuation rule as the kernel.
+    """
+    v = float(x)
+    knife = False
+    states, acts = [], []
+    for t in range(T + 1):
+        if t == 0:
+            act = first
+        elif is_knife_edge(v, s):
+            knife = True
+            act = _knife_branch(p, s, v, acts)
+        else:
+            act = int(v >= s)
+        states.append(v)
+        acts.append(act)
+        v = phi(p, act, v)
+    disc = [beta**t for t in range(T + 1)]
+    cterms = [d * c for d, c in zip(disc, cost.eval(np.array(states)))]
+    wterms = [d * p.work_cost(a) for d, a in zip(disc, acts)]
+    scale = math.fsum(abs(term) for term in cterms + wterms)
+    return math.fsum(cterms), math.fsum(wterms), scale, knife
+
+
+def first_repeat(p, x, s, first, limit=20_000):
+    """Step t at which the orbit first revisits a state of steps 1..t-1."""
+    v = phi(p, first, float(x))
+    seen = set()
+    for t in range(1, limit):
+        if v in seen:
+            return t
+        seen.add(v)
+        v = phi(p, int(v >= s), v)
+    return None
+
+
+def assert_kernels_match_stepped(p, cost, beta, x, s, T):
+    """Scalar orbit sums and batch marginal sums against stepped_sums."""
+    ref = [stepped_sums(p, cost, beta, x, s, first, T) for first in (0, 1)]
+    for first, (csum, wsum, scale, knife) in enumerate(ref):
+        cterms, wterms, k = _orbit_terms(p, cost, beta, x, s, first, T)
+        assert abs(math.fsum(cterms) - csum) <= 1e-12 * scale
+        assert abs(math.fsum(wterms) - wsum) <= 1e-12 * scale
+        assert k == knife
+    mc, mw, knife = _marginal_sums_batch(
+        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, np.array([x]), np.array([s]), T
+    )
+    scale = ref[0][2] + ref[1][2]
+    assert abs(mc[0] - (ref[0][0] - ref[1][0])) <= 1e-12 * scale
+    assert abs(mw[0] - (ref[1][1] - ref[0][1])) <= 1e-12 * scale
+    return bool(knife[0])
+
+
+class TestClosedFormTails:
+    """Sums finished in closed form after an exact repeat equal the sums
+    stepped to T, whatever T is relative to the transient and period."""
+
+    BETAS = (0.0, 0.5, 0.99, 0.999)
+
+    @given(
+        r=st.floats(0.3, 1.0),
+        a0=st.floats(0.0, 0.5),
+        gap=st.floats(0.05, 3.0),
+        x=st.floats(0.05, 8.0),
+        s=st.floats(0.05, 8.0),
+        beta=st.sampled_from(BETAS),
+        first=st.integers(0, 1),
+        offset=st.sampled_from((-1, 0, 1, None)),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_explicit_T_around_first_repeat(self, r, a0, gap, x, s, beta, first, offset):
+        p = ArmParams(r=r, a0=a0, a1=a0 + gap, c0=0.2, c1=1.0)
+        t_rep = first_repeat(p, x, s, first)
+        assume(t_rep is not None)
+        # The scalar kernel sees the repeat at step t_rep: T one below it
+        # steps to T, T equal to it or above finishes in closed form.
+        T = max(1, t_rep + offset) if offset is not None else 3 * t_rep + 7
+        assert_kernels_match_stepped(p, costs.entropy(), beta, x, s, T)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_T_sweep_covers_batch_detection(self, beta):
+        # The batch kernel finds repeats later than the scalar one (anchors
+        # at powers of two); sweep T through both detection steps.
+        p = ArmParams(r=0.6, a0=0.1, a1=1.5, c0=0.0, c1=1.0)
+        xs = np.geomspace(0.2, 3.0, 7)
+        for T in range(1, 40):
+            mc, mw, _ = _marginal_sums_batch(
+                p.r, p.a0, p.a1, p.c0, p.c1, beta, costs.linear(), xs, xs, T
+            )
+            for i, x in enumerate(xs):
+                (c0, w0, s0, _), (c1, w1, s1, _) = (
+                    stepped_sums(p, costs.linear(), beta, x, x, first, T)
+                    for first in (0, 1)
+                )
+                assert abs(mc[i] - (c0 - c1)) <= 1e-12 * (s0 + s1)
+                assert abs(mw[i] - (w1 - w0)) <= 1e-12 * (s0 + s1)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize(
+        "params, s",
+        [
+            (ArmParams(r=0.9, a0=0.05, a1=1.0), math.inf),  # always passive
+            (ArmParams(r=0.9, a0=0.0, a1=math.inf), 2.0),  # noiseless active
+            (ArmParams(r=1.0, a0=0.0, a1=1.0), math.inf),  # never repeats
+        ],
+    )
+    def test_special_orbits(self, params, s, beta):
+        # The never-repeating orbit is stepped to T in both kernels; the full
+        # beta = 0.999 horizon (27,618 steps) would only make that slower.
+        T = truncation_horizon(beta, 1e-12) if beta < 0.999 else 3000
+        assert not assert_kernels_match_stepped(params, costs.linear(), beta, 1.3, s, T)
+
+    def test_knife_edge_start_falls_back(self):
+        # At the active fixed point every iterate ties the threshold: the
+        # scalar kernel must step to T with the tie rule and keep the flag.
+        p = ArmParams(r=0.8, a0=0.1, a1=1.0)
+        x = y1(p)
+        for beta in (0.5, 0.99):
+            assert assert_kernels_match_stepped(p, costs.linear(), beta, x, x, 500)
+
+    def test_fallback_logged_once_per_call(self, caplog):
+        p = ArmParams(r=1.0, a0=0.0, a1=1.0)
+        xs = np.array([0.5, 1.5, 2.5])
+        with caplog.at_level(logging.DEBUG, logger="obsched"):
+            _orbit_terms(p, costs.linear(), 0.9, 1.0, math.inf, 0, 300)
+            _marginal_sums_batch(
+                p.r, p.a0, p.a1, p.c0, p.c1, 0.9, costs.linear(), xs,
+                np.full(3, math.inf), 300,
+            )
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 2
+        assert "reached T=300 with no repeat" in messages[0]
+        assert messages[1].startswith("6 of 6 batch orbits reached T=300")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="obsched"):
+            _orbit_terms(p, costs.linear(), 0.9, 1.0, 2.5, 0, 300)
+        assert not caplog.records
 
 
 class TestWhittleIndex:
@@ -365,25 +546,7 @@ class TestCrossRoutes:
 
     def test_high_precision_recomputation(self):
         # 50-digit re-evaluation of the defining sums.
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
-
-        def lam_mp(p, beta, x, T):
-            r2 = mp.mpf(p.r) ** 2
-            num = mp.mpf(0)
-            den = mp.mpf(0)
-            for first in (0, 1):
-                v = mp.mpf(x)
-                disc = mp.mpf(1)
-                sgn = 1 if first == 0 else -1
-                for t in range(T + 1):
-                    act = first if t == 0 else (1 if v >= x else 0)
-                    num += sgn * disc * v
-                    den -= sgn * disc * act
-                    a = mp.mpf(p.a1 if act else p.a0)
-                    v = (r2 * v + 1) / (a * r2 * v + a + 1)
-                    disc *= mp.mpf(beta)
-            return num / den
+        pytest.importorskip("mpmath")
 
         for r, a0, a1, beta, x in [
             (0.9, 0.05, 0.9, 0.9, 2.0),
@@ -395,23 +558,25 @@ class TestCrossRoutes:
             ours = whittle_index(
                 IndexQuery(p, costs.linear(), beta, x), word_max_len=1
             ).lam
-            ref = float(lam_mp(p, beta, x, T))
+            num, den = marginal_sums_mp(p, beta, x, T)
+            ref = float(num / den)
             assert ours == pytest.approx(ref, rel=1e-12)
 
 
 class TestFig2Regression:
-    # Frozen after cross-validating lambda against the value-iteration
-    # oracle at the interior points (see oracle tests); numerator is the
-    # marginal cost at s = x.
+    # (numerator, denominator, lambda) of the beta = 0.99 index, summed to
+    # T = 2750 at 50 digits by marginal_sums_mp(p, 0.99, x, 2750) and
+    # rounded to 17 digits; the interior points were cross-validated
+    # against the value-iteration oracle (see oracle tests).
     SNAPSHOT = {
-        0.05: (0.04361785477658486, 1.0, 0.04361785477658486),
-        0.2: (0.0541500491693796, 1.0, 0.0541500491693796),
-        0.7: (0.09699401794341611, 1.0, 0.09699401794341611),
-        1.5: (0.1892475946463037, 1.0, 0.1892475946463037),
-        2.9: (0.4155437416421819, 1.0, 0.4155437416421819),
-        4.2: (0.6925439089106931, 1.0, 0.6925439089106931),
-        5.0: (0.2808037230968239, 0.2537814064004529, 1.1064787096881767),
-        5.26: (0.0634345774059284, 0.04845296552754874, 1.3091990699694451),
+        0.05: (0.043617854776532029, 1.0, 0.043617854776532029),
+        0.2: (0.054150049169417898, 1.0, 0.054150049169417898),
+        0.7: (0.096994017943532221, 1.0, 0.096994017943532221),
+        1.5: (0.18924759464623432, 1.0, 0.18924759464623432),
+        2.9: (0.41554374164227947, 1.0, 0.41554374164227947),
+        4.2: (0.69254390891080192, 1.0, 0.69254390891080192),
+        5.0: (0.28080372309590528, 0.25378140640047547, 1.1064787096844585),
+        5.26: (0.063434577403041763, 0.048452965527542017, 1.3091990699100508),
     }
 
     def test_snapshot(self):
@@ -423,3 +588,10 @@ class TestFig2Regression:
             assert rec.numerator == pytest.approx(num, rel=1e-12)
             assert rec.denominator == pytest.approx(den, rel=1e-12)
             assert rec.lam == pytest.approx(lam, rel=1e-12)
+
+    def test_snapshot_is_the_mpmath_sum(self):
+        pytest.importorskip("mpmath")
+        p = ArmParams(r=0.9, a0=0.0, a1=0.01)
+        for x in (0.05, 5.26):
+            num, den = marginal_sums_mp(p, 0.99, x, 2750)
+            assert self.SNAPSHOT[x] == (float(num), float(den), float(num / den))
