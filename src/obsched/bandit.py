@@ -7,6 +7,11 @@ seed-independent variance trajectories; sampled observations only move the
 posterior means.  Randomness comes from one named generator (PCG64) whose
 seed sequence is spawned into one child stream per arm plus one stream for
 the random policy, in that order.
+
+The simulator holds the arms as parameter arrays and steps them as one
+batch: per round it picks the active arms and makes one variance-map call
+over all of them.  Each arm's noise is drawn up front from its own stream
+and its cost is evaluated once per run on the states it visited.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .costs import CostFn, by_name
-from .dynamics import ArmParams, phi, phi0, y0
+# ``phi`` is unused here but stays a module attribute: perfbench/layers.py
+# wraps ``bandit.phi`` by name in its traced pass.
+from .dynamics import ArmParams, phi, phi0, phi_batch, y0  # noqa: F401
 from .index import _marginal_sums_batch, truncation_horizon
 
 POLICIES = ("whittle", "myopic", "round_robin", "random")
@@ -236,36 +243,44 @@ def simulate(
     """Run the belief-state chain under the named policy.
 
     Exactly m arms are active each round; the trace is bit-reproducible
-    for a given seed.
+    for a given seed.  Each step chooses the active arms and updates all n
+    variances with one :func:`phi_batch` call.  Everything else happens
+    once per run: each arm's noise is drawn up front from its own stream
+    (the same values as one draw per step), and each arm's cost is
+    evaluated once on all of its visited states.  Each step's cost is
+    still added up over the arms in arm order.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    n = len(scenario.arms)
+    arms = scenario.arms
+    n = len(arms)
     m = scenario.m
     if policy == "whittle" and tables is None:
         tables = build_index_tables(scenario)
+    off_grid_before = tables.out_of_range if tables is not None else 0
     seeds = np.random.SeedSequence(scenario.seed).spawn(n + 1)
     arm_rngs = [np.random.default_rng(s) for s in seeds[:n]]
     policy_rng = np.random.default_rng(seeds[n])
 
     steps = scenario.horizon
+    r2, a0, a1, c0, c1 = (
+        np.array([getattr(a.params, f) for a in arms])
+        for f in ("r2", "a0", "a1", "c0", "c1")
+    )
+    # The posterior mean is multiplied by the signed A when the arm came
+    # from raw Kalman parameters; costs only ever see the variance.
+    mult = np.array([a.params.r if a.params.A is None else a.params.A for a in arms])
     variances = np.empty((steps + 1, n))
-    means = np.empty((steps + 1, n))
     actions = np.zeros((steps, n), dtype=np.int64)
     chosen: list[tuple[int, ...]] = []
-    inst = np.empty(steps)
-    cum = np.empty(steps)
-    variances[0] = [a.v0 for a in scenario.arms]
-    means[0] = [a.x0 for a in scenario.arms]
-    disc = 1.0
-    total = 0.0
+    variances[0] = [a.v0 for a in arms]
     rr_next = 0
     for t in range(steps):
         v = variances[t]
         if policy == "whittle":
             pick = whittle_policy(tables, v, m)
         elif policy == "myopic":
-            pick = myopic_policy(scenario.arms, v, m)
+            pick = myopic_policy(arms, v, m)
         elif policy == "round_robin":
             pick = tuple(sorted((rr_next + j) % n for j in range(m)))
             rr_next = (rr_next + m) % n
@@ -273,23 +288,22 @@ def simulate(
             pick = tuple(sorted(int(i) for i in policy_rng.choice(n, m, replace=False)))
         chosen.append(pick)
         actions[t, list(pick)] = 1
-        step_cost = 0.0
-        for i, arm in enumerate(scenario.arms):
-            act = int(actions[t, i])
-            step_cost += arm.weight * arm.cost.eval(v[i]) + arm.params.work_cost(act)
-            new_v = phi(arm.params, act, float(v[i]))
-            # posterior-mean recursion in process-noise units; the signed
-            # multiplier matters for means even though costs only see v
-            mult = arm.params.A if arm.params.A is not None else arm.params.r
-            innov_var = max(0.0, mult * mult * v[i] + 1.0 - new_v)
-            means[t + 1, i] = mult * means[t, i] + math.sqrt(innov_var) * float(
-                arm_rngs[i].standard_normal()
-            )
-            variances[t + 1, i] = new_v
-        inst[t] = step_cost
-        total += disc * step_cost
-        cum[t] = total
-        disc *= scenario.beta
+        variances[t + 1] = phi_batch(r2, a0, a1, actions[t], v)
+
+    inst = np.zeros(steps)
+    for i, arm in enumerate(arms):
+        inst += arm.weight * arm.cost.eval(variances[:-1, i]) + np.where(
+            actions[:, i], c1[i], c0[i]
+        )
+    disc = np.multiply.accumulate(np.r_[1.0, np.full(steps - 1, scenario.beta)])
+    cum = np.cumsum(disc * inst)
+
+    noise = np.column_stack([rng.standard_normal(steps) for rng in arm_rngs])
+    noise *= np.sqrt(np.maximum(0.0, mult * mult * variances[:-1] + 1.0 - variances[1:]))
+    means = np.empty((steps + 1, n))
+    means[0] = [a.x0 for a in arms]
+    for t in range(steps):
+        means[t + 1] = mult * means[t] + noise[t]
     return SimTrace(
         policy=policy,
         chosen=chosen,
@@ -298,8 +312,10 @@ def simulate(
         means=means,
         inst_cost=inst,
         disc_cum_cost=cum,
-        total_discounted_cost=total,
-        index_out_of_range=tables.out_of_range if tables is not None else 0,
+        total_discounted_cost=float(cum[-1]),
+        index_out_of_range=(
+            tables.out_of_range - off_grid_before if tables is not None else 0
+        ),
     )
 
 

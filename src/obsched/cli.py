@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import IO, Optional, Sequence
 
@@ -30,8 +29,6 @@ from .index import (
     index_beta1,
     index_table,
 )
-
-THREADS_ENV = "OBSCHED_THREADS"
 
 
 class CliError(Exception):
@@ -282,19 +279,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for pol in policies:
         if pol not in bandit.POLICIES:
             raise CliError(f"unknown policy {pol!r}; choose from {bandit.POLICIES}")
-    n_threads = int(os.environ.get(THREADS_ENV, "1"))
     tables = bandit.build_index_tables(scenario) if "whittle" in policies else None
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = {
-                pol: pool.submit(bandit.simulate, scenario, pol, tables)
-                for pol in policies
-            }
-            results = {pol: futures[pol].result() for pol in policies}
-    else:
-        results = {pol: bandit.simulate(scenario, pol, tables) for pol in policies}
+    results = {pol: bandit.simulate(scenario, pol, tables) for pol in policies}
     if args.trace_out:
         for pol in policies:
             with open(f"{args.trace_out}.{pol}.csv", "w", newline="") as tf:

@@ -33,7 +33,9 @@ class CostFn:
 
     def _check_domain(self, v: np.ndarray) -> None:
         bad = (v <= 0.0) if self.positive_only else (v < 0.0)
-        if np.any(bad):
+        # a 0-d comparison is already one boolean; np.any would only add
+        # the cost of numpy's reduction wrapper
+        if bad if v.ndim == 0 else np.any(bad):
             worst = float(np.min(v))
             raise CostDomainError(
                 f"cost '{self.kind}' undefined at v = {worst}"
@@ -44,13 +46,13 @@ class CostFn:
         arr = np.asarray(v, dtype=float)
         self._check_domain(arr)
         out = self._eval(arr)
-        return float(out) if np.isscalar(v) or np.ndim(v) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def deriv(self, v: FloatArray) -> FloatArray:
         arr = np.asarray(v, dtype=float)
         self._check_domain(arr)
         out = self._deriv(arr)
-        return float(out) if np.isscalar(v) or np.ndim(v) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def scale(self, k: float) -> "CostFn":
         """k * C; positive scaling preserves admissibility."""

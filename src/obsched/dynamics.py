@@ -127,6 +127,21 @@ def phi1(p: ArmParams, v: FloatArray) -> FloatArray:
     return (r2 * v + 1.0) / (p.a1 * r2 * v + p.a1 + 1.0)
 
 
+def phi_batch(
+    r2: np.ndarray, a0: np.ndarray, a1: np.ndarray, act: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Elementwise variance update; parameters, actions and states broadcast.
+
+    Each element gets the same float operations as :func:`phi` on one arm.
+    """
+    num = r2 * v + 1.0
+    img0 = num / (a0 * r2 * v + a0 + 1.0)
+    a1_inf = np.isinf(a1)
+    a1_safe = np.where(a1_inf, 1.0, a1)
+    img1 = np.where(a1_inf, 0.0, num / (a1_safe * r2 * v + a1_safe + 1.0))
+    return np.where(act, img1, img0)
+
+
 def phi_word(p: ArmParams, w: Word, v: float) -> float:
     """Composition phi_w = phi_{w_n} o ... o phi_{w_1}."""
     for b in w:

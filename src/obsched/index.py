@@ -26,6 +26,7 @@ from .dynamics import (
     ArmParams,
     ThresholdWord,
     phi,
+    phi_batch,
     threshold_word,
 )
 from .words import Word, is_balanced
@@ -378,17 +379,6 @@ def index_beta1(
 # Vectorized grid evaluation.
 
 
-def _phi_batch(
-    r2: np.ndarray, a0: np.ndarray, a1: np.ndarray, act: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    num = r2 * v + 1.0
-    img0 = num / (a0 * r2 * v + a0 + 1.0)
-    a1_inf = np.isinf(a1)
-    a1_safe = np.where(a1_inf, 1.0, a1)
-    img1 = np.where(a1_inf, 0.0, num / (a1_safe * r2 * v + a1_safe + 1.0))
-    return np.where(act, img1, img0)
-
-
 def _marginal_sums_batch(
     r: np.ndarray,
     a0: np.ndarray,
@@ -436,7 +426,7 @@ def _threshold_step(
     r2, a0, a1, c0, c1, _, s, _ = par
     act = v >= s
     terms = disc * np.stack([cost.eval(v), np.where(act, c1, c0)])
-    return terms, _phi_batch(r2, a0, a1, act, v)
+    return terms, phi_batch(r2, a0, a1, act, v)
 
 
 def _threshold_sums_batch(
@@ -467,7 +457,7 @@ def _threshold_sums_batch(
     cyc_rep = np.empty((2, x.size))
     head = np.stack([cost.eval(x), c1 if first else c0])  # summed over t < k
     cyc = np.zeros_like(head)  # summed over k <= t
-    v = _phi_batch(r2, a0, a1, bool(first), x)
+    v = phi_batch(r2, a0, a1, bool(first), x)
     anchor, k = v, 1
     # Columns of the orbits still stepping; repeating ones are moved out.
     live, lpar, lknife = np.arange(x.size), par, knife.copy()

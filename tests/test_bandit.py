@@ -13,10 +13,13 @@ from obsched.bandit import (
     Scenario,
     build_index_tables,
     fig7_scenario,
+    myopic_policy,
     simulate,
     tournament,
+    whittle_policy,
 )
-from obsched.dynamics import ArmParams, phi0, phi1
+from obsched.costs import CostDomainError
+from obsched.dynamics import ArmParams, phi, phi0, phi1
 
 
 def two_arm_scenario(**kw):
@@ -161,6 +164,114 @@ class TestAccounting:
         sc = Scenario(arms=arms, m=1, beta=0.0, horizon=1, seed=0)
         trace = simulate(sc, "round_robin")
         assert trace.total_discounted_cost == pytest.approx(2.5)
+
+
+def mixed_scenario(**kw):
+    """Mixed costs and weights, c0 < c1, a noiseless arm and a signed A."""
+    arms = (
+        Arm(ArmParams(r=0.9, a0=0.1, a1=2.0, c0=0.2, c1=1.0), costs.entropy(),
+            weight=2.5, x0=1.0, v0=3.0),
+        Arm(ArmParams(r=0.95, a0=0.0, a1=math.inf, c0=0.1, c1=0.7),
+            costs.power(2.0), weight=0.8, x0=-2.0, v0=1.5),
+        Arm(ArmParams.from_kalman(A=-0.97, sigma_x=1.0, sigma_y0=3.0,
+                                  sigma_y1=0.5, c0=0.0, c1=0.5),
+            costs.neg_precision(), weight=4.0, x0=0.5, v0=6.0),
+        Arm(ArmParams(r=1.0, a0=0.05, a1=1.5, c0=0.3, c1=0.9),
+            costs.bounded_demo(), weight=1.3, x0=0.0, v0=0.7),
+        Arm(ArmParams(r=0.8, a0=0.2, a1=4.0, c0=0.0, c1=1.2), costs.linear(),
+            weight=7.0, x0=3.0, v0=2.0),
+    )
+    defaults = dict(arms=arms, m=2, beta=0.97, horizon=300, seed=11)
+    defaults.update(kw)
+    return Scenario(**defaults)
+
+
+def reference_simulate(scenario, policy, tables):
+    """One arm at a time per step: scalar phi, cost and noise draw."""
+    n = len(scenario.arms)
+    m = scenario.m
+    seeds = np.random.SeedSequence(scenario.seed).spawn(n + 1)
+    arm_rngs = [np.random.default_rng(s) for s in seeds[:n]]
+    policy_rng = np.random.default_rng(seeds[n])
+    steps = scenario.horizon
+    variances = np.empty((steps + 1, n))
+    means = np.empty((steps + 1, n))
+    actions = np.zeros((steps, n), dtype=np.int64)
+    chosen = []
+    inst = np.empty(steps)
+    cum = np.empty(steps)
+    variances[0] = [a.v0 for a in scenario.arms]
+    means[0] = [a.x0 for a in scenario.arms]
+    disc = 1.0
+    total = 0.0
+    rr_next = 0
+    for t in range(steps):
+        v = variances[t]
+        if policy == "whittle":
+            pick = whittle_policy(tables, v, m)
+        elif policy == "myopic":
+            pick = myopic_policy(scenario.arms, v, m)
+        elif policy == "round_robin":
+            pick = tuple(sorted((rr_next + j) % n for j in range(m)))
+            rr_next = (rr_next + m) % n
+        else:
+            pick = tuple(sorted(int(i) for i in policy_rng.choice(n, m, replace=False)))
+        chosen.append(pick)
+        actions[t, list(pick)] = 1
+        step_cost = 0.0
+        for i, arm in enumerate(scenario.arms):
+            act = int(actions[t, i])
+            step_cost += arm.weight * arm.cost.eval(v[i]) + arm.params.work_cost(act)
+            new_v = phi(arm.params, act, float(v[i]))
+            mult = arm.params.A if arm.params.A is not None else arm.params.r
+            innov_var = max(0.0, mult * mult * v[i] + 1.0 - new_v)
+            means[t + 1, i] = mult * means[t, i] + math.sqrt(innov_var) * float(
+                arm_rngs[i].standard_normal()
+            )
+            variances[t + 1, i] = new_v
+        inst[t] = step_cost
+        total += disc * step_cost
+        cum[t] = total
+        disc *= scenario.beta
+    return chosen, actions, variances, means, inst, cum, total
+
+
+class TestBatchStepping:
+    @pytest.mark.parametrize("policy", ["whittle", "myopic", "round_robin", "random"])
+    def test_matches_reference_loop_exactly(self, policy):
+        sc = mixed_scenario()
+        tables = build_index_tables(sc, n_points=64)
+        chosen, actions, variances, means, inst, cum, total = reference_simulate(
+            sc, policy, tables
+        )
+        trace = simulate(sc, policy, tables=tables)
+        assert trace.chosen == chosen
+        for got, want in ((trace.actions, actions), (trace.variances, variances),
+                          (trace.means, means), (trace.inst_cost, inst),
+                          (trace.disc_cum_cost, cum)):
+            np.testing.assert_array_equal(got, want)
+        assert trace.total_discounted_cost == total
+        # the scenario exercises every branch the batch has to reproduce
+        assert trace.actions[:, 1].any() and np.any(trace.variances[1:, 1] == 0.0)
+        assert np.any(trace.means[:, 2] < 0.0) and np.any(trace.means[:, 2] > 0.0)
+
+    def test_visited_state_outside_cost_domain_raises(self):
+        # entropy is undefined at v = 0, which a noiseless observation reaches
+        params = ArmParams(r=0.9, a0=0.0, a1=math.inf, c0=0.0, c1=0.0)
+        arms = (Arm(params, costs.entropy(), v0=2.0), Arm(params, costs.linear(), v0=1.0))
+        sc = Scenario(arms=arms, m=1, beta=0.9, horizon=5, seed=0)
+        with pytest.raises(CostDomainError):
+            simulate(sc, "round_robin")
+
+    def test_off_grid_count_is_per_run(self):
+        sc = mixed_scenario()
+        tables = build_index_tables(sc, n_points=64)
+        first = simulate(sc, "whittle", tables=tables)
+        second = simulate(sc, "whittle", tables=tables)
+        assert first.index_out_of_range > 0
+        assert second.index_out_of_range == first.index_out_of_range
+        assert tables.out_of_range == 2 * first.index_out_of_range
+        assert simulate(sc, "round_robin", tables=tables).index_out_of_range == 0
 
 
 class TestFig7:

@@ -105,3 +105,27 @@ def test_scalar_vs_array_round_trip():
     assert isinstance(c.eval(2.0), float)
     out = c.eval(np.array([2.0, 3.0]))
     assert out.shape == (2,)
+
+
+@pytest.mark.parametrize(
+    "cost, bad",
+    [
+        (costs.entropy(), 0.0),
+        (costs.neg_precision(), -2.0),
+        (costs.linear(), -1.0),
+        (costs.power(2.0), -0.5),
+        (costs.entropy().scale(3.0), 0.0),
+    ],
+)
+def test_scalar_and_array_domain_errors_agree(cost, bad):
+    """A 0-d input takes a shortcut past np.any; the error must not change."""
+    messages = []
+    for v in (bad, np.float64(bad), np.array(bad), np.array([bad]), np.array([5.0, bad])):
+        for method in (cost.eval, cost.deriv):
+            with pytest.raises(CostDomainError) as info:
+                method(v)
+            messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert str(bad) in messages[0]
+    for ok in (1.0, np.float64(1.0), np.array(1.0)):
+        assert isinstance(cost.eval(ok), float)
