@@ -26,8 +26,8 @@ import numpy as np
 from .costs import CostFn, by_name
 # ``phi`` is unused here but stays a module attribute: perfbench/layers.py
 # wraps ``bandit.phi`` by name in its traced pass.
-from .dynamics import ArmParams, phi, phi0, phi_batch, y0  # noqa: F401
-from .index import _marginal_sums_batch, truncation_horizon
+from .dynamics import ArmParams, batch_coefficients, phi, phi0, phi_batch, y0  # noqa: F401
+from .index import marginal_sums_batch, truncation_horizon
 
 POLICIES = ("whittle", "myopic", "round_robin", "random")
 
@@ -155,7 +155,7 @@ def build_index_tables(
             if not p.c1 > p.c0:
                 p = p.with_costs(0.0, 1.0)
             wcost = arm.cost.scale(arm.weight)
-            num, den, _ = _marginal_sums_batch(
+            num, den, _ = marginal_sums_batch(
                 p.r, p.a0, p.a1, p.c0, p.c1, scenario.beta, wcost, g, g, T
             )
             cache[key] = (g, np.log(g), num / den)
@@ -245,10 +245,11 @@ def simulate(
     Exactly m arms are active each round; the trace is bit-reproducible
     for a given seed.  Each step chooses the active arms and updates all n
     variances with one :func:`phi_batch` call.  Everything else happens
-    once per run: each arm's noise is drawn up front from its own stream
-    (the same values as one draw per step), and each arm's cost is
-    evaluated once on all of its visited states.  Each step's cost is
-    still added up over the arms in arm order.
+    once per run: the map's coefficients are built, each arm's noise is
+    drawn up front from its own stream (the same values as one draw per
+    step), and each arm's cost is evaluated once on all of its visited
+    states.  Each step's cost is still added up over the arms in arm
+    order.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -267,6 +268,7 @@ def simulate(
         np.array([getattr(a.params, f) for a in arms])
         for f in ("r2", "a0", "a1", "c0", "c1")
     )
+    coef = batch_coefficients(r2, a0, a1)
     # The posterior mean is multiplied by the signed A when the arm came
     # from raw Kalman parameters; costs only ever see the variance.
     mult = np.array([a.params.r if a.params.A is None else a.params.A for a in arms])
@@ -288,7 +290,7 @@ def simulate(
             pick = tuple(sorted(int(i) for i in policy_rng.choice(n, m, replace=False)))
         chosen.append(pick)
         actions[t, list(pick)] = 1
-        variances[t + 1] = phi_batch(r2, a0, a1, actions[t], v)
+        variances[t + 1] = phi_batch(coef, actions[t], v)
 
     inst = np.zeros(steps)
     for i, arm in enumerate(arms):

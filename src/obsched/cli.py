@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,10 +76,20 @@ def _cost_from_args(args: argparse.Namespace) -> costs.CostFn:
         raise CliError(str(exc)) from None
 
 
-def _open_out(path: Optional[str]) -> IO[str]:
-    if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", newline="")
+def _emit(path: Optional[str], output: Union[str, dict]) -> None:
+    """Write the output to the file at path, or to stdout for None or "-".
+
+    A dict is streamed as JSON indented by 2, with a trailing newline.
+    """
+    fh = sys.stdout if path is None or path == "-" else open(path, "w", newline="")
+    try:
+        if isinstance(output, dict):
+            json.dump(output, fh, indent=2)
+            output = "\n"
+        fh.write(output)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _add_arm_flags(sub: argparse.ArgumentParser) -> None:
@@ -194,38 +204,33 @@ def _cmd_index(args: argparse.Namespace) -> int:
             )
     except costs.CostDomainError as exc:
         raise CliError(str(exc)) from None
-    fh = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            fh.write("x,lambda,numerator,denominator,word,knife_edge\n")
-            for rec in table.records:
-                word = str(rec.word) if rec.word is not None else ""
-                fh.write(
-                    f"{_fmt(rec.x)},{_fmt(rec.lam)},{_fmt(rec.numerator)},"
-                    f"{_fmt(rec.denominator)},{word},{int(rec.knife_edge)}\n"
-                )
-        else:
-            payload = {
-                "command": "index",
-                "records": [
-                    {
-                        "x": rec.x,
-                        "lambda": rec.lam,
-                        "numerator": rec.numerator,
-                        "denominator": rec.denominator,
-                        "word": str(rec.word) if rec.word is not None else None,
-                        "knife_edge": rec.knife_edge,
-                    }
-                    for rec in table.records
-                ],
-                "monotonicity_violations": table.monotonicity_violations,
-                "T": table.T,
+    if args.format == "csv":
+        lines = ["x,lambda,numerator,denominator,word,knife_edge\n"]
+        for rec in table.records:
+            word = str(rec.word) if rec.word is not None else ""
+            lines.append(
+                f"{_fmt(rec.x)},{_fmt(rec.lam)},{_fmt(rec.numerator)},"
+                f"{_fmt(rec.denominator)},{word},{int(rec.knife_edge)}\n"
+            )
+        _emit(args.out, "".join(lines))
+        return 0
+    payload = {
+        "command": "index",
+        "records": [
+            {
+                "x": rec.x,
+                "lambda": rec.lam,
+                "numerator": rec.numerator,
+                "denominator": rec.denominator,
+                "word": str(rec.word) if rec.word is not None else None,
+                "knife_edge": rec.knife_edge,
             }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+            for rec in table.records
+        ],
+        "monotonicity_violations": table.monotonicity_violations,
+        "T": table.T,
+    }
+    _emit(args.out, payload)
     return 0
 
 
@@ -236,30 +241,23 @@ def _cmd_word(args: argparse.Namespace) -> int:
     z = args.x if args.z is None else args.z
     itin = itinerary(params, args.x, z, args.length)
     tw = threshold_word(params, args.x, args.max_period)
-    fh = _open_out(args.out)
-    try:
-        if args.format == "text":
-            fh.write(f"itinerary {itin}\n")
-            status = "periodic" if tw.periodic else "uncertified"
-            fh.write(f"threshold_word {tw.word} ({status})\n")
-            if tw.knife_edge:
-                fh.write("warning: knife-edge iterates encountered\n")
-        else:
-            json.dump(
-                {
-                    "command": "word",
-                    "itinerary": str(itin),
-                    "threshold_word": str(tw.word) if tw.periodic else None,
-                    "periodic": tw.periodic,
-                    "knife_edge": tw.knife_edge,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    if args.format == "text":
+        status = "periodic" if tw.periodic else "uncertified"
+        text = f"itinerary {itin}\nthreshold_word {tw.word} ({status})\n"
+        if tw.knife_edge:
+            text += "warning: knife-edge iterates encountered\n"
+        _emit(args.out, text)
+        return 0
+    _emit(
+        args.out,
+        {
+            "command": "word",
+            "itinerary": str(itin),
+            "threshold_word": str(tw.word) if tw.periodic else None,
+            "periodic": tw.periodic,
+            "knife_edge": tw.knife_edge,
+        },
+    )
     return 0
 
 
@@ -285,25 +283,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for pol in policies:
             with open(f"{args.trace_out}.{pol}.csv", "w", newline="") as tf:
                 results[pol].to_csv(tf)
-    fh = _open_out(args.out)
-    try:
-        if args.format == "json":
-            json.dump(
-                {
-                    "command": "simulate",
-                    "results": [results[pol].summary() for pol in policies],
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-        else:
-            fh.write("policy,total_discounted_cost\n")
-            for pol in policies:
-                fh.write(f"{pol},{_fmt(results[pol].total_discounted_cost)}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    if args.format == "json":
+        _emit(
+            args.out,
+            {
+                "command": "simulate",
+                "results": [results[pol].summary() for pol in policies],
+            },
+        )
+        return 0
+    rows = [f"{pol},{_fmt(results[pol].total_discounted_cost)}\n" for pol in policies]
+    _emit(args.out, "policy,total_discounted_cost\n" + "".join(rows))
     return 0
 
 
@@ -318,15 +308,9 @@ def _cmd_lqg(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     sol = lqg.solve_lqg(problem)
-    fh = _open_out(args.out)
-    try:
-        payload = {"command": "lqg", "R": sol.R, "L": sol.L, "alpha": sol.alpha,
-                   "z": sol.z if math.isfinite(sol.z) else _fmt(sol.z)}
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    payload = {"command": "lqg", "R": sol.R, "L": sol.L, "alpha": sol.alpha,
+               "z": sol.z if math.isfinite(sol.z) else _fmt(sol.z)}
+    _emit(args.out, payload)
     return 0
 
 
@@ -348,7 +332,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         grid = None
     if grid is not None:
         rng = np.random.default_rng(args.seed)
-        lo, hi = oracle._state_bounds(params, cfg)
+        lo, hi = oracle.state_bounds(params, cfg)
         for x_star in rng.uniform(lo, min(hi, grid.hi * 0.5), args.cross_checks):
             cv = oracle.cross_validate(params, cost, args.beta, float(x_star), grid)
             threshold_ok = threshold_ok and cv.threshold_ok
@@ -367,13 +351,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ok = bool(report["ok"] and threshold_ok and flips_ok)
     payload = {"command": "verify", "pcli": report, "cross_validation": crosses,
                "ok": ok}
-    fh = _open_out(args.out)
-    try:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _emit(args.out, payload)
     # Inconsistent only when theory demanded success: admissible cost but
     # failed checks.
     if cost.condition_c and not ok:

@@ -127,19 +127,34 @@ def phi1(p: ArmParams, v: FloatArray) -> FloatArray:
     return (r2 * v + 1.0) / (p.a1 * r2 * v + p.a1 + 1.0)
 
 
-def phi_batch(
-    r2: np.ndarray, a0: np.ndarray, a1: np.ndarray, act: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Elementwise variance update; parameters, actions and states broadcast.
+def batch_coefficients(r2: FloatArray, a0: FloatArray, a1: FloatArray) -> tuple:
+    """Per-arm coefficients of :func:`phi_batch`, computed once per batch.
 
-    Each element gets the same float operations as :func:`phi` on one arm.
+    Rows: r^2, a0 r^2, a0, a1' r^2, a1' and isinf(a1), where a1' is a1
+    with an infinite value replaced by 1.0 (the map itself is then 0).
     """
-    num = r2 * v + 1.0
-    img0 = num / (a0 * r2 * v + a0 + 1.0)
+    r2, a0, a1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r2, a0, a1)))
     a1_inf = np.isinf(a1)
-    a1_safe = np.where(a1_inf, 1.0, a1)
-    img1 = np.where(a1_inf, 0.0, num / (a1_safe * r2 * v + a1_safe + 1.0))
-    return np.where(act, img1, img0)
+    a1 = np.where(a1_inf, 1.0, a1)
+    return r2, a0 * r2, a0, a1 * r2, a1, a1_inf
+
+
+def phi_batch(coef: tuple, act: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Elementwise variance update; coefficients, actions and states broadcast.
+
+    ``coef`` comes from :func:`batch_coefficients`.  Only the taken branch
+    is evaluated, and each element gets the same float operations as
+    :func:`phi` on one arm: a r^2 v is (a r^2) v there too, while
+    (a r^2 v + a) + 1 must not become a r^2 v + (a + 1).
+    """
+    r2, a0r2, a0, a1r2, a1, a1_inf = coef
+    den = np.where(act, a1r2, a0r2) * v
+    den += np.where(act, a1, a0)
+    den += 1.0
+    out = r2 * v
+    out += 1.0
+    out /= den
+    return np.where(act & a1_inf, 0.0, out)
 
 
 def phi_word(p: ArmParams, w: Word, v: float) -> float:

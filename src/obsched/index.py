@@ -25,6 +25,7 @@ from .dynamics import (
     KNIFE_EDGE_TOL,
     ArmParams,
     ThresholdWord,
+    batch_coefficients,
     phi,
     phi_batch,
     threshold_word,
@@ -379,7 +380,7 @@ def index_beta1(
 # Vectorized grid evaluation.
 
 
-def _marginal_sums_batch(
+def marginal_sums_batch(
     r: np.ndarray,
     a0: np.ndarray,
     a1: np.ndarray,
@@ -396,56 +397,82 @@ def _marginal_sums_batch(
     Plain >= comparisons decide actions here; points that ever tie a
     threshold are flagged so scalar re-evaluation can arbitrate.  The sums
     are truncated at T, but each one is evaluated in closed form once its
-    orbit repeats a state exactly (see :func:`_threshold_sums_batch`).
+    orbit repeats a state exactly.  Both forced first actions step as one
+    batch of 2n orbits (see :func:`_threshold_sums_batch`): orbits [0, n)
+    start passive and orbits [n, 2n) start active.
     """
-    r, a0, a1, c0, c1, beta, x, s = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (r, a0, a1, c0, c1, beta, x, s))
-    )
+    args = [np.asarray(a, dtype=float) for a in (r, a0, a1, c0, c1, beta, x, s)]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    r, a0, a1, c0, c1, beta, x, s = args
+    n = math.prod(shape)
+
+    def per_orbit(a: np.ndarray) -> np.ndarray:
+        return np.tile(np.broadcast_to(a, shape).ravel(), 2)
+
+    def rows(*arrays: np.ndarray) -> tuple:
+        # A single value is shared by all orbits.
+        return tuple(a.reshape(1) if a.size == 1 else per_orbit(a) for a in arrays)
+
     tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
-    par = np.stack([r * r, a0, a1, c0, c1, beta, s, tol]).reshape(8, -1)
-    xs = x.ravel()
-    (cost0, work0, knife0, open0), (cost1, work1, knife1, open1) = (
-        _threshold_sums_batch(par, cost, xs, first, T) for first in (0, 1)
+    cost_sums, work_sums, knife, n_open = _threshold_sums_batch(
+        rows(c0, c1, beta, s, tol),
+        rows(*batch_coefficients(r * r, a0, a1)),
+        cost, per_orbit(x), np.arange(2 * n) >= n, T,
     )
-    if open0 or open1:
-        _debug(
-            "%d of %d batch orbits reached T=%d with no repeat",
-            open0 + open1, 2 * xs.size, T,
-        )
+    if n_open:
+        _debug("%d of %d batch orbits reached T=%d with no repeat", n_open, 2 * n, T)
     return (
-        (cost0 - cost1).reshape(x.shape),
-        (work1 - work0).reshape(x.shape),
-        (knife0 | knife1).reshape(x.shape),
+        (cost_sums[:n] - cost_sums[n:]).reshape(shape),
+        (work_sums[n:] - work_sums[:n]).reshape(shape),
+        (knife[:n] | knife[n:]).reshape(shape),
     )
+
+
+def _columns(rows: tuple, cols: np.ndarray) -> tuple:
+    """The entries of each row at the given orbits.
+
+    A 1-element row is shared by all orbits and returned as it is.  (So is
+    a per-orbit row with one entry left; the kernel stops stepping when
+    that orbit repeats.)
+    """
+    return tuple(row if row.size == 1 else row[cols] for row in rows)
 
 
 def _threshold_step(
-    par: np.ndarray, cost: CostFn, v: np.ndarray, disc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted (cost, work) summands at states v, and the next states."""
-    r2, a0, a1, c0, c1, _, s, _ = par
+    par: tuple, coef: tuple, cost: CostFn, v: np.ndarray, disc: np.ndarray,
+    acc: np.ndarray,
+) -> np.ndarray:
+    """Add the discounted (cost, work) summands at states v to acc; next states."""
+    c0, c1, _, s, _ = par
     act = v >= s
-    terms = disc * np.stack([cost.eval(v), np.where(act, c1, c0)])
-    return terms, phi_batch(r2, a0, a1, act, v)
+    acc[0] += disc * cost.eval(v)
+    acc[1] += disc * np.where(act, c1, c0)
+    return phi_batch(coef, act, v)
 
 
 def _threshold_sums_batch(
-    par: np.ndarray, cost: CostFn, x: np.ndarray, first: int, T: int
+    par: tuple, coef: tuple, cost: CostFn, x: np.ndarray, first: np.ndarray, T: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Cost and work sums of s-threshold orbits with a forced first action.
+    """Cost and work sums of s-threshold orbits, each with a forced first action.
 
-    ``par`` holds one column (r^2, a0, a1, c0, c1, beta, s, knife-edge
-    tolerance) per start x.  Returns both sums truncated at T, the
-    knife-edge flags and the number of orbits stepped to T without a
-    repeat.  Repeats are found by Brent's method: each orbit is compared
-    bitwise with an anchor state retaken at t = 1, 2, 4, ...  An orbit back
-    at its anchor state at step t is periodic from the anchor step k with
-    period t - k and stops stepping.  Its sum is the part before k, plus
-    the cycle's sum times the geometric factor of the whole periods up to
-    T, plus the leftover partial period, replayed from the anchor.  Memory
-    stays O(len(x)).
+    ``par`` holds the rows (c0, c1, beta, s, knife-edge tolerance) and
+    ``coef`` the :func:`batch_coefficients` rows, each with one entry per
+    start x or a single entry shared by all; ``first`` is the first action
+    of each orbit.  Returns both sums truncated at T, the knife-edge flags
+    and the number of orbits stepped to T without a repeat.  Repeats are
+    found by Brent's method: each orbit is compared bitwise with an anchor
+    state retaken at t = 1, 2, 4, ...  An orbit back at its anchor state at
+    step t is periodic from the anchor step k with period t - k and stops
+    stepping.  Its sum is the part before k, plus the cycle's sum times the
+    geometric factor of the whole periods up to T, plus the leftover
+    partial period, replayed from the anchor.  The anchor schedule depends
+    only on t, so each orbit's sums do not depend on the other orbits of
+    the batch.  Memory stays O(len(x)).
+
+    A shared beta is raised to the power t on its 1-element row: numpy's
+    power gives the same float there as in a full row, while a Python
+    float power may differ from it in the last bit.
     """
-    r2, a0, a1, c0, c1, _, s, tol = par
     knife = np.zeros(x.size, dtype=bool)
     # Per orbit, once it repeats: anchor step, period, anchor state, and
     # the sums over one cycle and (in ``sums`` until the tail is added)
@@ -455,12 +482,13 @@ def _threshold_sums_batch(
     u_rep = np.empty(x.size)
     sums = np.empty((2, x.size))
     cyc_rep = np.empty((2, x.size))
-    head = np.stack([cost.eval(x), c1 if first else c0])  # summed over t < k
-    cyc = np.zeros_like(head)  # summed over k <= t
-    v = phi_batch(r2, a0, a1, bool(first), x)
+    # Summed over t < k, and over k <= t.
+    head = np.stack([cost.eval(x), np.where(first, par[1], par[0])])
+    cyc = np.zeros_like(head)
+    v = phi_batch(coef, first, x)
     anchor, k = v, 1
-    # Columns of the orbits still stepping; repeating ones are moved out.
-    live, lpar, lknife = np.arange(x.size), par, knife.copy()
+    # The orbits still stepping; repeating ones are moved out.
+    live, lpar, lcoef, lknife = np.arange(x.size), par, coef, knife.copy()
     for t in range(1, T + 1):
         if t > k:
             hit = v == anchor
@@ -471,29 +499,29 @@ def _threshold_sums_batch(
                 knife[ids] = lknife[hit]
                 keep = ~hit
                 live, v, anchor, lknife = live[keep], v[keep], anchor[keep], lknife[keep]
-                lpar, head, cyc = lpar[:, keep], head[:, keep], cyc[:, keep]
+                head, cyc = head[:, keep], cyc[:, keep]
+                lpar, lcoef = _columns(lpar, keep), _columns(lcoef, keep)
                 if not live.size:
                     break
             if t == 2 * k:
                 head += cyc
                 cyc = np.zeros_like(head)
                 anchor, k = v, t
-        lknife |= np.abs(v - lpar[6]) <= lpar[7]
-        terms, v = _threshold_step(lpar, cost, v, lpar[5] ** t)
-        cyc += terms
+        lknife |= np.abs(v - lpar[3]) <= lpar[4]
+        v = _threshold_step(lpar, lcoef, cost, v, lpar[2] ** t, cyc)
     knife[live] = lknife
     sums[:, live] = head + cyc
     idx = np.flatnonzero(n_rep)
     if idx.size:
         k, n, u = k_rep[idx], n_rep[idx], u_rep[idx]
-        rpar = par[:, idx]
-        beta = rpar[5]
+        rpar, rcoef = _columns(par, idx), _columns(coef, idx)
+        beta = rpar[2]
         m, rem = np.divmod(T + 1 - k, n)
         geo, tail = _cycle_factors(beta, n, m)
         part = np.zeros((2, idx.size))
         for j in range(int(rem.max())):
-            terms, u = _threshold_step(rpar, cost, u, np.where(j < rem, beta ** (k + j), 0.0))
-            part += terms
+            disc = np.where(j < rem, beta ** (k + j), 0.0)
+            u = _threshold_step(rpar, rcoef, cost, u, disc, part)
         sums[:, idx] = sums[:, idx] + geo * cyc_rep[:, idx] + tail * part
     return sums[0], sums[1], knife, live.size
 
@@ -529,7 +557,7 @@ def index_table(
         raise ValueError("grid must be strictly ascending")
     p = params
     T = truncation_horizon(beta, eps)
-    num, den, knife = _marginal_sums_batch(
+    num, den, knife = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, xs, xs, T
     )
     lam = num / den

@@ -19,10 +19,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .costs import CostFn
-from .dynamics import ArmParams, phi0, phi1, y0, y1
+from .dynamics import ArmParams, batch_coefficients, phi0, phi1, phi_batch, y0, y1
 from .index import (
     IndexQuery,
-    _marginal_sums_batch,
+    marginal_sums_batch,
     truncation_horizon,
     whittle_index,
 )
@@ -88,41 +88,66 @@ def value_iteration(
 
     Stops when the sup-norm change is below tol (1 - beta) / (2 beta),
     which makes the value error at most tol; greedy actions break exact
-    ties in favour of observing.
+    ties in favour of observing.  The images of the grid under both maps,
+    their neighbour indices and interpolation weights, and the stage costs
+    plus the priced work are computed once; a sweep is then one gather of
+    the four neighbour values per point and a few in-place array passes
+    into preallocated buffers.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
     pts = grid.points()
-    stage = cost.eval(pts)
-    img0 = np.clip(phi0(params, pts), grid.lo, grid.hi)
-    img1 = np.clip(phi1(params, pts), grid.lo, grid.hi)
-    idx0 = np.clip(np.searchsorted(pts, img0) - 1, 0, grid.n - 2)
-    idx1 = np.clip(np.searchsorted(pts, img1) - 1, 0, grid.n - 2)
-    frac0 = (img0 - pts[idx0]) / (pts[idx0 + 1] - pts[idx0])
-    frac1 = (img1 - pts[idx1]) / (pts[idx1 + 1] - pts[idx1])
     w0 = nu * params.c0
     w1 = nu * params.c1
     stop = tol if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
+    # Rows 2a and 2a + 1: left and right grid neighbour of action a's
+    # clipped image, and their interpolation weights.
+    idx = np.empty((4, grid.n), dtype=np.intp)
+    wts = np.empty((4, grid.n))
+    for a, img in enumerate((phi0(params, pts), phi1(params, pts))):
+        img = np.clip(img, grid.lo, grid.hi)
+        left = np.clip(np.searchsorted(pts, img) - 1, 0, grid.n - 2)
+        frac = (img - pts[left]) / (pts[left + 1] - pts[left])
+        idx[2 * a], idx[2 * a + 1] = left, left + 1
+        wts[2 * a], wts[2 * a + 1] = 1.0 - frac, frac
+    # (w + stage) + beta cont is the same float as w + stage + beta cont.
+    base = np.add.outer([w0, w1], cost.eval(pts))
+    nbr = np.empty((4, grid.n))
     V = np.zeros(grid.n)
+    V_new = np.empty(grid.n)
+    diff = np.empty(grid.n)
     it = 0
     resid = math.inf
     while it < max_iter:
         it += 1
-        cont0 = V[idx0] * (1.0 - frac0) + V[idx0 + 1] * frac0
-        cont1 = V[idx1] * (1.0 - frac1) + V[idx1 + 1] * frac1
-        q0 = w0 + stage + beta * cont0
-        q1 = w1 + stage + beta * cont1
-        V_new = np.minimum(q0, q1)
-        resid = float(np.max(np.abs(V_new - V)))
-        V = V_new
+        q = _continuation(V, idx, wts, nbr)
+        q *= beta
+        q += base
+        np.minimum(q[0], q[1], out=V_new)
+        np.subtract(V_new, V, out=diff)
+        np.abs(diff, out=diff)
+        resid = float(diff.max())
+        V, V_new = V_new, V
         if resid < stop:
             break
     else:
         raise RuntimeError(f"value iteration did not converge in {max_iter} sweeps")
-    cont0 = V[idx0] * (1.0 - frac0) + V[idx0 + 1] * frac0
-    cont1 = V[idx1] * (1.0 - frac1) + V[idx1 + 1] * frac1
+    cont0, cont1 = _continuation(V, idx, wts, nbr)
     actions = (w1 + beta * cont1 <= w0 + beta * cont0).astype(np.int64)
     return DPSolution(grid, nu, V, actions, it, resid)
+
+
+def _continuation(
+    V: np.ndarray, idx: np.ndarray, wts: np.ndarray, nbr: np.ndarray
+) -> np.ndarray:
+    """Interpolated continuation values of both actions, as rows 0 and 2 of nbr.
+
+    ``nbr`` is scratch of the shape of ``idx``.  Every index is in range,
+    so ``take`` may clip instead of checking bounds.
+    """
+    V.take(idx, out=nbr, mode="clip")
+    nbr *= wts
+    return np.add(nbr[0::2], nbr[1::2], out=nbr[0::2])
 
 
 @dataclass(frozen=True)
@@ -226,7 +251,8 @@ class PcliConfig:
     slope_limit: float = 4.5
 
 
-def _state_bounds(params: ArmParams, cfg: PcliConfig) -> tuple[float, float]:
+def state_bounds(params: ArmParams, cfg: PcliConfig) -> tuple[float, float]:
+    """State range of the PCLI report: cfg's bounds, else around y1 and y0."""
     lo = cfg.state_lo
     hi = cfg.state_hi
     if lo is None:
@@ -254,7 +280,7 @@ def pcli_report(
     """
     cfg = config or PcliConfig()
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = _state_bounds(params, cfg)
+    lo, hi = state_bounds(params, cfg)
     T = truncation_horizon(beta, cfg.eps)
     p = params
     report: dict = {"params": {"r": p.r, "a0": p.a0, "a1": p.a1, "beta": beta,
@@ -262,7 +288,7 @@ def pcli_report(
 
     # PCLI1: marginal work at s = x stays above its discounted lower bound.
     xs = rng.uniform(lo, hi, cfg.work_samples)
-    _, work, _ = _marginal_sums_batch(
+    _, work, _ = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, xs, xs, T
     )
     slack = (p.c1 - p.c0) * beta ** (T + 1) / max(1e-300, 1.0 - beta)
@@ -277,7 +303,7 @@ def pcli_report(
 
     # PCLI2: non-decreasing index and a sampled continuity modulus.
     grid = np.geomspace(lo, hi, cfg.lambda_points)
-    num, den, _ = _marginal_sums_batch(
+    num, den, _ = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, grid, grid, T
     )
     lam = num / den
@@ -320,7 +346,7 @@ def pcli_report(
             b_s = min(hi, a_s + 0.05 * (hi - lo))
         svals = np.linspace(a_s, b_s, cfg.sweep_points)
         x_arr = np.full_like(svals, x_probe)
-        mcost, mwork, _ = _marginal_sums_batch(
+        mcost, mwork, _ = marginal_sums_batch(
             p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, x_arr, svals, T
         )
         lam_s = _lambda_on(p, cost, beta, svals, T)
@@ -351,7 +377,7 @@ def pcli_report(
 def _lambda_on(
     p: ArmParams, cost: CostFn, beta: float, xs: np.ndarray, T: int
 ) -> np.ndarray:
-    num, den, _ = _marginal_sums_batch(
+    num, den, _ = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, xs, xs, T
     )
     return num / den
@@ -361,18 +387,13 @@ def _action_matrix(
     p: ArmParams, x: float, thresholds: np.ndarray, t_len: int
 ) -> np.ndarray:
     """Actions A_{1:t}(x, a0-free; s) for every threshold in the sweep."""
+    coef = batch_coefficients(p.r2, p.a0, p.a1)
     v = np.full_like(thresholds, x)
     acts = np.empty((t_len, len(thresholds)), dtype=np.int8)
-    r2 = p.r2
     for t in range(t_len):
         a = v >= thresholds
         acts[t] = a
-        img0 = (r2 * v + 1.0) / (p.a0 * r2 * v + p.a0 + 1.0)
-        if math.isinf(p.a1):
-            img1 = np.zeros_like(v)
-        else:
-            img1 = (r2 * v + 1.0) / (p.a1 * r2 * v + p.a1 + 1.0)
-        v = np.where(a, img1, img0)
+        v = phi_batch(coef, a, v)
     return acts
 
 

@@ -23,11 +23,11 @@ from obsched.dynamics import (
 )
 from obsched.index import (
     IndexQuery,
-    _marginal_sums_batch,
     closed_form_noiseless,
     closed_form_noiseless_limit,
     index_beta1,
     index_table,
+    marginal_sums_batch,
     truncation_horizon,
     whittle_index,
 )
@@ -101,7 +101,7 @@ def test_criterion_03_q_curves_cross_once():
             hi = mid
     s_star = 0.5 * (lo + hi)
     xs = np.linspace(0.2, 5.0, 481)
-    mcost, mwork, _ = _marginal_sums_batch(
+    mcost, mwork, _ = marginal_sums_batch(
         arm.r, arm.a0, arm.a1, arm.c0, arm.c1, beta, cost, xs,
         np.full_like(xs, s_star), T,
     )
@@ -252,7 +252,7 @@ def test_criterion_08_pcli_properties():
     beta = rng.uniform(0.0, 0.95, n)
     x = rng.uniform(0.05, 8.0, n)
     T = truncation_horizon(float(beta.max()), 1e-12)
-    _, work, _ = _marginal_sums_batch(
+    _, work, _ = marginal_sums_batch(
         r, a0, a1, np.zeros(n), np.ones(n), beta, costs.linear(), x, x, T
     )
     slack = beta ** (T + 1) / (1.0 - beta)

@@ -7,6 +7,7 @@ import pytest
 
 from obsched.dynamics import (
     ArmParams,
+    batch_coefficients,
     fixed_point,
     itinerary,
     letter_matrix,
@@ -15,6 +16,7 @@ from obsched.dynamics import (
     phi,
     phi0,
     phi1,
+    phi_batch,
     phi_word,
     sturmian_fixed_point,
     threshold_word,
@@ -121,6 +123,61 @@ class TestPhi:
         p = ArmParams(r=0.9, a0=0.1, a1=1.0)
         vs = np.linspace(0.0, 5.0, 7)
         np.testing.assert_allclose(phi0(p, vs), [phi0(p, float(v)) for v in vs])
+
+
+def reference_phi_batch(r2, a0, a1, act, v):
+    """Both branches of the map, then a select: the form phi_batch replaced."""
+    num = r2 * v + 1.0
+    img0 = num / (a0 * r2 * v + a0 + 1.0)
+    a1_inf = np.isinf(a1)
+    a1_safe = np.where(a1_inf, 1.0, a1)
+    img1 = np.where(a1_inf, 0.0, num / (a1_safe * r2 * v + a1_safe + 1.0))
+    return np.where(act, img1, img0)
+
+
+class TestPhiBatch:
+    """phi_batch gives the two-branch formula's floats, bit for bit."""
+
+    def random_batch(self, rng, n):
+        r2 = rng.uniform(0.05, 1.0, n)
+        a0 = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 0.5, n))
+        a1 = a0 + rng.uniform(0.01, 5.0, n)
+        a1[rng.random(n) < 0.3] = math.inf
+        v = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 50.0, n))
+        return r2, a0, a1, v
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        r2, a0, a1, v = self.random_batch(rng, 400)
+        assert np.isinf(a1).any() and (a0 == 0.0).any()
+        coef = batch_coefficients(r2, a0, a1)
+        for act in (rng.random(400) < 0.5, rng.integers(0, 2, 400), True, False, 0, 1):
+            got = phi_batch(coef, act, v)
+            want = reference_phi_batch(r2, a0, a1, act, v)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_matches_scalar_phi(self):
+        rng = np.random.default_rng(7)
+        _, a0, a1, v = self.random_batch(rng, 60)
+        arms = [
+            ArmParams(r=float(r), a0=float(lo), a1=float(hi))
+            for r, lo, hi in zip(rng.uniform(0.2, 1.0, 60), a0, a1)
+        ]
+        r2 = np.array([p.r2 for p in arms])
+        act = rng.integers(0, 2, 60)
+        got = phi_batch(batch_coefficients(r2, a0, a1), act, v)
+        for i, p in enumerate(arms):
+            assert got[i] == phi(p, int(act[i]), float(v[i]))
+
+    def test_scalar_coefficients_broadcast(self):
+        p = ArmParams(r=0.9, a0=0.0, a1=math.inf)
+        vs = np.linspace(0.0, 5.0, 7)
+        act = vs >= 2.0
+        got = phi_batch(batch_coefficients(p.r2, p.a0, p.a1), act, vs)
+        assert got.tobytes() == reference_phi_batch(p.r2, p.a0, p.a1, act, vs).tobytes()
+        assert np.all(got[act] == 0.0)
 
 
 class TestMoebius:

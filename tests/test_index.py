@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from obsched import costs
 from obsched.dynamics import (
+    KNIFE_EDGE_TOL,
     ArmParams,
+    batch_coefficients,
     fixed_point,
     is_knife_edge,
     phi,
@@ -22,13 +24,14 @@ from obsched.index import (
     IndexQuery,
     UncertifiedPeriodError,
     _knife_branch,
-    _marginal_sums_batch,
     _orbit_terms,
+    _threshold_sums_batch,
     closed_form_noiseless,
     closed_form_noiseless_limit,
     index_beta1,
     index_table,
     marginal_cost,
+    marginal_sums_batch,
     marginal_work,
     q_value,
     truncation_horizon,
@@ -126,7 +129,7 @@ class TestMarginals:
             x = float(rng.uniform(0.1, 8.0))
             s = float(rng.uniform(0.1, 8.0))
             T = truncation_horizon(beta, 1e-12)
-            mc, mw, knife = _marginal_sums_batch(
+            mc, mw, knife = marginal_sums_batch(
                 p.r, p.a0, p.a1, p.c0, p.c1, beta,
                 costs.linear(), np.array([x]), np.array([s]), T,
             )
@@ -184,7 +187,7 @@ def assert_kernels_match_stepped(p, cost, beta, x, s, T):
         assert abs(math.fsum(cterms) - csum) <= 1e-12 * scale
         assert abs(math.fsum(wterms) - wsum) <= 1e-12 * scale
         assert k == knife
-    mc, mw, knife = _marginal_sums_batch(
+    mc, mw, knife = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, np.array([x]), np.array([s]), T
     )
     scale = ref[0][2] + ref[1][2]
@@ -226,7 +229,7 @@ class TestClosedFormTails:
         p = ArmParams(r=0.6, a0=0.1, a1=1.5, c0=0.0, c1=1.0)
         xs = np.geomspace(0.2, 3.0, 7)
         for T in range(1, 40):
-            mc, mw, _ = _marginal_sums_batch(
+            mc, mw, _ = marginal_sums_batch(
                 p.r, p.a0, p.a1, p.c0, p.c1, beta, costs.linear(), xs, xs, T
             )
             for i, x in enumerate(xs):
@@ -252,6 +255,49 @@ class TestClosedFormTails:
         T = truncation_horizon(beta, 1e-12) if beta < 0.999 else 3000
         assert not assert_kernels_match_stepped(params, costs.linear(), beta, 1.3, s, T)
 
+    def test_mixed_first_actions_match_single_action_batches(self):
+        # An orbit's sums do not depend on the rest of its batch: with the
+        # first actions mixed, every column equals its column in the
+        # all-passive or all-active batch, bit for bit.
+        rng = np.random.default_rng(41)
+        n = 60
+        r = rng.uniform(0.3, 1.0, n)
+        a0 = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 0.5, n))
+        a1 = a0 + rng.uniform(0.05, 3.0, n)
+        a1[::7] = math.inf
+        x = rng.uniform(0.05, 8.0, n)
+        s = rng.uniform(0.05, 8.0, n)
+        s[::11] = math.inf
+        r[3], a0[3], s[3] = 1.0, 0.0, math.inf  # never repeats
+        knife_arm = ArmParams(r=0.8, a0=0.1, a1=1.0)
+        r[4], a0[4], a1[4] = knife_arm.r, knife_arm.a0, knife_arm.a1
+        x[4] = s[4] = y1(knife_arm)  # ties the threshold at every step
+        beta = rng.choice([0.0, 0.5, 0.9, 0.99], n)
+        tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
+        par = np.stack([np.full(n, 0.2), np.ones(n), beta, s, tol])
+        coef = batch_coefficients(r * r, a0, a1)
+        cost, T = costs.power(2.0), 3000
+
+        def run(first):
+            return _threshold_sums_batch(par, coef, cost, x, first, T)
+
+        first = rng.random(n) < 0.5
+        mixed, all0, all1 = run(first), run(np.zeros(n, bool)), run(np.ones(n, bool))
+        for got, want0, want1 in zip(mixed[:3], all0[:3], all1[:3]):
+            assert got.tobytes() == np.where(first, want1, want0).tobytes()
+        assert all0[2][4] and all1[2][4]
+        assert all0[3] >= 1 and all1[3] >= 1
+        # A shared beta is raised to the power t on its 1-element row; the
+        # orbits' sums equal those with a full beta row.
+        for b in np.unique(beta):
+            cols = np.flatnonzero(beta == b)
+            shared = tuple(np.array([b]) if i == 2 else row[cols] for i, row in enumerate(par))
+            part = _threshold_sums_batch(
+                shared, tuple(row[cols] for row in coef), cost, x[cols], first[cols], T
+            )
+            for got, want in zip(part[:3], mixed[:3]):
+                assert got.tobytes() == want[cols].tobytes()
+
     def test_knife_edge_start_falls_back(self):
         # At the active fixed point every iterate ties the threshold: the
         # scalar kernel must step to T with the tie rule and keep the flag.
@@ -265,7 +311,7 @@ class TestClosedFormTails:
         xs = np.array([0.5, 1.5, 2.5])
         with caplog.at_level(logging.DEBUG, logger="obsched"):
             _orbit_terms(p, costs.linear(), 0.9, 1.0, math.inf, 0, 300)
-            _marginal_sums_batch(
+            marginal_sums_batch(
                 p.r, p.a0, p.a1, p.c0, p.c1, 0.9, costs.linear(), xs,
                 np.full(3, math.inf), 300,
             )

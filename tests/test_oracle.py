@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from obsched import costs
-from obsched.dynamics import ArmParams, moebius_matrix, phi_word, y0, y1
+from obsched.dynamics import ArmParams, moebius_matrix, phi, phi0, phi1, phi_word, y0, y1
 from obsched.index import IndexQuery, whittle_index
 from obsched.oracle import (
     DPGrid,
+    DPSolution,
     PcliConfig,
+    _action_matrix,
     cross_validate,
     default_grid,
     dp_threshold,
@@ -91,6 +93,100 @@ class TestValueIteration:
                 for s in (-math.inf, math.inf, 0.5 * (y1(p) + y0(p)))
             )
             assert sol.values[k] <= best_threshold + 1e-3
+
+
+def reference_value_iteration(params, cost, beta, nu, grid, tol=1e-9):
+    """The sweep as first written: per-sweep fancy indexing, no buffers."""
+    pts = grid.points()
+    stage = cost.eval(pts)
+    img0 = np.clip(phi0(params, pts), grid.lo, grid.hi)
+    img1 = np.clip(phi1(params, pts), grid.lo, grid.hi)
+    idx0 = np.clip(np.searchsorted(pts, img0) - 1, 0, grid.n - 2)
+    idx1 = np.clip(np.searchsorted(pts, img1) - 1, 0, grid.n - 2)
+    frac0 = (img0 - pts[idx0]) / (pts[idx0 + 1] - pts[idx0])
+    frac1 = (img1 - pts[idx1]) / (pts[idx1 + 1] - pts[idx1])
+    w0 = nu * params.c0
+    w1 = nu * params.c1
+    stop = tol if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
+    V = np.zeros(grid.n)
+    it = 0
+    while True:
+        it += 1
+        cont0 = V[idx0] * (1.0 - frac0) + V[idx0 + 1] * frac0
+        cont1 = V[idx1] * (1.0 - frac1) + V[idx1 + 1] * frac1
+        q0 = w0 + stage + beta * cont0
+        q1 = w1 + stage + beta * cont1
+        V_new = np.minimum(q0, q1)
+        resid = float(np.max(np.abs(V_new - V)))
+        V = V_new
+        if resid < stop:
+            break
+    cont0 = V[idx0] * (1.0 - frac0) + V[idx0 + 1] * frac0
+    cont1 = V[idx1] * (1.0 - frac1) + V[idx1 + 1] * frac1
+    actions = (w1 + beta * cont1 <= w0 + beta * cont0).astype(np.int64)
+    return DPSolution(grid, nu, V, actions, it, resid)
+
+
+def assert_same_solution(sol, ref):
+    assert sol.iterations == ref.iterations
+    assert sol.residual == ref.residual
+    assert sol.values.tobytes() == ref.values.tobytes()
+    assert sol.actions.tobytes() == ref.actions.tobytes()
+
+
+class TestSweepMatchesReference:
+    """The buffered sweep gives the reference sweep's floats, bit for bit."""
+
+    COSTS = (costs.linear(), costs.entropy(), costs.power(0.5), costs.bounded_demo())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        p = random_params(rng).with_costs(float(rng.uniform(0, 0.5)), 1.0)
+        cost = self.COSTS[seed % len(self.COSTS)]
+        beta = float(rng.choice([0.0, rng.uniform(0.3, 0.9)]))
+        spacing = "linear" if seed % 2 else "log"
+        top = y0(p)
+        # Grids that stop short of y1 and y0 clip images at both ends.
+        grid = DPGrid(
+            float(rng.uniform(0.5, 1.5)) * y1(p),
+            float(rng.uniform(0.7, 4.0)) * top,
+            n=int(rng.integers(64, 300)),
+            spacing=spacing,
+        )
+        lam = whittle_index(IndexQuery(p, cost, max(beta, 0.1), 0.5 * (y1(p) + top))).lam
+        for nu in (lam, -0.3, 3.0 * abs(lam) + 1.0):
+            sol = value_iteration(p, cost, beta, nu, grid)
+            assert_same_solution(sol, reference_value_iteration(p, cost, beta, nu, grid))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.8])
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    def test_clipped_at_both_ends_and_noiseless(self, beta, spacing):
+        p = ArmParams(r=0.9, a0=0.0, a1=math.inf)
+        grid = DPGrid(0.05, 0.5 * y0(p), n=128, spacing=spacing)
+        pts = grid.points()
+        assert phi1(p, pts).max() < grid.lo
+        assert phi0(p, pts).max() > grid.hi
+        for nu in (0.05, 0.5, 2.0):
+            sol = value_iteration(p, costs.linear(), beta, nu, grid)
+            assert_same_solution(
+                sol, reference_value_iteration(p, costs.linear(), beta, nu, grid)
+            )
+
+
+class TestActionMatrix:
+    @pytest.mark.parametrize("a1", [0.8, math.inf])
+    def test_matches_scalar_stepping(self, a1):
+        p = ArmParams(r=0.9, a0=0.05, a1=a1)
+        x = 1.7
+        thresholds = np.linspace(0.05, 6.0, 101)
+        acts = _action_matrix(p, x, thresholds, 12)
+        for j, s in enumerate(thresholds):
+            v = x
+            for t in range(12):
+                a = int(v >= s)
+                assert acts[t, j] == a
+                v = phi(p, a, v)
 
 
 class TestDpThreshold:
