@@ -6,7 +6,7 @@ brute-force dynamic-programming oracle for verification.
 """
 
 from .costs import CostFn, CostDomainError
-from .dynamics import ArmParams, MoebiusMat, Orbit, ThresholdWord
+from .dynamics import ArmParams, InconsistencyError, MoebiusMat, Orbit, ThresholdWord
 from .index import IndexQuery, IndexRecord, IndexTable
 from .words import ChristoffelPair, Word
 
@@ -20,6 +20,7 @@ __all__ = [
     "IndexQuery",
     "IndexRecord",
     "IndexTable",
+    "InconsistencyError",
     "MoebiusMat",
     "Orbit",
     "ThresholdWord",

@@ -24,9 +24,12 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .costs import CostFn, by_name
-# ``phi`` is unused here but stays a module attribute: perfbench/layers.py
-# wraps ``bandit.phi`` by name in its traced pass.
-from .dynamics import ArmParams, batch_coefficients, phi, phi0, phi_batch, y0  # noqa: F401
+# ``phi`` and ``phi0`` are unused here but stay module attributes:
+# perfbench/layers.py wraps ``bandit.phi`` and ``bandit.phi0`` by name in its
+# traced pass.
+from .dynamics import (  # noqa: F401
+    ArmParams, batch_coefficients, phi, phi0, phi_batch, scalar_map, y0,
+)
 from .index import marginal_sums_batch, truncation_horizon
 
 POLICIES = ("whittle", "myopic", "round_robin", "random")
@@ -123,9 +126,10 @@ def _reach_bound(p: ArmParams, v0: float, horizon: int) -> float:
     top = y0(p)
     if math.isfinite(top):
         return max(2.0 * top, 2.0 * v0)
+    step = scalar_map(p)
     v = v0
     for _ in range(horizon + 1):
-        v = phi0(p, v)
+        v = step(0, v)
     return 2.0 * max(v, v0, 1.0)
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import bandit, costs, lqg, oracle
-from .dynamics import ArmParams, itinerary, threshold_word
+from .dynamics import ArmParams, InconsistencyError, itinerary, threshold_word, y0
 from .index import (
     IndexRecord,
     IndexTable,
@@ -317,6 +317,10 @@ def _cmd_lqg(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not 0.0 <= args.beta < 1.0:
         raise CliError(f"beta must be in [0, 1), got {args.beta}")
+    if args.grid_n < 64:
+        raise CliError(f"--grid-n must be at least 64, got {args.grid_n}")
+    if args.cross_checks < 0:
+        raise CliError(f"--cross-checks must be non-negative, got {args.cross_checks}")
     params = _arm_from_args(args)
     cost = _cost_from_args(args)
     cfg = oracle.PcliConfig(seed=args.seed)
@@ -326,11 +330,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from None
     crosses = []
     threshold_ok = True
-    try:
+    # The DP grid spans [1e-4 y1, 4 y0], so there are no cross-checks when
+    # the passive fixed point is infinite (r = 1, a0 = 0).
+    if math.isfinite(y0(params)):
         grid = oracle.default_grid(params, n=args.grid_n)
-    except ValueError:
-        grid = None
-    if grid is not None:
         rng = np.random.default_rng(args.seed)
         lo, hi = oracle.state_bounds(params, cfg)
         for x_star in rng.uniform(lo, min(hi, grid.hi * 0.5), args.cross_checks):
@@ -376,6 +379,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InconsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

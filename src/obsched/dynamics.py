@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -26,6 +26,10 @@ from .words import Word, is_balanced, is_christoffel
 KNIFE_EDGE_TOL = 1e-12
 
 FloatArray = Union[float, np.ndarray]
+
+
+class InconsistencyError(ArithmeticError):
+    """A computed result contradicts the theory it rests on (CLI exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,28 @@ def phi1(p: ArmParams, v: FloatArray) -> FloatArray:
     return (r2 * v + 1.0) / (p.a1 * r2 * v + p.a1 + 1.0)
 
 
+def scalar_map(p: ArmParams) -> Callable[[int, float], float]:
+    """The variance update as step(a, v) on Python floats, p's coefficients bound once.
+
+    Each step does the float operations of :func:`phi` (and returns 0.0
+    for an active step with a1 = inf), so its states are bitwise those of
+    :func:`phi`; it only skips the per-call attribute reads and dispatch.
+    Orbit loops that step one state at a time use it.
+    """
+    r2 = p.r2
+    a0r2, a0 = p.a0 * r2, p.a0
+    a1r2, a1, a1_inf = p.a1 * r2, p.a1, math.isinf(p.a1)
+
+    def step(a: int, v: float) -> float:
+        if not a:
+            return (r2 * v + 1.0) / (a0r2 * v + a0 + 1.0)
+        if a1_inf:
+            return 0.0
+        return (r2 * v + 1.0) / (a1r2 * v + a1 + 1.0)
+
+    return step
+
+
 def batch_coefficients(r2: FloatArray, a0: FloatArray, a1: FloatArray) -> tuple:
     """Per-arm coefficients of :func:`phi_batch`, computed once per batch.
 
@@ -159,8 +185,9 @@ def phi_batch(coef: tuple, act: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def phi_word(p: ArmParams, w: Word, v: float) -> float:
     """Composition phi_w = phi_{w_n} o ... o phi_{w_1}."""
+    step = scalar_map(p)
     for b in w:
-        v = phi(p, b, v)
+        v = step(b, v)
     return v
 
 
@@ -273,15 +300,16 @@ def fixed_point(p: ArmParams, w: Word) -> float:
         raise ValueError("fixed point undefined for the empty word")
     if math.isinf(p.a1) and w.ones > 0:
         last_one = max(k for k in range(1, len(w) + 1) if w.letter(k) == 1)
+        step = scalar_map(p)
         v = 0.0
         for k in range(last_one + 1, len(w) + 1):
-            v = phi(p, w.letter(k), v)
+            v = step(w.letter(k), v)
         return v
     y = _positive_root(moebius_matrix(p, w))
     if math.isfinite(y):
         resid = abs(phi_word(p, w, y) - y)
         if resid > 1e-10 * (1.0 + y):
-            raise ArithmeticError(f"fixed-point residual {resid} too large")
+            raise InconsistencyError(f"fixed-point residual {resid} too large")
     return y
 
 
@@ -338,11 +366,20 @@ def sturmian_fixed_point(p: ArmParams, rate: float, depth: int) -> tuple[float, 
     return lo, hi
 
 
+def knife_edge_tol(s: float) -> float:
+    """Distance from threshold s within which a state is knife-edge (-1 for infinite s).
+
+    ``abs(v - s) <= knife_edge_tol(s)`` is :func:`is_knife_edge` for a
+    scalar state, with the tolerance computed once per orbit.
+    """
+    return -1.0 if math.isinf(s) else KNIFE_EDGE_TOL * max(1.0, abs(s))
+
+
 def is_knife_edge(x: FloatArray, s: float) -> FloatArray:
     """Whether a state is within the knife-edge tolerance of the threshold."""
     if math.isinf(s):
         return np.zeros_like(x, dtype=bool) if isinstance(x, np.ndarray) else False
-    return np.abs(x - s) <= KNIFE_EDGE_TOL * max(1.0, abs(s))
+    return np.abs(x - s) <= knife_edge_tol(s)
 
 
 @dataclass(frozen=True)
@@ -360,19 +397,19 @@ def orbit(p: ArmParams, x: float, a: int, s: float, T: int) -> Orbit:
     """X_0..X_T and A_0..A_T with A_0 = a and A_t = 1{X_t >= s} for t >= 1."""
     if T < 1:
         raise ValueError("T must be positive")
-    states = np.empty(T + 1)
-    actions = np.empty(T + 1, dtype=np.int64)
+    step = scalar_map(p)
+    tol = knife_edge_tol(s)
     v = float(x)
+    states = [v]
+    actions = [a]
     knife = False
-    for t in range(T + 1):
-        act = a if t == 0 else int(v >= s)
-        if t >= 1 and is_knife_edge(v, s):
+    for _ in range(T):
+        v = step(actions[-1], v)
+        if abs(v - s) <= tol:
             knife = True
-        states[t] = v
-        actions[t] = act
-        if t < T:
-            v = phi(p, act, v)
-    return Orbit(states, actions, s, a, knife)
+        states.append(v)
+        actions.append(int(v >= s))
+    return Orbit(np.array(states), np.array(actions, dtype=np.int64), s, a, knife)
 
 
 def itinerary(p: ArmParams, x: float, z: float, n: int) -> Word:
@@ -382,12 +419,13 @@ def itinerary(p: ArmParams, x: float, z: float, n: int) -> Word:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    step = scalar_map(p)
     letters = []
     v = float(x)
     for _ in range(n):
         b = int(v >= z)
         letters.append(b)
-        v = phi(p, b, v)
+        v = step(b, v)
     return Word(letters)
 
 
@@ -412,37 +450,50 @@ def threshold_word(
     recurs within ``state_tol`` relative tolerance after one full period
     late in the orbit, and the candidate word is a balanced Christoffel
     word.  Uncertified periodicity is reported, never guessed.
+
+    The window is 3 max_len + 8 states.  After the first step, a
+    :func:`phi1` call, the orbit is stepped on Python floats by
+    :func:`scalar_map` (bitwise the states of :func:`phi`); the knife-edge
+    tolerance is computed once, and states and actions are kept in a list
+    and a byte string.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
+    x = float(x)
     # At the fixed points of the pure maps the orbit converges onto the
     # threshold itself, so the letter decision is float-noise; the one-sided
     # words of the closed boundary intervals apply there.
     v_active = y1(p)
-    if is_knife_edge(x, v_active) or x < v_active:
-        return ThresholdWord(Word("1"), True, is_knife_edge(x, v_active))
+    knife = abs(x - v_active) <= knife_edge_tol(v_active)
+    if knife or x < v_active:
+        return ThresholdWord(Word("1"), True, knife)
     v_passive = y0(p)
-    if math.isfinite(v_passive) and (is_knife_edge(x, v_passive) or x > v_passive):
-        return ThresholdWord(Word("0"), True, is_knife_edge(x, v_passive))
+    knife = abs(x - v_passive) <= knife_edge_tol(v_passive)
+    if math.isfinite(v_passive) and (knife or x > v_passive):
+        return ThresholdWord(Word("0"), True, knife)
     n_steps = 3 * max_len + 8
-    states = np.empty(n_steps)
-    acts = np.empty(n_steps, dtype=np.int64)
+    step = scalar_map(p)
+    tol = knife_edge_tol(x)
+    states = []
+    # One byte per action, so each period test is one bytes comparison.
+    acts = bytearray()
     v = phi1(p, x)
     knife = False
-    for k in range(n_steps):
-        if is_knife_edge(v, x):
+    for _ in range(n_steps):
+        if abs(v - x) <= tol:
             knife = True
-        states[k] = v
-        b = int(v >= x)
-        acts[k] = b
-        v = phi(p, b, v)
+        states.append(v)
+        b = v >= x
+        acts.append(b)
+        v = step(b, v)
+    acts = bytes(acts)
     for q in range(1, max_len + 1):
-        if np.any(acts[q:] != acts[:-q]):
+        if acts[q:] != acts[:-q]:
             continue
         k = n_steps - q - 1
         if abs(states[k + q] - states[k]) > state_tol * (1.0 + abs(states[k])):
             continue
-        w = Word(int(b) for b in acts[:q])
+        w = Word(acts[:q])
         if is_balanced(w) and is_christoffel(w):
             return ThresholdWord(w, True, knife)
-    return ThresholdWord(Word(int(b) for b in acts[:max_len]), False, knife)
+    return ThresholdWord(Word(acts[:max_len]), False, knife)

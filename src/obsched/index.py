@@ -21,13 +21,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costs import CostFn
-from .dynamics import (
+# ``phi`` is unused here but stays a module attribute: perfbench/layers.py
+# wraps ``index.phi`` by name in its traced pass.
+from .dynamics import (  # noqa: F401
     KNIFE_EDGE_TOL,
     ArmParams,
+    InconsistencyError,
     ThresholdWord,
     batch_coefficients,
+    knife_edge_tol,
     phi,
     phi_batch,
+    scalar_map,
     threshold_word,
 )
 from .words import Word, is_balanced
@@ -102,14 +107,15 @@ def _knife_branch(p: ArmParams, s: float, v: float, recent: list[int]) -> int:
     more steps; the branch whose recent action window stays 1-balanced wins,
     with the active (>=) convention breaking residual ties.
     """
+    step = scalar_map(p)
     windows = {}
     for first in (1, 0):
         acts = [first]
-        u = phi(p, first, v)
+        u = step(first, v)
         for _ in range(3):
             b = int(u >= s)
             acts.append(b)
-            u = phi(p, b, u)
+            u = step(b, u)
         windows[first] = is_balanced(Word(recent[-16:] + acts))
     if windows[1] == windows[0]:
         return 1
@@ -149,19 +155,20 @@ def _orbit_terms(
 
     Threshold ties within the knife-edge tolerance are resolved by
     :func:`_knife_branch` and flagged; that rule reads the action history,
-    so after a tie the orbit is stepped all the way to T.  The cost is
-    evaluated once, on the array of visited states.
+    so after a tie the orbit is stepped all the way to T.  The orbit is
+    stepped on Python floats by :func:`scalar_map` (bitwise the states of
+    ``phi``) and kept in lists; the tolerance is computed once, and the
+    cost is evaluated once, on the array of visited states.
     """
-    tol = -1.0 if math.isinf(s) else KNIFE_EDGE_TOL * max(1.0, abs(s))
-    v = float(x)
+    step = scalar_map(p)
+    tol = knife_edge_tol(s)
     knife = False
-    states: list[float] = []
-    acts: list[int] = []
+    states = [float(x)]
+    acts = [first_action]
     seen: dict[float, int] = {}
-    for t in range(T + 1):
-        if t == 0:
-            act = first_action
-        elif abs(v - s) <= tol:
+    v = step(first_action, states[0])
+    for t in range(1, T + 1):
+        if abs(v - s) <= tol:
             knife = True
             act = _knife_branch(p, s, v, acts)
         else:
@@ -172,7 +179,7 @@ def _orbit_terms(
             act = int(v >= s)
         states.append(v)
         acts.append(act)
-        v = phi(p, act, v)
+        v = step(act, v)
     else:
         k = t = T + 1
         _debug(
@@ -236,7 +243,7 @@ def whittle_index(q: IndexQuery, word_max_len: int = 64) -> IndexRecord:
     gap = q.params.c1 - q.params.c0
     slack = gap * q.beta ** (T + 1) / max(1e-300, 1.0 - q.beta)
     if den <= 0.0 or den < (1.0 - q.beta) * gap - slack - 1e-15:
-        raise ArithmeticError(
+        raise InconsistencyError(
             f"marginal work {den} below its lower bound at x={q.x}:"
             " internal inconsistency"
         )
@@ -273,6 +280,7 @@ def whittle_index_word(
         reps = T // n + 2
         seq0 = list(w01 * reps)
         seq1 = list(w10 * reps)
+    step = scalar_map(params)
     num = 0.0
     den = 0.0
     v0 = v1 = float(x)
@@ -280,8 +288,8 @@ def whittle_index_word(
     for t in range(T + 1):
         num += disc * (cost.eval(v0) - cost.eval(v1))
         den += disc * (params.work_cost(seq1[t]) - params.work_cost(seq0[t]))
-        v0 = phi(params, seq0[t], v0)
-        v1 = phi(params, seq1[t], v1)
+        v0 = step(seq0[t], v0)
+        v1 = step(seq1[t], v1)
         disc *= beta
     return num, den
 
@@ -346,6 +354,9 @@ def index_beta1(
     Requires a certified periodic threshold word of period n; the limit
     denominator is 1/n and the limit numerator telescopes the two orbits
     against their limit cycles, approximating the cycle by late iterates.
+    Both orbits are stepped T n times on Python floats by
+    :func:`scalar_map` (bitwise the states of ``phi``), kept in lists and
+    converted to arrays once for the cost.
     """
     tw: ThresholdWord = threshold_word(params, x, word_max_len)
     if not tw.periodic:
@@ -356,15 +367,16 @@ def index_beta1(
     if n > T:
         raise UncertifiedPeriodError(f"period {n} exceeds horizon T={T}")
     steps = T * n
+    step = scalar_map(params)
     states = {}
     for first in (0, 1):
         v = float(x)
-        traj = np.empty(steps)
-        for t in range(steps):
-            traj[t] = v
-            act = first if t == 0 else int(v >= x)
-            v = phi(params, act, v)
-        states[first] = traj
+        traj = [v]
+        v = step(first, v)
+        for _ in range(steps - 1):
+            traj.append(v)
+            v = step(int(v >= x), v)
+        states[first] = np.array(traj)
     cyc0 = cost.eval(states[0][steps - n : steps])
     cyc1 = cost.eval(states[1][steps - n : steps])
     offsets = np.arange(steps) % n

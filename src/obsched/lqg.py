@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import linear
-from .dynamics import ArmParams, y0, y1
+from .dynamics import ArmParams, InconsistencyError, y0, y1
 from .index import IndexQuery, whittle_index
 
 BISECTION_STEPS = 60
@@ -154,7 +154,7 @@ def solve_lqg(problem: LqgProblem) -> LqgSolution:
     )
     scale = max(1.0, problem.D * max(1.0, problem.F), R * R * problem.beta * problem.B**2)
     if residual > 1e-10 * scale:
-        raise ArithmeticError(f"Riccati residual {residual} too large")
+        raise InconsistencyError(f"Riccati residual {residual} too large")
     alpha = problem.D - (1.0 - problem.beta * problem.A**2) * R
     if alpha < -1e-12 * max(1.0, problem.D):
         raise ArithmeticError(f"negative variance-cost rate alpha={alpha}")

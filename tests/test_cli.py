@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from obsched import lqg
 from obsched.cli import main
 
 
@@ -103,6 +104,22 @@ class TestWordCommand:
         assert code == 0
         jsonschema.validate(json.loads(out), schema)
 
+    @pytest.mark.parametrize("x", ["0.01", "0.597", "5.263157894736842", "40"])
+    def test_json_outside_and_at_fixed_point_interval(self, capsys, schema, x):
+        # x well below and just below y1 = 0.5974..., at y0 = 1/(1 - 0.81) and
+        # above y0:
+        # the one-letter words, with a JSON boolean knife-edge flag.
+        code, out, _ = run(
+            ["word", "--r", "0.9", "--a0", "0", "--a1", "1", "--x", x,
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        assert payload["threshold_word"] in ("0", "1")
+        assert payload["knife_edge"] is (x == "5.263157894736842")
+
 
 class TestSimulateCommand:
     def test_tournament_json(self, tmp_path, capsys, schema):
@@ -179,8 +196,19 @@ class TestLqgCommand:
         )
         assert code == 1
 
+    def test_riccati_residual_exits_2(self, capsys, monkeypatch):
+        # A Riccati root that does not solve the equation is an internal
+        # inconsistency, not invalid input.
+        monkeypatch.setattr(lqg, "riccati_root", lambda problem: 2.0)
+        code, out, err = run(self.ARGS, capsys)
+        assert code == 2
+        assert out == ""
+        assert "Riccati residual" in err
+
 
 class TestVerifyCommand:
+    ARM = ["--r", "0.9", "--a0", "0.0", "--a1", "0.8", "--beta", "0.8"]
+
     def test_admissible_passes(self, capsys, schema):
         code, out, _ = run(
             ["verify", "--r", "0.9", "--a0", "0.0", "--a1", "0.8",
@@ -206,3 +234,29 @@ class TestVerifyCommand:
         payload = json.loads(out)
         jsonschema.validate(payload, schema)
         assert not payload["pcli"]["pcli2"]["ok"]
+
+    @pytest.mark.parametrize("n", ["10", "63"])
+    def test_grid_below_64_points_exits_1(self, capsys, n):
+        code, out, err = run(["verify", *self.ARM, "--grid-n", n], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--grid-n must be at least 64" in err
+
+    def test_negative_cross_checks_exit_1(self, capsys):
+        code, out, err = run(["verify", *self.ARM, "--cross-checks", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--cross-checks must be non-negative" in err
+
+    def test_infinite_passive_fixed_point_skips_cross_checks(self, capsys, schema):
+        # r = 1 and a0 = 0: y0 is infinite, so there is no default DP grid.
+        code, out, _ = run(
+            ["verify", "--r", "1.0", "--a0", "0.0", "--a1", "1.0", "--beta", "0.8",
+             "--cross-checks", "2", "--grid-n", "64"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        assert payload["cross_validation"] == []
+        assert payload["ok"]

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from obsched import dynamics
 from obsched.dynamics import (
     ArmParams,
+    InconsistencyError,
     batch_coefficients,
     fixed_point,
     itinerary,
@@ -253,6 +255,14 @@ class TestFixedPoints:
     def test_golden_example(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1.0)
         assert fixed_point(p, Word("1")) == pytest.approx((math.sqrt(5) - 1) / 2)
+
+    def test_residual_check_raises_inconsistency(self, monkeypatch):
+        p = ArmParams(r=0.9, a0=0.1, a1=1.0)
+        true_root = dynamics._positive_root
+        monkeypatch.setattr(dynamics, "_positive_root", lambda m: 1.1 * true_root(m))
+        with pytest.raises(InconsistencyError, match="fixed-point residual"):
+            fixed_point(p, Word("01"))
+        assert issubclass(InconsistencyError, ArithmeticError)
 
     def test_ordering_01_10(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1.0)

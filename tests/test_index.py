@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obsched import costs
+from obsched import index as index_mod
 from obsched.dynamics import (
+    InconsistencyError,
     KNIFE_EDGE_TOL,
     ArmParams,
     batch_coefficients,
@@ -415,6 +417,18 @@ class TestWhittleIndex:
     def test_zero_denominator_raises(self):
         p = ArmParams(r=0.9, a0=0.0, a1=1.0, c0=1.0, c1=1.0)
         with pytest.raises(ArithmeticError):
+            whittle_index(IndexQuery(p, costs.linear(), 0.9, 2.0))
+
+    def test_marginal_work_below_bound_is_an_inconsistency(self, monkeypatch):
+        # Orbits whose work sums come out equal break the (1 - beta)(c1 - c0)
+        # bound, which the theory guarantees: the CLI maps this to exit 2.
+        p = ArmParams(r=0.9, a0=0.0, a1=1.0)
+        passive_only = index_mod._orbit_terms
+        monkeypatch.setattr(
+            index_mod, "_orbit_terms",
+            lambda p, cost, beta, x, s, first, T: passive_only(p, cost, beta, x, s, 0, T),
+        )
+        with pytest.raises(InconsistencyError, match="below its lower bound"):
             whittle_index(IndexQuery(p, costs.linear(), 0.9, 2.0))
 
     def test_high_beta_warns(self):
