@@ -19,7 +19,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .costs import CostFn
-from .dynamics import ArmParams, batch_coefficients, phi0, phi1, phi_batch, y0, y1
+from .dynamics import (
+    ArmParams,
+    InconsistencyError,
+    batch_coefficients,
+    phi0,
+    phi1,
+    phi_batch,
+    y0,
+    y1,
+)
 from .index import (
     IndexQuery,
     marginal_sums_batch,
@@ -67,6 +76,15 @@ def default_grid(params: ArmParams, n: int = 4096) -> DPGrid:
 
 @dataclass(frozen=True)
 class DPSolution:
+    """A value-iteration result on ``grid`` at price ``nu``.
+
+    ``iterations`` counts Bellman sweeps.  ``residual`` is the certified
+    bound beta/(1 - beta) (hi - lo)/2 >= max|values - V*| (up to rounding
+    in the sweep), where lo and hi are the extremes of TV - V on the last
+    sweep; it is below tol/2 on return (0 at beta = 0, where one sweep is
+    exact).
+    """
+
     grid: DPGrid
     nu: float
     values: np.ndarray
@@ -83,23 +101,32 @@ def value_iteration(
     grid: DPGrid,
     tol: float = 1e-9,
     max_iter: int = 2_000_000,
+    start: Optional[np.ndarray] = None,
 ) -> DPSolution:
     """Solve the nu-priced DP by contraction iteration on the grid.
 
-    Stops when the sup-norm change is below tol (1 - beta) / (2 beta),
-    which makes the value error at most tol; greedy actions break exact
-    ties in favour of observing.  The images of the grid under both maps,
-    their neighbour indices and interpolation weights, and the stage costs
-    plus the priced work are computed once; a sweep is then one gather of
-    the four neighbour values per point and a few in-place array passes
-    into preallocated buffers.
+    Iterates V <- TV from ``start`` (zeros by default; any start gives the
+    same certificate).  Every interpolation row sums to 1, so T(V + c) =
+    TV + beta c, and with lo, hi the extremes of TV - V the fixed point V*
+    lies pointwise in [TV + g lo, TV + g hi], g = beta/(1 - beta)
+    (MacQueen's bounds; Puterman, *Markov Decision Processes*, 1994,
+    section 6.6.3).  The loop stops once g (hi - lo) < tol and returns the
+    midpoint TV + g (hi + lo)/2, within tol/2 of V*.  The span ignores a
+    constant offset, the slowest mode of the iteration, so it shrinks much
+    faster than the sup norm.  Greedy actions break exact ties in favour
+    of observing.  The images of the grid under both maps, their neighbour
+    indices and interpolation weights, and the stage costs plus the priced
+    work are computed once; a sweep is then one gather of the four
+    neighbour values per point and a few in-place array passes into
+    preallocated buffers.  Raises ``InconsistencyError`` when ``max_iter``
+    sweeps do not reach the bound.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
     pts = grid.points()
     w0 = nu * params.c0
     w1 = nu * params.c1
-    stop = tol if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
+    gain = beta / (1.0 - beta)
     # Rows 2a and 2a + 1: left and right grid neighbour of action a's
     # clipped image, and their interpolation weights.
     idx = np.empty((4, grid.n), dtype=np.intp)
@@ -113,28 +140,28 @@ def value_iteration(
     # (w + stage) + beta cont is the same float as w + stage + beta cont.
     base = np.add.outer([w0, w1], cost.eval(pts))
     nbr = np.empty((4, grid.n))
-    V = np.zeros(grid.n)
+    V = np.zeros(grid.n) if start is None else np.array(start, dtype=float)
     V_new = np.empty(grid.n)
     diff = np.empty(grid.n)
-    it = 0
-    resid = math.inf
-    while it < max_iter:
-        it += 1
+    for it in range(1, max_iter + 1):
         q = _continuation(V, idx, wts, nbr)
         q *= beta
         q += base
         np.minimum(q[0], q[1], out=V_new)
         np.subtract(V_new, V, out=diff)
-        np.abs(diff, out=diff)
-        resid = float(diff.max())
+        lo = float(diff.min())
+        hi = float(diff.max())
         V, V_new = V_new, V
-        if resid < stop:
+        if gain * (hi - lo) < tol:
             break
     else:
-        raise RuntimeError(f"value iteration did not converge in {max_iter} sweeps")
+        raise InconsistencyError(
+            f"value iteration did not converge in {max_iter} sweeps"
+        )
+    V += gain * 0.5 * (hi + lo)
     cont0, cont1 = _continuation(V, idx, wts, nbr)
     actions = (w1 + beta * cont1 <= w0 + beta * cont0).astype(np.int64)
-    return DPSolution(grid, nu, V, actions, it, resid)
+    return DPSolution(grid, nu, V, actions, it, gain * 0.5 * (hi - lo))
 
 
 def _continuation(
@@ -422,7 +449,9 @@ def cross_validate(
     """Set nu = lambda(x*) +/- delta and confirm the DP flips the action at x*.
 
     delta is ten grid cells of index variation, estimated from a local
-    finite difference; both DP solutions must be threshold policies.
+    finite difference; both DP solutions must be threshold policies.  The
+    lower-price DP starts from the higher-price solution's values, which
+    are close to its own.
     """
     g = grid or default_grid(params, n=2048)
     rec = whittle_index(IndexQuery(params, cost, beta, x_star))
@@ -435,19 +464,18 @@ def cross_validate(
     lam_lo = whittle_index(IndexQuery(params, cost, beta, max(g.lo, x_star - h))).lam
     slope = abs(lam_hi - lam_lo) / (2.0 * h)
     delta = max(10.0 * cell * slope, 1e-6 * max(1.0, abs(rec.lam)))
-    sols = {}
-    for sign in (+1, -1):
-        sols[sign] = value_iteration(
-            params, cost, beta, rec.lam + sign * delta, g, tol=tol
-        )
-    above = dp_threshold(sols[+1])
-    below = dp_threshold(sols[-1])
+    sol_above = value_iteration(params, cost, beta, rec.lam + delta, g, tol=tol)
+    sol_below = value_iteration(
+        params, cost, beta, rec.lam - delta, g, tol=tol, start=sol_above.values
+    )
+    above = dp_threshold(sol_above)
+    below = dp_threshold(sol_below)
     return CrossValidation(
         x_star=x_star,
         lam=rec.lam,
         delta=delta,
-        action_above=int(sols[+1].actions[k]),
-        action_below=int(sols[-1].actions[k]),
+        action_above=int(sol_above.actions[k]),
+        action_below=int(sol_below.actions[k]),
         threshold_ok=above.is_threshold and below.is_threshold,
         dp_threshold_above=above.threshold,
         dp_threshold_below=below.threshold,

@@ -262,10 +262,6 @@ def lex_cmp(u: Word, v: Word) -> int:
     return -1 if len(u) < len(v) else 1
 
 
-def lex_less(u: Word, v: Word) -> bool:
-    return lex_cmp(u, v) < 0
-
-
 class ChristoffelPair(NamedTuple):
     u: Word
     v: Word

@@ -1,12 +1,13 @@
 """CLI: subcommands, exit codes, deterministic output, schema validation."""
 
+import functools
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from obsched import lqg
+from obsched import lqg, oracle
 from obsched.cli import main
 
 
@@ -234,6 +235,17 @@ class TestVerifyCommand:
         payload = json.loads(out)
         jsonschema.validate(payload, schema)
         assert not payload["pcli"]["pcli2"]["ok"]
+
+    def test_unconverged_value_iteration_exits_2(self, capsys, monkeypatch):
+        # A DP that runs out of sweeps is an internal inconsistency.
+        budget = functools.partial(oracle.value_iteration, max_iter=1)
+        monkeypatch.setattr(oracle, "value_iteration", budget)
+        code, out, err = run(
+            ["verify", *self.ARM, "--cross-checks", "1", "--grid-n", "64"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "did not converge in 1 sweeps" in err
 
     @pytest.mark.parametrize("n", ["10", "63"])
     def test_grid_below_64_points_exits_1(self, capsys, n):

@@ -4,9 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from obsched import costs
-from obsched.dynamics import ArmParams, moebius_matrix, phi, phi0, phi1, phi_word, y0, y1
+from obsched import costs, oracle
+from obsched.dynamics import (
+    ArmParams,
+    InconsistencyError,
+    moebius_matrix,
+    phi,
+    phi0,
+    phi1,
+    phi_word,
+    y0,
+    y1,
+)
 from obsched.index import IndexQuery, whittle_index
 from obsched.oracle import (
     DPGrid,
@@ -94,9 +106,38 @@ class TestValueIteration:
             )
             assert sol.values[k] <= best_threshold + 1e-3
 
+    def test_budget_exhausted_is_inconsistency(self):
+        p = ArmParams(r=0.9, a0=0.0, a1=1.0)
+        g = default_grid(p, n=128)
+        with pytest.raises(InconsistencyError, match="did not converge in 1 sweeps"):
+            value_iteration(p, costs.linear(), 0.9, 0.5, g, max_iter=1)
 
-def reference_value_iteration(params, cost, beta, nu, grid, tol=1e-9):
-    """The sweep as first written: per-sweep fancy indexing, no buffers."""
+    def test_warm_start(self):
+        p = ArmParams(r=0.8, a0=0.1, a1=1.0)
+        g = default_grid(p, n=256)
+        sol = value_iteration(p, costs.entropy(), 0.9, 0.4, g)
+        again = value_iteration(p, costs.entropy(), 0.9, 0.4, g, start=sol.values)
+        assert again.iterations == 1
+        # From any other start: more sweeps, the same answer, and the start
+        # array is left as it was.
+        start = np.linspace(-3.0, 5.0, g.n)
+        kept = start.copy()
+        warm = value_iteration(p, costs.entropy(), 0.9, 0.4, g, start=start)
+        assert warm.iterations > 1
+        assert start.tobytes() == kept.tobytes()
+        for other in (again, warm):
+            assert other.actions.tobytes() == sol.actions.tobytes()
+            assert np.max(np.abs(other.values - sol.values)) <= 1e-9
+        # A start of the wrong length fails instead of being clipped.
+        with pytest.raises(ValueError):
+            value_iteration(p, costs.entropy(), 0.9, 0.4, g, start=start[:-1])
+
+
+def reference_bellman(params, cost, beta, nu, grid):
+    """The sweep as first written: per-sweep fancy indexing, no buffers.
+
+    Returns T, where T(V) is the Bellman image TV and the greedy actions.
+    """
     pts = grid.points()
     stage = cost.eval(pts)
     img0 = np.clip(phi0(params, pts), grid.lo, grid.hi)
@@ -107,35 +148,64 @@ def reference_value_iteration(params, cost, beta, nu, grid, tol=1e-9):
     frac1 = (img1 - pts[idx1]) / (pts[idx1 + 1] - pts[idx1])
     w0 = nu * params.c0
     w1 = nu * params.c1
+
+    def T(V):
+        cont0 = V[idx0] * (1.0 - frac0) + V[idx0 + 1] * frac0
+        cont1 = V[idx1] * (1.0 - frac1) + V[idx1 + 1] * frac1
+        q0 = w0 + stage + beta * cont0
+        q1 = w1 + stage + beta * cont1
+        actions = (w1 + beta * cont1 <= w0 + beta * cont0).astype(np.int64)
+        return np.minimum(q0, q1), actions
+
+    return T
+
+
+def reference_value_iteration(params, cost, beta, nu, grid, tol=1e-9):
+    """Plain value iteration from zero, stopped on the sup norm of TV - V."""
+    T = reference_bellman(params, cost, beta, nu, grid)
     stop = tol if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
     V = np.zeros(grid.n)
     it = 0
     while True:
         it += 1
-        cont0 = V[idx0] * (1.0 - frac0) + V[idx0 + 1] * frac0
-        cont1 = V[idx1] * (1.0 - frac1) + V[idx1 + 1] * frac1
-        q0 = w0 + stage + beta * cont0
-        q1 = w1 + stage + beta * cont1
-        V_new = np.minimum(q0, q1)
+        V_new, _ = T(V)
         resid = float(np.max(np.abs(V_new - V)))
         V = V_new
         if resid < stop:
             break
-    cont0 = V[idx0] * (1.0 - frac0) + V[idx0 + 1] * frac0
-    cont1 = V[idx1] * (1.0 - frac1) + V[idx1 + 1] * frac1
-    actions = (w1 + beta * cont1 <= w0 + beta * cont0).astype(np.int64)
-    return DPSolution(grid, nu, V, actions, it, resid)
+    return DPSolution(grid, nu, V, T(V)[1], it, resid)
 
 
-def assert_same_solution(sol, ref):
-    assert sol.iterations == ref.iterations
-    assert sol.residual == ref.residual
-    assert sol.values.tobytes() == ref.values.tobytes()
+def assert_matches_reference(params, cost, beta, nu, grid, tol=1e-9):
+    """One sweep equals the reference sweep bit for bit; a full solve has
+    the plain iteration's actions and values, within its certified bound."""
+    T = reference_bellman(params, cost, beta, nu, grid)
+    ref = reference_value_iteration(params, cost, beta, nu, grid, tol)
+    # A single sweep from ref's values (tol = inf stops after it), shifted
+    # by the midpoint of the span bounds as value_iteration returns it.
+    one = value_iteration(params, cost, beta, nu, grid, tol=math.inf, start=ref.values)
+    TV, _ = T(ref.values)
+    diff = TV - ref.values
+    gain = beta / (1.0 - beta)
+    lo, hi = float(diff.min()), float(diff.max())
+    TV += gain * 0.5 * (hi + lo)
+    assert one.iterations == 1
+    assert one.residual == gain * 0.5 * (hi - lo)
+    assert one.values.tobytes() == TV.tobytes()
+    assert one.actions.tobytes() == T(TV)[1].tobytes()
+
+    sol = value_iteration(params, cost, beta, nu, grid, tol=tol)
     assert sol.actions.tobytes() == ref.actions.tobytes()
+    assert np.max(np.abs(sol.values - ref.values)) <= tol
+    assert sol.residual < tol / 2
+    tight = reference_value_iteration(params, cost, beta, nu, grid, tol / 1000)
+    slack = tol / 1000 + 1e-13 * max(1.0, float(np.max(np.abs(tight.values))))
+    assert np.max(np.abs(sol.values - tight.values)) <= sol.residual + slack
 
 
 class TestSweepMatchesReference:
-    """The buffered sweep gives the reference sweep's floats, bit for bit."""
+    """The buffered sweep gives the reference sweep's floats, bit for bit,
+    and the span stop certifies what plain iteration finds."""
 
     COSTS = (costs.linear(), costs.entropy(), costs.power(0.5), costs.bounded_demo())
 
@@ -156,8 +226,7 @@ class TestSweepMatchesReference:
         )
         lam = whittle_index(IndexQuery(p, cost, max(beta, 0.1), 0.5 * (y1(p) + top))).lam
         for nu in (lam, -0.3, 3.0 * abs(lam) + 1.0):
-            sol = value_iteration(p, cost, beta, nu, grid)
-            assert_same_solution(sol, reference_value_iteration(p, cost, beta, nu, grid))
+            assert_matches_reference(p, cost, beta, nu, grid)
 
     @pytest.mark.parametrize("beta", [0.0, 0.8])
     @pytest.mark.parametrize("spacing", ["log", "linear"])
@@ -168,10 +237,7 @@ class TestSweepMatchesReference:
         assert phi1(p, pts).max() < grid.lo
         assert phi0(p, pts).max() > grid.hi
         for nu in (0.05, 0.5, 2.0):
-            sol = value_iteration(p, costs.linear(), beta, nu, grid)
-            assert_same_solution(
-                sol, reference_value_iteration(p, costs.linear(), beta, nu, grid)
-            )
+            assert_matches_reference(p, costs.linear(), beta, nu, grid)
 
 
 class TestActionMatrix:
@@ -224,18 +290,64 @@ class TestDpThreshold:
         assert rep.switches > 1
 
 
+def cross_validation_instances():
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        p = random_params(rng)
+        beta = float(rng.uniform(0.5, 0.95))
+        lo, hi = y1(p), y0(p)
+        x_star = float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)))
+        yield p, beta, x_star
+
+
 class TestCrossValidation:
     def test_action_flip(self):
-        rng = np.random.default_rng(32)
-        for _ in range(5):
-            p = random_params(rng)
-            beta = float(rng.uniform(0.5, 0.95))
-            lo, hi = y1(p), y0(p)
-            x_star = float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)))
+        for p, beta, x_star in cross_validation_instances():
             cv = cross_validate(p, costs.linear(), beta, x_star)
             assert cv.action_above == 0
             assert cv.action_below == 1
             assert cv.threshold_ok
+
+    def test_warm_start_matches_cold_solves(self, monkeypatch):
+        warm = [
+            cross_validate(p, costs.linear(), beta, x_star)
+            for p, beta, x_star in cross_validation_instances()
+        ]
+        solve = oracle.value_iteration
+
+        def cold(*args, start=None, **kwargs):
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "value_iteration", cold)
+        for cv, (p, beta, x_star) in zip(warm, cross_validation_instances()):
+            assert cv == cross_validate(p, costs.linear(), beta, x_star)
+
+    ADMISSIBLE = (
+        costs.linear(), costs.entropy(), costs.neg_precision(), costs.power(0.5)
+    )
+
+    @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
+    @given(
+        r=st.floats(0.4, 0.98),
+        a0=st.floats(0.0, 0.4),
+        gap=st.one_of(st.floats(0.1, 2.0), st.just(math.inf)),
+        beta=st.floats(0.5, 0.95),
+        u=st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_dp_flips_at_the_index(self, cost, r, a0, gap, beta, u):
+        # For an admissible cost the priced DP is passive at x* just above
+        # the index lambda(x*) and active just below, by a threshold policy.
+        # A noiseless observation (a1 = inf) leaves variance 0, outside the
+        # domain of the costs that are undefined there.
+        assume(math.isfinite(gap) or not cost.positive_only)
+        p = ArmParams(r=r, a0=a0, a1=a0 + gap)
+        lo, hi = y1(p), y0(p)
+        x_star = lo + u * (hi - lo)
+        cv = cross_validate(p, cost, beta, x_star, default_grid(p, n=512))
+        assert cv.action_above == 0
+        assert cv.action_below == 1
+        assert cv.threshold_ok
 
 
 class TestPcli:
