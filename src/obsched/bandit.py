@@ -10,8 +10,11 @@ the random policy, in that order.
 
 The simulator holds the arms as parameter arrays and steps them as one
 batch: per round it picks the active arms and makes one variance-map call
-over all of them.  Each arm's noise is drawn up front from its own stream
-and its cost is evaluated once per run on the states it visited.
+over all of them.  Under a deterministic policy the joint state is
+eventually periodic, so stepping stops at its first exact repeat and the
+cycle is tiled over the rest of the horizon.  Each arm's noise is drawn up
+front from its own stream and its cost is evaluated once per run on the
+states it visited.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ class Arm:
     v0: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("weight", "x0", "v0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"arm {name} must be finite, got {value}")
         if self.weight <= 0:
             raise ValueError("arm weight must be positive")
         if self.v0 < 0:
@@ -70,11 +77,17 @@ class Scenario:
     @classmethod
     def from_json(cls, payload: dict) -> "Scenario":
         """Parse a scenario file; beta and horizon must be explicit."""
+        if not isinstance(payload, dict):
+            raise ValueError("scenario must be a JSON object")
         for key in ("arms", "m", "beta", "horizon", "seed"):
             if key not in payload:
                 raise ValueError(f"scenario missing required field '{key}'")
+        if not isinstance(payload["arms"], list):
+            raise ValueError("scenario field 'arms' must be a list")
         arms = []
         for i, blk in enumerate(payload["arms"]):
+            if not isinstance(blk, dict):
+                raise ValueError(f"arm {i} must be a JSON object, got {blk!r}")
             try:
                 params = ArmParams(
                     r=float(blk["r"]),
@@ -95,13 +108,34 @@ class Scenario:
                 )
             except KeyError as exc:
                 raise ValueError(f"arm {i} missing required field {exc}") from None
+            except TypeError as exc:
+                raise ValueError(f"arm {i}: {exc}") from None
+        try:
+            beta = float(payload["beta"])
+        except TypeError:
+            raise ValueError(
+                f"scenario field 'beta' must be a number, got {payload['beta']!r}"
+            ) from None
         return cls(
             arms=tuple(arms),
-            m=int(payload["m"]),
-            beta=float(payload["beta"]),
-            horizon=int(payload["horizon"]),
-            seed=int(payload["seed"]),
+            m=_integer(payload, "m"),
+            beta=beta,
+            horizon=_integer(payload, "horizon"),
+            seed=_integer(payload, "seed"),
         )
+
+
+def _integer(payload: dict, key: str) -> int:
+    """The integer-valued field ``key``; floats must be integral."""
+    value = payload[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"scenario field '{key}' must be an integer, got {value!r}")
 
 
 @dataclass
@@ -183,6 +217,9 @@ class SimTrace:
     disc_cum_cost: np.ndarray  # (horizon,)
     total_discounted_cost: float
     index_out_of_range: int = 0
+    # (first step of the cycle, period) when the tail was tiled from an
+    # exact repeat of the joint state; not part of summary() or the CSV.
+    cycle: Optional[tuple[int, int]] = None
 
     def summary(self) -> dict:
         steps, n = self.actions.shape
@@ -248,12 +285,17 @@ def simulate(
 
     Exactly m arms are active each round; the trace is bit-reproducible
     for a given seed.  Each step chooses the active arms and updates all n
-    variances with one :func:`phi_batch` call.  Everything else happens
-    once per run: the map's coefficients are built, each arm's noise is
-    drawn up front from its own stream (the same values as one draw per
-    step), and each arm's cost is evaluated once on all of its visited
-    states.  Each step's cost is still added up over the arms in arm
-    order.
+    variances with one :func:`phi_batch` call.  Under ``whittle``,
+    ``myopic`` and ``round_robin`` the pick and the next state depend only
+    on the variances and the round-robin position, so when step t repeats
+    the state of step k bit for bit, steps t onward copy steps
+    k + (i - k) mod (t - k), off-grid index lookups included, and
+    ``trace.cycle`` is (k, t - k).  ``random`` steps every round.
+    Everything else happens once per run over all steps: the map's
+    coefficients are built, each arm's noise is drawn up front from its
+    own stream (the same values as one draw per step), and each arm's cost
+    is evaluated once on all of its visited states.  Each step's cost is
+    still added up over the arms in arm order.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -262,7 +304,6 @@ def simulate(
     m = scenario.m
     if policy == "whittle" and tables is None:
         tables = build_index_tables(scenario)
-    off_grid_before = tables.out_of_range if tables is not None else 0
     seeds = np.random.SeedSequence(scenario.seed).spawn(n + 1)
     arm_rngs = [np.random.default_rng(s) for s in seeds[:n]]
     policy_rng = np.random.default_rng(seeds[n])
@@ -281,10 +322,22 @@ def simulate(
     chosen: list[tuple[int, ...]] = []
     variances[0] = [a.v0 for a in arms]
     rr_next = 0
+    # Off-grid index lookups made at each step; only whittle makes any.
+    off_grid = np.zeros(steps, dtype=np.int64)
+    # The first step at which each (variances, rr_next) state was seen.
+    first_step: dict[tuple[bytes, int], int] = {}
+    cycle = None
     for t in range(steps):
         v = variances[t]
+        if policy != "random":
+            k = first_step.setdefault((v.tobytes(), rr_next), t)
+            if k < t:
+                cycle = (k, t - k)
+                break
         if policy == "whittle":
+            before = tables.out_of_range
             pick = whittle_policy(tables, v, m)
+            off_grid[t] = tables.out_of_range - before
         elif policy == "myopic":
             pick = myopic_policy(arms, v, m)
         elif policy == "round_robin":
@@ -295,6 +348,16 @@ def simulate(
         chosen.append(pick)
         actions[t, list(pick)] = 1
         variances[t + 1] = phi_batch(coef, actions[t], v)
+    if cycle is not None:
+        k, period = cycle
+        # Step i >= k of the run is step k + (i - k) mod period of the head.
+        src = k + (np.arange(t, steps + 1) - k) % period
+        variances[t:] = variances[src]
+        actions[t:] = actions[src[:-1]]
+        chosen.extend([chosen[j] for j in src[:-1]])
+        off_grid[t:] = off_grid[src[:-1]]
+        if tables is not None:
+            tables.out_of_range += int(off_grid[t:].sum())
 
     inst = np.zeros(steps)
     for i, arm in enumerate(arms):
@@ -319,9 +382,8 @@ def simulate(
         inst_cost=inst,
         disc_cum_cost=cum,
         total_discounted_cost=float(cum[-1]),
-        index_out_of_range=(
-            tables.out_of_range - off_grid_before if tables is not None else 0
-        ),
+        index_out_of_range=int(off_grid.sum()),
+        cycle=cycle,
     )
 
 

@@ -274,11 +274,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policies:
+        raise CliError(f"--policies names no policy; choose from {bandit.POLICIES}")
     for pol in policies:
         if pol not in bandit.POLICIES:
             raise CliError(f"unknown policy {pol!r}; choose from {bandit.POLICIES}")
-    tables = bandit.build_index_tables(scenario) if "whittle" in policies else None
-    results = {pol: bandit.simulate(scenario, pol, tables) for pol in policies}
+    results = bandit.tournament(scenario, policies)
     if args.trace_out:
         for pol in policies:
             with open(f"{args.trace_out}.{pol}.csv", "w", newline="") as tf:

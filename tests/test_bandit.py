@@ -40,6 +40,11 @@ class TestScenario:
             two_arm_scenario(beta=1.0)
         with pytest.raises(ValueError):
             two_arm_scenario(horizon=0)
+        params = ArmParams(r=0.9, a0=0.0, a1=1.0)
+        for field in ("v0", "weight", "x0"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=field):
+                    Arm(params=params, cost=costs.linear(), **{field: bad})
 
     def test_from_json_requires_fields(self):
         payload = {
@@ -236,21 +241,33 @@ def reference_simulate(scenario, policy, tables):
     return chosen, actions, variances, means, inst, cum, total
 
 
+def assert_matches_reference(scenario, policy):
+    """simulate equals reference_simulate bit for bit, off-grid counts included.
+
+    Each side gets its own index tables, so the shared-table counter of
+    the simulated side must grow by exactly what the reference looked up.
+    """
+    ref_tables = build_index_tables(scenario, n_points=64)
+    chosen, actions, variances, means, inst, cum, total = reference_simulate(
+        scenario, policy, ref_tables
+    )
+    tables = build_index_tables(scenario, n_points=64)
+    trace = simulate(scenario, policy, tables=tables)
+    assert trace.chosen == chosen
+    for got, want in ((trace.actions, actions), (trace.variances, variances),
+                      (trace.means, means), (trace.inst_cost, inst),
+                      (trace.disc_cum_cost, cum)):
+        np.testing.assert_array_equal(got, want)
+    assert trace.total_discounted_cost == total
+    assert trace.index_out_of_range == ref_tables.out_of_range
+    assert tables.out_of_range == ref_tables.out_of_range
+    return trace
+
+
 class TestBatchStepping:
     @pytest.mark.parametrize("policy", ["whittle", "myopic", "round_robin", "random"])
     def test_matches_reference_loop_exactly(self, policy):
-        sc = mixed_scenario()
-        tables = build_index_tables(sc, n_points=64)
-        chosen, actions, variances, means, inst, cum, total = reference_simulate(
-            sc, policy, tables
-        )
-        trace = simulate(sc, policy, tables=tables)
-        assert trace.chosen == chosen
-        for got, want in ((trace.actions, actions), (trace.variances, variances),
-                          (trace.means, means), (trace.inst_cost, inst),
-                          (trace.disc_cum_cost, cum)):
-            np.testing.assert_array_equal(got, want)
-        assert trace.total_discounted_cost == total
+        trace = assert_matches_reference(mixed_scenario(), policy)
         # the scenario exercises every branch the batch has to reproduce
         assert trace.actions[:, 1].any() and np.any(trace.variances[1:, 1] == 0.0)
         assert np.any(trace.means[:, 2] < 0.0) and np.any(trace.means[:, 2] > 0.0)
@@ -272,6 +289,33 @@ class TestBatchStepping:
         assert second.index_out_of_range == first.index_out_of_range
         assert tables.out_of_range == 2 * first.index_out_of_range
         assert simulate(sc, "round_robin", tables=tables).index_out_of_range == 0
+
+
+def simulate_64(scenario, policy):
+    return simulate(scenario, policy, tables=build_index_tables(scenario, n_points=64))
+
+
+class TestCycleTiling:
+    @pytest.mark.parametrize("policy", ["whittle", "myopic", "round_robin"])
+    def test_long_horizon_matches_reference(self, policy):
+        trace = assert_matches_reference(mixed_scenario(horizon=3000), policy)
+        k, period = trace.cycle
+        if policy == "whittle":
+            # The noiseless arm's zero variance lies below the grid and the
+            # cycle revisits it, so the tiled tail adds off-grid lookups.
+            head = simulate_64(mixed_scenario(horizon=k + period), policy)
+            assert trace.index_out_of_range > head.index_out_of_range > 0
+
+    @pytest.mark.parametrize("policy", ["whittle", "myopic", "round_robin"])
+    def test_horizons_around_the_repeat(self, policy):
+        k, period = simulate_64(mixed_scenario(horizon=3000), policy).cycle
+        repeat = k + period
+        for horizon in (repeat - 1, repeat, repeat + 1):
+            trace = assert_matches_reference(mixed_scenario(horizon=horizon), policy)
+            assert trace.cycle == ((k, period) if horizon > repeat else None)
+
+    def test_random_never_tiles(self):
+        assert simulate_64(mixed_scenario(horizon=3000), "random").cycle is None
 
 
 class TestFig7:

@@ -145,6 +145,54 @@ class TestSimulateCommand:
         code, _, err = run(["simulate", "--scenario", str(scen)], capsys)
         assert code == 1 and "beta" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [SCENARIO],
+            7,
+            {**SCENARIO, "arms": [1, 2]},
+            {**SCENARIO, "arms": {"r": 1.0}},
+            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "r": [1.0]}] * 2},
+            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "cost": ["linear"]}] * 2},
+            {**SCENARIO, "beta": [0.95]},
+            {**SCENARIO, "seed": 1.5},
+            {**SCENARIO, "m": 1.5},
+            {**SCENARIO, "horizon": 20.5},
+            {**SCENARIO, "horizon": "20.5"},
+            {**SCENARIO, "seed": None},
+            {**SCENARIO, "m": True},
+            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "v0": "nan"}] * 2},
+            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "weight": "inf"}] * 2},
+            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "x0": "-inf"}] * 2},
+        ],
+        ids=["list-payload", "int-payload", "int-arms", "object-arms",
+             "list-r", "list-cost", "list-beta", "fractional-seed", "fractional-m",
+             "fractional-horizon", "fractional-string-horizon", "null-seed",
+             "bool-m", "nan-v0", "inf-weight", "inf-x0"],
+    )
+    def test_malformed_scenario_rejected(self, tmp_path, capsys, payload):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(payload))
+        code, out, err = run(["simulate", "--scenario", str(scen)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_integral_float_fields_accepted(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({**SCENARIO, "m": 1.0, "seed": 11.0}))
+        code, out, _ = run(["simulate", "--scenario", str(scen)], capsys)
+        scen.write_text(json.dumps(SCENARIO))
+        assert code == 0
+        assert run(["simulate", "--scenario", str(scen)], capsys)[1] == out
+
+    def test_empty_policy_list_rejected(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(SCENARIO))
+        code, out, err = run(
+            ["simulate", "--scenario", str(scen), "--policies", ","], capsys
+        )
+        assert code == 1 and out == "" and "no policy" in err
+
     def test_malformed_json_rejected(self, tmp_path, capsys):
         scen = tmp_path / "scenario.json"
         scen.write_text("{not json")
