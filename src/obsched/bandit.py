@@ -96,7 +96,8 @@ class Scenario:
                     c0=float(blk.get("c0", 0.0)),
                     c1=float(blk.get("c1", 1.0)),
                 )
-                cost = by_name(blk.get("cost", "linear"), blk.get("power_q"))
+                q = blk.get("power_q")
+                cost = by_name(blk.get("cost", "linear"), None if q is None else float(q))
                 arms.append(
                     Arm(
                         params=params,
@@ -167,9 +168,7 @@ def _reach_bound(p: ArmParams, v0: float, horizon: int) -> float:
     return 2.0 * max(v, v0, 1.0)
 
 
-def build_index_tables(
-    scenario: Scenario, n_points: int = 512, eps: float = 1e-10
-) -> IndexTables:
+def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
     """Tabulate weight_i * lambda_i on 512-point log grids, one per arm.
 
     Identical (params, cost, weight, bounds) arms share a table; the index
@@ -179,7 +178,7 @@ def build_index_tables(
     log_grids: list[np.ndarray] = []
     values: list[np.ndarray] = []
     cache: dict = {}
-    T = truncation_horizon(scenario.beta, eps)
+    T = truncation_horizon(scenario.beta)
     for arm in scenario.arms:
         hi = _reach_bound(arm.params, arm.v0, scenario.horizon)
         lo = min(1e-4, 1e-4 * hi)

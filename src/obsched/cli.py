@@ -119,7 +119,6 @@ def build_parser() -> _Parser:
     p_index.add_argument("--beta", type=float, required=True)
     p_index.add_argument("--grid-log", help="lo:hi:n logarithmic state grid")
     p_index.add_argument("--grid-lin", help="lo:hi:n linear state grid")
-    p_index.add_argument("--eps", type=float, default=1e-12)
     p_index.add_argument("--no-words", action="store_true",
                          help="skip threshold-word certification")
     p_index.add_argument("--out", default=None)
@@ -199,9 +198,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         if args.beta == 1.0:
             table = _beta1_table(params, cost, grid)
         else:
-            table = index_table(
-                params, cost, args.beta, grid, eps=args.eps, words=not args.no_words
-            )
+            table = index_table(params, cost, args.beta, grid, words=not args.no_words)
     except costs.CostDomainError as exc:
         raise CliError(str(exc)) from None
     if args.format == "csv":

@@ -91,6 +91,8 @@ def neg_precision() -> CostFn:
 
 def power(q: float) -> CostFn:
     """C(v) = v^q / q.  Admissible exactly for q >= -1, q != 0."""
+    if not np.isfinite(q):
+        raise ValueError(f"power exponent must be finite, got {q}")
     if q == 0.0:
         raise ValueError("power exponent 0 is degenerate; use entropy()")
     return CostFn(

@@ -2,19 +2,19 @@
 
 The index at state x is the ratio of the discounted uncertainty-cost
 difference to the discounted observation-effort difference between the two
-forced-first-action variants of the x-threshold policy, both sums
-truncated at the same horizon T.  Threshold orbits are eventually
-periodic, so the truncated sums are not stepped to T: once an orbit
-repeats a state bit for bit, the rest of the sum up to T is evaluated in
-closed form as a geometric series over its cycle.  Also: closed forms for
-the noiseless case, the discount-to-one limit, Q-values of threshold
-policies, and grid tabulation with monotonicity accounting.
+forced-first-action variants of the x-threshold policy, both sums taken
+to the infinite horizon.  Threshold orbits are eventually periodic: once
+an orbit repeats a state bit for bit, the rest of its sum is the cycle's
+sum times 1 / (1 - beta^n), in closed form.  Orbits that do not repeat
+within the step cap T of :func:`truncation_horizon` (or that tie the
+threshold) are truncated there.  Also: closed forms for the noiseless
+case, the discount-to-one limit, Q-values of threshold policies, and grid
+tabulation with monotonicity accounting.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,7 +38,6 @@ from .dynamics import (  # noqa: F401
 from .words import Word, is_balanced
 
 MAX_TRUNCATION_STEPS = 5_000_000
-BETA_LIMIT_WARN = 0.999
 
 
 def _debug(msg: str, *args: object) -> None:
@@ -56,15 +55,27 @@ class UncertifiedPeriodError(RuntimeError):
     """The threshold word at x could not be certified periodic."""
 
 
-def truncation_horizon(beta: float, eps: float) -> int:
-    """T with beta^T <= eps, capped; one term suffices at beta = 0."""
+def truncation_horizon(beta: float) -> int:
+    """Step cap T with beta^T <= 1e-12, capped; one term suffices at beta = 0.
+
+    Orbits that repeat within T steps are summed to infinity; the cap
+    truncates only the orbits that never repeat or that tie the threshold.
+    """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
     if beta == 0.0:
         return 1
-    return min(MAX_TRUNCATION_STEPS, max(1, math.ceil(math.log(eps) / math.log(beta))))
+    return min(MAX_TRUNCATION_STEPS, max(1, math.ceil(math.log(1e-12) / math.log(beta))))
+
+
+def cost_gap(p: ArmParams) -> float:
+    """c1 - c0, the unit of work the index prices; a zero gap has no index."""
+    if not p.c1 > p.c0:
+        raise ArithmeticError(
+            f"cost gap c1 - c0 is 0 (c0 = c1 = {p.c0}): marginal work vanishes"
+            " and the index is undefined"
+        )
+    return p.c1 - p.c0
 
 
 @dataclass(frozen=True)
@@ -73,20 +84,10 @@ class IndexQuery:
     cost: CostFn
     beta: float
     x: float
-    T: Optional[int] = None
-    eps: float = 1e-12
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if self.T is not None and self.T < 1:
-            raise ValueError("T must be positive")
-
-    @property
-    def horizon(self) -> int:
-        if self.T is not None:
-            return self.T
-        return truncation_horizon(self.beta, self.eps)
 
 
 @dataclass(frozen=True)
@@ -122,15 +123,14 @@ def _knife_branch(p: ArmParams, s: float, v: float, recent: list[int]) -> int:
     return 1 if windows[1] else 0
 
 
-def _cycle_factors(beta, n, m):
-    """(1 + beta^n + ... + beta^(n(m-1)), beta^(nm)) for m >= 1 whole periods.
+def _cycle_factor(beta, n):
+    """1 + beta^n + beta^2n + ... = 1 / (1 - beta^n), the weight of an n-step cycle.
 
     expm1 keeps 1 - beta^n accurate when beta^n is close to one; at
-    beta = 0 the factors are (1, 0).  Broadcasts over numpy arrays.
+    beta = 0 the factor is 1.  Broadcasts over numpy arrays.
     """
     with np.errstate(divide="ignore"):
-        lb = np.log(beta)
-    return np.expm1(n * m * lb) / np.expm1(n * lb), np.exp(n * m * lb)
+        return -1.0 / np.expm1(n * np.log(beta))
 
 
 def _orbit_terms(
@@ -144,21 +144,20 @@ def _orbit_terms(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Summands of the discounted cost and work sums of one forced-first-action orbit.
 
-    The summands add up to the sums truncated at T, but are evaluated in
-    closed form after an exact repeat: for t >= 1 the action depends only
-    on the state, so once a state recurs bit for bit at step t after step
-    k >= 1 the orbit has period n = t - k from k on.  The cycle's summands
-    then appear once scaled by the geometric factor of the whole periods
-    up to T, and the leftover partial period once scaled by its discount.
-    Returning summands lets callers difference two orbits with one
-    ``math.fsum`` before any large partial sum is rounded.
+    The summands add up to the infinite-horizon sums: for t >= 1 the
+    action depends only on the state, so once a state recurs bit for bit
+    at step t <= T after step k >= 1 the orbit has period n = t - k from k
+    on, and the cycle's summands appear once, scaled by 1 / (1 - beta^n).
+    An orbit with no repeat within T steps is truncated at T.  Returning
+    summands lets callers difference two orbits with one ``math.fsum``
+    before any large partial sum is rounded.
 
     Threshold ties within the knife-edge tolerance are resolved by
     :func:`_knife_branch` and flagged; that rule reads the action history,
-    so after a tie the orbit is stepped all the way to T.  The orbit is
-    stepped on Python floats by :func:`scalar_map` (bitwise the states of
-    ``phi``) and kept in lists; the tolerance is computed once, and the
-    cost is evaluated once, on the array of visited states.
+    so after a tie the orbit is stepped all the way to T and truncated.
+    The orbit is stepped on Python floats by :func:`scalar_map` (bitwise
+    the states of ``phi``) and kept in lists; the tolerance is computed
+    once, and the cost is evaluated once, on the array of visited states.
     """
     step = scalar_map(p)
     tol = knife_edge_tol(s)
@@ -190,11 +189,7 @@ def _orbit_terms(
     disc = beta ** np.arange(t, dtype=float)
     terms = disc * np.stack([cost.eval(np.array(states)), np.where(acts, p.c1, p.c0)])
     if k < t:
-        m, rem = divmod(T + 1 - k, t - k)
-        geo, tail = _cycle_factors(beta, t - k, m)
-        terms = np.concatenate(
-            [terms[:, :k], geo * terms[:, k:], tail * terms[:, k : k + rem]], axis=1
-        )
+        terms[:, k:] *= _cycle_factor(beta, t - k)
     return terms[0], terms[1], knife
 
 
@@ -205,7 +200,7 @@ def _fsum_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def marginal_cost(q: IndexQuery, s: float) -> float:
     """Discounted uncertainty-cost surplus of starting passive over active."""
-    T = q.horizon
+    T = truncation_horizon(q.beta)
     c0, _, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 0, T)
     c1, _, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 1, T)
     return _fsum_diff(c0, c1)
@@ -213,34 +208,27 @@ def marginal_cost(q: IndexQuery, s: float) -> float:
 
 def marginal_work(q: IndexQuery, s: float) -> float:
     """Discounted observation-effort surplus of starting active over passive."""
-    T = q.horizon
+    T = truncation_horizon(q.beta)
     _, w0, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 0, T)
     _, w1, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 1, T)
     return _fsum_diff(w1, w0)
 
 
 def whittle_index(q: IndexQuery, word_max_len: int = 64) -> IndexRecord:
-    """Truncated-sum approximation of the Whittle index at q.x.
+    """The Whittle index at q.x from infinite-horizon marginal sums.
 
-    Both marginal sums share the same horizon T; each orbit's sum is
-    truncated at T but evaluated in closed form after the orbit's first
-    exact repeat, and the two orbits are differenced before rounding.  The
-    certified threshold word at x (when one exists within
-    ``word_max_len``) is attached to the record, and iterates tying the
-    threshold set the knife-edge flag.
+    Each orbit's sum is taken to infinity in closed form after its first
+    exact repeat (truncated at the step cap T without one), and the two
+    orbits are differenced before rounding.  The certified threshold word
+    at x (when one exists within ``word_max_len``) is attached to the
+    record, and iterates tying the threshold set the knife-edge flag.
     """
-    if q.beta > BETA_LIMIT_WARN:
-        warnings.warn(
-            f"beta={q.beta} needs ~{q.horizon} terms; consider index_beta1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    T = q.horizon
+    gap = cost_gap(q.params)
+    T = truncation_horizon(q.beta)
     c0, w0, k0 = _orbit_terms(q.params, q.cost, q.beta, q.x, q.x, 0, T)
     c1, w1, k1 = _orbit_terms(q.params, q.cost, q.beta, q.x, q.x, 1, T)
     num = _fsum_diff(c0, c1)
     den = _fsum_diff(w1, w0)
-    gap = q.params.c1 - q.params.c0
     slack = gap * q.beta ** (T + 1) / max(1e-300, 1.0 - q.beta)
     if den <= 0.0 or den < (1.0 - q.beta) * gap - slack - 1e-15:
         raise InconsistencyError(
@@ -302,9 +290,9 @@ def q_value(
     x: float,
     a: int,
     s: float,
-    T: int,
 ) -> float:
     """Discounted cost-to-go plus nu-priced work of the s-threshold policy."""
+    T = truncation_horizon(beta)
     cterms, wterms, _ = _orbit_terms(params, cost, beta, x, s, a, T)
     return math.fsum(cterms) + nu * math.fsum(wterms)
 
@@ -407,11 +395,12 @@ def marginal_sums_batch(
     """Marginal cost, marginal work, knife-edge flags; everything broadcasts.
 
     Plain >= comparisons decide actions here; points that ever tie a
-    threshold are flagged so scalar re-evaluation can arbitrate.  The sums
-    are truncated at T, but each one is evaluated in closed form once its
-    orbit repeats a state exactly.  Both forced first actions step as one
-    batch of 2n orbits (see :func:`_threshold_sums_batch`): orbits [0, n)
-    start passive and orbits [n, 2n) start active.
+    threshold are flagged so scalar re-evaluation can arbitrate.  Each sum
+    is taken to infinity in closed form once its orbit repeats a state
+    exactly, and truncated at T when it does not repeat by then.  Both
+    forced first actions step as one batch of 2n orbits (see
+    :func:`_threshold_sums_batch`): orbits [0, n) start passive and orbits
+    [n, 2n) start active.
     """
     args = [np.asarray(a, dtype=float) for a in (r, a0, a1, c0, c1, beta, x, s)]
     shape = np.broadcast_shapes(*(a.shape for a in args))
@@ -450,18 +439,6 @@ def _columns(rows: tuple, cols: np.ndarray) -> tuple:
     return tuple(row if row.size == 1 else row[cols] for row in rows)
 
 
-def _threshold_step(
-    par: tuple, coef: tuple, cost: CostFn, v: np.ndarray, disc: np.ndarray,
-    acc: np.ndarray,
-) -> np.ndarray:
-    """Add the discounted (cost, work) summands at states v to acc; next states."""
-    c0, c1, _, s, _ = par
-    act = v >= s
-    acc[0] += disc * cost.eval(v)
-    acc[1] += disc * np.where(act, c1, c0)
-    return phi_batch(coef, act, v)
-
-
 def _threshold_sums_batch(
     par: tuple, coef: tuple, cost: CostFn, x: np.ndarray, first: np.ndarray, T: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -470,30 +447,22 @@ def _threshold_sums_batch(
     ``par`` holds the rows (c0, c1, beta, s, knife-edge tolerance) and
     ``coef`` the :func:`batch_coefficients` rows, each with one entry per
     start x or a single entry shared by all; ``first`` is the first action
-    of each orbit.  Returns both sums truncated at T, the knife-edge flags
-    and the number of orbits stepped to T without a repeat.  Repeats are
-    found by Brent's method: each orbit is compared bitwise with an anchor
-    state retaken at t = 1, 2, 4, ...  An orbit back at its anchor state at
-    step t is periodic from the anchor step k with period t - k and stops
-    stepping.  Its sum is the part before k, plus the cycle's sum times the
-    geometric factor of the whole periods up to T, plus the leftover
-    partial period, replayed from the anchor.  The anchor schedule depends
-    only on t, so each orbit's sums do not depend on the other orbits of
-    the batch.  Memory stays O(len(x)).
+    of each orbit.  Returns the infinite-horizon sums, the knife-edge flags
+    and the number of orbits stepped to T without a repeat, whose sums are
+    truncated at T.  Repeats are found by Brent's method: each orbit is
+    compared bitwise with an anchor state retaken at t = 1, 2, 4, ...  An
+    orbit back at its anchor state at step t is periodic from the anchor
+    step k with period n = t - k and stops stepping; its sum is the part
+    before k plus the cycle's sum times 1 / (1 - beta^n).  The anchor
+    schedule depends only on t, so each orbit's sums do not depend on the
+    other orbits of the batch.  Memory stays O(len(x)).
 
     A shared beta is raised to the power t on its 1-element row: numpy's
     power gives the same float there as in a full row, while a Python
     float power may differ from it in the last bit.
     """
     knife = np.zeros(x.size, dtype=bool)
-    # Per orbit, once it repeats: anchor step, period, anchor state, and
-    # the sums over one cycle and (in ``sums`` until the tail is added)
-    # before the anchor.
-    k_rep = np.zeros(x.size, dtype=np.int64)
-    n_rep = np.zeros(x.size, dtype=np.int64)
-    u_rep = np.empty(x.size)
     sums = np.empty((2, x.size))
-    cyc_rep = np.empty((2, x.size))
     # Summed over t < k, and over k <= t.
     head = np.stack([cost.eval(x), np.where(first, par[1], par[0])])
     cyc = np.zeros_like(head)
@@ -506,8 +475,8 @@ def _threshold_sums_batch(
             hit = v == anchor
             if hit.any():
                 ids = live[hit]
-                k_rep[ids], n_rep[ids], u_rep[ids] = k, t - k, anchor[hit]
-                sums[:, ids], cyc_rep[:, ids] = head[:, hit], cyc[:, hit]
+                geo = _cycle_factor(_columns(lpar, hit)[2], t - k)
+                sums[:, ids] = head[:, hit] + geo * cyc[:, hit]
                 knife[ids] = lknife[hit]
                 keep = ~hit
                 live, v, anchor, lknife = live[keep], v[keep], anchor[keep], lknife[keep]
@@ -519,22 +488,15 @@ def _threshold_sums_batch(
                 head += cyc
                 cyc = np.zeros_like(head)
                 anchor, k = v, t
-        lknife |= np.abs(v - lpar[3]) <= lpar[4]
-        v = _threshold_step(lpar, lcoef, cost, v, lpar[2] ** t, cyc)
+        c0, c1, beta, s, tol = lpar
+        lknife |= np.abs(v - s) <= tol
+        act = v >= s
+        disc = beta**t
+        cyc[0] += disc * cost.eval(v)
+        cyc[1] += disc * np.where(act, c1, c0)
+        v = phi_batch(lcoef, act, v)
     knife[live] = lknife
     sums[:, live] = head + cyc
-    idx = np.flatnonzero(n_rep)
-    if idx.size:
-        k, n, u = k_rep[idx], n_rep[idx], u_rep[idx]
-        rpar, rcoef = _columns(par, idx), _columns(coef, idx)
-        beta = rpar[2]
-        m, rem = np.divmod(T + 1 - k, n)
-        geo, tail = _cycle_factors(beta, n, m)
-        part = np.zeros((2, idx.size))
-        for j in range(int(rem.max())):
-            disc = np.where(j < rem, beta ** (k + j), 0.0)
-            u = _threshold_step(rpar, rcoef, cost, u, disc, part)
-        sums[:, idx] = sums[:, idx] + geo * cyc_rep[:, idx] + tail * part
     return sums[0], sums[1], knife, live.size
 
 
@@ -551,16 +513,15 @@ def index_table(
     cost: CostFn,
     beta: float,
     grid: Sequence[float],
-    eps: float = 1e-12,
     words: bool = True,
     word_max_len: int = 64,
 ) -> IndexTable:
     """Tabulate the index over an ascending state grid.
 
     Knife-edge points are re-evaluated through the scalar branch-resolving
-    path.  Decreases of lambda beyond 1e-9 plus the truncation slack are
-    counted as monotonicity violations (admissible costs must produce
-    none).
+    path.  Decreases of lambda beyond 1e-9 plus the slack of orbits
+    truncated at the step cap are counted as monotonicity violations
+    (admissible costs must produce none).
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or len(xs) == 0:
@@ -568,7 +529,8 @@ def index_table(
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly ascending")
     p = params
-    T = truncation_horizon(beta, eps)
+    gap = cost_gap(p)
+    T = truncation_horizon(beta)
     num, den, knife = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, xs, xs, T
     )
@@ -577,7 +539,7 @@ def index_table(
     for i, x in enumerate(xs):
         if knife[i]:
             rec = whittle_index(
-                IndexQuery(p, cost, beta, float(x), T=T), word_max_len=word_max_len
+                IndexQuery(p, cost, beta, float(x)), word_max_len=word_max_len
             )
         else:
             word = None
@@ -595,7 +557,7 @@ def index_table(
                 knife_edge=False,
             )
         records.append(rec)
-    slack = _lambda_slack(p, beta, T, records)
+    slack = _lambda_slack(gap, beta, T, records)
     lams = np.array([rec.lam for rec in records])
     tol = 1e-9 + slack
     violations = int(np.sum(np.diff(lams) < -tol))
@@ -603,13 +565,13 @@ def index_table(
 
 
 def _lambda_slack(
-    p: ArmParams, beta: float, T: int, records: list[IndexRecord]
+    gap: float, beta: float, T: int, records: list[IndexRecord]
 ) -> float:
-    """Bound on the index perturbation caused by truncating both sums at T."""
+    """Bound on the index perturbation of sums truncated at the step cap T."""
     if beta == 0.0:
         return 0.0
     tail = beta ** (T + 1) / (1.0 - beta)
     den_min = min(rec.denominator for rec in records)
     num_scale = max(1.0, (1.0 - beta) * max(abs(rec.numerator) for rec in records))
     lam_max = max(abs(rec.lam) for rec in records)
-    return tail * (num_scale + lam_max * (p.c1 - p.c0)) / den_min
+    return tail * (num_scale + lam_max * gap) / den_min

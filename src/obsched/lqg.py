@@ -95,17 +95,13 @@ def feedback_gain(problem: LqgProblem, R: float) -> float:
     return p.beta * p.A * p.B * R / denom
 
 
-def _lambda_normalized(arm: ArmParams, beta: float, v: float, eps: float) -> float:
+def _lambda_normalized(arm: ArmParams, beta: float, v: float) -> float:
     """Index of the induced variance arm with linear cost, at normalized state v."""
     probe = arm.with_costs(0.0, 1.0)
-    return whittle_index(
-        IndexQuery(probe, linear(), beta, v, eps=eps), word_max_len=1
-    ).lam
+    return whittle_index(IndexQuery(probe, linear(), beta, v), word_max_len=1).lam
 
 
-def observation_threshold(
-    problem: LqgProblem, alpha: float, eps: float = 1e-10
-) -> float:
+def observation_threshold(problem: LqgProblem, alpha: float) -> float:
     """Variance threshold z with lambda(z) = (c1 - c0) / alpha, by bisection.
 
     The index of the induced arm is non-decreasing, so bisection over a
@@ -122,22 +118,22 @@ def observation_threshold(
     arm = p.arm()
     target = price / (alpha * p.sigma_x)
     lo = 1e-9
-    if _lambda_normalized(arm, p.beta, lo, eps) >= target:
+    if _lambda_normalized(arm, p.beta, lo) >= target:
         return -math.inf
     top = y0(arm)
     if math.isfinite(top):
         hi = 4.0 * top
-        if _lambda_normalized(arm, p.beta, hi, eps) < target:
+        if _lambda_normalized(arm, p.beta, hi) < target:
             return math.inf
     else:
         hi = 4.0 * max(1.0, y1(arm))
-        while _lambda_normalized(arm, p.beta, hi, eps) < target:
+        while _lambda_normalized(arm, p.beta, hi) < target:
             hi *= 2.0
             if hi > 1e12:
                 return math.inf
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if _lambda_normalized(arm, p.beta, mid, eps) < target:
+        if _lambda_normalized(arm, p.beta, mid) < target:
             lo = mid
         else:
             hi = mid

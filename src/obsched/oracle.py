@@ -31,6 +31,7 @@ from .dynamics import (
 )
 from .index import (
     IndexQuery,
+    cost_gap,
     marginal_sums_batch,
     truncation_horizon,
     whittle_index,
@@ -272,7 +273,6 @@ class PcliConfig:
     sweep_points: int = 1500
     itinerary_lengths: tuple[int, ...] = (2, 4, 8, 16, 32)
     pcli3_intervals: int = 3
-    eps: float = 1e-12
     state_lo: Optional[float] = None
     state_hi: Optional[float] = None
     slope_limit: float = 4.5
@@ -308,7 +308,8 @@ def pcli_report(
     cfg = config or PcliConfig()
     rng = np.random.default_rng(cfg.seed)
     lo, hi = state_bounds(params, cfg)
-    T = truncation_horizon(beta, cfg.eps)
+    gap = cost_gap(params)
+    T = truncation_horizon(beta)
     p = params
     report: dict = {"params": {"r": p.r, "a0": p.a0, "a1": p.a1, "beta": beta,
                                "cost": cost.kind, "condition_c": cost.condition_c}}
@@ -318,8 +319,8 @@ def pcli_report(
     _, work, _ = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, xs, xs, T
     )
-    slack = (p.c1 - p.c0) * beta ** (T + 1) / max(1e-300, 1.0 - beta)
-    bound = (1.0 - beta) * (p.c1 - p.c0) - slack
+    slack = gap * beta ** (T + 1) / max(1e-300, 1.0 - beta)
+    bound = (1.0 - beta) * gap - slack
     margin = float(np.min(work - bound))
     report["pcli1"] = {
         "samples": cfg.work_samples,

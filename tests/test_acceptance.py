@@ -88,7 +88,7 @@ def test_criterion_03_q_curves_cross_once():
     arm = ArmParams(r=1.0, a0=0.0, a1=0.1)
     cost = costs.linear()
     beta, nu = 0.95, 0.7647
-    T = truncation_horizon(beta, 1e-12)
+    T = truncation_horizon(beta)
     lo, hi = 1e-6, 50.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -251,7 +251,7 @@ def test_criterion_08_pcli_properties():
     a1 = a0 + rng.uniform(0.05, 2.0, n)
     beta = rng.uniform(0.0, 0.95, n)
     x = rng.uniform(0.05, 8.0, n)
-    T = truncation_horizon(float(beta.max()), 1e-12)
+    T = truncation_horizon(float(beta.max()))
     _, work, _ = marginal_sums_batch(
         r, a0, a1, np.zeros(n), np.ones(n), beta, costs.linear(), x, x, T
     )

@@ -68,6 +68,15 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario.from_json(bad_arm)
 
+    def test_from_json_power_exponent_is_a_float(self):
+        arm = {"r": 0.9, "a0": 0.0, "a1": 1.0, "v0": 2.0, "cost": "power"}
+        payload = {"m": 1, "beta": 0.9, "horizon": 5, "seed": 1}
+        sc = Scenario.from_json({**payload, "arms": [{**arm, "power_q": "2"}] * 2})
+        assert sc.arms[0].cost.kind == "power(2.0)"
+        for bad, message in ((math.nan, "finite"), ("two", "'two'")):
+            with pytest.raises(ValueError, match=message):
+                Scenario.from_json({**payload, "arms": [{**arm, "power_q": bad}] * 2})
+
 
 class TestPolicies:
     def test_round_robin_alternates(self):

@@ -85,6 +85,20 @@ class TestIndexCommand:
         )
         assert code == 1 and "undefined" in err
 
+    def test_equal_costs_exit_1(self, capsys):
+        # c0 = c1 leaves no work to price: invalid input, rejected before
+        # any sum (no numpy warning, no internal-inconsistency exit).
+        code, out, err = run(self.ARGS + ["--c0", "1", "--c1", "1"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cost gap") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
+    def test_non_finite_power_exponent_exits_1(self, capsys, q):
+        code, out, err = run(self.ARGS[:-4] + ["--cost", "power", f"--power-q={q}",
+                                               "--grid-log", "1e-1:10:5"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: power exponent must be finite")
+
 
 class TestWordCommand:
     def test_fig3_itinerary(self, capsys):
@@ -164,11 +178,16 @@ class TestSimulateCommand:
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "v0": "nan"}] * 2},
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "weight": "inf"}] * 2},
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "x0": "-inf"}] * 2},
+            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "cost": "power",
+                                   "power_q": float("nan")}] * 3},
+            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "cost": "power",
+                                   "power_q": "two"}] * 3},
         ],
         ids=["list-payload", "int-payload", "int-arms", "object-arms",
              "list-r", "list-cost", "list-beta", "fractional-seed", "fractional-m",
              "fractional-horizon", "fractional-string-horizon", "null-seed",
-             "bool-m", "nan-v0", "inf-weight", "inf-x0"],
+             "bool-m", "nan-v0", "inf-weight", "inf-x0", "nan-power-q",
+             "string-power-q"],
     )
     def test_malformed_scenario_rejected(self, tmp_path, capsys, payload):
         scen = tmp_path / "scenario.json"
@@ -301,6 +320,15 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert "--grid-n must be at least 64" in err
+
+    def test_equal_costs_exit_1(self, capsys):
+        code, out, err = run(
+            ["verify", "--r", "0.9", "--a0", "0", "--a1", "1", "--c0", "1",
+             "--c1", "1", "--beta", "0.9"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: cost gap") and err.count("\n") == 1
 
     def test_negative_cross_checks_exit_1(self, capsys):
         code, out, err = run(["verify", *self.ARM, "--cross-checks", "-1"], capsys)

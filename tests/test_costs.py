@@ -1,5 +1,7 @@
 """Cost families: derivative consistency, admissibility flags, domains."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ def test_condition_c_flags():
 def test_power_rejects_zero_exponent():
     with pytest.raises(ValueError):
         costs.power(0.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_power_rejects_non_finite_exponent(q):
+    with pytest.raises(ValueError, match="finite"):
+        costs.power(q)
+    with pytest.raises(ValueError, match="finite"):
+        costs.by_name("power", q)
 
 
 def test_domain_violations():

@@ -76,23 +76,18 @@ def marginal_sums_mp(p, beta, x, T, dps=50):
     return num, den
 
 
+def mp_horizon(beta):
+    """T with beta^T < 1e-40: marginal_sums_mp to T is the infinite sum to 40 digits."""
+    return math.ceil(math.log(1e-40) / math.log(beta))
+
+
 class TestTruncation:
     def test_rule(self):
-        assert truncation_horizon(0.9, 1e-12) == math.ceil(
-            math.log(1e-12) / math.log(0.9)
-        )
-        assert truncation_horizon(0.0, 1e-12) == 1
+        assert truncation_horizon(0.9) == math.ceil(math.log(1e-12) / math.log(0.9))
+        assert truncation_horizon(0.0) == 1
 
     def test_cap(self):
-        assert truncation_horizon(0.9999999, 1e-300) == 5_000_000
-
-    def test_query_resolution(self):
-        q = IndexQuery(ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear(), 0.9, 1.0)
-        assert q.horizon == truncation_horizon(0.9, 1e-12)
-        q = IndexQuery(
-            ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear(), 0.9, 1.0, T=17
-        )
-        assert q.horizon == 17
+        assert truncation_horizon(0.9999999) == 5_000_000
 
 
 class TestMarginals:
@@ -113,7 +108,8 @@ class TestMarginals:
             beta = float(rng.uniform(0.0, 0.95))
             x = float(rng.uniform(0.05, 10.0))
             q = IndexQuery(p, costs.linear(), beta, x)
-            slack = beta ** (q.horizon + 1) / (1.0 - beta) if beta > 0 else 0.0
+            T = truncation_horizon(beta)
+            slack = beta ** (T + 1) / (1.0 - beta) if beta > 0 else 0.0
             assert marginal_work(q, x) >= (1.0 - beta) - slack - 1e-12
 
     def test_cost_beta0_and_constant(self):
@@ -130,14 +126,14 @@ class TestMarginals:
             beta = float(rng.uniform(0.1, 0.999))
             x = float(rng.uniform(0.1, 8.0))
             s = float(rng.uniform(0.1, 8.0))
-            T = truncation_horizon(beta, 1e-12)
+            T = truncation_horizon(beta)
             mc, mw, knife = marginal_sums_batch(
                 p.r, p.a0, p.a1, p.c0, p.c1, beta,
                 costs.linear(), np.array([x]), np.array([s]), T,
             )
             if knife[0]:
                 continue
-            q = IndexQuery(p, costs.linear(), beta, x, T=T)
+            q = IndexQuery(p, costs.linear(), beta, x)
             assert mc[0] == pytest.approx(marginal_cost(q, s), rel=1e-12, abs=1e-12)
             assert mw[0] == pytest.approx(marginal_work(q, s), rel=1e-12, abs=1e-12)
 
@@ -181,25 +177,84 @@ def first_repeat(p, x, s, first, limit=20_000):
     return None
 
 
+def periodic_sums(p, cost, beta, x, s, first, limit):
+    """Infinite-horizon reference sums of an orbit that repeats by step ``limit``.
+
+    Actions follow plain >= comparisons.  The states are stepped by
+    ``phi`` up to the first repeat, at step mu + n, of the state of step
+    mu >= 1, then extended periodically to a horizon H with beta^H below
+    1e-20; the terms are added by fsum.  Returns (cost sum, work sum, sum
+    of |terms|, mu, n, whether a state before the repeat ties the
+    threshold), or None without a repeat by ``limit``.
+    """
+    states, seen, tied = [float(x)], {}, False
+    v = phi(p, first, float(x))
+    for t in range(1, limit + 1):
+        if v in seen:
+            break
+        seen[v] = t
+        tied = tied or bool(is_knife_edge(v, s))
+        states.append(v)
+        v = phi(p, int(v >= s), v)
+    else:
+        return None
+    mu, n = seen[v], t - seen[v]
+    H = max(t, math.ceil(math.log(1e-20) / math.log(beta))) if beta > 0 else t
+    steps = np.arange(H + 1)
+    vs = np.array(states)[np.where(steps < mu, steps, mu + (steps - mu) % n)]
+    acts = vs >= s
+    acts[0] = first
+    disc = beta ** steps.astype(float)
+    cterms = disc * cost.eval(vs)
+    wterms = disc * np.where(acts, p.c1, p.c0)
+    scale = float(np.sum(np.abs(cterms)) + np.sum(np.abs(wterms)))
+    return math.fsum(cterms.tolist()), math.fsum(wterms.tolist()), scale, mu, n, tied
+
+
+def expected_sums(p, cost, beta, x, s, first, T, batch=False):
+    """(cost sum, work sum, sum of |terms|) that a kernel returns for one orbit.
+
+    A kernel sums an orbit to infinity once it sees a repeat within T
+    steps and truncates it at T otherwise.  The scalar kernel sees the
+    first repeat, at step mu + n, unless a state ties the threshold before
+    it; the batch kernel compares with anchor states retaken at steps 1,
+    2, 4, ..., so it sees the repeat at K + n, K the first power of two
+    >= max(mu, n).
+    """
+    per = periodic_sums(p, cost, beta, x, s, first, T)
+    if per is not None:
+        csum, wsum, scale, mu, n, tied = per
+        if batch:
+            seen_at = (1 << (max(mu, n) - 1).bit_length()) + n
+        else:
+            seen_at = math.inf if tied else mu + n
+        if seen_at <= T:
+            return csum, wsum, scale
+    return stepped_sums(p, cost, beta, x, s, first, T)[:3]
+
+
 def assert_kernels_match_stepped(p, cost, beta, x, s, T):
-    """Scalar orbit sums and batch marginal sums against stepped_sums."""
-    ref = [stepped_sums(p, cost, beta, x, s, first, T) for first in (0, 1)]
-    for first, (csum, wsum, scale, knife) in enumerate(ref):
+    """Scalar orbit sums and batch marginal sums against expected_sums."""
+    for first in (0, 1):
+        csum, wsum, scale = expected_sums(p, cost, beta, x, s, first, T)
         cterms, wterms, k = _orbit_terms(p, cost, beta, x, s, first, T)
         assert abs(math.fsum(cterms) - csum) <= 1e-12 * scale
         assert abs(math.fsum(wterms) - wsum) <= 1e-12 * scale
-        assert k == knife
+        assert k == stepped_sums(p, cost, beta, x, s, first, T)[3]
+    (c0, w0, s0), (c1, w1, s1) = (
+        expected_sums(p, cost, beta, x, s, first, T, batch=True) for first in (0, 1)
+    )
     mc, mw, knife = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, np.array([x]), np.array([s]), T
     )
-    scale = ref[0][2] + ref[1][2]
-    assert abs(mc[0] - (ref[0][0] - ref[1][0])) <= 1e-12 * scale
-    assert abs(mw[0] - (ref[1][1] - ref[0][1])) <= 1e-12 * scale
+    assert abs(mc[0] - (c0 - c1)) <= 1e-12 * (s0 + s1)
+    assert abs(mw[0] - (w1 - w0)) <= 1e-12 * (s0 + s1)
     return bool(knife[0])
 
 
 class TestClosedFormTails:
-    """Sums finished in closed form after an exact repeat equal the sums
+    """Sums finished in closed form after an exact repeat equal the orbit's
+    infinite-horizon sums, and sums without a repeat by T equal the sums
     stepped to T, whatever T is relative to the transient and period."""
 
     BETAS = (0.0, 0.5, 0.99, 0.999)
@@ -220,7 +275,7 @@ class TestClosedFormTails:
         t_rep = first_repeat(p, x, s, first)
         assume(t_rep is not None)
         # The scalar kernel sees the repeat at step t_rep: T one below it
-        # steps to T, T equal to it or above finishes in closed form.
+        # truncates at T, T equal to it or above sums to infinity.
         T = max(1, t_rep + offset) if offset is not None else 3 * t_rep + 7
         assert_kernels_match_stepped(p, costs.entropy(), beta, x, s, T)
 
@@ -235,8 +290,8 @@ class TestClosedFormTails:
                 p.r, p.a0, p.a1, p.c0, p.c1, beta, costs.linear(), xs, xs, T
             )
             for i, x in enumerate(xs):
-                (c0, w0, s0, _), (c1, w1, s1, _) = (
-                    stepped_sums(p, costs.linear(), beta, x, x, first, T)
+                (c0, w0, s0), (c1, w1, s1) = (
+                    expected_sums(p, costs.linear(), beta, x, x, first, T, batch=True)
                     for first in (0, 1)
                 )
                 assert abs(mc[i] - (c0 - c1)) <= 1e-12 * (s0 + s1)
@@ -254,7 +309,7 @@ class TestClosedFormTails:
     def test_special_orbits(self, params, s, beta):
         # The never-repeating orbit is stepped to T in both kernels; the full
         # beta = 0.999 horizon (27,618 steps) would only make that slower.
-        T = truncation_horizon(beta, 1e-12) if beta < 0.999 else 3000
+        T = truncation_horizon(beta) if beta < 0.999 else 3000
         assert not assert_kernels_match_stepped(params, costs.linear(), beta, 1.3, s, T)
 
     def test_mixed_first_actions_match_single_action_batches(self):
@@ -365,18 +420,23 @@ class TestWhittleIndex:
         assert shifted == pytest.approx(base, rel=1e-9, abs=1e-9)
 
     def test_truncation_consistency(self):
-        # |lambda_T - lambda_2T| <= K beta^T with K taken from run quantities.
+        # |lambda_T - lambda_2T| <= K beta^T with K taken from run quantities
+        # (equal when both orbits repeat within the step cap T).
         rng = np.random.default_rng(26)
         for _ in range(20):
             p = random_params(rng)
             beta = float(rng.uniform(0.8, 0.99))
             x = float(rng.uniform(0.2, 8.0))
-            T = max(200, truncation_horizon(beta, 1e-10))
-            r1 = whittle_index(IndexQuery(p, costs.linear(), beta, x, T=T))
-            r2 = whittle_index(IndexQuery(p, costs.linear(), beta, x, T=2 * T))
-            cmax = max(abs(r1.numerator), 1.0) / (1.0 - beta)
-            K = (cmax + abs(r1.lam)) / r2.denominator
-            assert abs(r1.lam - r2.lam) <= K * beta**T + 1e-12
+            T = max(200, math.ceil(math.log(1e-10) / math.log(beta)))
+            (num1, den1, _), (num2, den2, _) = (
+                marginal_sums_batch(
+                    p.r, p.a0, p.a1, p.c0, p.c1, beta, costs.linear(), x, x, t
+                )
+                for t in (T, 2 * T)
+            )
+            lam1, lam2 = num1 / den1, num2 / den2
+            K = (max(abs(num1), 1.0) / (1.0 - beta) + abs(lam1)) / den2
+            assert abs(lam1 - lam2) <= K * beta**T + 1e-12
 
     def test_word_constrained_agreement(self):
         rng = np.random.default_rng(27)
@@ -393,9 +453,9 @@ class TestWhittleIndex:
                 continue
             x = y01p + float(rng.uniform(0.3, 0.7)) * (y10p - y01p)
             beta = float(rng.uniform(0.5, 0.95))
-            q = IndexQuery(p, costs.linear(), beta, x)
-            rec = whittle_index(q)
-            num, den = whittle_index_word(p, costs.linear(), beta, x, w, q.horizon)
+            rec = whittle_index(IndexQuery(p, costs.linear(), beta, x))
+            T = truncation_horizon(beta)
+            num, den = whittle_index_word(p, costs.linear(), beta, x, w, T)
             assert rec.lam == pytest.approx(num / den, rel=1e-8)
             done += 1
 
@@ -430,11 +490,6 @@ class TestWhittleIndex:
         )
         with pytest.raises(InconsistencyError, match="below its lower bound"):
             whittle_index(IndexQuery(p, costs.linear(), 0.9, 2.0))
-
-    def test_high_beta_warns(self):
-        p = ArmParams(r=0.9, a0=0.0, a1=1.0)
-        with pytest.warns(RuntimeWarning):
-            whittle_index(IndexQuery(p, costs.linear(), 0.9995, 2.0, T=50))
 
 
 class TestClosedForm:
@@ -507,8 +562,8 @@ class TestIndexBeta1:
 class TestQValue:
     def test_constant_cost_geometric(self):
         p = ArmParams(r=0.9, a0=0.0, a1=1.0)
-        beta, k, T = 0.9, 3.0, 400
-        got = q_value(p, costs.constant(k), beta, 0.0, 2.0, 0, math.inf, T)
+        beta, k = 0.9, 3.0
+        got = q_value(p, costs.constant(k), beta, 0.0, 2.0, 0, math.inf)
         assert got == pytest.approx(k / (1.0 - beta), rel=1e-10)
 
     def test_identity_with_marginals(self):
@@ -520,9 +575,8 @@ class TestQValue:
             x = float(rng.uniform(0.1, 8.0))
             s = float(rng.uniform(0.1, 8.0))
             q = IndexQuery(p, costs.linear(), beta, x)
-            T = q.horizon
-            lhs = q_value(p, costs.linear(), beta, nu, x, 1, s, T) - q_value(
-                p, costs.linear(), beta, nu, x, 0, s, T
+            lhs = q_value(p, costs.linear(), beta, nu, x, 1, s) - q_value(
+                p, costs.linear(), beta, nu, x, 0, s
             )
             rhs = nu * marginal_work(q, s) - marginal_cost(q, s)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
@@ -579,16 +633,12 @@ class TestCrossRoutes:
     """Independent computational routes must agree with each other."""
 
     def test_beta1_limit_approached_by_high_beta(self):
-        import warnings
-
         arm = ArmParams(r=1.0, a0=0.0, a1=1e6)
         for x in (0.5, 1.5, 2.5):
             lim = index_beta1(arm, costs.linear(), x, 400)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                hi = whittle_index(
-                    IndexQuery(arm, costs.linear(), 0.999, x), word_max_len=1
-                ).lam
+            hi = whittle_index(
+                IndexQuery(arm, costs.linear(), 0.999, x), word_max_len=1
+            ).lam
             assert abs(hi - lim) / lim < 5e-3  # convergence is O(1 - beta)
 
     def test_denominator_constant_on_word_interval(self):
@@ -605,7 +655,7 @@ class TestCrossRoutes:
         assert max(dens) - min(dens) <= 1e-12
 
     def test_high_precision_recomputation(self):
-        # 50-digit re-evaluation of the defining sums.
+        # 50-digit re-evaluation of the defining infinite-horizon sums.
         pytest.importorskip("mpmath")
 
         for r, a0, a1, beta, x in [
@@ -614,29 +664,29 @@ class TestCrossRoutes:
             (1.0, 0.0, 0.1, 0.95, 1.1),
         ]:
             p = ArmParams(r=r, a0=a0, a1=a1)
-            T = truncation_horizon(beta, 1e-12)
             ours = whittle_index(
                 IndexQuery(p, costs.linear(), beta, x), word_max_len=1
             ).lam
-            num, den = marginal_sums_mp(p, beta, x, T)
+            num, den = marginal_sums_mp(p, beta, x, mp_horizon(beta))
             ref = float(num / den)
             assert ours == pytest.approx(ref, rel=1e-12)
 
 
 class TestFig2Regression:
-    # (numerator, denominator, lambda) of the beta = 0.99 index, summed to
-    # T = 2750 at 50 digits by marginal_sums_mp(p, 0.99, x, 2750) and
-    # rounded to 17 digits; the interior points were cross-validated
-    # against the value-iteration oracle (see oracle tests).
+    # (numerator, denominator, lambda) of the beta = 0.99 index: the
+    # infinite-horizon sums, summed at 50 digits to T = 9165 (0.99^T <
+    # 1e-40) by marginal_sums_mp(p, 0.99, x, mp_horizon(0.99)) and rounded
+    # to floats; the interior points were cross-validated against the
+    # value-iteration oracle (see oracle tests).
     SNAPSHOT = {
-        0.05: (0.043617854776532029, 1.0, 0.043617854776532029),
-        0.2: (0.054150049169417898, 1.0, 0.054150049169417898),
-        0.7: (0.096994017943532221, 1.0, 0.096994017943532221),
-        1.5: (0.18924759464623432, 1.0, 0.18924759464623432),
-        2.9: (0.41554374164227947, 1.0, 0.41554374164227947),
-        4.2: (0.69254390891080192, 1.0, 0.69254390891080192),
-        5.0: (0.28080372309590528, 0.25378140640047547, 1.1064787096844585),
-        5.26: (0.063434577403041763, 0.048452965527542017, 1.3091990699100508),
+        0.05: (0.04361785477653203, 1.0, 0.04361785477653203),
+        0.2: (0.054150049169417895, 1.0, 0.054150049169417895),
+        0.7: (0.09699401794353223, 1.0, 0.09699401794353223),
+        1.5: (0.1892475946462343, 1.0, 0.1892475946462343),
+        2.9: (0.4155437416422795, 1.0, 0.4155437416422795),
+        4.2: (0.6925439089108019, 1.0, 0.6925439089108019),
+        5.0: (0.28080372309587914, 0.2537814064007224, 1.1064787096832789),
+        5.26: (0.06343457740307899, 0.04845296552758551, 1.309199069909644),
     }
 
     def test_snapshot(self):
@@ -653,5 +703,5 @@ class TestFig2Regression:
         pytest.importorskip("mpmath")
         p = ArmParams(r=0.9, a0=0.0, a1=0.01)
         for x in (0.05, 5.26):
-            num, den = marginal_sums_mp(p, 0.99, x, 2750)
+            num, den = marginal_sums_mp(p, 0.99, x, mp_horizon(0.99))
             assert self.SNAPSHOT[x] == (float(num), float(den), float(num / den))

@@ -113,8 +113,7 @@ class TestThreshold:
             arm = prob.arm().with_costs(0.0, 1.0)
             target = (prob.c1 - prob.c0) / (sol.alpha * prob.sigma_x)
             lam = whittle_index(
-                IndexQuery(arm, costs.linear(), prob.beta, sol.z / prob.sigma_x,
-                           eps=1e-10),
+                IndexQuery(arm, costs.linear(), prob.beta, sol.z / prob.sigma_x),
                 word_max_len=1,
             ).lam
             assert lam == pytest.approx(target, rel=1e-6)

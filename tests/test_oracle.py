@@ -96,11 +96,10 @@ class TestValueIteration:
         sol = value_iteration(p, costs.linear(), beta, nu, g)
         from obsched.index import q_value
 
-        T = 400
         for k in (10, 200, 400):
             x = float(g.points()[k])
             best_threshold = min(
-                q_value(p, costs.linear(), beta, nu, x, a, s, T)
+                q_value(p, costs.linear(), beta, nu, x, a, s)
                 for a in (0, 1)
                 for s in (-math.inf, math.inf, 0.5 * (y1(p) + y0(p)))
             )

@@ -42,7 +42,7 @@ from obsched.dynamics import (
 )
 from obsched.index import (
     UncertifiedPeriodError,
-    _cycle_factors,
+    _cycle_factor,
     _orbit_terms,
     index_beta1,
     whittle_index_word,
@@ -164,11 +164,8 @@ def reference_orbit_terms(p, cost, beta, x, s, first_action, T):
     disc = beta ** np.arange(t, dtype=float)
     terms = disc * np.stack([cost.eval(np.array(states)), np.where(acts, p.c1, p.c0)])
     if k < t:
-        m, rem = divmod(T + 1 - k, t - k)
-        geo, tail = _cycle_factors(beta, t - k, m)
-        terms = np.concatenate(
-            [terms[:, :k], geo * terms[:, k:], tail * terms[:, k : k + rem]], axis=1
-        )
+        # The cycle k..t-1 repeats forever: its summands weigh 1 / (1 - beta^n).
+        terms[:, k:] *= _cycle_factor(beta, t - k)
     return terms[0], terms[1], knife, k, t
 
 
@@ -368,14 +365,14 @@ class TestIndexLoops:
         finite = math.isfinite(p.a1) and data.draw(st.booleans())
         cost = costs.entropy() if finite else costs.linear()
         cterms, wterms, knife = _orbit_terms(p, cost, beta, x, s, first, T)
-        rc, rw, rknife, k, t = reference_orbit_terms(p, cost, beta, x, s, first, T)
-        # The summand layout is [:k], one cycle k..t-1 and the partial
-        # period, so equal arrays also mean the same repeat steps k and t.
+        rc, rw, rknife, _, t = reference_orbit_terms(p, cost, beta, x, s, first, T)
+        # The summand layout is [:k] and one cycle k..t-1 scaled by its
+        # infinite-tail factor, so equal arrays also mean the same repeat
+        # step t (and, when beta > 0, the same k).
         assert_same_floats(cterms, rc)
         assert_same_floats(wterms, rw)
         assert knife == rknife
-        rem = (T + 1 - k) % (t - k) if k < t else 0
-        assert len(cterms) == t + rem
+        assert len(cterms) == t
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None, derandomize=True)
