@@ -90,21 +90,21 @@ class Scenario:
                 raise ValueError(f"arm {i} must be a JSON object, got {blk!r}")
             try:
                 params = ArmParams(
-                    r=float(blk["r"]),
-                    a0=float(blk["a0"]),
-                    a1=float(blk["a1"]),
-                    c0=float(blk.get("c0", 0.0)),
-                    c1=float(blk.get("c1", 1.0)),
+                    r=_arm_number(blk, i, "r"),
+                    a0=_arm_number(blk, i, "a0"),
+                    a1=_arm_number(blk, i, "a1"),
+                    c0=_arm_number(blk, i, "c0", 0.0),
+                    c1=_arm_number(blk, i, "c1", 1.0),
                 )
-                q = blk.get("power_q")
-                cost = by_name(blk.get("cost", "linear"), None if q is None else float(q))
+                q = None if blk.get("power_q") is None else _arm_number(blk, i, "power_q")
+                cost = by_name(blk.get("cost", "linear"), q)
                 arms.append(
                     Arm(
                         params=params,
                         cost=cost,
-                        weight=float(blk.get("weight", 1.0)),
-                        x0=float(blk.get("x0", 0.0)),
-                        v0=float(blk["v0"]),
+                        weight=_arm_number(blk, i, "weight", 1.0),
+                        x0=_arm_number(blk, i, "x0", 0.0),
+                        v0=_arm_number(blk, i, "v0"),
                     )
                 )
             except KeyError as exc:
@@ -113,7 +113,7 @@ class Scenario:
                 raise ValueError(f"arm {i}: {exc}") from None
         try:
             beta = float(payload["beta"])
-        except TypeError:
+        except (TypeError, ValueError):
             raise ValueError(
                 f"scenario field 'beta' must be a number, got {payload['beta']!r}"
             ) from None
@@ -124,6 +124,17 @@ class Scenario:
             horizon=_integer(payload, "horizon"),
             seed=_integer(payload, "seed"),
         )
+
+
+def _arm_number(blk: dict, i: int, key: str, default: Optional[float] = None) -> float:
+    """Field ``key`` of arm i as a float; required when there is no default."""
+    value = blk[key] if default is None else blk.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"arm {i}: field '{key}' must be a number, got {value!r}"
+        ) from None
 
 
 def _integer(payload: dict, key: str) -> int:

@@ -23,7 +23,6 @@ import numpy as np
 from . import bandit, costs, lqg, oracle
 from .dynamics import ArmParams, InconsistencyError, itinerary, threshold_word, y0
 from .index import (
-    IndexRecord,
     IndexTable,
     UncertifiedPeriodError,
     index_beta1,
@@ -162,25 +161,11 @@ def build_parser() -> _Parser:
 
 
 def _beta1_table(params: ArmParams, cost: costs.CostFn, grid) -> IndexTable:
-    """Discount-to-one limit of the index over a grid (beta = 1 reroute).
-
-    Bookkeeping per record: the limit denominator is 1/n for a certified
-    period-n threshold word, so the numerator column carries lambda / n.
-    """
-    records = []
-    for x in grid:
-        try:
-            lam = index_beta1(params, cost, float(x), T=400)
-        except UncertifiedPeriodError as exc:
-            raise CliError(str(exc)) from None
-        tw = threshold_word(params, float(x), 256)
-        n = len(tw.word)
-        records.append(
-            IndexRecord(
-                x=float(x), lam=lam, numerator=lam / n, denominator=1.0 / n,
-                word=tw.word, periodic=True, knife_edge=tw.knife_edge,
-            )
-        )
+    """Discount-to-one limit of the index over a grid (beta = 1 reroute)."""
+    try:
+        records = [index_beta1(params, cost, float(x), T=400) for x in grid]
+    except UncertifiedPeriodError as exc:
+        raise CliError(str(exc)) from None
     lams = np.array([rec.lam for rec in records])
     violations = int(np.sum(np.diff(lams) < -1e-9))
     return IndexTable(records, violations, 400, 1e-9)

@@ -48,6 +48,16 @@ class CostFn:
         out = self._eval(arr)
         return float(out) if arr.ndim == 0 else out
 
+    def eval_unchecked(self, v: np.ndarray) -> np.ndarray:
+        """C(v) on a float array that the caller knows lies in the domain.
+
+        The same floats as :meth:`eval`, without its domain check (a
+        comparison and a reduction over the whole array); for hot loops
+        over states that are images of checked states, such as variance
+        orbits with finite precisions, which stay positive.
+        """
+        return self._eval(v)
+
     def deriv(self, v: FloatArray) -> FloatArray:
         arr = np.asarray(v, dtype=float)
         self._check_domain(arr)

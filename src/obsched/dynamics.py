@@ -180,6 +180,8 @@ def phi_batch(coef: tuple, act: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = r2 * v
     out += 1.0
     out /= den
+    if a1_inf.size == 1 and not a1_inf:
+        return out
     return np.where(act & a1_inf, 0.0, out)
 
 

@@ -336,16 +336,18 @@ def closed_form_noiseless_limit(x: float) -> float:
 
 def index_beta1(
     params: ArmParams, cost: CostFn, x: float, T: int, word_max_len: int = 256
-) -> float:
-    """Discount-to-one limit of the index at x.
+) -> IndexRecord:
+    """Discount-to-one limit of the index at x, with its certified word.
 
     Requires a certified periodic threshold word of period n; the limit
-    denominator is 1/n and the limit numerator telescopes the two orbits
-    against their limit cycles, approximating the cycle by late iterates.
-    Both orbits are stepped T n times on Python floats by
+    denominator is (c1 - c0)/n and the limit numerator telescopes the two
+    orbits against their limit cycles, approximating the cycle by late
+    iterates.  Both orbits are stepped T n times on Python floats by
     :func:`scalar_map` (bitwise the states of ``phi``), kept in lists and
-    converted to arrays once for the cost.
+    converted to arrays once for the cost.  The record's numerator is
+    lambda times the denominator.
     """
+    gap = cost_gap(params)
     tw: ThresholdWord = threshold_word(params, x, word_max_len)
     if not tw.periodic:
         raise UncertifiedPeriodError(
@@ -373,7 +375,11 @@ def index_beta1(
     numerator = float(np.sum(c0 - cyc0[offsets] - c1 + cyc1[offsets]))
     t_head = np.arange(n)
     numerator += float(np.sum(t_head * (cyc1 - cyc0))) / n
-    return numerator * n
+    lam = numerator * n / gap
+    return IndexRecord(
+        x=float(x), lam=lam, numerator=lam * gap / n, denominator=gap / n,
+        word=tw.word, periodic=True, knife_edge=tw.knife_edge,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +466,23 @@ def _threshold_sums_batch(
     A shared beta is raised to the power t on its 1-element row: numpy's
     power gives the same float there as in a full row, while a Python
     float power may differ from it in the last bit.
+
+    Only the starting states go through the cost's domain check.  The
+    states at t >= 1 are variance images, positive unless an active step
+    with a1 = inf, or a map denominator that overflows, takes them to 0.
+    A step adds at most 1 to a state, so the denominators stay below
+    a1 r^2 (max x + T) + a1 + 1 (doubled for rounding); when that is
+    finite and no orbit has a1 = inf, the states are evaluated unchecked,
+    and otherwise every step is checked.
     """
     knife = np.zeros(x.size, dtype=bool)
     sums = np.empty((2, x.size))
     # Summed over t < k, and over k <= t.
     head = np.stack([cost.eval(x), np.where(first, par[1], par[0])])
+    den_max = 2.0 * (float(np.max(x, initial=0.0)) + T) * float(coef[3].max())
+    den_max += float(coef[4].max()) + 1.0
+    positive = den_max < math.inf and not coef[5].any()
+    cost_at = cost.eval_unchecked if positive else cost.eval
     cyc = np.zeros_like(head)
     v = phi_batch(coef, first, x)
     anchor, k = v, 1
@@ -489,11 +507,12 @@ def _threshold_sums_batch(
                 cyc = np.zeros_like(head)
                 anchor, k = v, t
         c0, c1, beta, s, tol = lpar
-        lknife |= np.abs(v - s) <= tol
+        off = np.subtract(v, s)
+        lknife |= np.abs(off, out=off) <= tol
         act = v >= s
         disc = beta**t
-        cyc[0] += disc * cost.eval(v)
-        cyc[1] += disc * np.where(act, c1, c0)
+        cyc[0] += disc * cost_at(v)
+        cyc[1] += np.where(act, disc * c1, disc * c0)
         v = phi_batch(lcoef, act, v)
     knife[live] = lknife
     sums[:, live] = head + cyc

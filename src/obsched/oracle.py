@@ -82,8 +82,10 @@ class DPSolution:
     ``iterations`` counts Bellman sweeps.  ``residual`` is the certified
     bound beta/(1 - beta) (hi - lo)/2 >= max|values - V*| (up to rounding
     in the sweep), where lo and hi are the extremes of TV - V on the last
-    sweep; it is below tol/2 on return (0 at beta = 0, where one sweep is
-    exact).
+    sweep.  It is below tol/2 when the solve ran to the span stop (0 at
+    beta = 0, where one sweep is exact).  A solve that stopped on certified
+    actions (``value_iteration(actions_only=True)``) returns the bound at
+    that sweep, which may be larger; its actions are still exact.
     """
 
     grid: DPGrid
@@ -103,6 +105,8 @@ def value_iteration(
     tol: float = 1e-9,
     max_iter: int = 2_000_000,
     start: Optional[np.ndarray] = None,
+    *,
+    actions_only: bool = False,
 ) -> DPSolution:
     """Solve the nu-priced DP by contraction iteration on the grid.
 
@@ -121,6 +125,23 @@ def value_iteration(
     neighbour values per point and a few in-place array passes into
     preallocated buffers.  Raises ``InconsistencyError`` when ``max_iter``
     sweeps do not reach the bound.
+
+    ``actions_only=True`` may stop earlier, once the greedy actions are
+    certified (MacQueen's test for suboptimal actions, *Operations
+    Research* 15(3), 1967; Puterman, section 6.7).  V* - V lies in
+    [lo, hi]/(1 - beta) for the V a sweep started from, so each Q-gap
+    D = Q1 - Q0 of that sweep is within g (hi - lo) of the gap D* at V*.
+    When min |D| over the grid exceeds g (hi - lo) + beta tol + s, the
+    actions D <= 0 are the signs of D*, and as |D*| > beta tol they are
+    also the actions of every solve run to the span stop, whose Q-gaps are
+    within beta tol of D*.  The rounding slack s = 32 (1 + g) eps M, with
+    eps the machine epsilon and M = max|nu c + C| + max|V|, covers the
+    rounding of the Q-values and of TV - V in this sweep and in a
+    span-stopped one.  The margin min |D| is measured only when
+    g (hi - lo) + beta tol has dropped below the last measured margin.
+    The returned values are then the midpoint at that sweep, and
+    ``residual`` its bound.  Without a certificate the solve runs to the
+    span stop as above.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
@@ -144,6 +165,8 @@ def value_iteration(
     V = np.zeros(grid.n) if start is None else np.array(start, dtype=float)
     V_new = np.empty(grid.n)
     diff = np.empty(grid.n)
+    margin = math.inf
+    actions = None
     for it in range(1, max_iter + 1):
         q = _continuation(V, idx, wts, nbr)
         q *= beta
@@ -155,13 +178,23 @@ def value_iteration(
         V, V_new = V_new, V
         if gain * (hi - lo) < tol:
             break
+        if actions_only and gain * (hi - lo) + beta * tol < margin:
+            # V_new holds the values this sweep started from.
+            scale = float(np.abs(base).max()) + float(np.abs(V_new).max())
+            slack = 32.0 * (1.0 + gain) * np.finfo(float).eps * scale
+            gap = np.subtract(q[1], q[0], out=diff)
+            margin = float(np.abs(gap).min())
+            if margin > gain * (hi - lo) + beta * tol + slack:
+                actions = (gap <= 0.0).astype(np.int64)
+                break
     else:
         raise InconsistencyError(
             f"value iteration did not converge in {max_iter} sweeps"
         )
     V += gain * 0.5 * (hi + lo)
-    cont0, cont1 = _continuation(V, idx, wts, nbr)
-    actions = (w1 + beta * cont1 <= w0 + beta * cont0).astype(np.int64)
+    if actions is None:
+        cont0, cont1 = _continuation(V, idx, wts, nbr)
+        actions = (w1 + beta * cont1 <= w0 + beta * cont0).astype(np.int64)
     return DPSolution(grid, nu, V, actions, it, gain * 0.5 * (hi - lo))
 
 
@@ -451,8 +484,9 @@ def cross_validate(
 
     delta is ten grid cells of index variation, estimated from a local
     finite difference; both DP solutions must be threshold policies.  The
-    lower-price DP starts from the higher-price solution's values, which
-    are close to its own.
+    comparison reads only the DP actions, so both solves stop once their
+    actions are certified (``actions_only``).  The lower-price DP starts
+    from the higher-price solution's values, which are close to its own.
     """
     g = grid or default_grid(params, n=2048)
     rec = whittle_index(IndexQuery(params, cost, beta, x_star))
@@ -465,9 +499,12 @@ def cross_validate(
     lam_lo = whittle_index(IndexQuery(params, cost, beta, max(g.lo, x_star - h))).lam
     slope = abs(lam_hi - lam_lo) / (2.0 * h)
     delta = max(10.0 * cell * slope, 1e-6 * max(1.0, abs(rec.lam)))
-    sol_above = value_iteration(params, cost, beta, rec.lam + delta, g, tol=tol)
+    sol_above = value_iteration(
+        params, cost, beta, rec.lam + delta, g, tol=tol, actions_only=True
+    )
     sol_below = value_iteration(
-        params, cost, beta, rec.lam - delta, g, tol=tol, start=sol_above.values
+        params, cost, beta, rec.lam - delta, g, tol=tol, start=sol_above.values,
+        actions_only=True,
     )
     above = dp_threshold(sol_above)
     below = dp_threshold(sol_below)

@@ -77,7 +77,7 @@ def test_criterion_02_limit_formula():
     t0 = time.perf_counter()
     arm = ArmParams(r=1.0, a0=0.0, a1=1e6)
     for x in (0.25, 0.5, 1.5, 2.5, 3.75):
-        got = index_beta1(arm, costs.linear(), x, 400)
+        got = index_beta1(arm, costs.linear(), x, 400).lam
         want = closed_form_noiseless_limit(x)
         assert abs(got - want) <= 2e-2 * abs(want), (x, got, want)
     _report(2, "discount-to-one limit", t0, 30.0)

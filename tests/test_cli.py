@@ -92,6 +92,28 @@ class TestIndexCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: cost gap") and err.count("\n") == 1
 
+    BETA1 = ["index", "--r", "1", "--a0", "0", "--a1", "1e6", "--grid-lin", "1.5:2.5:2"]
+
+    def test_beta1_limit_prices_the_cost_gap(self, capsys):
+        # The limit denominator is (c1 - c0)/n: tripling the gap divides
+        # lambda by three, in line with the index at beta just below 1.
+        rows = {}
+        for c1, beta in (("1", "1"), ("3", "1"), ("3", "0.999")):
+            code, out, _ = run(self.BETA1 + ["--c1", c1, "--beta", beta], capsys)
+            assert code == 0
+            rows[c1, beta] = [line.split(",") for line in out.splitlines()[1:]]
+        for unit, tripled, near in zip(rows["1", "1"], rows["3", "1"], rows["3", "0.999"]):
+            assert float(tripled[1]) == pytest.approx(float(unit[1]) / 3.0, rel=1e-15)
+            assert float(tripled[3]) == pytest.approx(3.0 * float(unit[3]), rel=1e-15)
+            assert tripled[4:] == unit[4:]
+            assert abs(float(tripled[1]) - float(near[1])) < 5e-3 * float(near[1])
+        assert rows["3", "1"][1][1] == "2.6666653333340067"
+
+    def test_beta1_equal_costs_exit_1(self, capsys):
+        code, out, err = run(self.BETA1 + ["--c0", "1", "--c1", "1", "--beta", "1"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cost gap") and err.count("\n") == 1
+
     @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
     def test_non_finite_power_exponent_exits_1(self, capsys, q):
         code, out, err = run(self.ARGS[:-4] + ["--cost", "power", f"--power-q={q}",
@@ -182,12 +204,13 @@ class TestSimulateCommand:
                                    "power_q": float("nan")}] * 3},
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "cost": "power",
                                    "power_q": "two"}] * 3},
+            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "a1": "two"}] * 2},
         ],
         ids=["list-payload", "int-payload", "int-arms", "object-arms",
              "list-r", "list-cost", "list-beta", "fractional-seed", "fractional-m",
              "fractional-horizon", "fractional-string-horizon", "null-seed",
              "bool-m", "nan-v0", "inf-weight", "inf-x0", "nan-power-q",
-             "string-power-q"],
+             "string-power-q", "string-a1"],
     )
     def test_malformed_scenario_rejected(self, tmp_path, capsys, payload):
         scen = tmp_path / "scenario.json"
@@ -195,6 +218,15 @@ class TestSimulateCommand:
         code, out, err = run(["simulate", "--scenario", str(scen)], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["a1", "power_q", "weight"])
+    def test_non_numeric_arm_field_is_named(self, tmp_path, capsys, field):
+        arm = {**SCENARIO["arms"][0], "cost": "power", "power_q": 0.5}
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({**SCENARIO, "arms": [{**arm, field: "two"}, arm]}))
+        code, out, err = run(["simulate", "--scenario", str(scen)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: arm 0: field '{field}' must be a number, got 'two'\n"
 
     def test_integral_float_fields_accepted(self, tmp_path, capsys):
         scen = tmp_path / "scenario.json"

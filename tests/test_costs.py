@@ -30,6 +30,13 @@ def test_derivative_matches_finite_difference(cost):
     np.testing.assert_allclose(cost.deriv(v), fd, rtol=1e-6)
 
 
+@pytest.mark.parametrize("cost", ALL_KINDS + [costs.linear().scale(2.0).shift(1.0)],
+                         ids=lambda c: c.kind)
+def test_unchecked_eval_gives_the_checked_floats(cost):
+    v = np.random.default_rng(18).uniform(1e-3, 50.0, 300)
+    assert cost.eval_unchecked(v).tobytes() == cost.eval(v).tobytes()
+
+
 def test_condition_c_flags():
     assert costs.linear().condition_c
     assert costs.entropy().condition_c

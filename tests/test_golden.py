@@ -1,5 +1,9 @@
 """Golden outputs: the README's CLI commands, compared byte for byte.
 
+``index.json`` adds an ``index --format json`` job on a small beta = 0.99
+grid (with an uncertified word, so a JSON null): it pins the JSON writer
+that index tables go through.
+
 The files under ``tests/golden/`` were written by the commands below with
 numpy 2.4.6 on x86-64 with AVX-512.  Floats are printed with 17
 significant digits, so a different numpy build or instruction set may
@@ -23,6 +27,10 @@ COMMANDS = {
     "index.csv": [
         "index", "--r", "0.9", "--a0", "0", "--a1", "0.01", "--beta", "0.99",
         "--cost", "linear", "--grid-log", "1e-2:1e2:500",
+    ],
+    "index.json": [
+        "index", "--r", "1", "--a0", "0", "--a1", "0.1", "--beta", "0.99",
+        "--cost", "linear", "--grid-log", "0.5:60:8", "--format", "json",
     ],
     "index_beta1.csv": [
         "index", "--r", "1", "--a0", "0", "--a1", "1e6", "--beta", "1",

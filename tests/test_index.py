@@ -382,6 +382,141 @@ class TestClosedFormTails:
         assert not caplog.records
 
 
+def reference_threshold_sums_batch(par, coef, cost, x, first, T):
+    """The batch kernel before its per-step trims, as the bitwise reference.
+
+    Every step goes through the checked ``cost.eval``, every map step
+    applies the a1 = inf mask, and the knife test and work summand are
+    computed out of place.
+    """
+
+    def step(coef, act, v):
+        r2, a0r2, a0, a1r2, a1, a1_inf = coef
+        den = np.where(act, a1r2, a0r2) * v
+        den += np.where(act, a1, a0)
+        den += 1.0
+        out = r2 * v
+        out += 1.0
+        out /= den
+        return np.where(act & a1_inf, 0.0, out)
+
+    def columns(rows, cols):
+        return tuple(row if row.size == 1 else row[cols] for row in rows)
+
+    knife = np.zeros(x.size, dtype=bool)
+    sums = np.empty((2, x.size))
+    head = np.stack([cost.eval(x), np.where(first, par[1], par[0])])
+    cyc = np.zeros_like(head)
+    v = step(coef, first, x)
+    anchor, k = v, 1
+    live, lpar, lcoef, lknife = np.arange(x.size), par, coef, knife.copy()
+    for t in range(1, T + 1):
+        if t > k:
+            hit = v == anchor
+            if hit.any():
+                ids = live[hit]
+                geo = index_mod._cycle_factor(columns(lpar, hit)[2], t - k)
+                sums[:, ids] = head[:, hit] + geo * cyc[:, hit]
+                knife[ids] = lknife[hit]
+                keep = ~hit
+                live, v, anchor, lknife = live[keep], v[keep], anchor[keep], lknife[keep]
+                head, cyc = head[:, keep], cyc[:, keep]
+                lpar, lcoef = columns(lpar, keep), columns(lcoef, keep)
+                if not live.size:
+                    break
+            if t == 2 * k:
+                head += cyc
+                cyc = np.zeros_like(head)
+                anchor, k = v, t
+        c0, c1, beta, s, tol = lpar
+        lknife |= np.abs(v - s) <= tol
+        act = v >= s
+        disc = beta**t
+        cyc[0] += disc * cost.eval(v)
+        cyc[1] += disc * np.where(act, c1, c0)
+        v = step(lcoef, act, v)
+    knife[live] = lknife
+    sums[:, live] = head + cyc
+    return sums[0], sums[1], knife, live.size
+
+
+class TestBatchKernelMatchesReference:
+    """The trimmed batch kernel gives the reference kernel's sums, knife
+    flags and capped counts bit for bit, and the same domain errors."""
+
+    ADMISSIBLE = (
+        costs.linear(), costs.entropy(), costs.neg_precision(), costs.power(0.5),
+        costs.power(2.0), costs.ratio_demo(), costs.bounded_demo(),
+    )
+
+    @staticmethod
+    def batch(rng, cost, per_orbit):
+        """A random batch: per-orbit rows, or one arm shared by all orbits.
+
+        Includes a0 = 0, r = 1 with an infinite threshold (never repeats),
+        a start tying the threshold and, where the cost is defined at 0,
+        a1 = inf.
+        """
+        n = 48
+        size = n if per_orbit else 1
+        r = rng.uniform(0.3, 1.0, size)
+        a0 = np.where(rng.random(size) < 0.3, 0.0, rng.uniform(0.0, 0.5, size))
+        a1 = a0 + rng.uniform(0.05, 3.0, size)
+        s = rng.uniform(0.05, 8.0, size)
+        beta = rng.choice([0.0, 0.5, 0.9, 0.99], size)
+        x = rng.uniform(0.05, 8.0, n)
+        if per_orbit:
+            a0[::5] = 0.0
+            if not cost.positive_only:
+                a1[::7] = math.inf
+            s[::11] = math.inf
+            r[3], a0[3], s[3] = 1.0, 0.0, math.inf
+            knife_arm = ArmParams(r=0.8, a0=0.1, a1=1.0)
+            r[4], a0[4], a1[4] = knife_arm.r, knife_arm.a0, knife_arm.a1
+            x[4] = s[4] = y1(knife_arm)
+        elif not cost.positive_only and rng.random() < 0.5:
+            a1[0] = math.inf
+        tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
+        c0 = np.full(size, 0.2)
+        c1 = np.ones(size)
+        par = (c0, c1, beta, s, tol)
+        return par, batch_coefficients(r * r, a0, a1), x, rng.random(n) < 0.5
+
+    @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal(self, cost, seed):
+        rng = np.random.default_rng([71, seed])
+        par, coef, x, first = self.batch(rng, cost, per_orbit=seed % 2 == 1)
+        T = 3000
+        got = _threshold_sums_batch(par, coef, cost, x, first, T)
+        want = reference_threshold_sums_batch(par, coef, cost, x, first, T)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.tobytes() == w.tobytes()
+        assert got[3] == want[3]
+
+    def test_noiseless_entropy_raises_the_domain_error(self):
+        # With a1 = inf an active step reaches variance 0, where entropy is
+        # undefined: every step stays checked, with the same message.
+        p = ArmParams(r=0.9, a0=0.0, a1=math.inf)
+        xs = np.geomspace(0.5, 5.0, 6)
+        with pytest.raises(costs.CostDomainError) as info:
+            marginal_sums_batch(
+                p.r, p.a0, p.a1, p.c0, p.c1, 0.9, costs.entropy(), xs, xs, 100
+            )
+        assert str(info.value) == (
+            "cost 'entropy' undefined at v = 0.0 (domain is (0, inf))"
+        )
+
+    def test_overflowing_denominator_stays_checked(self):
+        # a1 r^2 v overflows, so the active image is 0 although a1 is finite.
+        p = ArmParams(r=1.0, a0=0.0, a1=1e308)
+        xs = np.array([1.0, 2.0])
+        with np.errstate(over="ignore"), pytest.raises(costs.CostDomainError):
+            marginal_sums_batch(
+                p.r, p.a0, p.a1, p.c0, p.c1, 0.9, costs.power(0.5), xs, xs, 100
+            )
+
+
 class TestWhittleIndex:
     def test_constant_cost_zero(self):
         p = ArmParams(r=0.9, a0=0.0, a1=1.0)
@@ -536,19 +671,31 @@ class TestClosedForm:
 class TestIndexBeta1:
     def test_constant_cost_zero(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
-        assert index_beta1(p, costs.constant(2.0), 0.5, 100) == pytest.approx(
+        assert index_beta1(p, costs.constant(2.0), 0.5, 100).lam == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_limit_example(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
-        got = index_beta1(p, costs.linear(), 0.5, 400)
+        got = index_beta1(p, costs.linear(), 0.5, 400).lam
         assert got == pytest.approx(2.0, rel=2e-2)
 
     def test_period_bookkeeping(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
         tw = threshold_word(p, 0.5, 16)
         assert tw.periodic and len(tw.word) == 2  # denominator limit 1/2
+
+    def test_record_carries_word_and_cost_gap(self):
+        # The limit denominator is (c1 - c0)/n, so the gap divides lambda.
+        p = ArmParams(r=1.0, a0=0.0, a1=1e6)
+        unit = index_beta1(p, costs.linear(), 0.5, 400)
+        priced = index_beta1(p.with_costs(0.5, 3.0), costs.linear(), 0.5, 400)
+        assert unit.word == threshold_word(p, 0.5, 256).word and unit.periodic
+        assert unit.denominator == 0.5 and priced.denominator == 1.25
+        assert priced.lam == pytest.approx(unit.lam / 2.5, rel=1e-15)
+        assert priced.numerator == pytest.approx(priced.lam * priced.denominator)
+        with pytest.raises(ArithmeticError, match="cost gap"):
+            index_beta1(p.with_costs(1.0, 1.0), costs.linear(), 0.5, 400)
 
     def test_uncertified_period_raises(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1.0)
@@ -635,7 +782,7 @@ class TestCrossRoutes:
     def test_beta1_limit_approached_by_high_beta(self):
         arm = ArmParams(r=1.0, a0=0.0, a1=1e6)
         for x in (0.5, 1.5, 2.5):
-            lim = index_beta1(arm, costs.linear(), x, 400)
+            lim = index_beta1(arm, costs.linear(), x, 400).lam
             hi = whittle_index(
                 IndexQuery(arm, costs.linear(), 0.999, x), word_max_len=1
             ).lam

@@ -239,6 +239,87 @@ class TestSweepMatchesReference:
             assert_matches_reference(p, costs.linear(), beta, nu, grid)
 
 
+class TestCertifiedActions:
+    """``actions_only`` stops once MacQueen's bounds certify the greedy
+    actions: the same actions as the span-stopped solve, in no more sweeps."""
+
+    ADMISSIBLE = (
+        costs.linear(), costs.entropy(), costs.neg_precision(), costs.power(0.5)
+    )
+
+    @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
+    @given(
+        r=st.floats(0.4, 0.98),
+        a0=st.floats(0.0, 0.4),
+        gap=st.one_of(st.floats(0.1, 2.0), st.just(math.inf)),
+        beta=st.sampled_from([0.0, 0.5, 0.9, 0.97]),
+        u=st.floats(0.1, 0.9),
+        price=st.floats(-0.3, 0.3),
+        warm=st.sampled_from([None, "zeros", "other_price", "noise"]),
+    )
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_same_actions_in_no_more_sweeps(self, cost, r, a0, gap, beta, u, price, warm):
+        # A noiseless observation (a1 = inf) leaves variance 0, outside the
+        # domain of the costs that are undefined there.
+        assume(math.isfinite(gap) or not cost.positive_only)
+        p = ArmParams(r=r, a0=a0, a1=a0 + gap)
+        g = default_grid(p, n=256)
+        x_star = y1(p) + u * (y0(p) - y1(p))
+        lam = whittle_index(IndexQuery(p, cost, max(beta, 0.1), x_star)).lam
+        nu = lam + price * max(1.0, abs(lam))
+        if warm is None:
+            start = None
+        elif warm == "zeros":
+            start = np.zeros(g.n)
+        elif warm == "other_price":
+            start = value_iteration(p, cost, beta, 1.1 * nu + 0.1, g).values
+        else:
+            start = np.random.default_rng(5).uniform(-5.0, 5.0, g.n)
+        full = value_iteration(p, cost, beta, nu, g, start=start)
+        fast = value_iteration(p, cost, beta, nu, g, start=start, actions_only=True)
+        assert fast.actions.tobytes() == full.actions.tobytes()
+        assert fast.iterations <= full.iterations
+        # Both value arrays are within their certified bounds of V*.
+        scale = 1e-12 * max(1.0, float(np.max(np.abs(full.values))))
+        assert np.max(np.abs(fast.values - full.values)) <= (
+            fast.residual + full.residual + scale
+        )
+        if fast.iterations > 1:
+            with pytest.raises(InconsistencyError, match="did not converge"):
+                value_iteration(
+                    p, cost, beta, nu, g, start=start,
+                    max_iter=fast.iterations - 1, actions_only=True,
+                )
+
+    def test_stops_early_on_a_clear_policy(self):
+        # Far from any tie the actions are certified long before the span
+        # stop; the values returned are the midpoint at that sweep.
+        p = ArmParams(r=0.8, a0=0.1, a1=1.0)
+        g = default_grid(p, n=256)
+        full = value_iteration(p, costs.linear(), 0.95, 0.4, g)
+        fast = value_iteration(p, costs.linear(), 0.95, 0.4, g, actions_only=True)
+        assert fast.iterations < full.iterations // 2
+        assert fast.residual >= 0.5e-9
+        assert fast.actions.tobytes() == full.actions.tobytes()
+        assert np.max(np.abs(fast.values - full.values)) <= fast.residual + 1e-9
+
+    def test_tie_falls_back_to_the_span_stop(self):
+        # A constant cost at price 0 ties both actions at V* (a constant):
+        # no certificate exists, so the solve is the span-stopped one,
+        # float for float.
+        p = ArmParams(r=0.9, a0=0.0, a1=1.0)
+        g = default_grid(p, n=128)
+        start = np.linspace(0.0, 1.0, g.n)
+        full = value_iteration(p, costs.constant(1.0), 0.9, 0.0, g, start=start)
+        fast = value_iteration(
+            p, costs.constant(1.0), 0.9, 0.0, g, start=start, actions_only=True
+        )
+        assert fast.iterations == full.iterations > 10
+        assert fast.residual == full.residual
+        assert fast.values.tobytes() == full.values.tobytes()
+        assert fast.actions.tobytes() == full.actions.tobytes()
+
+
 class TestActionMatrix:
     @pytest.mark.parametrize("a1", [0.8, math.inf])
     def test_matches_scalar_stepping(self, a1):

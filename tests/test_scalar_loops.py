@@ -194,7 +194,7 @@ def reference_index_beta1(params, cost, x, T, word_max_len=256):
     numerator = float(np.sum(c0 - cyc0[offsets] - c1 + cyc1[offsets]))
     t_head = np.arange(n)
     numerator += float(np.sum(t_head * (cyc1 - cyc0))) / n
-    return numerator * n
+    return numerator * n / (params.c1 - params.c0)
 
 
 def reference_whittle_index_word(params, cost, beta, x, word, T):
@@ -387,7 +387,7 @@ class TestIndexLoops:
             with pytest.raises(UncertifiedPeriodError, match=str(exc)):
                 index_beta1(p, cost, x, T)
             return
-        assert_same_floats(index_beta1(p, cost, x, T), ref)
+        assert_same_floats(index_beta1(p, cost, x, T).lam, ref)
 
     @given(data=st.data())
     @SETTINGS
