@@ -51,6 +51,8 @@ def _parse_grid(spec: str, log: bool) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise CliError(f"grid must be lo:hi:n, got {spec!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"grid bounds must be finite, got {spec!r}")
     if not lo < hi or n < 2:
         raise CliError(f"grid needs lo < hi and n >= 2, got {spec!r}")
     if log:

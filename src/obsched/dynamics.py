@@ -19,7 +19,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .words import Word, is_balanced, is_christoffel
+# ``is_balanced`` is unused here but stays a module attribute:
+# perfbench/layers.py wraps ``dynamics.is_balanced`` by name.
+from .words import Word, is_balanced, is_christoffel  # noqa: F401
 
 # States within this scaled distance of a threshold are knife-edge: the
 # action decision is precision-sensitive and callers should be told.
@@ -417,10 +419,14 @@ def orbit(p: ArmParams, x: float, a: int, s: float, T: int) -> Orbit:
 def itinerary(p: ArmParams, x: float, z: float, n: int) -> Word:
     """First n letters of the itinerary of the map-with-a-gap at threshold z.
 
-    x_1 = x, sigma_t = 1{x_t >= z}, x_{t+1} = phi_{sigma_t}(x_t).
+    x_1 = x, sigma_t = 1{x_t >= z}, x_{t+1} = phi_{sigma_t}(x_t).  x must
+    be finite; z = -inf and z = inf give the all-active and all-passive
+    itineraries.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if not math.isfinite(x) or math.isnan(z):
+        raise ValueError(f"need a finite x and a non-NaN z, got x={x}, z={z}")
     step = scalar_map(p)
     letters = []
     v = float(x)
@@ -438,30 +444,57 @@ class ThresholdWord:
     knife_edge: bool
 
 
-def threshold_word(
-    p: ArmParams,
-    x: float,
-    max_len: int,
-    state_tol: float = 1e-9,
-) -> ThresholdWord:
+def threshold_walk(
+    step: Callable[[int, float], float], v: float, s: float, cap: int
+) -> tuple[list[float], bytearray, int, bool]:
+    """The s-threshold orbit from v until its first exact repeat, at most cap states.
+
+    ``step`` is a :func:`scalar_map` stepper and v the state after a forced
+    first action; from v on each action is 1{state >= s}.  Returns the
+    states, their actions (one byte each), the cycle start k and whether a
+    state ties s within :func:`knife_edge_tol`.  The states stop before the
+    first state that equals, bit for bit, an earlier one, states[k]: the
+    orbit is periodic from k with period len(states) - k, forever.  Without
+    a repeat within cap states, k = len(states) = cap.
+    """
+    v, s = float(v), float(s)
+    tol = knife_edge_tol(s)
+    states: list[float] = []
+    acts = bytearray()
+    seen: dict[float, int] = {}
+    knife = False
+    for i in range(cap):
+        if abs(v - s) <= tol:
+            knife = True
+        k = seen.setdefault(v, i)
+        if k < i:
+            return states, acts, k, knife
+        states.append(v)
+        b = v >= s
+        acts.append(b)
+        v = step(b, v)
+    return states, acts, cap, knife
+
+
+def threshold_word(p: ArmParams, x: float, max_len: int) -> ThresholdWord:
     """Shortest word generating the x-threshold orbit, with periodicity certificate.
 
     The orbit starts at x_1 = phi_1(x) and thereafter applies phi_1 exactly
-    when the state is >= x.  A period is certified only when the action
-    sequence is exactly periodic over the whole observed window, the state
-    recurs within ``state_tol`` relative tolerance after one full period
-    late in the orbit, and the candidate word is a balanced Christoffel
-    word.  Uncertified periodicity is reported, never guessed.
-
-    The window is 3 max_len + 8 states.  After the first step, a
-    :func:`phi1` call, the orbit is stepped on Python floats by
-    :func:`scalar_map` (bitwise the states of :func:`phi`); the knife-edge
-    tolerance is computed once, and states and actions are kept in a list
-    and a byte string.
+    when the state is >= x.  It is walked by :func:`threshold_walk` to its
+    first exact repeat of a state, at most 16 max_len states.  With period
+    n there, the word is certified when the actions from x_1 on are
+    exactly q-periodic for the least q <= max_len dividing n, and their
+    first q letters form a Christoffel word.  The repeat makes the
+    periodicity exact for the computed orbit forever, so no tolerance is
+    involved.  Otherwise the result is uncertified and carries the orbit's
+    first max_len actions; uncertified periodicity is reported, never
+    guessed.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     # At the fixed points of the pure maps the orbit converges onto the
     # threshold itself, so the letter decision is float-noise; the one-sided
     # words of the closed boundary intervals apply there.
@@ -473,29 +506,20 @@ def threshold_word(
     knife = abs(x - v_passive) <= knife_edge_tol(v_passive)
     if math.isfinite(v_passive) and (knife or x > v_passive):
         return ThresholdWord(Word("0"), True, knife)
-    n_steps = 3 * max_len + 8
-    step = scalar_map(p)
-    tol = knife_edge_tol(x)
-    states = []
-    # One byte per action, so each period test is one bytes comparison.
-    acts = bytearray()
-    v = phi1(p, x)
-    knife = False
-    for _ in range(n_steps):
-        if abs(v - x) <= tol:
-            knife = True
-        states.append(v)
-        b = v >= x
-        acts.append(b)
-        v = step(b, v)
+    # The first step is a real phi1 call: perfbench/layers.py counts the
+    # calls of ``dynamics.phi1`` by name.
+    _, acts, k, knife = threshold_walk(scalar_map(p), phi1(p, x), x, 16 * max_len)
     acts = bytes(acts)
-    for q in range(1, max_len + 1):
-        if acts[q:] != acts[:-q]:
-            continue
-        k = n_steps - q - 1
-        if abs(states[k + q] - states[k]) > state_tol * (1.0 + abs(states[k])):
-            continue
-        w = Word(acts[:q])
-        if is_balanced(w) and is_christoffel(w):
-            return ThresholdWord(w, True, knife)
+    n = len(acts) - k
+    for q in range(1, min(n, max_len) + 1):
+        # The walk holds a whole cycle, so with q dividing n a q-periodic
+        # walk extends to a q-periodic orbit.
+        if n % q == 0 and acts[q:] == acts[:-q]:
+            w = Word(acts[:q])
+            if is_christoffel(w):
+                return ThresholdWord(w, True, knife)
+            break
+    # Only a repeating walk can be shorter than max_len (its cap is longer).
+    while len(acts) < max_len:
+        acts += acts[k:]
     return ThresholdWord(Word(acts[:max_len]), False, knife)

@@ -6,10 +6,10 @@ forced-first-action variants of the x-threshold policy, both sums taken
 to the infinite horizon.  Threshold orbits are eventually periodic: once
 an orbit repeats a state bit for bit, the rest of its sum is the cycle's
 sum times 1 / (1 - beta^n), in closed form.  Orbits that do not repeat
-within the step cap T of :func:`truncation_horizon` (or that tie the
-threshold) are truncated there.  Also: closed forms for the noiseless
-case, the discount-to-one limit, Q-values of threshold policies, and grid
-tabulation with monotonicity accounting.
+within the step cap T of :func:`truncation_horizon` are truncated there.
+Also: closed forms for the noiseless case, the discount-to-one limit,
+Q-values of threshold policies, and grid tabulation with monotonicity
+accounting.
 """
 
 from __future__ import annotations
@@ -21,21 +21,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costs import CostFn
-# ``phi`` is unused here but stays a module attribute: perfbench/layers.py
-# wraps ``index.phi`` by name in its traced pass.
+# ``phi`` and ``is_balanced`` are unused here but stay module attributes:
+# perfbench/layers.py wraps ``index.phi`` and ``index.is_balanced`` by name
+# in its traced pass.
 from .dynamics import (  # noqa: F401
     KNIFE_EDGE_TOL,
     ArmParams,
     InconsistencyError,
     ThresholdWord,
     batch_coefficients,
-    knife_edge_tol,
     phi,
     phi_batch,
     scalar_map,
+    threshold_walk,
     threshold_word,
 )
-from .words import Word, is_balanced
+from .words import Word, is_balanced  # noqa: F401
 
 MAX_TRUNCATION_STEPS = 5_000_000
 
@@ -59,7 +60,7 @@ def truncation_horizon(beta: float) -> int:
     """Step cap T with beta^T <= 1e-12, capped; one term suffices at beta = 0.
 
     Orbits that repeat within T steps are summed to infinity; the cap
-    truncates only the orbits that never repeat or that tie the threshold.
+    truncates only the orbits that never repeat.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
@@ -101,28 +102,6 @@ class IndexRecord:
     knife_edge: bool
 
 
-def _knife_branch(p: ArmParams, s: float, v: float, recent: list[int]) -> int:
-    """Resolve a threshold tie: keep the branch whose short continuation is balanced.
-
-    Each branch takes its action, then follows the threshold rule for three
-    more steps; the branch whose recent action window stays 1-balanced wins,
-    with the active (>=) convention breaking residual ties.
-    """
-    step = scalar_map(p)
-    windows = {}
-    for first in (1, 0):
-        acts = [first]
-        u = step(first, v)
-        for _ in range(3):
-            b = int(u >= s)
-            acts.append(b)
-            u = step(b, u)
-        windows[first] = is_balanced(Word(recent[-16:] + acts))
-    if windows[1] == windows[0]:
-        return 1
-    return 1 if windows[1] else 0
-
-
 def _cycle_factor(beta, n):
     """1 + beta^n + beta^2n + ... = 1 / (1 - beta^n), the weight of an n-step cycle.
 
@@ -152,44 +131,30 @@ def _orbit_terms(
     summands lets callers difference two orbits with one ``math.fsum``
     before any large partial sum is rounded.
 
-    Threshold ties within the knife-edge tolerance are resolved by
-    :func:`_knife_branch` and flagged; that rule reads the action history,
-    so after a tie the orbit is stepped all the way to T and truncated.
-    The orbit is stepped on Python floats by :func:`scalar_map` (bitwise
-    the states of ``phi``) and kept in lists; the tolerance is computed
-    once, and the cost is evaluated once, on the array of visited states.
+    The orbit is walked by :func:`threshold_walk`, so actions follow
+    plain >= comparisons and threshold ties within the knife-edge
+    tolerance are only flagged; the cost is evaluated once, on the array
+    of visited states.
     """
     step = scalar_map(p)
-    tol = knife_edge_tol(s)
-    knife = False
-    states = [float(x)]
-    acts = [first_action]
-    seen: dict[float, int] = {}
-    v = step(first_action, states[0])
-    for t in range(1, T + 1):
-        if abs(v - s) <= tol:
-            knife = True
-            act = _knife_branch(p, s, v, acts)
-        else:
-            if not knife:
-                k = seen.setdefault(v, t)
-                if k < t:
-                    break
-            act = int(v >= s)
-        states.append(v)
-        acts.append(act)
-        v = step(act, v)
-    else:
-        k = t = T + 1
+    x = float(x)
+    states, acts, k, knife = threshold_walk(step, step(first_action, x), s, T)
+    n = len(states) - k
+    if not n:
         _debug(
             "orbit from x=%r (first action %d, threshold %r) reached T=%d"
-            " with no repeat%s", x, first_action, s, T,
-            " after a knife-edge tie" if knife else "",
+            " with no repeat", x, first_action, s, T,
         )
-    disc = beta ** np.arange(t, dtype=float)
-    terms = disc * np.stack([cost.eval(np.array(states)), np.where(acts, p.c1, p.c0)])
-    if k < t:
-        terms[:, k:] *= _cycle_factor(beta, t - k)
+    # Summand t is step t of the orbit: the forced first action, then the
+    # walk, whose cycle starts at step k + 1.
+    acts.insert(0, bool(first_action))
+    disc = beta ** np.arange(len(states) + 1, dtype=float)
+    terms = disc * np.stack([
+        cost.eval(np.array([x] + states)),
+        np.where(np.frombuffer(acts, dtype=np.uint8), p.c1, p.c0),
+    ])
+    if n:
+        terms[:, k + 1:] *= _cycle_factor(beta, n)
     return terms[0], terms[1], knife
 
 
@@ -400,10 +365,10 @@ def marginal_sums_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Marginal cost, marginal work, knife-edge flags; everything broadcasts.
 
-    Plain >= comparisons decide actions here; points that ever tie a
-    threshold are flagged so scalar re-evaluation can arbitrate.  Each sum
-    is taken to infinity in closed form once its orbit repeats a state
-    exactly, and truncated at T when it does not repeat by then.  Both
+    Plain >= comparisons decide actions here, as in the scalar kernel;
+    points that ever tie a threshold are flagged.  Each sum is taken to
+    infinity in closed form once its orbit repeats a state exactly, and
+    truncated at T when it does not repeat by then.  Both
     forced first actions step as one batch of 2n orbits (see
     :func:`_threshold_sums_batch`): orbits [0, n) start passive and orbits
     [n, 2n) start active.
@@ -537,10 +502,12 @@ def index_table(
 ) -> IndexTable:
     """Tabulate the index over an ascending state grid.
 
-    Knife-edge points are re-evaluated through the scalar branch-resolving
-    path.  Decreases of lambda beyond 1e-9 plus the slack of orbits
-    truncated at the step cap are counted as monotonicity violations
-    (admissible costs must produce none).
+    Every record comes from :func:`marginal_sums_batch`, with its
+    knife-edge flag; with ``words`` each point also gets its certified
+    :func:`threshold_word` (None when uncertified).  Decreases of lambda
+    beyond 1e-9 plus the slack of orbits truncated at the step cap are
+    counted as monotonicity violations (admissible costs must produce
+    none).
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or len(xs) == 0:
@@ -556,26 +523,20 @@ def index_table(
     lam = num / den
     records: list[IndexRecord] = []
     for i, x in enumerate(xs):
-        if knife[i]:
-            rec = whittle_index(
-                IndexQuery(p, cost, beta, float(x)), word_max_len=word_max_len
-            )
-        else:
-            word = None
-            periodic = False
-            if words:
-                tw = threshold_word(p, float(x), word_max_len)
-                word, periodic = (tw.word if tw.periodic else None), tw.periodic
-            rec = IndexRecord(
-                x=float(x),
-                lam=float(lam[i]),
-                numerator=float(num[i]),
-                denominator=float(den[i]),
-                word=word,
-                periodic=periodic,
-                knife_edge=False,
-            )
-        records.append(rec)
+        word = None
+        periodic = False
+        if words:
+            tw = threshold_word(p, float(x), word_max_len)
+            word, periodic = (tw.word if tw.periodic else None), tw.periodic
+        records.append(IndexRecord(
+            x=float(x),
+            lam=float(lam[i]),
+            numerator=float(num[i]),
+            denominator=float(den[i]),
+            word=word,
+            periodic=periodic,
+            knife_edge=bool(knife[i]),
+        ))
     slack = _lambda_slack(gap, beta, T, records)
     lams = np.array([rec.lam for rec in records])
     tol = 1e-9 + slack

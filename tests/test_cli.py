@@ -121,8 +121,37 @@ class TestIndexCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: power exponent must be finite")
 
+    @pytest.mark.parametrize("spec", ["1:inf:3", "-inf:1:3", "nan:1:3", "1:nan:3"])
+    def test_non_finite_grid_bound_exits_1(self, capsys, spec):
+        code, out, err = run(self.ARGS[:-2] + [f"--grid-lin={spec}"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: grid bounds must be finite")
+
+    def test_uncertified_words_are_json_null(self, capsys, schema):
+        # Periods 82 and 92 exceed the default max_len of 64.
+        code, out, _ = run(
+            ["index", "--r", "1", "--a0", "0", "--a1", "0.1", "--beta", "0.99",
+             "--grid-log", "90:100:2", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        assert [rec["word"] for rec in payload["records"]] == [None, None]
+        assert '"word": null' in out
+
 
 class TestWordCommand:
+    @pytest.mark.parametrize(
+        "flags", [["--x=nan"], ["--x=inf"], ["--x=-inf"], ["--x=5", "--z=nan"]]
+    )
+    def test_non_finite_state_exits_1(self, capsys, flags):
+        code, out, err = run(
+            ["word", "--r", "1", "--a0", "0", "--a1", "0.1"] + flags, capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: need a finite x")
+
     def test_fig3_itinerary(self, capsys):
         code, out, _ = run(
             ["word", "--r", "1", "--a0", "0", "--a1", "0.1", "--x", "5",

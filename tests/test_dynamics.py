@@ -9,6 +9,7 @@ from obsched import dynamics
 from obsched.dynamics import (
     ArmParams,
     InconsistencyError,
+    ThresholdWord,
     batch_coefficients,
     fixed_point,
     itinerary,
@@ -464,6 +465,45 @@ class TestThresholdWord:
             tw = threshold_word(p, x, len(w) + 2)
             assert tw.periodic and tw.word == w
             done += 1
+
+    def test_long_head_certified(self):
+        # The orbit from x = 60 settles into its cycle only after 432 steps
+        # (period 53), far past max_len; the first exact repeat certifies it.
+        tw = threshold_word(ArmParams(r=1.0, a0=0.0, a1=0.1), 60.0, 64)
+        assert tw == ThresholdWord(Word("0" * 52 + "1"), True, False)
+
+    @pytest.mark.parametrize(
+        "acts, k, word",
+        [
+            ("00101", 0, "00101"),
+            ("01010", 0, None),  # 2-periodic as a walk, but 2 does not divide 5
+            ("0" + "10" * 3, 1, "01"),  # the head continues the period
+            ("11" + "01" * 3, 2, None),  # the head breaks the period
+            ("1" + "01" * 3, 1, None),  # period word 10 is not Christoffel
+            ("0" * 9, 9, None),  # capped without a repeat
+        ],
+    )
+    def test_certificate_reads_the_walk(self, monkeypatch, acts, k, word):
+        # The certificate depends only on the walk's actions and cycle
+        # start: the least period dividing the cycle length must be
+        # Christoffel and cover the head too.
+        walk = ([0.0] * len(acts), bytearray(int(b) for b in acts), k, False)
+        monkeypatch.setattr(dynamics, "threshold_walk", lambda *args: walk)
+        p = ArmParams(r=1.0, a0=0.0, a1=1.0)
+        tw = threshold_word(p, 1.0, 8)
+        assert tw.periodic == (word is not None)
+        assert str(tw.word) == (word or (acts + acts[k:] * 8)[:8])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, x):
+        p = ArmParams(r=1.0, a0=0.0, a1=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            threshold_word(p, x, 8)
+        with pytest.raises(ValueError, match="finite"):
+            itinerary(p, x, 1.0, 8)
+        if math.isnan(x):
+            with pytest.raises(ValueError, match="non-NaN z"):
+                itinerary(p, 1.0, x, 8)
 
     def test_uncertified_reported(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1.0)

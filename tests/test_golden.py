@@ -1,8 +1,10 @@
 """Golden outputs: the README's CLI commands, compared byte for byte.
 
 ``index.json`` adds an ``index --format json`` job on a small beta = 0.99
-grid (with an uncertified word, so a JSON null): it pins the JSON writer
-that index tables go through.
+grid: it pins the JSON writer that index tables go through.  Its last
+point, x = 60, has a certified word whose orbit reaches its cycle only
+after 432 steps; the JSON null of an uncertified word is pinned by
+``test_cli.py::TestIndexCommand::test_uncertified_words_are_json_null``.
 
 The files under ``tests/golden/`` were written by the commands below with
 numpy 2.4.6 on x86-64 with AVX-512.  Floats are printed with 17

@@ -25,7 +25,6 @@ from obsched.dynamics import (
 from obsched.index import (
     IndexQuery,
     UncertifiedPeriodError,
-    _knife_branch,
     _orbit_terms,
     _threshold_sums_batch,
     closed_form_noiseless,
@@ -141,8 +140,8 @@ class TestMarginals:
 def stepped_sums(p, cost, beta, x, s, first, T):
     """Reference orbit sums: every state stepped to T, terms added by fsum.
 
-    Returns (cost sum, work sum, sum of |terms|, knife-edge flag); ties are
-    resolved by the same balanced-continuation rule as the kernel.
+    Returns (cost sum, work sum, sum of |terms|, knife-edge flag); actions
+    follow plain >= comparisons, ties included, as in the kernels.
     """
     v = float(x)
     knife = False
@@ -150,10 +149,8 @@ def stepped_sums(p, cost, beta, x, s, first, T):
     for t in range(T + 1):
         if t == 0:
             act = first
-        elif is_knife_edge(v, s):
-            knife = True
-            act = _knife_branch(p, s, v, acts)
         else:
+            knife = knife or bool(is_knife_edge(v, s))
             act = int(v >= s)
         states.append(v)
         acts.append(act)
@@ -184,16 +181,14 @@ def periodic_sums(p, cost, beta, x, s, first, limit):
     ``phi`` up to the first repeat, at step mu + n, of the state of step
     mu >= 1, then extended periodically to a horizon H with beta^H below
     1e-20; the terms are added by fsum.  Returns (cost sum, work sum, sum
-    of |terms|, mu, n, whether a state before the repeat ties the
-    threshold), or None without a repeat by ``limit``.
+    of |terms|, mu, n), or None without a repeat by ``limit``.
     """
-    states, seen, tied = [float(x)], {}, False
+    states, seen = [float(x)], {}
     v = phi(p, first, float(x))
     for t in range(1, limit + 1):
         if v in seen:
             break
         seen[v] = t
-        tied = tied or bool(is_knife_edge(v, s))
         states.append(v)
         v = phi(p, int(v >= s), v)
     else:
@@ -208,7 +203,7 @@ def periodic_sums(p, cost, beta, x, s, first, limit):
     cterms = disc * cost.eval(vs)
     wterms = disc * np.where(acts, p.c1, p.c0)
     scale = float(np.sum(np.abs(cterms)) + np.sum(np.abs(wterms)))
-    return math.fsum(cterms.tolist()), math.fsum(wterms.tolist()), scale, mu, n, tied
+    return math.fsum(cterms.tolist()), math.fsum(wterms.tolist()), scale, mu, n
 
 
 def expected_sums(p, cost, beta, x, s, first, T, batch=False):
@@ -216,18 +211,17 @@ def expected_sums(p, cost, beta, x, s, first, T, batch=False):
 
     A kernel sums an orbit to infinity once it sees a repeat within T
     steps and truncates it at T otherwise.  The scalar kernel sees the
-    first repeat, at step mu + n, unless a state ties the threshold before
-    it; the batch kernel compares with anchor states retaken at steps 1,
-    2, 4, ..., so it sees the repeat at K + n, K the first power of two
-    >= max(mu, n).
+    first repeat, at step mu + n; the batch kernel compares with anchor
+    states retaken at steps 1, 2, 4, ..., so it sees the repeat at K + n,
+    K the first power of two >= max(mu, n).
     """
     per = periodic_sums(p, cost, beta, x, s, first, T)
     if per is not None:
-        csum, wsum, scale, mu, n, tied = per
+        csum, wsum, scale, mu, n = per
         if batch:
             seen_at = (1 << (max(mu, n) - 1).bit_length()) + n
         else:
-            seen_at = math.inf if tied else mu + n
+            seen_at = mu + n
         if seen_at <= T:
             return csum, wsum, scale
     return stepped_sums(p, cost, beta, x, s, first, T)[:3]
@@ -355,13 +349,17 @@ class TestClosedFormTails:
             for got, want in zip(part[:3], mixed[:3]):
                 assert got.tobytes() == want[cols].tobytes()
 
-    def test_knife_edge_start_falls_back(self):
-        # At the active fixed point every iterate ties the threshold: the
-        # scalar kernel must step to T with the tie rule and keep the flag.
+    def test_knife_edge_start_flagged_and_repeats(self):
+        # At the active fixed point every iterate ties the threshold: both
+        # kernels flag the tie, follow the >= rule through it and sum the
+        # orbit to infinity from its repeat, long before T.
         p = ArmParams(r=0.8, a0=0.1, a1=1.0)
         x = y1(p)
         for beta in (0.5, 0.99):
             assert assert_kernels_match_stepped(p, costs.linear(), beta, x, x, 500)
+            for first in (0, 1):
+                cterms, _, knife = _orbit_terms(p, costs.linear(), beta, x, x, first, 500)
+                assert knife and len(cterms) < 50
 
     def test_fallback_logged_once_per_call(self, caplog):
         p = ArmParams(r=1.0, a0=0.0, a1=1.0)
@@ -596,7 +594,7 @@ class TestWhittleIndex:
 
     def test_knife_edge_flagged_and_resolved(self):
         # Exactly at the active fixed point every iterate ties the threshold;
-        # the balanced-continuation rule must reproduce the all-active word.
+        # the >= rule must reproduce the all-active word.
         p = ArmParams(r=0.8, a0=0.1, a1=1.0)
         x = y1(p)
         rec = whittle_index(IndexQuery(p, costs.linear(), 0.9, x))
@@ -761,10 +759,10 @@ class TestIndexTable:
         with pytest.raises(ValueError):
             index_table(p, costs.linear(), 0.9, np.array([2.0, 1.0]))
 
-    def test_knife_edge_points_reevaluated(self):
+    def test_knife_edge_points_flagged(self):
         # A grid point at the active fixed point ties the threshold forever;
-        # it must come back flagged, via the scalar branch-resolving path,
-        # without breaking monotonicity.
+        # it must come back flagged from the batch sums without breaking
+        # monotonicity.
         p = ArmParams(r=0.8, a0=0.1, a1=1.0)
         grid = np.sort(
             np.unique(np.concatenate([np.geomspace(0.5, 5.0, 20), [y1(p)]]))

@@ -1,10 +1,14 @@
-"""Scalar orbit loops on the bound stepper, checked bit for bit against the old loops.
+"""Scalar orbit loops on the bound stepper, checked bit for bit against reference loops.
 
 ``dynamics.scalar_map`` binds an arm's coefficients once and steps one
-Python float at a time.  The reference functions below are the loops as
-they were written before it: one ``phi`` call per step, knife-edge tests
-through ``is_knife_edge`` and numpy scalar stores.  Every state, summand,
-word and flag must come out identical.
+Python float at a time, and ``dynamics.threshold_walk`` walks a threshold
+orbit to its first exact repeat.  The reference functions below step with
+one ``phi`` call per step, test knife edges through ``is_knife_edge`` and
+keep numpy scalar stores or plain lists; the threshold-word reference
+finds the first repeat with a set and tests periodicity letter by letter.
+Every state, summand, word and flag must come out identical.  Certified
+threshold words are also checked against the fixed-point interval
+theorem, an oracle that shares no code with the orbit walk.
 
 Instances are drawn by derandomized hypothesis.  Many of them start at an
 end of a Christoffel word's fixed-point interval, where the threshold
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obsched import costs
@@ -52,7 +56,6 @@ from obsched.words import (
     central_palindrome,
     christoffel,
     farey,
-    is_balanced,
     is_christoffel,
 )
 
@@ -61,10 +64,11 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 # ---------------------------------------------------------------------------
-# The loops as they were before the stepper.
+# Reference loops: one phi call per step.
 
 
-def reference_threshold_word(p, x, max_len, state_tol=1e-9):
+def reference_threshold_word(p, x, max_len):
+    """The first-repeat certifier: phi steps, a set of seen states, letter tests."""
     if max_len < 1:
         raise ValueError("max_len must be positive")
     v_active = y1(p)
@@ -73,28 +77,29 @@ def reference_threshold_word(p, x, max_len, state_tol=1e-9):
     v_passive = y0(p)
     if math.isfinite(v_passive) and (is_knife_edge(x, v_passive) or x > v_passive):
         return ThresholdWord(Word("0"), True, is_knife_edge(x, v_passive))
-    n_steps = 3 * max_len + 8
-    states = np.empty(n_steps)
-    acts = np.empty(n_steps, dtype=np.int64)
     v = phi1(p, x)
-    knife = False
-    for k in range(n_steps):
-        if is_knife_edge(v, x):
-            knife = True
-        states[k] = v
-        b = int(v >= x)
-        acts[k] = b
-        v = phi(p, b, v)
+    states, acts, seen, knife = [], [], set(), False
+    while len(states) < 16 * max_len and v not in seen:
+        knife = knife or bool(is_knife_edge(v, x))
+        seen.add(v)
+        states.append(v)
+        acts.append(int(v >= x))
+        v = phi(p, acts[-1], v)
+    k = states.index(v) if v in seen else len(states)
+    n = len(states) - k
+
+    def action(i):
+        return acts[i] if i < len(acts) else acts[k + (i - k) % n]
+
     for q in range(1, max_len + 1):
-        if np.any(acts[q:] != acts[:-q]):
-            continue
-        k = n_steps - q - 1
-        if abs(states[k + q] - states[k]) > state_tol * (1.0 + abs(states[k])):
-            continue
-        w = Word(int(b) for b in acts[:q])
-        if is_balanced(w) and is_christoffel(w):
-            return ThresholdWord(w, True, knife)
-    return ThresholdWord(Word(int(b) for b in acts[:max_len]), False, knife)
+        if n % q == 0 and n >= q and all(
+            action(i) == action(i + q) for i in range(len(acts))
+        ):
+            w = Word(acts[:q])
+            if is_christoffel(w):
+                return ThresholdWord(w, True, knife)
+            break
+    return ThresholdWord(Word(action(i) for i in range(max_len)), False, knife)
 
 
 def reference_orbit(p, x, a, s, T):
@@ -123,21 +128,6 @@ def reference_itinerary(p, x, z, n):
     return Word(letters)
 
 
-def reference_knife_branch(p, s, v, recent):
-    windows = {}
-    for first in (1, 0):
-        acts = [first]
-        u = phi(p, first, v)
-        for _ in range(3):
-            b = int(u >= s)
-            acts.append(b)
-            u = phi(p, b, u)
-        windows[first] = is_balanced(Word(recent[-16:] + acts))
-    if windows[1] == windows[0]:
-        return 1
-    return 1 if windows[1] else 0
-
-
 def reference_orbit_terms(p, cost, beta, x, s, first_action, T):
     """The summands, plus the repeat steps k < t (k = t = T + 1 without one)."""
     tol = -1.0 if math.isinf(s) else KNIFE_EDGE_TOL * max(1.0, abs(s))
@@ -147,14 +137,11 @@ def reference_orbit_terms(p, cost, beta, x, s, first_action, T):
     for t in range(T + 1):
         if t == 0:
             act = first_action
-        elif abs(v - s) <= tol:
-            knife = True
-            act = reference_knife_branch(p, s, v, acts)
         else:
-            if not knife:
-                k = seen.setdefault(v, t)
-                if k < t:
-                    break
+            knife = knife or abs(v - s) <= tol
+            k = seen.setdefault(v, t)
+            if k < t:
+                break
             act = int(v >= s)
         states.append(v)
         acts.append(act)
@@ -322,6 +309,29 @@ class TestDynamicsLoops:
             ref = reference_threshold_word(p, x, max_len)
             assert threshold_word(p, x, max_len) == ref
         assert threshold_word(p, np.float64(x), 64) == reference_threshold_word(p, x, 64)
+
+    @given(data=st.data())
+    @SETTINGS
+    def test_threshold_word_in_fixed_point_interval(self, data):
+        # Every certified word w = 0p1 has x in [y_{01p}, y_{10p}]; and x
+        # well inside the interval of a Christoffel word w certifies w.  An
+        # orbit flagged knife-edge came back to x within the knife-edge
+        # tolerance, so x is an interval end only up to that tolerance.
+        p = data.draw(arms())
+        x = data.draw(start(p))
+        for max_len in (8, 64):
+            tw = threshold_word(p, x, max_len)
+            if tw.periodic and len(tw.word) >= 2:
+                pal = tw.word.factor(2, len(tw.word) - 1)
+                lo, hi = fixed_point(p, Word("01") + pal), fixed_point(p, Word("10") + pal)
+                slack = KNIFE_EDGE_TOL * max(1.0, x) if tw.knife_edge else 0.0
+                assert lo - slack <= x <= hi + slack
+        rate = data.draw(st.sampled_from(RATES))
+        lo, hi = word_point(p, rate, "01"), word_point(p, rate, "10")
+        assume(hi - lo > 1e-9 * hi)
+        x = lo + data.draw(st.floats(0.2, 0.8)) * (hi - lo)
+        w = christoffel(rate.numerator, rate.denominator)
+        assert threshold_word(p, x, 64) == ThresholdWord(w, True, False)
 
     @given(data=st.data())
     @SETTINGS
