@@ -31,7 +31,8 @@ from .costs import CostFn, by_name
 # perfbench/layers.py wraps ``bandit.phi`` and ``bandit.phi0`` by name in its
 # traced pass.
 from .dynamics import (  # noqa: F401
-    ArmParams, batch_coefficients, phi, phi0, phi_batch, scalar_map, y0,
+    ArmParams, batch_coefficients, check_denominator, phi, phi0, phi_batch,
+    scalar_map, y0,
 )
 from .index import marginal_sums_batch, truncation_horizon
 
@@ -73,6 +74,12 @@ class Scenario:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        for i, arm in enumerate(self.arms):
+            try:
+                top = _reach_bound(arm.params, arm.v0, self.horizon)
+                check_denominator(arm.params, top)
+            except ValueError as exc:
+                raise ValueError(f"arm {i}: {exc}") from None
 
     @classmethod
     def from_json(cls, payload: dict) -> "Scenario":

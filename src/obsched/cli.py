@@ -21,7 +21,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import bandit, costs, lqg, oracle
-from .dynamics import ArmParams, InconsistencyError, itinerary, threshold_word, y0
+from .dynamics import (
+    ArmParams,
+    InconsistencyError,
+    check_denominator,
+    itinerary,
+    threshold_word,
+    y0,
+)
 from .index import (
     IndexTable,
     UncertifiedPeriodError,
@@ -180,6 +187,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         raise CliError(f"beta must be in [0, 1], got {args.beta}")
     grid = _parse_grid(args.grid_log or args.grid_lin, log=args.grid_log is not None)
     params = _arm_from_args(args)
+    check_denominator(params, grid[-1])
     cost = _cost_from_args(args)
     try:
         if args.beta == 1.0:
@@ -224,6 +232,9 @@ def _cmd_word(args: argparse.Namespace) -> int:
         raise CliError("--len must be positive")
     z = args.x if args.z is None else args.z
     itin = itinerary(params, args.x, z, args.length)
+    # The states stay near max(x, z), except that an itinerary that never
+    # acts (z = inf) climbs by at most 1 a letter.
+    check_denominator(params, max(args.x, min(z, args.x + args.length)))
     tw = threshold_word(params, args.x, args.max_period)
     if args.format == "text":
         status = "periodic" if tw.periodic else "uncertified"
@@ -309,6 +320,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     params = _arm_from_args(args)
     cost = _cost_from_args(args)
     cfg = oracle.PcliConfig(seed=args.seed)
+    # The report's states and thresholds, and the DP grid of the cross-checks.
+    top = y0(params)
+    v_max = oracle.state_bounds(params, cfg)[1]
+    check_denominator(params, max(v_max, 4.0 * top) if math.isfinite(top) else v_max)
     try:
         report = oracle.pcli_report(params, cost, args.beta, cfg)
     except costs.CostDomainError as exc:

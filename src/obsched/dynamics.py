@@ -116,6 +116,24 @@ class ArmParams:
         return replace(self, c0=c0, c1=c1)
 
 
+def check_denominator(p: ArmParams, v_max: float) -> None:
+    """Raise ValueError when a map denominator can overflow on threshold orbits.
+
+    An orbit whose start and threshold are at most v_max stays at or below
+    max(v_max, 1/a1) + 1: a resting step adds at most 1 to a state below
+    the threshold, and an acting step lands below 1/a1.  The largest
+    denominator, a1 r^2 v + a1 + 1, is therefore checked at
+    v = max(v_max, 1) + 1; a1 < 1 cannot overflow below 1/a1 + 1.  An
+    overflowing denominator would turn the state into 0.
+    """
+    v = max(float(v_max), 1.0) + 1.0
+    if math.isfinite(p.a1) and math.isinf(p.a1 * p.r2 * v + p.a1 + 1.0):
+        raise ValueError(
+            f"a1 = {p.a1!r} is too large: the map denominator a1 r^2 v + a1 + 1"
+            f" overflows at v = {v!r}"
+        )
+
+
 def phi(p: ArmParams, action: int, v: FloatArray) -> FloatArray:
     """One-step variance update under the given query action."""
     return phi1(p, v) if action else phi0(p, v)

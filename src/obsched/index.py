@@ -385,9 +385,11 @@ def marginal_sums_batch(
         # A single value is shared by all orbits.
         return tuple(a.reshape(1) if a.size == 1 else per_orbit(a) for a in arrays)
 
+    par = rows(c0, c1, beta, s)
+    s = par[3]
     tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
     cost_sums, work_sums, knife, n_open = _threshold_sums_batch(
-        rows(c0, c1, beta, s, tol),
+        par + (tol,),
         rows(*batch_coefficients(r * r, a0, a1)),
         cost, per_orbit(x), np.arange(2 * n) >= n, T,
     )
@@ -401,13 +403,47 @@ def marginal_sums_batch(
 
 
 def _columns(rows: tuple, cols: np.ndarray) -> tuple:
-    """The entries of each row at the given orbits.
+    """The entries of each row at the given classes.
 
-    A 1-element row is shared by all orbits and returned as it is.  (So is
-    a per-orbit row with one entry left; the kernel stops stepping when
-    that orbit repeats.)
+    A 1-element row is shared by all classes and returned as it is.  (So
+    is a per-class row with one entry left; its value is the same for
+    both halves of a split, and the kernel stops stepping when that class
+    repeats.)
     """
     return tuple(row if row.size == 1 else row[cols] for row in rows)
+
+
+def _classes(x: np.ndarray, first: np.ndarray, rows: tuple, s: np.ndarray):
+    """Group orbits that differ at most in their threshold.
+
+    Orbits share a class when their start, first action and every row of
+    ``rows`` agree bit for bit.  Returns the permutation ``order`` that
+    makes each class contiguous with its thresholds ascending, and the
+    list [lo, hi] of the classes' ranges in it.
+    """
+    n = x.size
+    keys = [
+        a.view(np.int64) if a.dtype == np.float64 else a
+        for a in (np.broadcast_to(a, (n,)) for a in (x, first) + rows if a.size > 1)
+    ]
+    order = np.lexsort([np.broadcast_to(s, (n,))] + keys)
+    start = np.zeros(n, dtype=bool)
+    start[:1] = True
+    for key in keys:
+        key = key[order]
+        start[1:] |= key[1:] != key[:-1]
+    lo = np.flatnonzero(start)
+    # No orbits make no classes.
+    return order, [lo, np.append(lo[1:], n)[:lo.size]]
+
+
+def _share(out: np.ndarray, order: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Copy the column of each class's first orbit in ``out`` to its other orbits.
+
+    The classes are the ranges [lo[j], hi[j]) of ``order``.
+    """
+    for a, b in zip(lo, hi):
+        out[:, order[a + 1:b]] = out[:, order[a], None]
 
 
 def _threshold_sums_batch(
@@ -418,15 +454,35 @@ def _threshold_sums_batch(
     ``par`` holds the rows (c0, c1, beta, s, knife-edge tolerance) and
     ``coef`` the :func:`batch_coefficients` rows, each with one entry per
     start x or a single entry shared by all; ``first`` is the first action
-    of each orbit.  Returns the infinite-horizon sums, the knife-edge flags
-    and the number of orbits stepped to T without a repeat, whose sums are
-    truncated at T.  Repeats are found by Brent's method: each orbit is
-    compared bitwise with an anchor state retaken at t = 1, 2, 4, ...  An
-    orbit back at its anchor state at step t is periodic from the anchor
-    step k with period n = t - k and stops stepping; its sum is the part
-    before k plus the cycle's sum times 1 / (1 - beta^n).  The anchor
-    schedule depends only on t, so each orbit's sums do not depend on the
-    other orbits of the batch.  Memory stays O(len(x)).
+    of each orbit, and the tolerance of a threshold s is
+    ``knife_edge_tol(s)``.  Returns the infinite-horizon sums, the
+    knife-edge flags and the number of orbits stepped to T without a
+    repeat, whose sums are truncated at T.  Repeats are found by Brent's
+    method: each orbit is compared bitwise with an anchor state retaken at
+    t = 1, 2, 4, ...  An orbit back at its anchor state at step t is
+    periodic from the anchor step k with period n = t - k and stops
+    stepping; its sum is the part before k plus the cycle's sum times
+    1 / (1 - beta^n).  The anchor schedule depends only on t, so each
+    orbit's sums do not depend on the other orbits of the batch.  Memory
+    stays O(len(x)).
+
+    Orbits that differ only in their threshold step as classes (see
+    :func:`_classes`).  A class is a range of its group's sorted
+    thresholds whose orbits share one state, one head and cycle sum, one
+    anchor and the step k.  The invariant holds while every member takes
+    the same action, so a class whose state v lies inside its range
+    (first threshold <= v < last) is split before the step: the members
+    s <= v act and keep the row, the members s > v rest in a new row with
+    copies of the state, sums and anchor.  Every member thus sees the
+    float operations of its own orbit, in the same order, and its sums
+    are bitwise those of stepping it alone.  Knife-edge flags stay per
+    member.  A class that does not straddle v ties v only if its member
+    nearest to v does (the last member of an acting class, the first of a
+    resting one): near a tie v - s is exact (Sterbenz), and the tolerances
+    of two thresholds differ by at most 1e-12 times their gap.  Only when the
+    nearest member ties are the members within a few tolerances of v
+    tested one by one.  When every class has one member, as in a batch of
+    distinct starts, the class bookkeeping costs one Python bool per step.
 
     A shared beta is raised to the power t on its 1-element row: numpy's
     power gives the same float there as in a full row, while a Python
@@ -440,48 +496,145 @@ def _threshold_sums_batch(
     finite and no orbit has a1 = inf, the states are evaluated unchecked,
     and otherwise every step is checked.
     """
-    knife = np.zeros(x.size, dtype=bool)
-    sums = np.empty((2, x.size))
+    n = x.size
+    c0, c1, beta, s, tol = par
+    # Per class: its range [lo, hi) of ``order``, which lists the class's
+    # orbits by ascending threshold, and the threshold and tolerance of
+    # its last orbit.  The per-class arrays are replaced one at a time,
+    # which keeps the transient copies small.
+    order, bounds = _classes(x, first, (c0, c1, beta) + tuple(coef), s)
+    s, tol = np.broadcast_to(s, (n,)), np.broadcast_to(tol, (n,))
+    bounds += [s[order[bounds[1] - 1]], tol[order[bounds[1] - 1]]]
+    sums = np.empty((2, n))
+    knife = np.zeros(n, dtype=bool)
+    # Each class steps from the start and first action of its first orbit.
+    rep = order[bounds[0]]
+    lpar, lcoef = _columns((c0, c1, beta), rep), _columns(coef, rep)
     # Summed over t < k, and over k <= t.
-    head = np.stack([cost.eval(x), np.where(first, par[1], par[0])])
+    head = np.stack([cost.eval(x[rep]), np.where(first[rep], lpar[1], lpar[0])])
     den_max = 2.0 * (float(np.max(x, initial=0.0)) + T) * float(coef[3].max())
     den_max += float(coef[4].max()) + 1.0
     positive = den_max < math.inf and not coef[5].any()
     cost_at = cost.eval_unchecked if positive else cost.eval
     cyc = np.zeros_like(head)
-    v = phi_batch(coef, first, x)
+    v = phi_batch(lcoef, first[rep], x[rep])
     anchor, k = v, 1
-    # The orbits still stepping; repeating ones are moved out.
-    live, lpar, lcoef, lknife = np.arange(x.size), par, coef, knife.copy()
+    # The classes with more than one member, whose ties are flagged per
+    # orbit as they happen; those of the others accumulate in lknife.
+    mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
+    lknife = np.zeros(v.size, dtype=bool)
     for t in range(1, T + 1):
         if t > k:
             hit = v == anchor
             if hit.any():
-                ids = live[hit]
                 geo = _cycle_factor(_columns(lpar, hit)[2], t - k)
-                sums[:, ids] = head[:, hit] + geo * cyc[:, hit]
-                knife[ids] = lknife[hit]
+                ids = order[bounds[0][hit]]
+                done = cyc[:, hit]
+                done *= geo
+                done += head[:, hit]
+                sums[:, ids] = done
+                knife[ids] |= lknife[hit]
+                if mrows.size:
+                    rows = mrows[hit[mrows]]
+                    _share(sums, order, bounds[0][rows], bounds[1][rows])
                 keep = ~hit
-                live, v, anchor, lknife = live[keep], v[keep], anchor[keep], lknife[keep]
-                head, cyc = head[:, keep], cyc[:, keep]
+                v, anchor, lknife = v[keep], anchor[keep], lknife[keep]
+                head = head[:, keep]
+                cyc = cyc[:, keep]
                 lpar, lcoef = _columns(lpar, keep), _columns(lcoef, keep)
-                if not live.size:
+                for i, row in enumerate(bounds):
+                    bounds[i] = row[keep]
+                if mrows.size:
+                    mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
+                if not v.size:
                     break
             if t == 2 * k:
                 head += cyc
                 cyc = np.zeros_like(head)
                 anchor, k = v, t
-        c0, c1, beta, s, tol = lpar
-        off = np.subtract(v, s)
-        lknife |= np.abs(off, out=off) <= tol
-        act = v >= s
+        off = np.subtract(v, bounds[2])
+        tie = np.abs(off, out=off) <= bounds[3]
+        act = v >= bounds[2]
+        if mrows.size:
+            low = s[order[bounds[0][mrows]]]
+            split = mrows[(v[mrows] >= low) & ~act[mrows]]
+            if split.size:
+                _split(order, s, tol, bounds, split, v[split])
+                v = _append(v, split)
+                anchor = _append(anchor, split)
+                lknife = _append(lknife, split)
+                head = _append(head, split)
+                cyc = _append(cyc, split)
+                lpar, lcoef = (
+                    tuple(row if row.size == 1 else _append(row, split) for row in rows)
+                    for rows in (lpar, lcoef)
+                )
+                mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
+                off = np.subtract(v, bounds[2])
+                tie = np.abs(off, out=off) <= bounds[3]
+                act = v >= bounds[2]
+            # The member nearest to the state of a resting class is its first.
+            rest = mrows[~act[mrows]]
+            near = order[bounds[0][rest]]
+            tie[rest] = np.abs(v[rest] - s[near]) <= tol[near]
+            ties = mrows[tie[mrows]]
+            if ties.size:
+                _flag_ties(knife, order, s, tol, bounds[0][ties], bounds[1][ties], v[ties])
+                tie[ties] = False
+        lknife |= tie
+        c0, c1, beta = lpar
         disc = beta**t
         cyc[0] += disc * cost_at(v)
         cyc[1] += np.where(act, disc * c1, disc * c0)
         v = phi_batch(lcoef, act, v)
-    knife[live] = lknife
-    sums[:, live] = head + cyc
-    return sums[0], sums[1], knife, live.size
+    ids = order[bounds[0]]
+    head += cyc
+    sums[:, ids] = head
+    knife[ids] |= lknife
+    _share(sums, order, bounds[0][mrows], bounds[1][mrows])
+    return sums[0], sums[1], knife, int(np.sum(bounds[1] - bounds[0]))
+
+
+def _append(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``a`` with copies of its columns ``cols`` appended."""
+    return np.concatenate([a, a[..., cols]], axis=-1)
+
+
+def _split(
+    order: np.ndarray, s: np.ndarray, tol: np.ndarray,
+    bounds: list, rows: np.ndarray, v: np.ndarray,
+) -> None:
+    """Split the classes at ``rows`` at their states v, updating ``bounds``.
+
+    The members with threshold s <= v stay in their row; the others form
+    a new class, appended in the order of ``rows``.
+    """
+    cut = np.array([
+        a + np.searchsorted(s[order[a:b]], u, "right")
+        for a, b, u in zip(bounds[0][rows], bounds[1][rows], v)
+    ])
+    bounds[0] = np.concatenate([bounds[0], cut])
+    last = order[cut - 1]
+    for i, at_cut in ((1, cut), (2, s[last]), (3, tol[last])):
+        bounds[i] = _append(bounds[i], rows)
+        bounds[i][rows] = at_cut
+
+
+def _flag_ties(
+    knife: np.ndarray, order: np.ndarray, s: np.ndarray, tol: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray, v: np.ndarray,
+) -> None:
+    """Flag the orbits of the classes [lo, hi) whose threshold ties the class state v.
+
+    The orbits whose threshold lies within 4 knife-edge tolerances of v
+    are tested.
+    """
+    for a, b, u in zip(lo, hi, v):
+        members = order[a:b]
+        w = 4.0 * KNIFE_EDGE_TOL * max(1.0, abs(u))
+        thr = s[members]
+        i, j = np.searchsorted(thr, u - w, "left"), np.searchsorted(thr, u + w, "right")
+        knife[members[i:j]] |= np.abs(u - thr[i:j]) <= tol[members[i:j]]
 
 
 @dataclass(frozen=True)

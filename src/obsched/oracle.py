@@ -336,7 +336,10 @@ def pcli_report(
     monotonicity and a sampled continuity modulus of the index, growth of
     the discontinuity count of finite itineraries in the threshold, and
     spot checks of the discrete-measure identity relating marginal cost to
-    index-weighted marginal-work jumps.
+    index-weighted marginal-work jumps.  All random draws come first, and
+    the marginal sums of every section come from one
+    :func:`marginal_sums_batch` call; each orbit's sums do not depend on
+    the rest of the batch.
     """
     cfg = config or PcliConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -347,11 +350,30 @@ def pcli_report(
     report: dict = {"params": {"r": p.r, "a0": p.a0, "a1": p.a1, "beta": beta,
                                "cost": cost.kind, "condition_c": cost.condition_c}}
 
-    # PCLI1: marginal work at s = x stays above its discounted lower bound.
+    # Every orbit of the report steps in one batch: the PCLI1 samples and
+    # the PCLI2 grid at s = x, then for each PCLI3 interval a threshold
+    # sweep at s = x (its index) and one at x = x_probe (its marginals).
     xs = rng.uniform(lo, hi, cfg.work_samples)
-    _, work, _ = marginal_sums_batch(
-        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, xs, xs, T
+    grid = np.geomspace(lo, hi, cfg.lambda_points)
+    x_probe = float(rng.uniform(lo, hi))
+    intervals = []
+    segments = [(xs, xs), (grid, grid)]
+    for _ in range(cfg.pcli3_intervals):
+        a_s, b_s = np.sort(rng.uniform(lo, hi, 2))
+        if b_s - a_s < 0.05 * (hi - lo):
+            b_s = min(hi, a_s + 0.05 * (hi - lo))
+        intervals.append((a_s, b_s))
+        svals = np.linspace(a_s, b_s, cfg.sweep_points)
+        segments += [(svals, svals), (np.full_like(svals, x_probe), svals)]
+    x_all, s_all = (np.concatenate(parts) for parts in zip(*segments))
+    num, den, _ = marginal_sums_batch(
+        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, x_all, s_all, T
     )
+    cuts = np.cumsum([len(s) for _, s in segments])[:-1]
+    num, den = np.split(num, cuts), np.split(den, cuts)
+
+    # PCLI1: marginal work at s = x stays above its discounted lower bound.
+    work = den[0]
     slack = gap * beta ** (T + 1) / max(1e-300, 1.0 - beta)
     bound = (1.0 - beta) * gap - slack
     margin = float(np.min(work - bound))
@@ -363,11 +385,7 @@ def pcli_report(
     }
 
     # PCLI2: non-decreasing index and a sampled continuity modulus.
-    grid = np.geomspace(lo, hi, cfg.lambda_points)
-    num, den, _ = marginal_sums_batch(
-        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, grid, grid, T
-    )
-    lam = num / den
+    lam = num[1] / den[1]
     dlam = np.diff(lam)
     tol = 1e-9 + beta ** (T + 1) / (1.0 - beta) if beta > 0 else 1e-9
     violations = int(np.sum(dlam < -tol))
@@ -382,13 +400,12 @@ def pcli_report(
     }
 
     # Piecewise constancy: discontinuities of s -> actions grow polynomially.
-    x_probe = float(rng.uniform(lo, hi))
+    # A length-t itinerary changes between neighbouring thresholds when any
+    # of the first t rows of one long action matrix does.
     sweep = np.linspace(lo, hi, cfg.sweep_points)
-    counts = []
-    for t_len in cfg.itinerary_lengths:
-        acts = _action_matrix(p, x_probe, sweep, t_len)
-        changed = np.any(acts[:, 1:] != acts[:, :-1], axis=0)
-        counts.append(int(np.sum(changed)))
+    acts = _action_matrix(p, x_probe, sweep, max(cfg.itinerary_lengths))
+    changed = np.logical_or.accumulate(acts[:, 1:] != acts[:, :-1], axis=0)
+    counts = [int(np.sum(changed[t_len - 1])) for t_len in cfg.itinerary_lengths]
     tlog = np.log(np.asarray(cfg.itinerary_lengths, dtype=float))
     clog = np.log(np.maximum(1.0, np.asarray(counts, dtype=float)))
     slope = float(np.polyfit(tlog, clog, 1)[0])
@@ -401,16 +418,9 @@ def pcli_report(
 
     # PCLI3: c_x(b) - c_x(a) equals the index-weighted sum of work jumps.
     checks = []
-    for _ in range(cfg.pcli3_intervals):
-        a_s, b_s = np.sort(rng.uniform(lo, hi, 2))
-        if b_s - a_s < 0.05 * (hi - lo):
-            b_s = min(hi, a_s + 0.05 * (hi - lo))
-        svals = np.linspace(a_s, b_s, cfg.sweep_points)
-        x_arr = np.full_like(svals, x_probe)
-        mcost, mwork, _ = marginal_sums_batch(
-            p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, x_arr, svals, T
-        )
-        lam_s = _lambda_on(p, cost, beta, svals, T)
+    for i, (a_s, b_s) in enumerate(intervals):
+        lam_s = num[2 + 2 * i] / den[2 + 2 * i]
+        mcost, mwork = num[3 + 2 * i], den[3 + 2 * i]
         dw = np.diff(mwork)
         lhs = float(mcost[-1] - mcost[0])
         rhs = float(np.sum(lam_s[:-1] * dw))
@@ -433,15 +443,6 @@ def pcli_report(
         and report["pcli3"]["ok"]
     )
     return report
-
-
-def _lambda_on(
-    p: ArmParams, cost: CostFn, beta: float, xs: np.ndarray, T: int
-) -> np.ndarray:
-    num, den, _ = marginal_sums_batch(
-        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, xs, xs, T
-    )
-    return num / den
 
 
 def _action_matrix(

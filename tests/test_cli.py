@@ -2,6 +2,7 @@
 
 import functools
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -409,3 +410,55 @@ class TestVerifyCommand:
         jsonschema.validate(payload, schema)
         assert payload["cross_validation"] == []
         assert payload["ok"]
+
+
+class TestOverflowingActivePrecision:
+    """A finite a1 whose map denominator a1 r^2 v + a1 + 1 overflows on a
+    command's states exits 1 with one error line and no numpy warning."""
+
+    ARM = ["--r", "1", "--a0", "0", "--a1", "1e308"]
+
+    @staticmethod
+    def run_quietly(args, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(args, capsys)
+        assert not caught
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["index", *ARM, "--cost", "linear", "--beta", "0.9", "--grid-lin", "1:2:2"],
+            ["index", *ARM, "--cost", "entropy", "--beta", "0.9", "--grid-lin", "1:2:2"],
+            ["index", *ARM, "--beta", "1", "--grid-lin", "1:2:2"],
+            ["word", *ARM, "--x", "1.5"],
+            ["word", *ARM, "--x", "0.5", "--z", "inf"],
+            ["verify", "--r", "0.9", "--a0", "0", "--a1", "1e308", "--beta", "0.9"],
+        ],
+        ids=["index-linear", "index-entropy", "index-beta1", "word", "word-z-inf",
+             "verify"],
+    )
+    def test_exits_1(self, capsys, args):
+        code, out, err = self.run_quietly(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: a1 = 1e+308 is too large") and err.count("\n") == 1
+
+    def test_simulate_exits_1(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        arms = [dict(SCENARIO["arms"][1]), SCENARIO["arms"][1]]
+        arms[0]["a1"] = 1e308
+        scen.write_text(json.dumps(dict(SCENARIO, arms=arms)))
+        code, out, err = self.run_quietly(["simulate", "--scenario", str(scen)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: arm 0: a1 = 1e+308 is too large")
+        assert err.count("\n") == 1
+
+    def test_representable_denominator_accepted(self, capsys):
+        # At a1 = 1e300 the denominators stay finite on the grid's orbits.
+        code, out, _ = self.run_quietly(
+            ["index", "--r", "1", "--a0", "0", "--a1", "1e300", "--beta", "0.9",
+             "--grid-lin", "1:2:2"],
+            capsys,
+        )
+        assert code == 0 and len(out.splitlines()) == 3

@@ -18,6 +18,7 @@ from obsched.dynamics import (
     fixed_point,
     is_knife_edge,
     phi,
+    scalar_map,
     threshold_word,
     y0,
     y1,
@@ -491,6 +492,131 @@ class TestBatchKernelMatchesReference:
         for g, w in zip(got[:3], want[:3]):
             assert g.tobytes() == w.tobytes()
         assert got[3] == want[3]
+
+    @staticmethod
+    def assert_matches_reference(par, coef, cost, x, first, T):
+        got = _threshold_sums_batch(par, coef, cost, x, first, T)
+        want = reference_threshold_sums_batch(par, coef, cost, x, first, T)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.tobytes() == w.tobytes()
+        assert got[3] == want[3]
+        return got
+
+    @staticmethod
+    def sweeps(rng, p, beta, starts, thresholds, singles=()):
+        """Every start with every threshold, plus orbits with x = s, both
+        first actions, in a shuffled order; one arm shared by all."""
+        x = np.concatenate([np.repeat(starts, len(thresholds)), singles])
+        s = np.concatenate([np.tile(thresholds, len(starts)), singles])
+        x, s = np.tile(x, 2), np.tile(s, 2)
+        first = np.arange(len(x)) >= len(x) // 2
+        perm = rng.permutation(len(x))
+        x, s, first = x[perm], s[perm], first[perm]
+        tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
+        par = (np.array([0.2]), np.array([1.0]), np.array([beta]), s, tol)
+        coef = tuple(np.reshape(c, 1) for c in batch_coefficients(p.r2, p.a0, p.a1))
+        return par, coef, x, first
+
+    @staticmethod
+    def largest_class(par, coef, x, first):
+        lo, hi = index_mod._classes(x, first, par[:3] + coef, par[3])[1]
+        return int(np.max(hi - lo))
+
+    @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixed_x_sweeps_bitwise_equal(self, cost, seed):
+        # Unsorted thresholds with duplicates, both infinities and a NaN
+        # (which never acts), repeated starts, and singleton orbits x = s
+        # in the same batch.
+        rng = np.random.default_rng([72, seed])
+        p = random_params(rng)
+        if seed == 1 and not cost.positive_only:
+            p = ArmParams(r=p.r, a0=p.a0, a1=math.inf)
+        beta = float(rng.choice([0.0, 0.5, 0.9, 0.99]))
+        thresholds = rng.uniform(0.05, 8.0, 150)
+        thresholds[::10] = thresholds[1::10]
+        thresholds = np.concatenate([thresholds, [math.inf, -math.inf, math.inf, math.nan]])
+        starts = np.append(rng.uniform(0.05, 8.0, 3), 1.0)
+        starts[1] = starts[0]
+        par, coef, x, first = self.sweeps(
+            rng, p, beta, starts, thresholds, rng.uniform(0.05, 8.0, 40)
+        )
+        assert self.largest_class(par, coef, x, first) == 2 * len(thresholds)
+        self.assert_matches_reference(par, coef, cost, x, first, 3000)
+
+    @pytest.mark.parametrize("first_action", [0, 1])
+    def test_knife_ties_inside_classes(self, first_action):
+        # Thresholds tie the state v1 = phi(x) of step 1: one equals it, so
+        # the class splits exactly at the tie, and others lie within the
+        # tolerance on both sides, inside the halves; some lie just beyond.
+        p = ArmParams(r=0.9, a0=0.1, a1=1.0)
+        x = 2.0
+        v1 = scalar_map(p)(first_action, x)
+        tol = KNIFE_EDGE_TOL * max(1.0, v1)
+        near = v1 + tol * np.array([0.0, 0.0, -0.2, -0.7, 0.3, 0.8, -5.0, 4.0, -1.0, 1.0])
+        ties = np.abs(v1 - near) <= KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(near))
+        assert ties[:6].all() and not ties[6:8].any()
+        thresholds = np.concatenate([near, np.linspace(0.1, 6.0, 60)])
+        rng = np.random.default_rng(5)
+        par, coef, x_arr, first = self.sweeps(rng, p, 0.9, [x], thresholds)
+        first[:] = bool(first_action)
+        got = self.assert_matches_reference(par, coef, costs.linear(), x_arr, first, 2000)
+        knife = got[2]
+        assert knife[np.isin(par[3], near[ties])].all()
+
+    def test_noiseless_sweeps(self):
+        # a1 = inf takes active orbits to 0, which ties the threshold 0.
+        p = ArmParams(r=0.8, a0=0.0, a1=math.inf)
+        rng = np.random.default_rng(6)
+        thresholds = np.concatenate([[0.0, -math.inf, 0.0], rng.uniform(0.05, 4.0, 80)])
+        par, coef, x, first = self.sweeps(rng, p, 0.9, [0.5, 3.0], thresholds, [0.7, 2.0])
+        knife = self.assert_matches_reference(par, coef, costs.linear(), x, first, 2000)[2]
+        assert knife[par[3] == 0.0].all()
+
+    def test_class_without_repeat_counts_its_members(self):
+        # With r = 1 and a0 = 0 an orbit that never acts grows by 1 a step
+        # and never repeats: thresholds beyond reach leave whole classes at
+        # the step cap, and the capped count counts their members.
+        p = ArmParams(r=1.0, a0=0.0, a1=1.0)
+        rng = np.random.default_rng(7)
+        far = [math.inf, 1e9, math.inf, 2e9, math.inf]
+        thresholds = np.concatenate([far, rng.uniform(0.5, 6.0, 50)])
+        starts = [1.5, 4.0, 4.0]
+        par, coef, x, first = self.sweeps(rng, p, 0.99, starts, thresholds, [2.5, 3.5])
+        T = 500
+        got = self.assert_matches_reference(par, coef, costs.linear(), x, first, T)
+        assert got[3] == 2 * len(starts) * len(far)
+
+    def test_classes_mixed_with_singletons_per_orbit_rows(self):
+        # Per-orbit rows: two arms sweep the same start and thresholds, so
+        # only rows that agree bit for bit may share a class, next to
+        # orbits with random arms, betas and starts.
+        rng = np.random.default_rng(8)
+        arms = [ArmParams(r=0.9, a0=0.1, a1=1.2), ArmParams(r=0.95, a0=0.0, a1=0.7)]
+        thresholds = np.concatenate([rng.uniform(0.1, 6.0, 40), [math.inf]])
+        m, n_single = len(thresholds), 30
+        arm_of = np.concatenate([np.repeat([0, 1], m), rng.integers(0, 2, n_single)])
+        r = np.array([arms[a].r for a in arm_of])
+        a0 = np.array([arms[a].a0 for a in arm_of])
+        a1 = np.array([arms[a].a1 for a in arm_of])
+        r[2 * m:] = rng.uniform(0.5, 1.0, n_single)
+        s = np.concatenate([thresholds, thresholds, rng.uniform(0.1, 6.0, n_single)])
+        x = np.concatenate([np.full(2 * m, 2.5), s[2 * m:]])
+        beta = np.full(len(x), 0.9)
+        beta[2 * m:] = rng.choice([0.5, 0.9], n_single)
+        x, s, beta, r, a0, a1 = (np.tile(a, 2) for a in (x, s, beta, r, a0, a1))
+        first = np.arange(len(x)) >= len(x) // 2
+        tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
+        par = (np.full(len(x), 0.2), np.ones(len(x)), beta, s, tol)
+        coef = batch_coefficients(r * r, a0, a1)
+        assert self.largest_class(par, coef, x, first) == m
+        self.assert_matches_reference(par, coef, costs.entropy(), x, first, 3000)
+
+    def test_empty_batch(self):
+        got = marginal_sums_batch(
+            0.9, 0.0, 1.0, 0.0, 1.0, 0.9, costs.linear(), np.array([]), np.array([]), 50
+        )
+        assert [a.shape for a in got] == [(0,), (0,), (0,)]
 
     def test_noiseless_entropy_raises_the_domain_error(self):
         # With a1 = inf an active step reaches variance 0, where entropy is

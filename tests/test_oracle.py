@@ -1,5 +1,6 @@
 """Value-iteration oracle, threshold extraction, PCLI suite, majorisation."""
 
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,13 @@ from obsched.dynamics import (
     y0,
     y1,
 )
-from obsched.index import IndexQuery, whittle_index
+from obsched.index import (
+    IndexQuery,
+    cost_gap,
+    marginal_sums_batch,
+    truncation_horizon,
+    whittle_index,
+)
 from obsched.oracle import (
     DPGrid,
     DPSolution,
@@ -30,6 +37,7 @@ from obsched.oracle import (
     dp_threshold,
     majorisation_check,
     pcli_report,
+    state_bounds,
     value_iteration,
 )
 from obsched.words import Word, central_palindrome, christoffel, farey
@@ -40,6 +48,73 @@ def random_params(rng, r_lo=0.4, r_hi=0.98, a1_max=2.0):
     a0 = float(rng.uniform(0.0, 0.4))
     a1 = a0 + float(rng.uniform(0.1, a1_max))
     return ArmParams(r=r, a0=a0, a1=a1)
+
+
+def reference_pcli_report(params, cost, beta, cfg):
+    """The PCLI report with one kernel call per section and sweep, as the
+    bitwise reference: PCLI1, PCLI2 and, per PCLI3 interval, a marginal
+    sweep at x = x_probe and an index sweep at s = x, with one action
+    matrix per itinerary length."""
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = state_bounds(params, cfg)
+    gap = cost_gap(params)
+    T = truncation_horizon(beta)
+    p = params
+
+    def sums(x, s):
+        return marginal_sums_batch(p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, x, s, T)
+
+    report = {"params": {"r": p.r, "a0": p.a0, "a1": p.a1, "beta": beta,
+                         "cost": cost.kind, "condition_c": cost.condition_c}}
+    xs = rng.uniform(lo, hi, cfg.work_samples)
+    _, work, _ = sums(xs, xs)
+    slack = gap * beta ** (T + 1) / max(1e-300, 1.0 - beta)
+    bound = (1.0 - beta) * gap - slack
+    margin = float(np.min(work - bound))
+    report["pcli1"] = {"samples": cfg.work_samples, "bound": bound,
+                       "min_margin": margin, "ok": bool(margin >= -1e-9)}
+    grid = np.geomspace(lo, hi, cfg.lambda_points)
+    num, den, _ = sums(grid, grid)
+    dlam = np.diff(num / den)
+    tol = 1e-9 + beta ** (T + 1) / (1.0 - beta) if beta > 0 else 1e-9
+    violations = int(np.sum(dlam < -tol))
+    report["pcli2"] = {
+        "grid_points": cfg.lambda_points,
+        "violations": violations,
+        "worst_decrease": float(np.min(dlam)) if len(dlam) else 0.0,
+        "max_slope_sampled": float(np.max(np.abs(dlam) / np.diff(grid))),
+        "ok": violations == 0,
+    }
+    x_probe = float(rng.uniform(lo, hi))
+    sweep = np.linspace(lo, hi, cfg.sweep_points)
+    counts = []
+    for t_len in cfg.itinerary_lengths:
+        acts = _action_matrix(p, x_probe, sweep, t_len)
+        counts.append(int(np.sum(np.any(acts[:, 1:] != acts[:, :-1], axis=0))))
+    tlog = np.log(np.asarray(cfg.itinerary_lengths, dtype=float))
+    clog = np.log(np.maximum(1.0, np.asarray(counts, dtype=float)))
+    slope = float(np.polyfit(tlog, clog, 1)[0])
+    report["discontinuities"] = {"lengths": list(cfg.itinerary_lengths),
+                                 "counts": counts, "fitted_exponent": slope,
+                                 "ok": bool(slope <= cfg.slope_limit)}
+    checks = []
+    for _ in range(cfg.pcli3_intervals):
+        a_s, b_s = np.sort(rng.uniform(lo, hi, 2))
+        if b_s - a_s < 0.05 * (hi - lo):
+            b_s = min(hi, a_s + 0.05 * (hi - lo))
+        svals = np.linspace(a_s, b_s, cfg.sweep_points)
+        mcost, mwork, _ = sums(np.full_like(svals, x_probe), svals)
+        num, den, _ = sums(svals, svals)
+        lhs = float(mcost[-1] - mcost[0])
+        rhs = float(np.sum((num / den)[:-1] * np.diff(mwork)))
+        scale = max(1.0, abs(lhs), abs(rhs))
+        checks.append({"a": float(a_s), "b": float(b_s), "lhs": lhs, "rhs": rhs,
+                       "rel_err": abs(lhs - rhs) / scale})
+    report["pcli3"] = {"checks": checks, "rel_tol": 2e-2,
+                       "ok": bool(all(c["rel_err"] <= 2e-2 for c in checks))}
+    report["ok"] = bool(report["pcli1"]["ok"] and report["pcli2"]["ok"]
+                        and report["discontinuities"]["ok"] and report["pcli3"]["ok"])
+    return report
 
 
 class TestGrid:
@@ -463,6 +538,46 @@ class TestPcli:
         cfg = PcliConfig(sweep_points=3000, work_samples=20, lambda_points=60)
         report = pcli_report(p, costs.linear(), 0.9, cfg)
         assert report["discontinuities"]["fitted_exponent"] <= 4.5
+
+    @pytest.mark.parametrize(
+        "params, cost, beta, cfg",
+        [
+            (ArmParams(r=0.9, a0=0.0, a1=0.01), costs.linear(), 0.95,
+             PcliConfig(work_samples=100, lambda_points=150, sweep_points=400)),
+            (ArmParams(r=0.85, a0=0.1, a1=1.3), costs.entropy(), 0.9,
+             PcliConfig(seed=7, work_samples=40, lambda_points=80, sweep_points=500,
+                        itinerary_lengths=(3, 9, 5), pcli3_intervals=4)),
+            (ArmParams(r=1.0, a0=0.0, a1=1.0), costs.power(-1.5), 0.99,
+             PcliConfig(work_samples=50, lambda_points=200, sweep_points=300,
+                        state_lo=0.05, state_hi=30.0)),
+            (ArmParams(r=0.9, a0=0.0, a1=math.inf), costs.linear(), 0.8,
+             PcliConfig(seed=3, work_samples=30, lambda_points=60, sweep_points=250,
+                        pcli3_intervals=1)),
+            (ArmParams(r=0.9, a0=0.0, a1=1.0), costs.neg_precision(), 0.0,
+             PcliConfig(work_samples=50, lambda_points=100, sweep_points=200)),
+            (ArmParams(r=0.95, a0=0.02, a1=0.5, c0=0.3, c1=2.0), costs.bounded_demo(), 0.9,
+             PcliConfig(seed=11, work_samples=20, lambda_points=50, sweep_points=300,
+                        pcli3_intervals=0, itinerary_lengths=(1, 2))),
+        ],
+    )
+    def test_matches_separate_calls(self, params, cost, beta, cfg):
+        # One kernel call over every orbit of the report, with the fixed-x
+        # sweeps stepped as classes, gives the report of separate calls
+        # exactly (floats compared by their repr).
+        want = reference_pcli_report(params, cost, beta, cfg)
+        got = pcli_report(params, cost, beta, cfg)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_domain_error_message_unchanged(self):
+        # a1 = inf takes active steps to variance 0, where entropy is undefined.
+        p = ArmParams(r=0.9, a0=0.0, a1=math.inf)
+        cfg = PcliConfig(work_samples=20, lambda_points=30, sweep_points=50)
+        with pytest.raises(costs.CostDomainError) as want:
+            reference_pcli_report(p, costs.entropy(), 0.9, cfg)
+        with pytest.raises(costs.CostDomainError) as got:
+            pcli_report(p, costs.entropy(), 0.9, cfg)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "cost 'entropy' undefined at v = 0.0 (domain is (0, inf))"
 
 
 class TestMajorisation:
