@@ -74,6 +74,8 @@ class Scenario:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for i, arm in enumerate(self.arms):
             try:
                 top = _reach_bound(arm.params, arm.v0, self.horizon)

