@@ -170,9 +170,9 @@ def build_parser() -> _Parser:
 
 
 def _beta1_table(params: ArmParams, cost: costs.CostFn, grid) -> IndexTable:
-    """Discount-to-one limit of the index over a grid (beta = 1 reroute)."""
+    """Discount-to-one limit of the index over a grid; its T is a fixed 400."""
     try:
-        records = [index_beta1(params, cost, float(x), T=400) for x in grid]
+        records = [index_beta1(params, cost, float(x)) for x in grid]
     except UncertifiedPeriodError as exc:
         raise CliError(str(exc)) from None
     lams = np.array([rec.lam for rec in records])
@@ -185,6 +185,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         raise CliError("exactly one of --grid-log / --grid-lin is required")
     if not 0.0 <= args.beta <= 1.0:
         raise CliError(f"beta must be in [0, 1], got {args.beta}")
+    if args.beta == 1.0 and args.no_words:
+        raise CliError("--no-words: the beta = 1 limit needs each point's certified word")
     grid = _parse_grid(args.grid_log or args.grid_lin, log=args.grid_log is not None)
     params = _arm_from_args(args)
     check_denominator(params, grid[-1])
@@ -230,6 +232,8 @@ def _cmd_word(args: argparse.Namespace) -> int:
     params = _arm_from_args(args)
     if args.length < 1:
         raise CliError("--len must be positive")
+    if args.max_period < 1:
+        raise CliError(f"--max-period must be positive, got {args.max_period}")
     z = args.x if args.z is None else args.z
     itin = itinerary(params, args.x, z, args.length)
     # The states stay near max(x, z), except that an itinerary that never

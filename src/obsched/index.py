@@ -7,9 +7,9 @@ to the infinite horizon.  Threshold orbits are eventually periodic: once
 an orbit repeats a state bit for bit, the rest of its sum is the cycle's
 sum times 1 / (1 - beta^n), in closed form.  Orbits that do not repeat
 within the step cap T of :func:`truncation_horizon` are truncated there.
-Also: closed forms for the noiseless case, the discount-to-one limit,
-Q-values of threshold policies, and grid tabulation with monotonicity
-accounting.
+Also: closed forms for the noiseless case, the discount-to-one limit
+from the same exact cycles, Q-values of threshold policies, and grid
+tabulation with monotonicity accounting.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .dynamics import (  # noqa: F401
     KNIFE_EDGE_TOL,
     ArmParams,
     InconsistencyError,
-    ThresholdWord,
     batch_coefficients,
     phi,
     phi_batch,
@@ -39,6 +38,10 @@ from .dynamics import (  # noqa: F401
 from .words import Word, is_balanced  # noqa: F401
 
 MAX_TRUNCATION_STEPS = 5_000_000
+# Mean-cost gap of index_beta1's two cycles, relative to their largest cost,
+# beyond rounding: float cycles of one word lie ~1e-16 / (1 - contraction)
+# apart (at most 9.1e-13 over 4,500 random arms and states).
+MEAN_COST_TOL = 1e-9
 
 
 def _debug(msg: str, *args: object) -> None:
@@ -112,6 +115,29 @@ def _cycle_factor(beta, n):
         return -1.0 / np.expm1(n * np.log(beta))
 
 
+def _orbit_walk(
+    p: ArmParams, cost: CostFn, x: float, s: float, first_action: int, cap: int
+) -> tuple[np.ndarray, int, int, bool]:
+    """Undiscounted (cost, work) summand rows of one forced-first-action orbit.
+
+    Summand t is step t: the forced first action at x, then the s-threshold
+    walk of :func:`threshold_walk` (at most ``cap`` states).  After the first
+    step the action depends only on the state, so once a state recurs bit
+    for bit the summands K..K+n-1 are one cycle, repeated forever.  Returns
+    the rows, K, the state period n (0 without a repeat, K then being the
+    number of summands) and whether a state ties s.
+    """
+    step = scalar_map(p)
+    x = float(x)
+    states, acts, k, knife = threshold_walk(step, step(first_action, x), s, cap)
+    acts.insert(0, bool(first_action))
+    terms = np.stack([
+        cost.eval(np.array([x] + states)),
+        np.where(np.frombuffer(acts, dtype=np.uint8), p.c1, p.c0),
+    ])
+    return terms, k + 1, len(states) - k, knife
+
+
 def _orbit_terms(
     p: ArmParams,
     cost: CostFn,
@@ -123,38 +149,21 @@ def _orbit_terms(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Summands of the discounted cost and work sums of one forced-first-action orbit.
 
-    The summands add up to the infinite-horizon sums: for t >= 1 the
-    action depends only on the state, so once a state recurs bit for bit
-    at step t <= T after step k >= 1 the orbit has period n = t - k from k
-    on, and the cycle's summands appear once, scaled by 1 / (1 - beta^n).
-    An orbit with no repeat within T steps is truncated at T.  Returning
-    summands lets callers difference two orbits with one ``math.fsum``
-    before any large partial sum is rounded.
-
-    The orbit is walked by :func:`threshold_walk`, so actions follow
-    plain >= comparisons and threshold ties within the knife-edge
-    tolerance are only flagged; the cost is evaluated once, on the array
-    of visited states.
+    The summands of :func:`_orbit_walk`, discounted, add up to the
+    infinite-horizon sums: the cycle's summands appear once, scaled by
+    1 / (1 - beta^n).  An orbit with no repeat within T steps is truncated
+    at T.  Returning summands lets callers difference two orbits with one
+    ``math.fsum`` before any large partial sum is rounded.
     """
-    step = scalar_map(p)
-    x = float(x)
-    states, acts, k, knife = threshold_walk(step, step(first_action, x), s, T)
-    n = len(states) - k
+    terms, k, n, knife = _orbit_walk(p, cost, x, s, first_action, T)
     if not n:
         _debug(
             "orbit from x=%r (first action %d, threshold %r) reached T=%d"
             " with no repeat", x, first_action, s, T,
         )
-    # Summand t is step t of the orbit: the forced first action, then the
-    # walk, whose cycle starts at step k + 1.
-    acts.insert(0, bool(first_action))
-    disc = beta ** np.arange(len(states) + 1, dtype=float)
-    terms = disc * np.stack([
-        cost.eval(np.array([x] + states)),
-        np.where(np.frombuffer(acts, dtype=np.uint8), p.c1, p.c0),
-    ])
+    terms *= beta ** np.arange(terms.shape[1], dtype=float)
     if n:
-        terms[:, k + 1:] *= _cycle_factor(beta, n)
+        terms[:, k:] *= _cycle_factor(beta, n)
     return terms[0], terms[1], knife
 
 
@@ -179,14 +188,14 @@ def marginal_work(q: IndexQuery, s: float) -> float:
     return _fsum_diff(w1, w0)
 
 
-def whittle_index(q: IndexQuery, word_max_len: int = 64) -> IndexRecord:
+def whittle_index(q: IndexQuery) -> IndexRecord:
     """The Whittle index at q.x from infinite-horizon marginal sums.
 
     Each orbit's sum is taken to infinity in closed form after its first
     exact repeat (truncated at the step cap T without one), and the two
-    orbits are differenced before rounding.  The certified threshold word
-    at x (when one exists within ``word_max_len``) is attached to the
-    record, and iterates tying the threshold set the knife-edge flag.
+    orbits are differenced before rounding.  Iterates tying the threshold
+    set the knife-edge flag.  No word is certified (``word=None``, as in
+    ``index_table(words=False)``).
     """
     gap = cost_gap(q.params)
     T = truncation_horizon(q.beta)
@@ -200,15 +209,9 @@ def whittle_index(q: IndexQuery, word_max_len: int = 64) -> IndexRecord:
             f"marginal work {den} below its lower bound at x={q.x}:"
             " internal inconsistency"
         )
-    tw = threshold_word(q.params, q.x, word_max_len)
     return IndexRecord(
-        x=q.x,
-        lam=num / den,
-        numerator=num,
-        denominator=den,
-        word=tw.word if tw.periodic else None,
-        periodic=tw.periodic,
-        knife_edge=k0 or k1 or tw.knife_edge,
+        x=q.x, lam=num / den, numerator=num, denominator=den,
+        word=None, periodic=False, knife_edge=k0 or k1,
     )
 
 
@@ -299,51 +302,47 @@ def closed_form_noiseless_limit(x: float) -> float:
     return math.ceil(x + 1.0) * (x + 1.0 - math.ceil(x) / 2.0)
 
 
-def index_beta1(
-    params: ArmParams, cost: CostFn, x: float, T: int, word_max_len: int = 256
-) -> IndexRecord:
+def index_beta1(params: ArmParams, cost: CostFn, x: float) -> IndexRecord:
     """Discount-to-one limit of the index at x, with its certified word.
 
-    Requires a certified periodic threshold word of period n; the limit
-    denominator is (c1 - c0)/n and the limit numerator telescopes the two
-    orbits against their limit cycles, approximating the cycle by late
-    iterates.  Both orbits are stepped T n times on Python floats by
-    :func:`scalar_map` (bitwise the states of ``phi``), kept in lists and
-    converted to arrays once for the cost.  The record's numerator is
-    lambda times the denominator.
+    The limit denominator is (c1 - c0)/n for the word's period n <= 256.
+    Both forced-first-action orbits are walked to their first exact
+    repeat.  With p_i orbit i's cycle continued periodically in absolute
+    time, K_i its head and N the lcm of the state periods, the limit
+    numerator is sum_{t < K_0} (a0_t - p0_t) - sum_{t < K_1} (a1_t - p1_t)
+    + sum_{j < N} j (p1_j - p0_j) / N, one ``math.fsum``.  The dropped
+    1 / (1 - beta) terms cancel only if the cycles' mean costs agree; they
+    differ at a knife edge, where rounding can put the orbits on different
+    cycles (ArithmeticError), or by an internal error (InconsistencyError).
     """
     gap = cost_gap(params)
-    tw: ThresholdWord = threshold_word(params, x, word_max_len)
+    x = float(x)
+    tw = threshold_word(params, x, 256)
     if not tw.periodic:
-        raise UncertifiedPeriodError(
-            f"no certified period <= {word_max_len} at x={x}"
+        raise UncertifiedPeriodError(f"no certified period <= 256 at x={x}")
+    terms, cycles, knife, cap = [], [], tw.knife_edge, MAX_TRUNCATION_STEPS
+    for first, sign in ((0, 1.0), (1, -1.0)):
+        summands, k, m, tie = _orbit_walk(params, cost, x, x, first, cap)
+        if not m:
+            raise UncertifiedPeriodError(f"no repeat within {cap} steps at x={x}")
+        cyc = summands[0, k:]
+        terms += [sign * summands[0, :k], -sign * cyc[(np.arange(k) - k) % m]]
+        cycles.append((cyc, k, m, math.fsum(cyc) / m))
+        knife = knife or tie
+    (cyc0, k0, m0, mean0), (cyc1, k1, m1, mean1) = cycles
+    if abs(mean0 - mean1) > MEAN_COST_TOL * max(np.abs(cyc0).max(), np.abs(cyc1).max()):
+        raise (ArithmeticError if knife else InconsistencyError)(
+            f"the orbits at x={x} reach cycles of mean costs {mean0} and {mean1}: "
+            + ("x is a knife edge" if knife else "internal inconsistency")
         )
+    N = math.lcm(m0, m1)
+    j = np.arange(N)
+    terms.append(j * (cyc1[(j - k1) % m1] - cyc0[(j - k0) % m0]) / N)
     n = len(tw.word)
-    if n > T:
-        raise UncertifiedPeriodError(f"period {n} exceeds horizon T={T}")
-    steps = T * n
-    step = scalar_map(params)
-    states = {}
-    for first in (0, 1):
-        v = float(x)
-        traj = [v]
-        v = step(first, v)
-        for _ in range(steps - 1):
-            traj.append(v)
-            v = step(int(v >= x), v)
-        states[first] = np.array(traj)
-    cyc0 = cost.eval(states[0][steps - n : steps])
-    cyc1 = cost.eval(states[1][steps - n : steps])
-    offsets = np.arange(steps) % n
-    c0 = cost.eval(states[0])
-    c1 = cost.eval(states[1])
-    numerator = float(np.sum(c0 - cyc0[offsets] - c1 + cyc1[offsets]))
-    t_head = np.arange(n)
-    numerator += float(np.sum(t_head * (cyc1 - cyc0))) / n
-    lam = numerator * n / gap
+    lam = math.fsum(np.concatenate(terms)) * n / gap
     return IndexRecord(
-        x=float(x), lam=lam, numerator=lam * gap / n, denominator=gap / n,
-        word=tw.word, periodic=True, knife_edge=tw.knife_edge,
+        x=x, lam=lam, numerator=lam * gap / n, denominator=gap / n,
+        word=tw.word, periodic=True, knife_edge=knife,
     )
 
 
@@ -651,16 +650,15 @@ def index_table(
     beta: float,
     grid: Sequence[float],
     words: bool = True,
-    word_max_len: int = 64,
 ) -> IndexTable:
     """Tabulate the index over an ascending state grid.
 
     Every record comes from :func:`marginal_sums_batch`, with its
     knife-edge flag; with ``words`` each point also gets its certified
-    :func:`threshold_word` (None when uncertified).  Decreases of lambda
-    beyond 1e-9 plus the slack of orbits truncated at the step cap are
-    counted as monotonicity violations (admissible costs must produce
-    none).
+    :func:`threshold_word` of period at most 64 (None when uncertified).
+    Decreases of lambda beyond 1e-9 plus the slack of orbits truncated at
+    the step cap are counted as monotonicity violations (admissible costs
+    must produce none).
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or len(xs) == 0:
@@ -676,19 +674,12 @@ def index_table(
     lam = num / den
     records: list[IndexRecord] = []
     for i, x in enumerate(xs):
-        word = None
-        periodic = False
-        if words:
-            tw = threshold_word(p, float(x), word_max_len)
-            word, periodic = (tw.word if tw.periodic else None), tw.periodic
+        tw = threshold_word(p, float(x), 64) if words else None
+        periodic = tw is not None and tw.periodic
         records.append(IndexRecord(
-            x=float(x),
-            lam=float(lam[i]),
-            numerator=float(num[i]),
-            denominator=float(den[i]),
-            word=word,
-            periodic=periodic,
-            knife_edge=bool(knife[i]),
+            x=float(x), lam=float(lam[i]), numerator=float(num[i]),
+            denominator=float(den[i]), word=tw.word if periodic else None,
+            periodic=periodic, knife_edge=bool(knife[i]),
         ))
     slack = _lambda_slack(gap, beta, T, records)
     lams = np.array([rec.lam for rec in records])

@@ -98,7 +98,7 @@ def feedback_gain(problem: LqgProblem, R: float) -> float:
 def _lambda_normalized(arm: ArmParams, beta: float, v: float) -> float:
     """Index of the induced variance arm with linear cost, at normalized state v."""
     probe = arm.with_costs(0.0, 1.0)
-    return whittle_index(IndexQuery(probe, linear(), beta, v), word_max_len=1).lam
+    return whittle_index(IndexQuery(probe, linear(), beta, v)).lam
 
 
 def observation_threshold(problem: LqgProblem, alpha: float) -> float:

@@ -65,9 +65,7 @@ def test_criterion_01_closed_form_regression():
     t0 = time.perf_counter()
     arm = ArmParams.from_var_decay(0.9, 0.0, 1e8)
     for x in np.linspace(0.0, 9.99, 50):
-        lam = whittle_index(
-            IndexQuery(arm, costs.linear(), 0.9, float(x)), word_max_len=1
-        ).lam
+        lam = whittle_index(IndexQuery(arm, costs.linear(), 0.9, float(x))).lam
         want = closed_form_noiseless(0.9, 0.9, float(x))
         assert abs(lam - want) <= 1e-3 * max(abs(want), 1e-12), (x, lam, want)
     _report(1, "closed-form regression", t0, 10.0)
@@ -77,7 +75,7 @@ def test_criterion_02_limit_formula():
     t0 = time.perf_counter()
     arm = ArmParams(r=1.0, a0=0.0, a1=1e6)
     for x in (0.25, 0.5, 1.5, 2.5, 3.75):
-        got = index_beta1(arm, costs.linear(), x, 400).lam
+        got = index_beta1(arm, costs.linear(), x).lam
         want = closed_form_noiseless_limit(x)
         assert abs(got - want) <= 2e-2 * abs(want), (x, got, want)
     _report(2, "discount-to-one limit", t0, 30.0)
@@ -92,9 +90,7 @@ def test_criterion_03_q_curves_cross_once():
     lo, hi = 1e-6, 50.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        lam = whittle_index(
-            IndexQuery(arm, cost, beta, mid), word_max_len=1
-        ).lam
+        lam = whittle_index(IndexQuery(arm, cost, beta, mid)).lam
         if lam < nu:
             lo = mid
         else:

@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from obsched import index as index_mod
 from obsched import lqg, oracle
 from obsched.cli import main
 
@@ -115,6 +116,25 @@ class TestIndexCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: cost gap") and err.count("\n") == 1
 
+    def test_beta1_no_words_exits_1(self, capsys):
+        # The limit's denominator comes from each point's certified word.
+        code, out, err = run(self.BETA1 + ["--beta", "1", "--no-words"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --no-words") and "certified" in err
+        assert err.count("\n") == 1
+
+    def test_beta1_mismatched_cycles_exit_2(self, capsys, monkeypatch):
+        walk = index_mod._orbit_walk
+
+        def shifted(p, cost, x, s, first, cap):
+            terms, k, n, knife = walk(p, cost, x, s, first, cap)
+            terms[0, k:] *= 1.0 + 1e-6 * first
+            return terms, k, n, knife
+
+        monkeypatch.setattr(index_mod, "_orbit_walk", shifted)
+        code, out, err = run(self.BETA1 + ["--beta", "1"], capsys)
+        assert code == 2 and out == "" and "mean costs" in err
+
     @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
     def test_non_finite_power_exponent_exits_1(self, capsys, q):
         code, out, err = run(self.ARGS[:-4] + ["--cost", "power", f"--power-q={q}",
@@ -152,6 +172,15 @@ class TestWordCommand:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: need a finite x")
+
+    def test_non_positive_max_period_exits_1(self, capsys):
+        code, out, err = run(
+            ["word", "--r", "1", "--a0", "0", "--a1", "0.1", "--x", "5",
+             "--max-period", "0"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --max-period must be positive, got 0\n"
 
     def test_fig3_itinerary(self, capsys):
         code, out, _ = run(

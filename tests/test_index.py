@@ -2,6 +2,7 @@
 
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from obsched.dynamics import (
     InconsistencyError,
     KNIFE_EDGE_TOL,
     ArmParams,
+    ThresholdWord,
     batch_coefficients,
     fixed_point,
     is_knife_edge,
@@ -730,8 +732,8 @@ class TestWhittleIndex:
 
     def test_boundary_words_used_at_y1_y0(self):
         p = ArmParams(r=0.8, a0=0.1, a1=1.0)
-        assert str(whittle_index(IndexQuery(p, costs.linear(), 0.9, y1(p))).word) == "1"
-        assert str(whittle_index(IndexQuery(p, costs.linear(), 0.9, y0(p))).word) == "0"
+        assert threshold_word(p, y1(p), 64) == ThresholdWord(Word("1"), True, True)
+        assert threshold_word(p, y0(p), 64) == ThresholdWord(Word("0"), True, True)
 
     def test_zero_denominator_raises(self):
         p = ArmParams(r=0.9, a0=0.0, a1=1.0, c0=1.0, c1=1.0)
@@ -772,7 +774,7 @@ class TestClosedForm:
             x = float(rng.uniform(0.0, 0.999 / (1.0 - rho)))
             arm = ArmParams(r=math.sqrt(rho), a0=0.0, a1=math.inf)
             lam = whittle_index(
-                IndexQuery(arm, costs.linear(), beta, x), word_max_len=1
+                IndexQuery(arm, costs.linear(), beta, x)
             ).lam
             assert closed_form_noiseless(rho, beta, x) == pytest.approx(
                 lam, rel=1e-9, abs=1e-12
@@ -795,13 +797,13 @@ class TestClosedForm:
 class TestIndexBeta1:
     def test_constant_cost_zero(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
-        assert index_beta1(p, costs.constant(2.0), 0.5, 100).lam == pytest.approx(
+        assert index_beta1(p, costs.constant(2.0), 0.5).lam == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_limit_example(self):
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
-        got = index_beta1(p, costs.linear(), 0.5, 400).lam
+        got = index_beta1(p, costs.linear(), 0.5).lam
         assert got == pytest.approx(2.0, rel=2e-2)
 
     def test_period_bookkeeping(self):
@@ -812,22 +814,75 @@ class TestIndexBeta1:
     def test_record_carries_word_and_cost_gap(self):
         # The limit denominator is (c1 - c0)/n, so the gap divides lambda.
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
-        unit = index_beta1(p, costs.linear(), 0.5, 400)
-        priced = index_beta1(p.with_costs(0.5, 3.0), costs.linear(), 0.5, 400)
+        unit = index_beta1(p, costs.linear(), 0.5)
+        priced = index_beta1(p.with_costs(0.5, 3.0), costs.linear(), 0.5)
         assert unit.word == threshold_word(p, 0.5, 256).word and unit.periodic
         assert unit.denominator == 0.5 and priced.denominator == 1.25
         assert priced.lam == pytest.approx(unit.lam / 2.5, rel=1e-15)
         assert priced.numerator == pytest.approx(priced.lam * priced.denominator)
         with pytest.raises(ArithmeticError, match="cost gap"):
-            index_beta1(p.with_costs(1.0, 1.0), costs.linear(), 0.5, 400)
+            index_beta1(p.with_costs(1.0, 1.0), costs.linear(), 0.5)
 
     def test_uncertified_period_raises(self):
-        p = ArmParams(r=1.0, a0=0.0, a1=1.0)
-        from obsched.dynamics import sturmian_fixed_point
+        # A scan found no certified period <= 256 at this point.
+        p = ArmParams(r=1.0, a0=0.0, a1=0.01)
+        x = 118.68267253760375
+        assert not threshold_word(p, x, 256).periodic
+        with pytest.raises(UncertifiedPeriodError, match="no certified period <= 256"):
+            index_beta1(p, costs.linear(), x)
 
-        lo, hi = sturmian_fixed_point(p, (3.0 - math.sqrt(5.0)) / 2.0, 30)
-        with pytest.raises(UncertifiedPeriodError):
-            index_beta1(p, costs.linear(), 0.5 * (lo + hi), 50, word_max_len=8)
+    def test_mismatched_cycles_are_an_inconsistency(self, monkeypatch):
+        # The limit drops each orbit's 1 / (1 - beta) term, which cancels
+        # only when the two cycles' mean costs agree: the CLI maps a
+        # mismatch to exit 2.
+        p = ArmParams(r=1.0, a0=0.0, a1=1e6)
+        walk = index_mod._orbit_walk
+
+        def shifted(p, cost, x, s, first, cap):
+            terms, k, n, knife = walk(p, cost, x, s, first, cap)
+            if first:
+                terms[0, k:] *= 1.0 + 1e-6
+            return terms, k, n, knife
+
+        monkeypatch.setattr(index_mod, "_orbit_walk", shifted)
+        with pytest.raises(InconsistencyError, match="mean costs"):
+            index_beta1(p, costs.linear(), 0.5)
+
+    def test_limit_is_the_laurent_constant_term(self, monkeypatch):
+        # Each orbit's sum is S/(n(1 - beta)) + H + S(n - 1)/(2n) - (kS + J)/n
+        # + O(1 - beta), with H the head sum, k the head length, S the
+        # cycle sum and J = sum_j j a_{k+j}.  With equal cycle means the
+        # limit numerator is the difference of the constant terms.  The
+        # synthetic cycles have periods 2 and 3, so only their lcm, 6, is a
+        # period of both.
+        orbits = {0: ([5.0, 4.0], [1.0, 3.0]), 1: ([5.0, 0.5, 7.0], [2.0, 1.0, 3.0])}
+
+        def synthetic(p, cost, x, s, first, cap):
+            head, cyc = orbits[first]
+            terms = np.array([head + cyc, [0.0] * (len(head) + len(cyc))])
+            return terms, len(head), len(cyc), False
+
+        def constant_term(head, cyc):
+            k, n, S = len(head), len(cyc), Fraction(sum(cyc))
+            J = sum(j * Fraction(a) for j, a in enumerate(cyc))
+            return sum(map(Fraction, head)) + S * (n - 1) / (2 * n) - (k * S + J) / n
+
+        monkeypatch.setattr(index_mod, "_orbit_walk", synthetic)
+        p = ArmParams(r=1.0, a0=0.0, a1=1e6)
+        rec = index_beta1(p, costs.linear(), 0.5)
+        assert str(rec.word) == "01"
+        want = (constant_term(*orbits[0]) - constant_term(*orbits[1])) * 2
+        assert rec.lam == float(want)
+
+    def test_knife_edge_with_mismatched_cycles_raises(self):
+        # At y1 the passive-start orbit falls back onto the threshold from
+        # above; rounding here puts it on a cycle with a passive step while
+        # the active-start orbit stays at y1, so no float limit exists.
+        p = ArmParams(r=1.0, a0=0.0, a1=1.8708460454159177, c0=0.2)
+        assert threshold_word(p, y1(p), 256).knife_edge
+        with pytest.raises(ArithmeticError, match="knife edge") as info:
+            index_beta1(p, costs.linear(), y1(p))
+        assert not isinstance(info.value, InconsistencyError)
 
 
 class TestQValue:
@@ -904,12 +959,12 @@ class TestCrossRoutes:
     """Independent computational routes must agree with each other."""
 
     def test_beta1_limit_approached_by_high_beta(self):
-        arm = ArmParams(r=1.0, a0=0.0, a1=1e6)
-        for x in (0.5, 1.5, 2.5):
-            lim = index_beta1(arm, costs.linear(), x, 400).lam
-            hi = whittle_index(
-                IndexQuery(arm, costs.linear(), 0.999, x), word_max_len=1
-            ).lam
+        cases = [(ArmParams(r=1.0, a0=0.0, a1=1e6), x, 0.999) for x in (0.5, 1.5, 2.5)]
+        # Orbits that first repeat after 13,300 steps: the limit is 441,660.08.
+        cases.append((ArmParams(r=0.9995, a0=1e-6, a1=1.0), 900.0, 0.999999))
+        for arm, x, beta in cases:
+            lim = index_beta1(arm, costs.linear(), x).lam
+            hi = whittle_index(IndexQuery(arm, costs.linear(), beta, x)).lam
             assert abs(hi - lim) / lim < 5e-3  # convergence is O(1 - beta)
 
     def test_denominator_constant_on_word_interval(self):
@@ -918,8 +973,7 @@ class TestCrossRoutes:
         y10 = fixed_point(p, Word("10"))
         dens = [
             whittle_index(
-                IndexQuery(p, costs.linear(), 0.9, y01 + f * (y10 - y01)),
-                word_max_len=4,
+                IndexQuery(p, costs.linear(), 0.9, y01 + f * (y10 - y01))
             ).denominator
             for f in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
@@ -936,7 +990,7 @@ class TestCrossRoutes:
         ]:
             p = ArmParams(r=r, a0=a0, a1=a1)
             ours = whittle_index(
-                IndexQuery(p, costs.linear(), beta, x), word_max_len=1
+                IndexQuery(p, costs.linear(), beta, x)
             ).lam
             num, den = marginal_sums_mp(p, beta, x, mp_horizon(beta))
             ref = float(num / den)
@@ -964,7 +1018,7 @@ class TestFig2Regression:
         p = ArmParams(r=0.9, a0=0.0, a1=0.01)
         for x, (num, den, lam) in self.SNAPSHOT.items():
             rec = whittle_index(
-                IndexQuery(p, costs.linear(), 0.99, x), word_max_len=1
+                IndexQuery(p, costs.linear(), 0.99, x)
             )
             assert rec.numerator == pytest.approx(num, rel=1e-12)
             assert rec.denominator == pytest.approx(den, rel=1e-12)

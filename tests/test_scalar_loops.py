@@ -8,7 +8,9 @@ keep numpy scalar stores or plain lists; the threshold-word reference
 finds the first repeat with a set and tests periodicity letter by letter.
 Every state, summand, word and flag must come out identical.  Certified
 threshold words are also checked against the fixed-point interval
-theorem, an oracle that shares no code with the orbit walk.
+theorem, an oracle that shares no code with the orbit walk, and the
+discount-to-one limit against the exact rational limit of the reference
+orbits.
 
 Instances are drawn by derandomized hypothesis.  Many of them start at an
 end of a Christoffel word's fixed-point interval, where the threshold
@@ -156,32 +158,47 @@ def reference_orbit_terms(p, cost, beta, x, s, first_action, T):
     return terms[0], terms[1], knife, k, t
 
 
-def reference_index_beta1(params, cost, x, T, word_max_len=256):
-    tw = reference_threshold_word(params, x, word_max_len)
-    if not tw.periodic:
-        raise UncertifiedPeriodError(f"no certified period <= {word_max_len} at x={x}")
-    n = len(tw.word)
-    if n > T:
-        raise UncertifiedPeriodError(f"period {n} exceeds horizon T={T}")
-    steps = T * n
-    states = {}
-    for first in (0, 1):
-        v = float(x)
-        traj = np.empty(steps)
-        for t in range(steps):
-            traj[t] = v
-            act = first if t == 0 else int(v >= x)
-            v = phi(params, act, v)
-        states[first] = traj
-    cyc0 = cost.eval(states[0][steps - n : steps])
-    cyc1 = cost.eval(states[1][steps - n : steps])
-    offsets = np.arange(steps) % n
-    c0 = cost.eval(states[0])
-    c1 = cost.eval(states[1])
-    numerator = float(np.sum(c0 - cyc0[offsets] - c1 + cyc1[offsets]))
-    t_head = np.arange(n)
-    numerator += float(np.sum(t_head * (cyc1 - cyc0))) / n
-    return numerator * n / (params.c1 - params.c0)
+def reference_limit_orbit(p, x, first_action):
+    """States of the x-threshold orbit to its first repeat, and its head k."""
+    v = float(x)
+    states, seen = [], {}
+    for t in range(10**6):
+        if t >= 1:
+            k = seen.setdefault(v, t)
+            if k < t:
+                return states, k
+        states.append(v)
+        v = phi(p, first_action if t == 0 else int(v >= x), v)
+    raise AssertionError(f"no repeat within 10**6 steps at x={x}")
+
+
+def reference_beta1_limit(p, x, n):
+    """The discount-to-one limit index of the float orbits, in exact arithmetic.
+
+    Linear cost: each summand is a state.  With p_i orbit i's cycle
+    continued periodically in absolute time, heads k_i and N the lcm of
+    the state periods, the limit numerator is sum_{t < k_0} (a0_t - p0_t)
+    - sum_{t < k_1} (a1_t - p1_t) + sum_{j < N} j (p1_j - p0_j) / N,
+    summed here in Fractions; the denominator is (c1 - c0)/n.  None when
+    the cycles' mean costs differ by more than 1e-9 of their largest cost.
+    """
+    orbits = [reference_limit_orbit(p, x, a) for a in (0, 1)]
+    cycles = [[Fraction(v) for v in states[k:]] for states, k in orbits]
+    means = [sum(cyc) / len(cyc) for cyc in cycles]
+    if abs(means[0] - means[1]) > Fraction(1e-9) * max(map(abs, cycles[0] + cycles[1])):
+        return None
+    N = math.lcm(*map(len, cycles))
+    num = Fraction(0)
+    for (states, k), sign in zip(orbits, (1, -1)):
+        a = [Fraction(v) for v in states]
+        cyc = a[k:]
+
+        def per(t):
+            return cyc[(t - k) % len(cyc)]
+
+        num += sign * (sum(a[t] - per(t) for t in range(k))
+                       - sum(j * per(j) for j in range(N)) / N)
+    return num * n / (Fraction(p.c1) - Fraction(p.c0))
 
 
 def reference_whittle_index_word(params, cost, beta, x, word, T):
@@ -242,6 +259,11 @@ def start(draw, p):
     if kind == "y0" and math.isfinite(y0(p)):
         return y0(p)
     return draw(st.floats(y1(p), min(y0(p), 50.0)))
+
+
+def assert_near_exact(got, exact):
+    """got is within 2 ulps of 1 (4.4e-16) of the exact value, relatively."""
+    assert abs(Fraction(got) - exact) <= Fraction(4.4e-16) * abs(exact)
 
 
 def assert_same_floats(a, b):
@@ -389,15 +411,35 @@ class TestIndexLoops:
     def test_index_beta1(self, data):
         p = data.draw(arms(finite_a1=True))
         x = data.draw(start(p))
-        T = data.draw(st.integers(1, 60))
-        cost = costs.entropy()
-        try:
-            ref = reference_index_beta1(p, cost, x, T)
-        except UncertifiedPeriodError as exc:
-            with pytest.raises(UncertifiedPeriodError, match=str(exc)):
-                index_beta1(p, cost, x, T)
+        tw = reference_threshold_word(p, x, 256)
+        if not tw.periodic:
+            with pytest.raises(UncertifiedPeriodError):
+                index_beta1(p, costs.linear(), x)
             return
-        assert_same_floats(index_beta1(p, cost, x, T).lam, ref)
+        exact = reference_beta1_limit(p, x, len(tw.word))
+        if exact is None:
+            # Rounding put the orbits of a knife edge on different cycles.
+            with pytest.raises(ArithmeticError, match="knife edge"):
+                index_beta1(p, costs.linear(), x)
+            return
+        rec = index_beta1(p, costs.linear(), x)
+        assert rec.word == tw.word and rec.denominator == (p.c1 - p.c0) / len(tw.word)
+        assert_near_exact(rec.lam, exact)
+
+    @pytest.mark.parametrize("r, a0, a1, x", [
+        # The orbits first repeat after 13,300 steps.
+        (0.9995, 1e-6, 1.0, 900.0),
+        (0.9995, 1e-6, 1.0, 1000.0),
+        # State periods 4 and 8 against a word period of 4.
+        (1.0, 0.0, 0.1, 6.875),
+        # The rows of tests/golden/index_beta1.csv that the exact cycles moved.
+        (1.0, 0.0, 1e6, 0.25),
+        (1.0, 0.0, 1e6, 2.875),
+    ])
+    def test_index_beta1_slow_and_split_cycles(self, r, a0, a1, x):
+        p = ArmParams(r=r, a0=a0, a1=a1)
+        rec = index_beta1(p, costs.linear(), x)
+        assert_near_exact(rec.lam, reference_beta1_limit(p, x, len(rec.word)))
 
     @given(data=st.data())
     @SETTINGS
