@@ -8,13 +8,13 @@ posterior means.  Randomness comes from one named generator (PCG64) whose
 seed sequence is spawned into one child stream per arm plus one stream for
 the random policy, in that order.
 
-The simulator holds the arms as parameter arrays and steps them as one
-batch: per round it picks the active arms and makes one variance-map call
-over all of them.  Under a deterministic policy the joint state is
-eventually periodic, so stepping stops at its first exact repeat and the
-cycle is tiled over the rest of the horizon.  Each arm's noise is drawn up
-front from its own stream and its cost is evaluated once per run on the
-states it visited.
+Per round the simulator picks the active arms and steps each arm's
+variance as a Python float with the arm's own variance map; over the few
+arms of a scenario, numpy's per-call cost would outweigh the arithmetic.
+Under a deterministic policy the joint state is eventually periodic, so
+stepping stops at its first exact repeat and the cycle is tiled over the
+rest of the horizon.  Each arm's noise is drawn up front from its own
+stream and its cost is evaluated once per run on the states it visited.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .costs import CostFn, by_name
 # perfbench/layers.py wraps ``bandit.phi`` and ``bandit.phi0`` by name in its
 # traced pass.
 from .dynamics import (  # noqa: F401
-    ArmParams, batch_coefficients, check_denominator, phi, phi0, phi_batch,
-    scalar_map, y0,
+    ArmParams, check_denominator, phi, phi0, scalar_map, y0,
 )
 from .index import marginal_sums_batch, truncation_horizon
 
@@ -78,8 +77,17 @@ class Scenario:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for i, arm in enumerate(self.arms):
             try:
-                top = _reach_bound(arm.params, arm.v0, self.horizon)
-                check_denominator(arm.params, top)
+                lo, hi = _table_range(arm, self.horizon)
+                check_denominator(arm.params, hi)
+                # 2 max|w C| / (1 - beta) bounds the numerator of every
+                # index in the arm's table; the cost families are monotone,
+                # so the max is taken at an end of the range.
+                wc = max(abs(arm.weight * arm.cost.eval(x)) for x in (lo, hi))
+                if not math.isfinite(2.0 * wc / (1.0 - self.beta)):
+                    raise ValueError(
+                        f"weight {arm.weight!r} overflows: 2 * weight * cost / (1 - beta)"
+                        f" is not finite on the index-table range [{lo!r}, {hi!r}]"
+                    )
             except ValueError as exc:
                 raise ValueError(f"arm {i}: {exc}") from None
 
@@ -176,6 +184,12 @@ class IndexTables:
         return float(np.interp(lv, self.log_grids[arm], self.values[arm]))
 
 
+def _table_range(arm: Arm, horizon: int) -> tuple[float, float]:
+    """The variance range [lo, hi] of the arm's index table."""
+    hi = _reach_bound(arm.params, arm.v0, horizon)
+    return min(1e-4, 1e-4 * hi), hi
+
+
 def _reach_bound(p: ArmParams, v0: float, horizon: int) -> float:
     """Upper bound on variances reachable within the horizon under passivity."""
     top = y0(p)
@@ -200,8 +214,7 @@ def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
     cache: dict = {}
     T = truncation_horizon(scenario.beta)
     for arm in scenario.arms:
-        hi = _reach_bound(arm.params, arm.v0, scenario.horizon)
-        lo = min(1e-4, 1e-4 * hi)
+        lo, hi = _table_range(arm, scenario.horizon)
         key = (arm.params, id(arm.cost), arm.weight, lo, hi)
         if key not in cache:
             g = np.geomspace(lo, hi, n_points)
@@ -303,18 +316,22 @@ def simulate(
     """Run the belief-state chain under the named policy.
 
     Exactly m arms are active each round; the trace is bit-reproducible
-    for a given seed.  Each step chooses the active arms and updates all n
-    variances with one :func:`phi_batch` call.  Under ``whittle``,
+    for a given seed.  Each step chooses the active arms and steps each
+    arm's variance as a Python float with the arm's own
+    :func:`~obsched.dynamics.scalar_map`, whose states are bitwise those
+    of :func:`~obsched.dynamics.phi`.  Under ``whittle``,
     ``myopic`` and ``round_robin`` the pick and the next state depend only
     on the variances and the round-robin position, so when step t repeats
     the state of step k bit for bit, steps t onward copy steps
     k + (i - k) mod (t - k), off-grid index lookups included, and
     ``trace.cycle`` is (k, t - k).  ``random`` steps every round.
-    Everything else happens once per run over all steps: the map's
-    coefficients are built, each arm's noise is drawn up front from its
-    own stream (the same values as one draw per step), and each arm's cost
-    is evaluated once on all of its visited states.  Each step's cost is
-    still added up over the arms in arm order.
+    Everything else happens once per run over all steps: the action
+    matrix is filled from the picks, each arm's noise is drawn up front
+    from its own stream (the same values as one draw per step), and each
+    arm's cost is evaluated once on all of its visited states.  Each
+    step's cost is still added up over the arms in arm order, and each
+    arm's posterior mean m <- A m + e is stepped on Python floats, the
+    same two operations per step as on arrays.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -328,18 +345,14 @@ def simulate(
     policy_rng = np.random.default_rng(seeds[n])
 
     steps = scenario.horizon
-    r2, a0, a1, c0, c1 = (
-        np.array([getattr(a.params, f) for a in arms])
-        for f in ("r2", "a0", "a1", "c0", "c1")
-    )
-    coef = batch_coefficients(r2, a0, a1)
+    maps = [scalar_map(a.params) for a in arms]
     # The posterior mean is multiplied by the signed A when the arm came
     # from raw Kalman parameters; costs only ever see the variance.
     mult = np.array([a.params.r if a.params.A is None else a.params.A for a in arms])
     variances = np.empty((steps + 1, n))
-    actions = np.zeros((steps, n), dtype=np.int64)
     chosen: list[tuple[int, ...]] = []
     variances[0] = [a.v0 for a in arms]
+    v = variances[0].tolist()
     rr_next = 0
     # Off-grid index lookups made at each step; only whittle makes any.
     off_grid = np.zeros(steps, dtype=np.int64)
@@ -347,9 +360,8 @@ def simulate(
     first_step: dict[tuple[bytes, int], int] = {}
     cycle = None
     for t in range(steps):
-        v = variances[t]
         if policy != "random":
-            k = first_step.setdefault((v.tobytes(), rr_next), t)
+            k = first_step.setdefault((variances[t].tobytes(), rr_next), t)
             if k < t:
                 cycle = (k, t - k)
                 break
@@ -363,25 +375,26 @@ def simulate(
             pick = tuple(sorted((rr_next + j) % n for j in range(m)))
             rr_next = (rr_next + m) % n
         else:
-            pick = tuple(sorted(int(i) for i in policy_rng.choice(n, m, replace=False)))
+            pick = tuple(sorted(policy_rng.choice(n, m, replace=False).tolist()))
         chosen.append(pick)
-        actions[t, list(pick)] = 1
-        variances[t + 1] = phi_batch(coef, actions[t], v)
+        v = [step(i in pick, x) for i, step, x in zip(range(n), maps, v)]
+        variances[t + 1] = v
     if cycle is not None:
         k, period = cycle
         # Step i >= k of the run is step k + (i - k) mod period of the head.
         src = k + (np.arange(t, steps + 1) - k) % period
         variances[t:] = variances[src]
-        actions[t:] = actions[src[:-1]]
         chosen.extend([chosen[j] for j in src[:-1]])
         off_grid[t:] = off_grid[src[:-1]]
         if tables is not None:
             tables.out_of_range += int(off_grid[t:].sum())
+    actions = np.zeros((steps, n), dtype=np.int64)
+    actions[np.arange(steps)[:, None], chosen] = 1
 
     inst = np.zeros(steps)
     for i, arm in enumerate(arms):
         inst += arm.weight * arm.cost.eval(variances[:-1, i]) + np.where(
-            actions[:, i], c1[i], c0[i]
+            actions[:, i], arm.params.c1, arm.params.c0
         )
     disc = np.multiply.accumulate(np.r_[1.0, np.full(steps - 1, scenario.beta)])
     cum = np.cumsum(disc * inst)
@@ -390,8 +403,12 @@ def simulate(
     noise *= np.sqrt(np.maximum(0.0, mult * mult * variances[:-1] + 1.0 - variances[1:]))
     means = np.empty((steps + 1, n))
     means[0] = [a.x0 for a in arms]
-    for t in range(steps):
-        means[t + 1] = mult * means[t] + noise[t]
+    for i, (a_i, x) in enumerate(zip(mult.tolist(), means[0].tolist())):
+        col = [x]
+        for e in noise[:, i].tolist():
+            x = a_i * x + e
+            col.append(x)
+        means[:, i] = col
     return SimTrace(
         policy=policy,
         chosen=chosen,

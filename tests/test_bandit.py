@@ -3,13 +3,19 @@
 import io
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsched import costs
 from obsched.bandit import (
+    POLICIES,
     Arm,
+    IndexTables,
     Scenario,
     build_index_tables,
     fig7_scenario,
@@ -67,6 +73,26 @@ class TestScenario:
         bad_arm["arms"] = [{"r": 0.9, "a0": 0.0, "a1": 1.0}] * 2
         with pytest.raises(ValueError):
             Scenario.from_json(bad_arm)
+
+    @pytest.mark.parametrize(
+        "weight, beta, accepted",
+        [(1e308, 0.9, False), (1e300, 0.9, True), (1e306, 0.0, True), (1e306, 0.99, False)],
+    )
+    def test_overflowing_weight_rejected(self, weight, beta, accepted):
+        # 2 * weight * C(hi) / (1 - beta) must be finite on the table range;
+        # here hi = 2 y0 = 10.53, so the largest weight is 8.5e306 (1 - beta).
+        params = ArmParams(r=0.9, a0=0.0, a1=1.0)
+        heavy = Arm(params, costs.linear(), weight=weight, v0=2.0)
+        arms = (heavy, replace(heavy, weight=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not accepted:
+                with pytest.raises(ValueError, match=r"^arm 0: weight 1e\+30[68] "):
+                    Scenario(arms=arms, m=1, beta=beta, horizon=12, seed=3)
+                return
+            sc = Scenario(arms=arms, m=1, beta=beta, horizon=12, seed=3)
+            assert np.isfinite(build_index_tables(sc, n_points=64).values[0]).all()
+            assert math.isfinite(simulate(sc, "myopic").total_discounted_cost)
 
     def test_from_json_power_exponent_is_a_float(self):
         arm = {"r": 0.9, "a0": 0.0, "a1": 1.0, "v0": 2.0, "cost": "power"}
@@ -250,17 +276,21 @@ def reference_simulate(scenario, policy, tables):
     return chosen, actions, variances, means, inst, cum, total
 
 
-def assert_matches_reference(scenario, policy):
+def assert_matches_reference(scenario, policy, tables=None):
     """simulate equals reference_simulate bit for bit, off-grid counts included.
 
     Each side gets its own index tables, so the shared-table counter of
     the simulated side must grow by exactly what the reference looked up.
+    Given ``tables``, each side gets a copy of them with a zero counter.
     """
-    ref_tables = build_index_tables(scenario, n_points=64)
+    if tables is None:
+        ref_tables = build_index_tables(scenario, n_points=64)
+        tables = build_index_tables(scenario, n_points=64)
+    else:
+        ref_tables, tables = (replace(tables, out_of_range=0) for _ in range(2))
     chosen, actions, variances, means, inst, cum, total = reference_simulate(
         scenario, policy, ref_tables
     )
-    tables = build_index_tables(scenario, n_points=64)
     trace = simulate(scenario, policy, tables=tables)
     assert trace.chosen == chosen
     for got, want in ((trace.actions, actions), (trace.variances, variances),
@@ -304,6 +334,60 @@ def simulate_64(scenario, policy):
     return simulate(scenario, policy, tables=build_index_tables(scenario, n_points=64))
 
 
+def reference_cycle(variances, policy, n, m):
+    """(k, t - k) for the first step t whose state repeats step k's, or None.
+
+    The state is the variance row, bit for bit, plus the round-robin
+    position; ``random`` has no repeating state.
+    """
+    if policy == "random":
+        return None
+    seen = {}
+    for t in range(len(variances) - 1):
+        rr_next = t * m % n if policy == "round_robin" else 0
+        k = seen.setdefault((variances[t].tobytes(), rr_next), t)
+        if k < t:
+            return k, t - k
+    return None
+
+
+SIM_COSTS = (costs.linear(), costs.entropy(), costs.neg_precision(), costs.power(2.0),
+             costs.power(0.5), costs.bounded_demo())
+
+
+@st.composite
+def sim_arms(draw):
+    """One arm: plain, noiseless when active (a1 = inf, only with a cost
+    defined at v = 0) or Kalman with a negative A; v0 = 0 only if linear."""
+    kind = draw(st.sampled_from(["plain", "noiseless", "kalman"]))
+    cost = draw(st.sampled_from(
+        [c for c in SIM_COSTS if not c.positive_only] if kind == "noiseless" else SIM_COSTS))
+    c0 = draw(st.sampled_from([0.0, 0.4]))
+    c1 = draw(st.sampled_from([c0, c0 + 0.6]))
+    a0 = draw(st.sampled_from([0.0, 0.02, 0.3]))
+    if kind == "kalman":
+        params = ArmParams.from_kalman(
+            A=-draw(st.floats(0.6, 1.0)), sigma_x=1.0,
+            sigma_y0=math.inf if a0 == 0.0 else 1.0 / a0,
+            sigma_y1=draw(st.sampled_from([0.25, 0.7, 2.0])), c0=c0, c1=c1)
+    else:
+        a1 = math.inf if kind == "noiseless" else draw(st.sampled_from([0.8, 1.5, 4.0]))
+        params = ArmParams(r=draw(st.floats(0.6, 1.0)), a0=a0, a1=a1, c0=c0, c1=c1)
+    v0 = draw(st.floats(0.1, 8.0))
+    if cost.kind == "linear" and draw(st.booleans()):
+        v0 = 0.0
+    return Arm(params, cost, weight=draw(st.floats(0.5, 8.0)),
+               x0=draw(st.floats(-3.0, 3.0)), v0=v0)
+
+
+@st.composite
+def sim_scenarios(draw):
+    n = draw(st.integers(2, 8))
+    return Scenario(arms=tuple(draw(sim_arms()) for _ in range(n)),
+                    m=draw(st.integers(1, n - 1)), beta=draw(st.sampled_from([0.5, 0.9])),
+                    horizon=160, seed=draw(st.integers(0, 2**16)))
+
+
 class TestCycleTiling:
     @pytest.mark.parametrize("policy", ["whittle", "myopic", "round_robin"])
     def test_long_horizon_matches_reference(self, policy):
@@ -325,6 +409,35 @@ class TestCycleTiling:
 
     def test_random_never_tiles(self):
         assert simulate_64(mixed_scenario(horizon=3000), "random").cycle is None
+
+
+def tables_for(scenario, policy):
+    """64-point index tables for whittle; the other policies read none."""
+    if policy != "whittle":
+        return IndexTables([], [], [])
+    return build_index_tables(scenario, n_points=64)
+
+
+class TestRandomScenarios:
+    @given(scenario=sim_scenarios())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_matches_reference_around_the_repeat(self, scenario):
+        """Every SimTrace field equals the per-arm phi loop's, on horizons that
+        end before, at and just after the first repeat, and past it."""
+        n, m = len(scenario.arms), scenario.m
+        for policy in POLICIES:
+            probe = simulate(scenario, policy, tables=tables_for(scenario, policy))
+            horizons = [scenario.horizon]
+            if probe.cycle is not None:
+                repeat = sum(probe.cycle)
+                horizons += [h for h in (repeat - 1, repeat, repeat + 1) if h >= 1]
+            for horizon in horizons:
+                sc = replace(scenario, horizon=horizon)
+                trace = assert_matches_reference(sc, policy, tables_for(sc, policy))
+                want = reference_cycle(trace.variances, policy, n, m)
+                assert trace.cycle == want
+                if policy != "random":
+                    assert (want is None) == (probe.cycle is None or horizon <= repeat)
 
 
 class TestFig7:

@@ -317,6 +317,18 @@ class TestSimulateCommand:
         code, _, err = run(["simulate", "--scenario", str(scen)], capsys)
         assert code == 1 and "malformed" in err
 
+    def test_overflowing_weight_exits_1(self, tmp_path, capsys):
+        # Above about 8.5e305 the linear arm's discounted cost bound on its
+        # index-table range is not finite at beta = 0.9.
+        arm = {"r": 0.9, "a0": 0.0, "a1": 1.0, "v0": 2.0, "cost": "linear"}
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(
+            {**SCENARIO, "beta": 0.9, "arms": [{**arm, "weight": 1e308}, arm]}))
+        code, out, err = TestOverflowingActivePrecision.run_quietly(
+            ["simulate", "--scenario", str(scen), "--policies", "whittle,myopic"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: arm 0: weight 1e+308 overflows") and err.count("\n") == 1
+
     def test_trace_files_written(self, tmp_path):
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(SCENARIO))

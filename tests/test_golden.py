@@ -10,7 +10,9 @@ The files under ``tests/golden/`` were written by the commands below with
 numpy 2.4.6 on x86-64 with AVX-512.  Floats are printed with 17
 significant digits, so a different numpy build or instruction set may
 round a last bit differently and fail these tests without any change in
-obsched.  ``simulate`` runs on the small scenario committed beside them.
+obsched.  ``simulate`` runs on the small scenario committed beside them;
+``simulate.<policy>.csv`` are the ``--trace-out`` files of all four
+policies on it, which pin every round's variances, actions and costs.
 
 Regenerate the files only for an intended output change:
 
@@ -61,6 +63,26 @@ def test_output_file_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+TRACE_COMMAND = [
+    "simulate", "--scenario", str(GOLDEN / "scenario.json"),
+    "--policies", "whittle,myopic,round_robin,random",
+]
+
+
+def write_traces(directory: Path) -> None:
+    """The --trace-out files of TRACE_COMMAND, as simulate.<policy>.csv."""
+    argv = TRACE_COMMAND + ["--trace-out", str(directory / "simulate"),
+                            "--out", str(directory / "summary.json")]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("policy", ["whittle", "myopic", "round_robin", "random"])
+def test_trace_matches_golden(policy, tmp_path):
+    write_traces(tmp_path)
+    name = f"simulate.{policy}.csv"
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 @pytest.mark.parametrize("name", ["word.txt", "lqg.json"])
 def test_stdout_matches_golden(name, capsys):
     assert main(COMMANDS[name]) == 0
@@ -70,3 +92,5 @@ def test_stdout_matches_golden(name, capsys):
 if __name__ == "__main__":
     for name, argv in COMMANDS.items():
         assert main(argv + ["--out", str(GOLDEN / name)]) == 0
+    write_traces(GOLDEN)
+    (GOLDEN / "summary.json").unlink()
