@@ -75,6 +75,8 @@ class Scenario:
             raise ValueError("horizon must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # Bounds the discounted cost of a run, summed over the arms.
+        total = 0.0
         for i, arm in enumerate(self.arms):
             try:
                 lo, hi = _table_range(arm, self.horizon)
@@ -90,6 +92,12 @@ class Scenario:
                     )
             except ValueError as exc:
                 raise ValueError(f"arm {i}: {exc}") from None
+            total += 2.0 * wc + max(abs(arm.params.c0), abs(arm.params.c1))
+        if not math.isfinite(total / (1.0 - self.beta)):
+            raise ValueError(
+                "the arms' weights overflow together: the sum over arms of"
+                " (2 * weight * cost + observation cost) / (1 - beta) is not finite"
+            )
 
     @classmethod
     def from_json(cls, payload: dict) -> "Scenario":
@@ -225,9 +233,7 @@ def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
             if not p.c1 > p.c0:
                 p = p.with_costs(0.0, 1.0)
             wcost = arm.cost.scale(arm.weight)
-            num, den, _ = marginal_sums_batch(
-                p.r, p.a0, p.a1, p.c0, p.c1, scenario.beta, wcost, g, g, T
-            )
+            num, den, _ = marginal_sums_batch(p, scenario.beta, wcost, g, g, T)
             cache[key] = (g, np.log(g), num / den)
         g, log_g, lam = cache[key]
         grids.append(g)

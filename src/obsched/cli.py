@@ -328,8 +328,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = oracle.PcliConfig(seed=args.seed)
     # The report's states and thresholds, and the DP grid of the cross-checks.
     top = y0(params)
-    v_max = oracle.state_bounds(params, cfg)[1]
-    check_denominator(params, max(v_max, 4.0 * top) if math.isfinite(top) else v_max)
+    lo, hi = oracle.state_bounds(params, cfg)
+    check_denominator(params, max(hi, 4.0 * top) if math.isfinite(top) else hi)
     try:
         report = oracle.pcli_report(params, cost, args.beta, cfg)
     except costs.CostDomainError as exc:
@@ -338,10 +338,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     threshold_ok = True
     # The DP grid spans [1e-4 y1, 4 y0], so there are no cross-checks when
     # the passive fixed point is infinite (r = 1, a0 = 0).
-    if math.isfinite(y0(params)):
+    if math.isfinite(top):
         grid = oracle.default_grid(params, n=args.grid_n)
         rng = np.random.default_rng(args.seed)
-        lo, hi = oracle.state_bounds(params, cfg)
         for x_star in rng.uniform(lo, min(hi, grid.hi * 0.5), args.cross_checks):
             cv = oracle.cross_validate(params, cost, args.beta, float(x_star), grid)
             threshold_ok = threshold_ok and cv.threshold_ok

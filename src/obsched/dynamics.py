@@ -7,7 +7,11 @@ The one-step variance update under query action a is the Moebius map
 in units of the process-noise variance.  This module provides the maps,
 their 2x2 matrix representation, fixed points of word compositions,
 threshold orbits, itineraries of the induced map-with-a-gap, and the
-bracketing of fixed points for irrational-rate threshold words.
+bracketing of fixed points for irrational-rate threshold words.  One arm's
+map comes bound to its coefficients in two forms: :func:`scalar_map` steps
+a Python float and :func:`batch_map` an array of states, with bitwise the
+floats of :func:`phi`.  Every scalar threshold orbit is read off
+:func:`threshold_walk`.
 """
 
 from __future__ import annotations
@@ -173,36 +177,32 @@ def scalar_map(p: ArmParams) -> Callable[[int, float], float]:
     return step
 
 
-def batch_coefficients(r2: FloatArray, a0: FloatArray, a1: FloatArray) -> tuple:
-    """Per-arm coefficients of :func:`phi_batch`, computed once per batch.
+def batch_map(p: ArmParams) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The variance update as step(act, v) on arrays, p's coefficients bound once.
 
-    Rows: r^2, a0 r^2, a0, a1' r^2, a1' and isinf(a1), where a1' is a1
-    with an infinite value replaced by 1.0 (the map itself is then 0).
+    The array twin of :func:`scalar_map`: actions and states broadcast,
+    only the taken branch is evaluated, and each element gets the float
+    operations of :func:`phi` (0.0 for an active step with a1 = inf).  A
+    r^2 v is (a r^2) v there too, while (a r^2 v + a) + 1 must not become
+    a r^2 v + (a + 1).  The coefficients are 1-element arrays, which
+    ``np.where`` selects from faster than from Python floats.
     """
-    r2, a0, a1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r2, a0, a1)))
-    a1_inf = np.isinf(a1)
-    a1 = np.where(a1_inf, 1.0, a1)
-    return r2, a0 * r2, a0, a1 * r2, a1, a1_inf
+    a1_inf = math.isinf(p.a1)
+    a1 = 1.0 if a1_inf else p.a1
+    r2, a0r2, a0, a1r2, a1 = (
+        np.array([c]) for c in (p.r2, p.a0 * p.r2, p.a0, a1 * p.r2, a1)
+    )
 
+    def step(act: np.ndarray, v: np.ndarray) -> np.ndarray:
+        den = np.where(act, a1r2, a0r2) * v
+        den += np.where(act, a1, a0)
+        den += 1.0
+        out = r2 * v
+        out += 1.0
+        out /= den
+        return np.where(act, 0.0, out) if a1_inf else out
 
-def phi_batch(coef: tuple, act: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Elementwise variance update; coefficients, actions and states broadcast.
-
-    ``coef`` comes from :func:`batch_coefficients`.  Only the taken branch
-    is evaluated, and each element gets the same float operations as
-    :func:`phi` on one arm: a r^2 v is (a r^2) v there too, while
-    (a r^2 v + a) + 1 must not become a r^2 v + (a + 1).
-    """
-    r2, a0r2, a0, a1r2, a1, a1_inf = coef
-    den = np.where(act, a1r2, a0r2) * v
-    den += np.where(act, a1, a0)
-    den += 1.0
-    out = r2 * v
-    out += 1.0
-    out /= den
-    if a1_inf.size == 1 and not a1_inf:
-        return out
-    return np.where(act & a1_inf, 0.0, out)
+    return step
 
 
 def phi_word(p: ArmParams, w: Word, v: float) -> float:
@@ -268,9 +268,6 @@ class MoebiusMat:
     def max_entry(self) -> float:
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
 
 IDENTITY = MoebiusMat(1.0, 0.0, 0.0, 1.0)
 
@@ -321,12 +318,8 @@ def fixed_point(p: ArmParams, w: Word) -> float:
     if len(w) == 0:
         raise ValueError("fixed point undefined for the empty word")
     if math.isinf(p.a1) and w.ones > 0:
-        last_one = max(k for k in range(1, len(w) + 1) if w.letter(k) == 1)
-        step = scalar_map(p)
-        v = 0.0
-        for k in range(last_one + 1, len(w) + 1):
-            v = step(w.letter(k), v)
-        return v
+        # The last active step lands on 0; the letters after it map that on.
+        return phi_word(p, w.factor(w.bits.bit_length() + 1, len(w)), 0.0)
     y = _positive_root(moebius_matrix(p, w))
     if math.isfinite(y):
         resid = abs(phi_word(p, w, y) - y)
@@ -416,43 +409,37 @@ class Orbit:
 
 
 def orbit(p: ArmParams, x: float, a: int, s: float, T: int) -> Orbit:
-    """X_0..X_T and A_0..A_T with A_0 = a and A_t = 1{X_t >= s} for t >= 1."""
+    """X_0..X_T and A_0..A_T with A_0 = a and A_t = 1{X_t >= s} for t >= 1.
+
+    X_1.. is the :func:`threshold_walk` from phi_a(x), tiled from its
+    first repeat.
+    """
     if T < 1:
         raise ValueError("T must be positive")
     step = scalar_map(p)
-    tol = knife_edge_tol(s)
-    v = float(x)
-    states = [v]
-    actions = [a]
-    knife = False
-    for _ in range(T):
-        v = step(actions[-1], v)
-        if abs(v - s) <= tol:
-            knife = True
-        states.append(v)
-        actions.append(int(v >= s))
-    return Orbit(np.array(states), np.array(actions, dtype=np.int64), s, a, knife)
+    x = float(x)
+    states, acts, k, knife = threshold_walk(step, step(a, x), s, T)
+    return Orbit(
+        np.array([x, *_tiled(states, k, T)]),
+        np.array([a, *_tiled(acts, k, T)], dtype=np.int64),
+        s, a, knife,
+    )
 
 
 def itinerary(p: ArmParams, x: float, z: float, n: int) -> Word:
     """First n letters of the itinerary of the map-with-a-gap at threshold z.
 
-    x_1 = x, sigma_t = 1{x_t >= z}, x_{t+1} = phi_{sigma_t}(x_t).  x must
-    be finite; z = -inf and z = inf give the all-active and all-passive
-    itineraries.
+    x_1 = x, sigma_t = 1{x_t >= z}, x_{t+1} = phi_{sigma_t}(x_t): the
+    actions of the :func:`threshold_walk` from x, tiled from its first
+    repeat.  x must be finite; z = -inf and z = inf give the all-active
+    and all-passive itineraries.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not math.isfinite(x) or math.isnan(z):
         raise ValueError(f"need a finite x and a non-NaN z, got x={x}, z={z}")
-    step = scalar_map(p)
-    letters = []
-    v = float(x)
-    for _ in range(n):
-        b = int(v >= z)
-        letters.append(b)
-        v = step(b, v)
-    return Word(letters)
+    _, acts, k, _ = threshold_walk(scalar_map(p), x, z, n)
+    return Word(_tiled(acts, k, n))
 
 
 @dataclass(frozen=True)
@@ -492,6 +479,17 @@ def threshold_walk(
         acts.append(b)
         v = step(b, v)
     return states, acts, cap, knife
+
+
+def _tiled(seq, k: int, length: int):
+    """The first ``length`` items of ``seq`` continued periodically from index k.
+
+    ``seq`` is a :func:`threshold_walk` list: seq[k:] is one cycle, or k
+    is len(seq) and ``seq`` is at least ``length`` long.
+    """
+    while len(seq) < length:
+        seq = seq + seq[k:]
+    return seq[:length]
 
 
 def threshold_word(p: ArmParams, x: float, max_len: int) -> ThresholdWord:
@@ -538,6 +536,4 @@ def threshold_word(p: ArmParams, x: float, max_len: int) -> ThresholdWord:
                 return ThresholdWord(w, True, knife)
             break
     # Only a repeating walk can be shorter than max_len (its cap is longer).
-    while len(acts) < max_len:
-        acts += acts[k:]
-    return ThresholdWord(Word(acts[:max_len]), False, knife)
+    return ThresholdWord(Word(_tiled(acts, k, max_len)), False, knife)

@@ -9,7 +9,8 @@ sum times 1 / (1 - beta^n), in closed form.  Orbits that do not repeat
 within the step cap T of :func:`truncation_horizon` are truncated there.
 Also: closed forms for the noiseless case, the discount-to-one limit
 from the same exact cycles, Q-values of threshold policies, and grid
-tabulation with monotonicity accounting.
+tabulation with monotonicity accounting.  The batch kernel steps many
+orbits of one arm and one beta per call, with :func:`dynamics.batch_map`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .dynamics import (  # noqa: F401
     KNIFE_EDGE_TOL,
     ArmParams,
     InconsistencyError,
-    batch_coefficients,
+    batch_map,
     phi,
-    phi_batch,
     scalar_map,
     threshold_walk,
     threshold_word,
@@ -215,41 +215,6 @@ def whittle_index(q: IndexQuery) -> IndexRecord:
     )
 
 
-def whittle_index_word(
-    params: ArmParams, cost: CostFn, beta: float, x: float, word: Word, T: int
-) -> tuple[float, float]:
-    """(numerator, denominator) with actions pinned to the certified word.
-
-    For x inside the word's fixed-point interval the passive-start variant
-    follows (01p)-cycles and the active-start variant (10p)-cycles, where
-    word = 0p1; pinning the actions removes threshold comparisons entirely,
-    which is the knife-edge-proof evaluation path.
-    """
-    n = len(word)
-    if n == 1:
-        seq0 = [0] + [word.letter(1)] * (T + 1)
-        seq1 = [1] + [word.letter(1)] * (T + 1)
-    else:
-        p = word.factor(2, n - 1)
-        w01 = Word("01") + p
-        w10 = Word("10") + p
-        reps = T // n + 2
-        seq0 = list(w01 * reps)
-        seq1 = list(w10 * reps)
-    step = scalar_map(params)
-    num = 0.0
-    den = 0.0
-    v0 = v1 = float(x)
-    disc = 1.0
-    for t in range(T + 1):
-        num += disc * (cost.eval(v0) - cost.eval(v1))
-        den += disc * (params.work_cost(seq1[t]) - params.work_cost(seq0[t]))
-        v0 = step(seq0[t], v0)
-        v1 = step(seq1[t], v1)
-        disc *= beta
-    return num, den
-
-
 def q_value(
     params: ArmParams,
     cost: CostFn,
@@ -351,18 +316,9 @@ def index_beta1(params: ArmParams, cost: CostFn, x: float) -> IndexRecord:
 
 
 def marginal_sums_batch(
-    r: np.ndarray,
-    a0: np.ndarray,
-    a1: np.ndarray,
-    c0: np.ndarray,
-    c1: np.ndarray,
-    beta: np.ndarray,
-    cost: CostFn,
-    x: np.ndarray,
-    s: np.ndarray,
-    T: int,
+    p: ArmParams, beta: float, cost: CostFn, x: np.ndarray, s: np.ndarray, T: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginal cost, marginal work, knife-edge flags; everything broadcasts.
+    """Marginal cost, marginal work, knife-edge flags of one arm; x and s broadcast.
 
     Plain >= comparisons decide actions here, as in the scalar kernel;
     points that ever tie a threshold are flagged.  Each sum is taken to
@@ -372,25 +328,11 @@ def marginal_sums_batch(
     :func:`_threshold_sums_batch`): orbits [0, n) start passive and orbits
     [n, 2n) start active.
     """
-    args = [np.asarray(a, dtype=float) for a in (r, a0, a1, c0, c1, beta, x, s)]
-    shape = np.broadcast_shapes(*(a.shape for a in args))
-    r, a0, a1, c0, c1, beta, x, s = args
-    n = math.prod(shape)
-
-    def per_orbit(a: np.ndarray) -> np.ndarray:
-        return np.tile(np.broadcast_to(a, shape).ravel(), 2)
-
-    def rows(*arrays: np.ndarray) -> tuple:
-        # A single value is shared by all orbits.
-        return tuple(a.reshape(1) if a.size == 1 else per_orbit(a) for a in arrays)
-
-    par = rows(c0, c1, beta, s)
-    s = par[3]
-    tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
+    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
+    shape, n = x.shape, x.size
     cost_sums, work_sums, knife, n_open = _threshold_sums_batch(
-        par + (tol,),
-        rows(*batch_coefficients(r * r, a0, a1)),
-        cost, per_orbit(x), np.arange(2 * n) >= n, T,
+        p, beta, cost, np.tile(x.ravel(), 2), np.tile(s.ravel(), 2),
+        np.arange(2 * n) >= n, T,
     )
     if n_open:
         _debug("%d of %d batch orbits reached T=%d with no repeat", n_open, 2 * n, T)
@@ -401,31 +343,17 @@ def marginal_sums_batch(
     )
 
 
-def _columns(rows: tuple, cols: np.ndarray) -> tuple:
-    """The entries of each row at the given classes.
-
-    A 1-element row is shared by all classes and returned as it is.  (So
-    is a per-class row with one entry left; its value is the same for
-    both halves of a split, and the kernel stops stepping when that class
-    repeats.)
-    """
-    return tuple(row if row.size == 1 else row[cols] for row in rows)
-
-
-def _classes(x: np.ndarray, first: np.ndarray, rows: tuple, s: np.ndarray):
+def _classes(x: np.ndarray, first: np.ndarray, s: np.ndarray):
     """Group orbits that differ at most in their threshold.
 
-    Orbits share a class when their start, first action and every row of
-    ``rows`` agree bit for bit.  Returns the permutation ``order`` that
-    makes each class contiguous with its thresholds ascending, and the
-    list [lo, hi] of the classes' ranges in it.
+    Orbits share a class when their start (bit for bit) and first action
+    agree.  Returns the permutation ``order`` that makes each class
+    contiguous with its thresholds ascending, and the list [lo, hi] of the
+    classes' ranges in it.
     """
     n = x.size
-    keys = [
-        a.view(np.int64) if a.dtype == np.float64 else a
-        for a in (np.broadcast_to(a, (n,)) for a in (x, first) + rows if a.size > 1)
-    ]
-    order = np.lexsort([np.broadcast_to(s, (n,))] + keys)
+    keys = (x.view(np.int64), first)
+    order = np.lexsort((s,) + keys)
     start = np.zeros(n, dtype=bool)
     start[:1] = True
     for key in keys:
@@ -446,20 +374,19 @@ def _share(out: np.ndarray, order: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
 
 
 def _threshold_sums_batch(
-    par: tuple, coef: tuple, cost: CostFn, x: np.ndarray, first: np.ndarray, T: int
+    p: ArmParams, beta: float, cost: CostFn,
+    x: np.ndarray, s: np.ndarray, first: np.ndarray, T: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Cost and work sums of s-threshold orbits, each with a forced first action.
+    """Cost and work sums of one arm's s-threshold orbits, each with a forced first action.
 
-    ``par`` holds the rows (c0, c1, beta, s, knife-edge tolerance) and
-    ``coef`` the :func:`batch_coefficients` rows, each with one entry per
-    start x or a single entry shared by all; ``first`` is the first action
-    of each orbit, and the tolerance of a threshold s is
-    ``knife_edge_tol(s)``.  Returns the infinite-horizon sums, the
-    knife-edge flags and the number of orbits stepped to T without a
-    repeat, whose sums are truncated at T.  Repeats are found by Brent's
-    method: each orbit is compared bitwise with an anchor state retaken at
-    t = 1, 2, 4, ...  An orbit back at its anchor state at step t is
-    periodic from the anchor step k with period n = t - k and stops
+    Orbit i starts at x[i] with first action first[i] and threshold s[i];
+    all orbits share the arm p and the discount beta.  Returns the
+    infinite-horizon sums, the knife-edge flags (a state within
+    ``knife_edge_tol(s)`` of s) and the number of orbits stepped to T
+    without a repeat, whose sums are truncated at T.  Repeats are found by
+    Brent's method: each orbit is compared bitwise with an anchor state
+    retaken at t = 1, 2, 4, ...  An orbit back at its anchor state at step
+    t is periodic from the anchor step k with period n = t - k and stops
     stepping; its sum is the part before k plus the cycle's sum times
     1 / (1 - beta^n).  The anchor schedule depends only on t, so each
     orbit's sums do not depend on the other orbits of the batch.  Memory
@@ -483,40 +410,39 @@ def _threshold_sums_batch(
     tested one by one.  When every class has one member, as in a batch of
     distinct starts, the class bookkeeping costs one Python bool per step.
 
-    A shared beta is raised to the power t on its 1-element row: numpy's
-    power gives the same float there as in a full row, while a Python
-    float power may differ from it in the last bit.
+    beta is raised to the power t as a 1-element array: numpy's power
+    gives the same float there as in a full row, while a Python float
+    power may differ from it in the last bit.
 
     Only the starting states go through the cost's domain check.  The
     states at t >= 1 are variance images, positive unless an active step
     with a1 = inf, or a map denominator that overflows, takes them to 0.
     A step adds at most 1 to a state, so the denominators stay below
-    a1 r^2 (max x + T) + a1 + 1 (doubled for rounding); when that is
-    finite and no orbit has a1 = inf, the states are evaluated unchecked,
-    and otherwise every step is checked.
+    a1 r^2 (max x + T) + a1 + 1 (doubled for rounding); when a1 is finite
+    and that bound is finite, the states are evaluated unchecked, and
+    otherwise every step is checked.
     """
     n = x.size
-    c0, c1, beta, s, tol = par
+    tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
+    c0, c1, beta = p.c0, p.c1, np.array([beta])
+    step = batch_map(p)
     # Per class: its range [lo, hi) of ``order``, which lists the class's
     # orbits by ascending threshold, and the threshold and tolerance of
     # its last orbit.  The per-class arrays are replaced one at a time,
     # which keeps the transient copies small.
-    order, bounds = _classes(x, first, (c0, c1, beta) + tuple(coef), s)
-    s, tol = np.broadcast_to(s, (n,)), np.broadcast_to(tol, (n,))
+    order, bounds = _classes(x, first, s)
     bounds += [s[order[bounds[1] - 1]], tol[order[bounds[1] - 1]]]
     sums = np.empty((2, n))
     knife = np.zeros(n, dtype=bool)
     # Each class steps from the start and first action of its first orbit.
     rep = order[bounds[0]]
-    lpar, lcoef = _columns((c0, c1, beta), rep), _columns(coef, rep)
     # Summed over t < k, and over k <= t.
-    head = np.stack([cost.eval(x[rep]), np.where(first[rep], lpar[1], lpar[0])])
-    den_max = 2.0 * (float(np.max(x, initial=0.0)) + T) * float(coef[3].max())
-    den_max += float(coef[4].max()) + 1.0
-    positive = den_max < math.inf and not coef[5].any()
+    head = np.stack([cost.eval(x[rep]), np.where(first[rep], c1, c0)])
+    den_max = 2.0 * (float(np.max(x, initial=0.0)) + T) * (p.a1 * p.r2) + p.a1 + 1.0
+    positive = math.isfinite(p.a1) and den_max < math.inf
     cost_at = cost.eval_unchecked if positive else cost.eval
     cyc = np.zeros_like(head)
-    v = phi_batch(lcoef, first[rep], x[rep])
+    v = step(first[rep], x[rep])
     anchor, k = v, 1
     # The classes with more than one member, whose ties are flagged per
     # orbit as they happen; those of the others accumulate in lknife.
@@ -526,10 +452,9 @@ def _threshold_sums_batch(
         if t > k:
             hit = v == anchor
             if hit.any():
-                geo = _cycle_factor(_columns(lpar, hit)[2], t - k)
                 ids = order[bounds[0][hit]]
                 done = cyc[:, hit]
-                done *= geo
+                done *= _cycle_factor(beta, t - k)
                 done += head[:, hit]
                 sums[:, ids] = done
                 knife[ids] |= lknife[hit]
@@ -540,7 +465,6 @@ def _threshold_sums_batch(
                 v, anchor, lknife = v[keep], anchor[keep], lknife[keep]
                 head = head[:, keep]
                 cyc = cyc[:, keep]
-                lpar, lcoef = _columns(lpar, keep), _columns(lcoef, keep)
                 for i, row in enumerate(bounds):
                     bounds[i] = row[keep]
                 if mrows.size:
@@ -564,10 +488,6 @@ def _threshold_sums_batch(
                 lknife = _append(lknife, split)
                 head = _append(head, split)
                 cyc = _append(cyc, split)
-                lpar, lcoef = (
-                    tuple(row if row.size == 1 else _append(row, split) for row in rows)
-                    for rows in (lpar, lcoef)
-                )
                 mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
                 off = np.subtract(v, bounds[2])
                 tie = np.abs(off, out=off) <= bounds[3]
@@ -581,11 +501,10 @@ def _threshold_sums_batch(
                 _flag_ties(knife, order, s, tol, bounds[0][ties], bounds[1][ties], v[ties])
                 tie[ties] = False
         lknife |= tie
-        c0, c1, beta = lpar
         disc = beta**t
         cyc[0] += disc * cost_at(v)
         cyc[1] += np.where(act, disc * c1, disc * c0)
-        v = phi_batch(lcoef, act, v)
+        v = step(act, v)
     ids = order[bounds[0]]
     head += cyc
     sums[:, ids] = head
@@ -668,9 +587,7 @@ def index_table(
     p = params
     gap = cost_gap(p)
     T = truncation_horizon(beta)
-    num, den, knife = marginal_sums_batch(
-        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, xs, xs, T
-    )
+    num, den, knife = marginal_sums_batch(p, beta, cost, xs, xs, T)
     lam = num / den
     records: list[IndexRecord] = []
     for i, x in enumerate(xs):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import linear
-from .dynamics import ArmParams, InconsistencyError, y0, y1
+from .dynamics import ArmParams, InconsistencyError, check_denominator, y0, y1
 from .index import IndexQuery, whittle_index
 
 BISECTION_STEPS = 60
@@ -62,9 +62,6 @@ class LqgSolution:
     alpha: float
     z: float  # threshold on the raw posterior variance
 
-    def as_dict(self) -> dict:
-        return {"R": self.R, "L": self.L, "alpha": self.alpha, "z": self.z}
-
 
 def riccati_root(problem: LqgProblem) -> float:
     """Unique positive root of -beta B^2 R^2 + (beta B^2 D + beta A^2 F - F) R + D F.
@@ -107,7 +104,9 @@ def observation_threshold(problem: LqgProblem, alpha: float) -> float:
     The index of the induced arm is non-decreasing, so bisection over a
     bracket applies; targets below the index at the bottom of the bracket
     give z = -inf (always observe) and, when the passive fixed point caps
-    the index, targets above it give z = +inf.
+    the index, targets above it give z = +inf.  An a1 whose map
+    denominator overflows on the bracket's orbits raises ValueError (see
+    :func:`dynamics.check_denominator`).
     """
     p = problem
     price = p.c1 - p.c0
@@ -118,19 +117,22 @@ def observation_threshold(problem: LqgProblem, alpha: float) -> float:
     arm = p.arm()
     target = price / (alpha * p.sigma_x)
     lo = 1e-9
+    top = y0(arm)
+    hi = 4.0 * top if math.isfinite(top) else 4.0 * max(1.0, y1(arm))
+    # Every probe lies in [lo, hi]: each bracket top is checked before the
+    # first probe at or below it.
+    check_denominator(arm, hi)
     if _lambda_normalized(arm, p.beta, lo) >= target:
         return -math.inf
-    top = y0(arm)
     if math.isfinite(top):
-        hi = 4.0 * top
         if _lambda_normalized(arm, p.beta, hi) < target:
             return math.inf
     else:
-        hi = 4.0 * max(1.0, y1(arm))
         while _lambda_normalized(arm, p.beta, hi) < target:
             hi *= 2.0
             if hi > 1e12:
                 return math.inf
+            check_denominator(arm, hi)
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if _lambda_normalized(arm, p.beta, mid) < target:

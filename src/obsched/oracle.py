@@ -23,10 +23,9 @@ from .costs import CostFn
 from .dynamics import (
     ArmParams,
     InconsistencyError,
-    batch_coefficients,
+    batch_map,
     phi0,
     phi1,
-    phi_batch,
     y0,
     y1,
 )
@@ -390,9 +389,7 @@ def pcli_report(
     segments = [(xs, xs), (grid, grid)]
     segments += [(np.full_like(svals, x_probe), svals) for svals in sweeps]
     x_all, s_all = (np.concatenate(parts) for parts in zip(*segments))
-    num, den, _ = marginal_sums_batch(
-        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, x_all, s_all, T
-    )
+    num, den, _ = marginal_sums_batch(p, beta, cost, x_all, s_all, T)
     cuts = np.cumsum([len(s) for _, s in segments])[:-1]
     num, den = np.split(num, cuts), np.split(den, cuts)
 
@@ -445,9 +442,7 @@ def pcli_report(
     dws = [np.diff(mwork) for mwork in den[2:]]
     jumps = [np.flatnonzero(dw != 0.0) for dw in dws]
     s_jump = np.concatenate([np.empty(0)] + [sv[j] for sv, j in zip(sweeps, jumps)])
-    lam_num, lam_den, _ = marginal_sums_batch(
-        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, s_jump, s_jump, T
-    )
+    lam_num, lam_den, _ = marginal_sums_batch(p, beta, cost, s_jump, s_jump, T)
     lams = np.split(lam_num / lam_den, np.cumsum([j.size for j in jumps])[:-1])
     checks = []
     for (a_s, b_s), mcost, dw, j, lam_j in zip(intervals, num[2:], dws, jumps, lams):
@@ -480,13 +475,13 @@ def _action_matrix(
     p: ArmParams, x: float, thresholds: np.ndarray, t_len: int
 ) -> np.ndarray:
     """Actions A_{1:t}(x, a0-free; s) for every threshold in the sweep."""
-    coef = batch_coefficients(p.r2, p.a0, p.a1)
+    step = batch_map(p)
     v = np.full_like(thresholds, x)
     acts = np.empty((t_len, len(thresholds)), dtype=np.int8)
     for t in range(t_len):
         a = v >= thresholds
         acts[t] = a
-        v = phi_batch(coef, a, v)
+        v = step(a, v)
     return acts
 
 

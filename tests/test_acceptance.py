@@ -97,10 +97,7 @@ def test_criterion_03_q_curves_cross_once():
             hi = mid
     s_star = 0.5 * (lo + hi)
     xs = np.linspace(0.2, 5.0, 481)
-    mcost, mwork, _ = marginal_sums_batch(
-        arm.r, arm.a0, arm.a1, arm.c0, arm.c1, beta, cost, xs,
-        np.full_like(xs, s_star), T,
-    )
+    mcost, mwork, _ = marginal_sums_batch(arm, beta, cost, xs, np.full_like(xs, s_star), T)
     diff = nu * mwork - mcost  # Q(x,1) - Q(x,0)
     signs = np.sign(diff)
     crossings = np.flatnonzero(signs[:-1] * signs[1:] < 0)
@@ -248,9 +245,13 @@ def test_criterion_08_pcli_properties():
     beta = rng.uniform(0.0, 0.95, n)
     x = rng.uniform(0.05, 8.0, n)
     T = truncation_horizon(float(beta.max()))
-    _, work, _ = marginal_sums_batch(
-        r, a0, a1, np.zeros(n), np.ones(n), beta, costs.linear(), x, x, T
-    )
+    work = np.array([
+        marginal_sums_batch(
+            ArmParams(r=float(ri), a0=float(lo), a1=float(hi)), float(b),
+            costs.linear(), xi, xi, T,
+        )[1]
+        for ri, lo, hi, b, xi in zip(r, a0, a1, beta, x)
+    ])
     slack = beta ** (T + 1) / (1.0 - beta)
     assert np.all(work >= (1.0 - beta) - slack - 1e-12)
     # index monotone on the fractal-parameter grid, zero violations

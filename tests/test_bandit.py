@@ -94,6 +94,18 @@ class TestScenario:
             assert np.isfinite(build_index_tables(sc, n_points=64).values[0]).all()
             assert math.isfinite(simulate(sc, "myopic").total_discounted_cost)
 
+    def test_overflowing_weights_together_rejected(self):
+        # Each arm alone passes the per-arm bound, but the per-round cost
+        # of nine of them overflows the discounted sum.
+        heavy = Arm(ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear(), weight=8.5e305, v0=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the arms' weights overflow together"):
+                Scenario(arms=(heavy,) * 9, m=1, beta=0.9, horizon=50, seed=1)
+            sc = Scenario(arms=(heavy, replace(heavy, weight=1.0)), m=1, beta=0.9,
+                          horizon=50, seed=1)
+            assert math.isfinite(simulate(sc, "myopic").total_discounted_cost)
+
     def test_from_json_power_exponent_is_a_float(self):
         arm = {"r": 0.9, "a0": 0.0, "a1": 1.0, "v0": 2.0, "cost": "power"}
         payload = {"m": 1, "beta": 0.9, "horizon": 5, "seed": 1}

@@ -329,6 +329,20 @@ class TestSimulateCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: arm 0: weight 1e+308 overflows") and err.count("\n") == 1
 
+    def test_overflowing_weights_together_exit_1(self, tmp_path, capsys):
+        # Nine arms each below the per-arm bound overflow the round's sum.
+        arm = {"r": 0.9, "a0": 0.0, "a1": 1.0, "v0": 2.0, "cost": "linear",
+               "weight": 8.5e305}
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(
+            {"m": 1, "beta": 0.9, "horizon": 50, "seed": 1, "arms": [arm] * 9}))
+        code, out, err = TestOverflowingActivePrecision.run_quietly(
+            ["simulate", "--scenario", str(scen), "--policies", "myopic,round_robin",
+             "--format", "csv"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: the arms' weights overflow together")
+        assert err.count("\n") == 1
+
     def test_trace_files_written(self, tmp_path):
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(SCENARIO))
@@ -489,9 +503,11 @@ class TestOverflowingActivePrecision:
             ["word", *ARM, "--x", "1.5"],
             ["word", *ARM, "--x", "0.5", "--z", "inf"],
             ["verify", "--r", "0.9", "--a0", "0", "--a1", "1e308", "--beta", "0.9"],
+            ["lqg", "--A", "0.9", "--B", "1", "--D", "1", "--F", "0", "--beta", "0.9",
+             "--sigma-x", "1", "--sigma-y1", "1e-308"],
         ],
         ids=["index-linear", "index-entropy", "index-beta1", "word", "word-z-inf",
-             "verify"],
+             "verify", "lqg"],
     )
     def test_exits_1(self, capsys, args):
         code, out, err = self.run_quietly(args, capsys)

@@ -10,7 +10,7 @@ from obsched.dynamics import (
     ArmParams,
     InconsistencyError,
     ThresholdWord,
-    batch_coefficients,
+    batch_map,
     fixed_point,
     itinerary,
     letter_matrix,
@@ -19,7 +19,6 @@ from obsched.dynamics import (
     phi,
     phi0,
     phi1,
-    phi_batch,
     phi_word,
     sturmian_fixed_point,
     threshold_word,
@@ -128,58 +127,66 @@ class TestPhi:
         np.testing.assert_allclose(phi0(p, vs), [phi0(p, float(v)) for v in vs])
 
 
-def reference_phi_batch(r2, a0, a1, act, v):
-    """Both branches of the map, then a select: the form phi_batch replaced."""
-    num = r2 * v + 1.0
-    img0 = num / (a0 * r2 * v + a0 + 1.0)
-    a1_inf = np.isinf(a1)
-    a1_safe = np.where(a1_inf, 1.0, a1)
-    img1 = np.where(a1_inf, 0.0, num / (a1_safe * r2 * v + a1_safe + 1.0))
+def reference_phi_batch(p, act, v):
+    """Both branches of the map, then a select: the form batch_map replaced."""
+    num = p.r2 * v + 1.0
+    img0 = num / (p.a0 * p.r2 * v + p.a0 + 1.0)
+    if math.isinf(p.a1):
+        img1 = np.zeros_like(num)
+    else:
+        img1 = num / (p.a1 * p.r2 * v + p.a1 + 1.0)
     return np.where(act, img1, img0)
 
 
 class TestPhiBatch:
-    """phi_batch gives the two-branch formula's floats, bit for bit."""
+    """batch_map, phi on an array of one arm's states, gives the two-branch
+    formula's floats, bit for bit."""
 
-    def random_batch(self, rng, n):
-        r2 = rng.uniform(0.05, 1.0, n)
-        a0 = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 0.5, n))
-        a1 = a0 + rng.uniform(0.01, 5.0, n)
-        a1[rng.random(n) < 0.3] = math.inf
-        v = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 50.0, n))
-        return r2, a0, a1, v
+    @staticmethod
+    def random_arm(rng):
+        r = float(rng.uniform(0.2, 1.0))
+        a0 = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.5))
+        a1 = math.inf if rng.random() < 0.3 else a0 + float(rng.uniform(0.01, 5.0))
+        return ArmParams(r=r, a0=a0, a1=a1)
+
+    @staticmethod
+    def states(rng, n):
+        return np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 50.0, n))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
-        r2, a0, a1, v = self.random_batch(rng, 400)
-        assert np.isinf(a1).any() and (a0 == 0.0).any()
-        coef = batch_coefficients(r2, a0, a1)
-        for act in (rng.random(400) < 0.5, rng.integers(0, 2, 400), True, False, 0, 1):
-            got = phi_batch(coef, act, v)
-            want = reference_phi_batch(r2, a0, a1, act, v)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        arms = [self.random_arm(rng) for _ in range(20)] + [
+            ArmParams(r=0.7, a0=0.0, a1=math.inf),
+            ArmParams(r=1.0, a0=0.0, a1=2.0),
+        ]
+        v = self.states(rng, 400)
+        for p in arms:
+            step = batch_map(p)
+            for act in (rng.random(400) < 0.5, rng.integers(0, 2, 400), True, False, 0, 1):
+                got = step(act, v)
+                want = reference_phi_batch(p, act, v)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_matches_scalar_phi(self):
         rng = np.random.default_rng(7)
-        _, a0, a1, v = self.random_batch(rng, 60)
-        arms = [
-            ArmParams(r=float(r), a0=float(lo), a1=float(hi))
-            for r, lo, hi in zip(rng.uniform(0.2, 1.0, 60), a0, a1)
-        ]
-        r2 = np.array([p.r2 for p in arms])
-        act = rng.integers(0, 2, 60)
-        got = phi_batch(batch_coefficients(r2, a0, a1), act, v)
-        for i, p in enumerate(arms):
-            assert got[i] == phi(p, int(act[i]), float(v[i]))
+        for _ in range(20):
+            p = self.random_arm(rng)
+            v = self.states(rng, 30)
+            act = rng.integers(0, 2, 30)
+            got = batch_map(p)(act, v)
+            for i in range(30):
+                assert got[i] == phi(p, int(act[i]), float(v[i]))
 
     def test_scalar_coefficients_broadcast(self):
+        # One arm's coefficients broadcast over the states; with a1 = inf
+        # every active image is 0.
         p = ArmParams(r=0.9, a0=0.0, a1=math.inf)
         vs = np.linspace(0.0, 5.0, 7)
         act = vs >= 2.0
-        got = phi_batch(batch_coefficients(p.r2, p.a0, p.a1), act, vs)
-        assert got.tobytes() == reference_phi_batch(p.r2, p.a0, p.a1, act, vs).tobytes()
+        got = batch_map(p)(act, vs)
+        assert got.tobytes() == reference_phi_batch(p, act, vs).tobytes()
         assert np.all(got[act] == 0.0)
 
 

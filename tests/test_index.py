@@ -16,7 +16,6 @@ from obsched.dynamics import (
     KNIFE_EDGE_TOL,
     ArmParams,
     ThresholdWord,
-    batch_coefficients,
     fixed_point,
     is_knife_edge,
     phi,
@@ -40,7 +39,6 @@ from obsched.index import (
     q_value,
     truncation_horizon,
     whittle_index,
-    whittle_index_word,
 )
 from obsched.words import Word, central_palindrome, christoffel, farey
 
@@ -130,8 +128,7 @@ class TestMarginals:
             s = float(rng.uniform(0.1, 8.0))
             T = truncation_horizon(beta)
             mc, mw, knife = marginal_sums_batch(
-                p.r, p.a0, p.a1, p.c0, p.c1, beta,
-                costs.linear(), np.array([x]), np.array([s]), T,
+                p, beta, costs.linear(), np.array([x]), np.array([s]), T
             )
             if knife[0]:
                 continue
@@ -241,9 +238,7 @@ def assert_kernels_match_stepped(p, cost, beta, x, s, T):
     (c0, w0, s0), (c1, w1, s1) = (
         expected_sums(p, cost, beta, x, s, first, T, batch=True) for first in (0, 1)
     )
-    mc, mw, knife = marginal_sums_batch(
-        p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, np.array([x]), np.array([s]), T
-    )
+    mc, mw, knife = marginal_sums_batch(p, beta, cost, np.array([x]), np.array([s]), T)
     assert abs(mc[0] - (c0 - c1)) <= 1e-12 * (s0 + s1)
     assert abs(mw[0] - (w1 - w0)) <= 1e-12 * (s0 + s1)
     return bool(knife[0])
@@ -283,9 +278,7 @@ class TestClosedFormTails:
         p = ArmParams(r=0.6, a0=0.1, a1=1.5, c0=0.0, c1=1.0)
         xs = np.geomspace(0.2, 3.0, 7)
         for T in range(1, 40):
-            mc, mw, _ = marginal_sums_batch(
-                p.r, p.a0, p.a1, p.c0, p.c1, beta, costs.linear(), xs, xs, T
-            )
+            mc, mw, _ = marginal_sums_batch(p, beta, costs.linear(), xs, xs, T)
             for i, x in enumerate(xs):
                 (c0, w0, s0), (c1, w1, s1) = (
                     expected_sums(p, costs.linear(), beta, x, x, first, T, batch=True)
@@ -312,43 +305,33 @@ class TestClosedFormTails:
     def test_mixed_first_actions_match_single_action_batches(self):
         # An orbit's sums do not depend on the rest of its batch: with the
         # first actions mixed, every column equals its column in the
-        # all-passive or all-active batch, bit for bit.
+        # all-passive or all-active batch, bit for bit, and a sub-batch
+        # gives the columns of the whole batch.
         rng = np.random.default_rng(41)
-        n = 60
-        r = rng.uniform(0.3, 1.0, n)
-        a0 = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 0.5, n))
-        a1 = a0 + rng.uniform(0.05, 3.0, n)
-        a1[::7] = math.inf
-        x = rng.uniform(0.05, 8.0, n)
-        s = rng.uniform(0.05, 8.0, n)
-        s[::11] = math.inf
-        r[3], a0[3], s[3] = 1.0, 0.0, math.inf  # never repeats
         knife_arm = ArmParams(r=0.8, a0=0.1, a1=1.0)
-        r[4], a0[4], a1[4] = knife_arm.r, knife_arm.a0, knife_arm.a1
-        x[4] = s[4] = y1(knife_arm)  # ties the threshold at every step
-        beta = rng.choice([0.0, 0.5, 0.9, 0.99], n)
-        tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
-        par = np.stack([np.full(n, 0.2), np.ones(n), beta, s, tol])
-        coef = batch_coefficients(r * r, a0, a1)
-        cost, T = costs.power(2.0), 3000
+        never = ArmParams(r=1.0, a0=0.0, a1=1.0)  # never repeats at s = inf
+        arms = [(random_params(rng), 0.9), (ArmParams(r=0.7, a0=0.2, a1=math.inf), 0.5),
+                (never, 0.99), (knife_arm, 0.0)]
+        cost, T, n = costs.power(2.0), 3000, 60
+        for p, beta in arms:
+            x = rng.uniform(0.05, 8.0, n)
+            s = rng.uniform(0.05, 8.0, n)
+            s[::11] = math.inf
+            x[4] = s[4] = y1(knife_arm)  # on knife_arm, ties the threshold at every step
 
-        def run(first):
-            return _threshold_sums_batch(par, coef, cost, x, first, T)
+            def run(first):
+                return _threshold_sums_batch(p, beta, cost, x, s, first, T)
 
-        first = rng.random(n) < 0.5
-        mixed, all0, all1 = run(first), run(np.zeros(n, bool)), run(np.ones(n, bool))
-        for got, want0, want1 in zip(mixed[:3], all0[:3], all1[:3]):
-            assert got.tobytes() == np.where(first, want1, want0).tobytes()
-        assert all0[2][4] and all1[2][4]
-        assert all0[3] >= 1 and all1[3] >= 1
-        # A shared beta is raised to the power t on its 1-element row; the
-        # orbits' sums equal those with a full beta row.
-        for b in np.unique(beta):
-            cols = np.flatnonzero(beta == b)
-            shared = tuple(np.array([b]) if i == 2 else row[cols] for i, row in enumerate(par))
-            part = _threshold_sums_batch(
-                shared, tuple(row[cols] for row in coef), cost, x[cols], first[cols], T
-            )
+            first = rng.random(n) < 0.5
+            mixed, all0, all1 = run(first), run(np.zeros(n, bool)), run(np.ones(n, bool))
+            for got, want0, want1 in zip(mixed[:3], all0[:3], all1[:3]):
+                assert got.tobytes() == np.where(first, want1, want0).tobytes()
+            if p is knife_arm:
+                assert all0[2][4] and all1[2][4]
+            if p is never:
+                assert all0[3] >= 1 and all1[3] >= 1
+            cols = np.sort(rng.permutation(n)[:n // 3])
+            part = _threshold_sums_batch(p, beta, cost, x[cols], s[cols], first[cols], T)
             for got, want in zip(part[:3], mixed[:3]):
                 assert got.tobytes() == want[cols].tobytes()
 
@@ -369,10 +352,7 @@ class TestClosedFormTails:
         xs = np.array([0.5, 1.5, 2.5])
         with caplog.at_level(logging.DEBUG, logger="obsched"):
             _orbit_terms(p, costs.linear(), 0.9, 1.0, math.inf, 0, 300)
-            marginal_sums_batch(
-                p.r, p.a0, p.a1, p.c0, p.c1, 0.9, costs.linear(), xs,
-                np.full(3, math.inf), 300,
-            )
+            marginal_sums_batch(p, 0.9, costs.linear(), xs, np.full(3, math.inf), 300)
         messages = [rec.getMessage() for rec in caplog.records]
         assert len(messages) == 2
         assert "reached T=300 with no repeat" in messages[0]
@@ -383,59 +363,57 @@ class TestClosedFormTails:
         assert not caplog.records
 
 
-def reference_threshold_sums_batch(par, coef, cost, x, first, T):
+def reference_threshold_sums_batch(p, beta, cost, x, s, first, T):
     """The batch kernel before its per-step trims, as the bitwise reference.
 
-    Every step goes through the checked ``cost.eval``, every map step
-    applies the a1 = inf mask, and the knife test and work summand are
-    computed out of place.
+    One arm p and one beta for all orbits.  Every step goes through the
+    checked ``cost.eval``, every map step applies the a1 = inf mask, and
+    the knife test and work summand are computed out of place.
     """
+    a1_inf = math.isinf(p.a1)
+    a1 = 1.0 if a1_inf else p.a1
 
-    def step(coef, act, v):
-        r2, a0r2, a0, a1r2, a1, a1_inf = coef
-        den = np.where(act, a1r2, a0r2) * v
-        den += np.where(act, a1, a0)
+    def step(act, v):
+        den = np.where(act, a1 * p.r2, p.a0 * p.r2) * v
+        den += np.where(act, a1, p.a0)
         den += 1.0
-        out = r2 * v
+        out = p.r2 * v
         out += 1.0
         out /= den
         return np.where(act & a1_inf, 0.0, out)
 
-    def columns(rows, cols):
-        return tuple(row if row.size == 1 else row[cols] for row in rows)
-
+    beta = np.array([beta])
+    tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
     knife = np.zeros(x.size, dtype=bool)
     sums = np.empty((2, x.size))
-    head = np.stack([cost.eval(x), np.where(first, par[1], par[0])])
+    head = np.stack([cost.eval(x), np.where(first, p.c1, p.c0)])
     cyc = np.zeros_like(head)
-    v = step(coef, first, x)
+    v = step(first, x)
     anchor, k = v, 1
-    live, lpar, lcoef, lknife = np.arange(x.size), par, coef, knife.copy()
+    live, lknife = np.arange(x.size), knife.copy()
     for t in range(1, T + 1):
         if t > k:
             hit = v == anchor
             if hit.any():
                 ids = live[hit]
-                geo = index_mod._cycle_factor(columns(lpar, hit)[2], t - k)
+                geo = index_mod._cycle_factor(beta, t - k)
                 sums[:, ids] = head[:, hit] + geo * cyc[:, hit]
                 knife[ids] = lknife[hit]
                 keep = ~hit
                 live, v, anchor, lknife = live[keep], v[keep], anchor[keep], lknife[keep]
                 head, cyc = head[:, keep], cyc[:, keep]
-                lpar, lcoef = columns(lpar, keep), columns(lcoef, keep)
                 if not live.size:
                     break
             if t == 2 * k:
                 head += cyc
                 cyc = np.zeros_like(head)
                 anchor, k = v, t
-        c0, c1, beta, s, tol = lpar
-        lknife |= np.abs(v - s) <= tol
-        act = v >= s
+        lknife |= np.abs(v - s[live]) <= tol[live]
+        act = v >= s[live]
         disc = beta**t
         cyc[0] += disc * cost.eval(v)
-        cyc[1] += disc * np.where(act, c1, c0)
-        v = step(lcoef, act, v)
+        cyc[1] += disc * np.where(act, p.c1, p.c0)
+        v = step(act, v)
     knife[live] = lknife
     sums[:, live] = head + cyc
     return sums[0], sums[1], knife, live.size
@@ -451,77 +429,66 @@ class TestBatchKernelMatchesReference:
     )
 
     @staticmethod
-    def batch(rng, cost, per_orbit):
-        """A random batch: per-orbit rows, or one arm shared by all orbits.
+    def batch(rng, cost, seed):
+        """A random batch of one arm and one beta, by seed.
 
-        Includes a0 = 0, r = 1 with an infinite threshold (never repeats),
-        a start tying the threshold and, where the cost is defined at 0,
-        a1 = inf.
+        0: a random arm; 1: a1 = inf where the cost is defined at 0 (else
+        a0 = 0); 2: an arm whose active fixed point y1 is the start and
+        threshold of four orbits, which tie it at every step; 3: r = 1 and
+        a0 = 0, whose orbits at an infinite threshold never repeat.  Every
+        batch has some infinite thresholds.
         """
         n = 48
-        size = n if per_orbit else 1
-        r = rng.uniform(0.3, 1.0, size)
-        a0 = np.where(rng.random(size) < 0.3, 0.0, rng.uniform(0.0, 0.5, size))
-        a1 = a0 + rng.uniform(0.05, 3.0, size)
-        s = rng.uniform(0.05, 8.0, size)
-        beta = rng.choice([0.0, 0.5, 0.9, 0.99], size)
+        p = random_params(rng)
+        if seed == 1:
+            a1 = p.a1 if cost.positive_only else math.inf
+            p = ArmParams(r=p.r, a0=0.0 if cost.positive_only else p.a0, a1=a1)
+        elif seed == 2:
+            p = ArmParams(r=0.8, a0=0.1, a1=1.0)
+        elif seed == 3:
+            p = ArmParams(r=1.0, a0=0.0, a1=p.a1)
+        beta = float(rng.choice([0.0, 0.5, 0.9, 0.99]))
         x = rng.uniform(0.05, 8.0, n)
-        if per_orbit:
-            a0[::5] = 0.0
-            if not cost.positive_only:
-                a1[::7] = math.inf
-            s[::11] = math.inf
-            r[3], a0[3], s[3] = 1.0, 0.0, math.inf
-            knife_arm = ArmParams(r=0.8, a0=0.1, a1=1.0)
-            r[4], a0[4], a1[4] = knife_arm.r, knife_arm.a0, knife_arm.a1
-            x[4] = s[4] = y1(knife_arm)
-        elif not cost.positive_only and rng.random() < 0.5:
-            a1[0] = math.inf
-        tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
-        c0 = np.full(size, 0.2)
-        c1 = np.ones(size)
-        par = (c0, c1, beta, s, tol)
-        return par, batch_coefficients(r * r, a0, a1), x, rng.random(n) < 0.5
+        s = rng.uniform(0.05, 8.0, n)
+        s[::11] = math.inf
+        if seed == 2:
+            x[:4] = s[:4] = y1(p)
+        return p, beta, x, s, rng.random(n) < 0.5
 
     @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
     @pytest.mark.parametrize("seed", range(4))
     def test_bitwise_equal(self, cost, seed):
         rng = np.random.default_rng([71, seed])
-        par, coef, x, first = self.batch(rng, cost, per_orbit=seed % 2 == 1)
-        T = 3000
-        got = _threshold_sums_batch(par, coef, cost, x, first, T)
-        want = reference_threshold_sums_batch(par, coef, cost, x, first, T)
-        for g, w in zip(got[:3], want[:3]):
-            assert g.tobytes() == w.tobytes()
-        assert got[3] == want[3]
+        p, beta, x, s, first = self.batch(rng, cost, seed)
+        got = self.assert_matches_reference(p, beta, cost, x, s, first, 3000)
+        if seed == 2:
+            assert got[2][:4].all()
+        if seed == 3:
+            assert got[3] >= 1
 
     @staticmethod
-    def assert_matches_reference(par, coef, cost, x, first, T):
-        got = _threshold_sums_batch(par, coef, cost, x, first, T)
-        want = reference_threshold_sums_batch(par, coef, cost, x, first, T)
+    def assert_matches_reference(p, beta, cost, x, s, first, T):
+        got = _threshold_sums_batch(p, beta, cost, x, s, first, T)
+        want = reference_threshold_sums_batch(p, beta, cost, x, s, first, T)
         for g, w in zip(got[:3], want[:3]):
             assert g.tobytes() == w.tobytes()
         assert got[3] == want[3]
         return got
 
     @staticmethod
-    def sweeps(rng, p, beta, starts, thresholds, singles=()):
+    def sweeps(rng, starts, thresholds, singles=()):
         """Every start with every threshold, plus orbits with x = s, both
-        first actions, in a shuffled order; one arm shared by all."""
+        first actions, in a shuffled order."""
         x = np.concatenate([np.repeat(starts, len(thresholds)), singles])
         s = np.concatenate([np.tile(thresholds, len(starts)), singles])
         x, s = np.tile(x, 2), np.tile(s, 2)
         first = np.arange(len(x)) >= len(x) // 2
         perm = rng.permutation(len(x))
-        x, s, first = x[perm], s[perm], first[perm]
-        tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
-        par = (np.array([0.2]), np.array([1.0]), np.array([beta]), s, tol)
-        coef = tuple(np.reshape(c, 1) for c in batch_coefficients(p.r2, p.a0, p.a1))
-        return par, coef, x, first
+        return x[perm], s[perm], first[perm]
 
     @staticmethod
-    def largest_class(par, coef, x, first):
-        lo, hi = index_mod._classes(x, first, par[:3] + coef, par[3])[1]
+    def largest_class(x, s, first):
+        lo, hi = index_mod._classes(x, first, s)[1]
         return int(np.max(hi - lo))
 
     @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
@@ -540,11 +507,9 @@ class TestBatchKernelMatchesReference:
         thresholds = np.concatenate([thresholds, [math.inf, -math.inf, math.inf, math.nan]])
         starts = np.append(rng.uniform(0.05, 8.0, 3), 1.0)
         starts[1] = starts[0]
-        par, coef, x, first = self.sweeps(
-            rng, p, beta, starts, thresholds, rng.uniform(0.05, 8.0, 40)
-        )
-        assert self.largest_class(par, coef, x, first) == 2 * len(thresholds)
-        self.assert_matches_reference(par, coef, cost, x, first, 3000)
+        x, s, first = self.sweeps(rng, starts, thresholds, rng.uniform(0.05, 8.0, 40))
+        assert self.largest_class(x, s, first) == 2 * len(thresholds)
+        self.assert_matches_reference(p, beta, cost, x, s, first, 3000)
 
     @pytest.mark.parametrize("first_action", [0, 1])
     def test_knife_ties_inside_classes(self, first_action):
@@ -560,20 +525,20 @@ class TestBatchKernelMatchesReference:
         assert ties[:6].all() and not ties[6:8].any()
         thresholds = np.concatenate([near, np.linspace(0.1, 6.0, 60)])
         rng = np.random.default_rng(5)
-        par, coef, x_arr, first = self.sweeps(rng, p, 0.9, [x], thresholds)
+        x_arr, s, first = self.sweeps(rng, [x], thresholds)
         first[:] = bool(first_action)
-        got = self.assert_matches_reference(par, coef, costs.linear(), x_arr, first, 2000)
+        got = self.assert_matches_reference(p, 0.9, costs.linear(), x_arr, s, first, 2000)
         knife = got[2]
-        assert knife[np.isin(par[3], near[ties])].all()
+        assert knife[np.isin(s, near[ties])].all()
 
     def test_noiseless_sweeps(self):
         # a1 = inf takes active orbits to 0, which ties the threshold 0.
         p = ArmParams(r=0.8, a0=0.0, a1=math.inf)
         rng = np.random.default_rng(6)
         thresholds = np.concatenate([[0.0, -math.inf, 0.0], rng.uniform(0.05, 4.0, 80)])
-        par, coef, x, first = self.sweeps(rng, p, 0.9, [0.5, 3.0], thresholds, [0.7, 2.0])
-        knife = self.assert_matches_reference(par, coef, costs.linear(), x, first, 2000)[2]
-        assert knife[par[3] == 0.0].all()
+        x, s, first = self.sweeps(rng, [0.5, 3.0], thresholds, [0.7, 2.0])
+        knife = self.assert_matches_reference(p, 0.9, costs.linear(), x, s, first, 2000)[2]
+        assert knife[s == 0.0].all()
 
     def test_class_without_repeat_counts_its_members(self):
         # With r = 1 and a0 = 0 an orbit that never acts grows by 1 a step
@@ -584,40 +549,14 @@ class TestBatchKernelMatchesReference:
         far = [math.inf, 1e9, math.inf, 2e9, math.inf]
         thresholds = np.concatenate([far, rng.uniform(0.5, 6.0, 50)])
         starts = [1.5, 4.0, 4.0]
-        par, coef, x, first = self.sweeps(rng, p, 0.99, starts, thresholds, [2.5, 3.5])
+        x, s, first = self.sweeps(rng, starts, thresholds, [2.5, 3.5])
         T = 500
-        got = self.assert_matches_reference(par, coef, costs.linear(), x, first, T)
+        got = self.assert_matches_reference(p, 0.99, costs.linear(), x, s, first, T)
         assert got[3] == 2 * len(starts) * len(far)
 
-    def test_classes_mixed_with_singletons_per_orbit_rows(self):
-        # Per-orbit rows: two arms sweep the same start and thresholds, so
-        # only rows that agree bit for bit may share a class, next to
-        # orbits with random arms, betas and starts.
-        rng = np.random.default_rng(8)
-        arms = [ArmParams(r=0.9, a0=0.1, a1=1.2), ArmParams(r=0.95, a0=0.0, a1=0.7)]
-        thresholds = np.concatenate([rng.uniform(0.1, 6.0, 40), [math.inf]])
-        m, n_single = len(thresholds), 30
-        arm_of = np.concatenate([np.repeat([0, 1], m), rng.integers(0, 2, n_single)])
-        r = np.array([arms[a].r for a in arm_of])
-        a0 = np.array([arms[a].a0 for a in arm_of])
-        a1 = np.array([arms[a].a1 for a in arm_of])
-        r[2 * m:] = rng.uniform(0.5, 1.0, n_single)
-        s = np.concatenate([thresholds, thresholds, rng.uniform(0.1, 6.0, n_single)])
-        x = np.concatenate([np.full(2 * m, 2.5), s[2 * m:]])
-        beta = np.full(len(x), 0.9)
-        beta[2 * m:] = rng.choice([0.5, 0.9], n_single)
-        x, s, beta, r, a0, a1 = (np.tile(a, 2) for a in (x, s, beta, r, a0, a1))
-        first = np.arange(len(x)) >= len(x) // 2
-        tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
-        par = (np.full(len(x), 0.2), np.ones(len(x)), beta, s, tol)
-        coef = batch_coefficients(r * r, a0, a1)
-        assert self.largest_class(par, coef, x, first) == m
-        self.assert_matches_reference(par, coef, costs.entropy(), x, first, 3000)
-
     def test_empty_batch(self):
-        got = marginal_sums_batch(
-            0.9, 0.0, 1.0, 0.0, 1.0, 0.9, costs.linear(), np.array([]), np.array([]), 50
-        )
+        p = ArmParams(r=0.9, a0=0.0, a1=1.0)
+        got = marginal_sums_batch(p, 0.9, costs.linear(), np.array([]), np.array([]), 50)
         assert [a.shape for a in got] == [(0,), (0,), (0,)]
 
     def test_noiseless_entropy_raises_the_domain_error(self):
@@ -626,9 +565,7 @@ class TestBatchKernelMatchesReference:
         p = ArmParams(r=0.9, a0=0.0, a1=math.inf)
         xs = np.geomspace(0.5, 5.0, 6)
         with pytest.raises(costs.CostDomainError) as info:
-            marginal_sums_batch(
-                p.r, p.a0, p.a1, p.c0, p.c1, 0.9, costs.entropy(), xs, xs, 100
-            )
+            marginal_sums_batch(p, 0.9, costs.entropy(), xs, xs, 100)
         assert str(info.value) == (
             "cost 'entropy' undefined at v = 0.0 (domain is (0, inf))"
         )
@@ -638,9 +575,35 @@ class TestBatchKernelMatchesReference:
         p = ArmParams(r=1.0, a0=0.0, a1=1e308)
         xs = np.array([1.0, 2.0])
         with np.errstate(over="ignore"), pytest.raises(costs.CostDomainError):
-            marginal_sums_batch(
-                p.r, p.a0, p.a1, p.c0, p.c1, 0.9, costs.power(0.5), xs, xs, 100
-            )
+            marginal_sums_batch(p, 0.9, costs.power(0.5), xs, xs, 100)
+
+
+def word_pinned_sums(params, cost, beta, x, word, T):
+    """(numerator, denominator) to T with the actions pinned to a Christoffel word.
+
+    For x inside the fixed-point interval of word = 0p1, the passive-start
+    orbit follows (01p)-cycles and the active-start orbit (10p)-cycles;
+    pinned actions make no threshold comparisons.
+    """
+    n = len(word)
+    if n == 1:
+        seq0 = [0] + [word.letter(1)] * (T + 1)
+        seq1 = [1] + [word.letter(1)] * (T + 1)
+    else:
+        pal = word.factor(2, n - 1)
+        reps = T // n + 2
+        seq0 = list((Word("01") + pal) * reps)
+        seq1 = list((Word("10") + pal) * reps)
+    num = den = 0.0
+    v0 = v1 = float(x)
+    disc = 1.0
+    for t in range(T + 1):
+        num += disc * (cost.eval(v0) - cost.eval(v1))
+        den += disc * (params.work_cost(seq1[t]) - params.work_cost(seq0[t]))
+        v0 = phi(params, seq0[t], v0)
+        v1 = phi(params, seq1[t], v1)
+        disc *= beta
+    return num, den
 
 
 class TestWhittleIndex:
@@ -690,9 +653,7 @@ class TestWhittleIndex:
             x = float(rng.uniform(0.2, 8.0))
             T = max(200, math.ceil(math.log(1e-10) / math.log(beta)))
             (num1, den1, _), (num2, den2, _) = (
-                marginal_sums_batch(
-                    p.r, p.a0, p.a1, p.c0, p.c1, beta, costs.linear(), x, x, t
-                )
+                marginal_sums_batch(p, beta, costs.linear(), x, x, t)
                 for t in (T, 2 * T)
             )
             lam1, lam2 = num1 / den1, num2 / den2
@@ -716,7 +677,7 @@ class TestWhittleIndex:
             beta = float(rng.uniform(0.5, 0.95))
             rec = whittle_index(IndexQuery(p, costs.linear(), beta, x))
             T = truncation_horizon(beta)
-            num, den = whittle_index_word(p, costs.linear(), beta, x, w, T)
+            num, den = word_pinned_sums(p, costs.linear(), beta, x, w, T)
             assert rec.lam == pytest.approx(num / den, rel=1e-8)
             done += 1
 
@@ -727,7 +688,7 @@ class TestWhittleIndex:
         x = y1(p)
         rec = whittle_index(IndexQuery(p, costs.linear(), 0.9, x))
         assert rec.knife_edge
-        num, den = whittle_index_word(p, costs.linear(), 0.9, x, Word("1"), 2000)
+        num, den = word_pinned_sums(p, costs.linear(), 0.9, x, Word("1"), 2000)
         assert rec.lam == pytest.approx(num / den, rel=1e-9)
 
     def test_boundary_words_used_at_y1_y0(self):

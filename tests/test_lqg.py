@@ -1,6 +1,7 @@
 """LQG with costly observations: Riccati root, gain, threshold inversion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ class TestThreshold:
             ).lam
             assert lam == pytest.approx(target, rel=1e-6)
             done += 1
+
+    def test_overflowing_a1_rejected_before_probing(self):
+        # sigma_y1 = 1e-308 gives a1 = 1e308: the first bracket top, 4 y0,
+        # is checked before any probe.  With r = 1 and a0 = 0 the bracket
+        # doubles from 4 and its top 16 is the first to overflow at
+        # a1 = 1e307; with D = 1 the bisection stops below it.
+        prob = LqgProblem(A=0.9, B=1.0, D=1.0, F=0.0, beta=0.9, sigma_x=1.0,
+                          sigma_y0=math.inf, sigma_y1=1e-308)
+        with pytest.raises(ValueError, match=r"^a1 = 1e\+308 is too large"):
+            solve_lqg(prob)
+        doubling = LqgProblem(A=1.0, B=1.0, D=1e-3, F=0.0, beta=0.9, sigma_x=1.0,
+                              sigma_y0=math.inf, sigma_y1=1e-307)
+        with pytest.raises(ValueError, match=r"overflows at v = 17\.0$"):
+            solve_lqg(doubling)
+        assert math.isfinite(solve_lqg(replace(doubling, D=1.0)).z)
 
     def test_act_conventions(self):
         prob = LqgProblem(A=0.9, B=1.0, D=1.0, F=0.5, beta=0.9, sigma_x=1.0,

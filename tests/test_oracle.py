@@ -62,7 +62,7 @@ def reference_pcli_report(params, cost, beta, cfg):
     p = params
 
     def sums(x, s):
-        return marginal_sums_batch(p.r, p.a0, p.a1, p.c0, p.c1, beta, cost, x, s, T)
+        return marginal_sums_batch(p, beta, cost, x, s, T)
 
     report = {"params": {"r": p.r, "a0": p.a0, "a1": p.a1, "beta": beta,
                          "cost": cost.kind, "condition_c": cost.condition_c}}
@@ -632,12 +632,12 @@ class TestPcli:
         assert len(calls) == 2
         first, second = calls
         head = cfg.work_samples + cfg.lambda_points
-        assert first[7].size == head + cfg.pcli3_intervals * cfg.sweep_points
+        assert first[3].size == head + cfg.pcli3_intervals * cfg.sweep_points
         _, work, _ = marginal_sums_batch(*first)
         sweeps = work[head:].reshape(cfg.pcli3_intervals, cfg.sweep_points)
         jumps = int(np.count_nonzero(np.diff(sweeps, axis=1)))
         # Both forced first actions of each (s_j, s_j) step as orbits.
-        assert 2 * np.broadcast(second[7], second[8]).size == 2 * jumps
+        assert 2 * np.broadcast(second[3], second[4]).size == 2 * jumps
         assert jumps < cfg.pcli3_intervals * (cfg.sweep_points - 1)
 
     def test_domain_error_message_unchanged(self):

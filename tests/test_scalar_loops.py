@@ -42,6 +42,7 @@ from obsched.dynamics import (
     phi1,
     phi_word,
     scalar_map,
+    threshold_walk,
     threshold_word,
     y0,
     y1,
@@ -51,7 +52,6 @@ from obsched.index import (
     _cycle_factor,
     _orbit_terms,
     index_beta1,
-    whittle_index_word,
 )
 from obsched.words import (
     Word,
@@ -201,28 +201,6 @@ def reference_beta1_limit(p, x, n):
     return num * n / (Fraction(p.c1) - Fraction(p.c0))
 
 
-def reference_whittle_index_word(params, cost, beta, x, word, T):
-    n = len(word)
-    if n == 1:
-        seq0 = [0] + [word.letter(1)] * (T + 1)
-        seq1 = [1] + [word.letter(1)] * (T + 1)
-    else:
-        pal = word.factor(2, n - 1)
-        reps = T // n + 2
-        seq0 = list((Word("01") + pal) * reps)
-        seq1 = list((Word("10") + pal) * reps)
-    num = den = 0.0
-    v0 = v1 = float(x)
-    disc = 1.0
-    for t in range(T + 1):
-        num += disc * (cost.eval(v0) - cost.eval(v1))
-        den += disc * (params.work_cost(seq1[t]) - params.work_cost(seq0[t]))
-        v0 = phi(params, seq0[t], v0)
-        v1 = phi(params, seq1[t], v1)
-        disc *= beta
-    return num, den
-
-
 # ---------------------------------------------------------------------------
 # Instances.
 
@@ -355,30 +333,47 @@ class TestDynamicsLoops:
         w = christoffel(rate.numerator, rate.denominator)
         assert threshold_word(p, x, 64) == ThresholdWord(w, True, False)
 
-    @given(data=st.data())
-    @SETTINGS
-    def test_orbit(self, data):
-        p = data.draw(arms())
-        x = data.draw(start(p))
-        s = data.draw(st.one_of(st.just(x), start(p), st.just(math.inf)))
-        a = data.draw(st.integers(0, 1))
-        T = data.draw(st.integers(1, 120))
-        got, ref = orbit(p, x, a, s, T), reference_orbit(p, x, a, s, T)
-        assert_same_floats(got.states, ref.states)
-        assert got.actions.dtype == ref.actions.dtype
-        assert np.array_equal(got.actions, ref.actions)
-        assert (got.threshold, got.first_action, got.knife_edge) == (
-            ref.threshold, ref.first_action, ref.knife_edge
-        )
+    def test_orbit(self):
+        # T up to 3,000 puts the first repeat of most walks before T, so
+        # the states after it come from tiling the walk's cycle: at least
+        # half the draws must tile.
+        tiled = []
 
-    @given(data=st.data())
-    @SETTINGS
-    def test_itinerary(self, data):
-        p = data.draw(arms())
-        z = data.draw(start(p))
-        x = data.draw(st.one_of(st.just(z), start(p)))
-        n = data.draw(st.integers(1, 200))
-        assert itinerary(p, x, z, n) == reference_itinerary(p, x, z, n)
+        @given(data=st.data())
+        @SETTINGS
+        def check(data):
+            p = data.draw(arms())
+            x = data.draw(start(p))
+            s = data.draw(st.one_of(st.just(x), start(p), st.just(math.inf)))
+            a = data.draw(st.integers(0, 1))
+            T = data.draw(st.one_of(st.integers(1, 120), st.integers(121, 3000)))
+            got, ref = orbit(p, x, a, s, T), reference_orbit(p, x, a, s, T)
+            assert_same_floats(got.states, ref.states)
+            assert got.actions.dtype == ref.actions.dtype
+            assert np.array_equal(got.actions, ref.actions)
+            assert (got.threshold, got.first_action, got.knife_edge) == (
+                ref.threshold, ref.first_action, ref.knife_edge
+            )
+            tiled.append(len(threshold_walk(scalar_map(p), phi(p, a, x), s, T)[0]) < T)
+
+        check()
+        assert sum(tiled) >= len(tiled) / 2
+
+    def test_itinerary(self):
+        tiled = []
+
+        @given(data=st.data())
+        @SETTINGS
+        def check(data):
+            p = data.draw(arms())
+            z = data.draw(start(p))
+            x = data.draw(st.one_of(st.just(z), start(p)))
+            n = data.draw(st.one_of(st.integers(1, 200), st.integers(201, 3000)))
+            assert itinerary(p, x, z, n) == reference_itinerary(p, x, z, n)
+            tiled.append(len(threshold_walk(scalar_map(p), x, z, n)[0]) < n)
+
+        check()
+        assert sum(tiled) >= len(tiled) / 2
 
 
 class TestIndexLoops:
@@ -440,16 +435,3 @@ class TestIndexLoops:
         p = ArmParams(r=r, a0=a0, a1=a1)
         rec = index_beta1(p, costs.linear(), x)
         assert_near_exact(rec.lam, reference_beta1_limit(p, x, len(rec.word)))
-
-    @given(data=st.data())
-    @SETTINGS
-    def test_whittle_index_word(self, data):
-        p = data.draw(arms())
-        rate = data.draw(st.sampled_from(RATES + [Fraction(0), Fraction(1)]))
-        w = christoffel(rate.numerator, rate.denominator)
-        x = data.draw(start(p))
-        beta = data.draw(st.sampled_from((0.0, 0.5, 0.9)))
-        T = data.draw(st.integers(1, 150))
-        got = whittle_index_word(p, costs.linear(), beta, x, w, T)
-        ref = reference_whittle_index_word(p, costs.linear(), beta, x, w, T)
-        assert_same_floats(got, ref)
