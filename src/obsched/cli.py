@@ -235,10 +235,12 @@ def _cmd_word(args: argparse.Namespace) -> int:
     if args.max_period < 1:
         raise CliError(f"--max-period must be positive, got {args.max_period}")
     z = args.x if args.z is None else args.z
-    itin = itinerary(params, args.x, z, args.length)
     # The states stay near max(x, z), except that an itinerary that never
-    # acts (z = inf) climbs by at most 1 a letter.
-    check_denominator(params, max(args.x, min(z, args.x + args.length)))
+    # acts (z = inf) climbs by at most 1 a letter.  itinerary rejects a
+    # non-finite x.
+    if math.isfinite(args.x):
+        check_denominator(params, max(args.x, min(z, args.x + args.length)))
+    itin = itinerary(params, args.x, z, args.length)
     tw = threshold_word(params, args.x, args.max_period)
     if args.format == "text":
         status = "periodic" if tw.periodic else "uncertified"

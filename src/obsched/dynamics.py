@@ -319,7 +319,7 @@ def fixed_point(p: ArmParams, w: Word) -> float:
         raise ValueError("fixed point undefined for the empty word")
     if math.isinf(p.a1) and w.ones > 0:
         # The last active step lands on 0; the letters after it map that on.
-        return phi_word(p, w.factor(w.bits.bit_length() + 1, len(w)), 0.0)
+        return phi_word(p, w.factor(bytes(w).rfind(1) + 2, len(w)), 0.0)
     y = _positive_root(moebius_matrix(p, w))
     if math.isfinite(y):
         resid = abs(phi_word(p, w, y) - y)
@@ -525,7 +525,6 @@ def threshold_word(p: ArmParams, x: float, max_len: int) -> ThresholdWord:
     # The first step is a real phi1 call: perfbench/layers.py counts the
     # calls of ``dynamics.phi1`` by name.
     _, acts, k, knife = threshold_walk(scalar_map(p), phi1(p, x), x, 16 * max_len)
-    acts = bytes(acts)
     n = len(acts) - k
     for q in range(1, min(n, max_len) + 1):
         # The walk holds a whole cycle, so with q dividing n a q-periodic

@@ -101,7 +101,6 @@ class IndexRecord:
     numerator: float
     denominator: float
     word: Optional[Word]
-    periodic: bool
     knife_edge: bool
 
 
@@ -211,7 +210,7 @@ def whittle_index(q: IndexQuery) -> IndexRecord:
         )
     return IndexRecord(
         x=q.x, lam=num / den, numerator=num, denominator=den,
-        word=None, periodic=False, knife_edge=k0 or k1,
+        word=None, knife_edge=k0 or k1,
     )
 
 
@@ -307,7 +306,7 @@ def index_beta1(params: ArmParams, cost: CostFn, x: float) -> IndexRecord:
     lam = math.fsum(np.concatenate(terms)) * n / gap
     return IndexRecord(
         x=x, lam=lam, numerator=lam * gap / n, denominator=gap / n,
-        word=tw.word, periodic=True, knife_edge=knife,
+        word=tw.word, knife_edge=knife,
     )
 
 
@@ -592,11 +591,10 @@ def index_table(
     records: list[IndexRecord] = []
     for i, x in enumerate(xs):
         tw = threshold_word(p, float(x), 64) if words else None
-        periodic = tw is not None and tw.periodic
+        word = tw.word if tw is not None and tw.periodic else None
         records.append(IndexRecord(
             x=float(x), lam=float(lam[i]), numerator=float(num[i]),
-            denominator=float(den[i]), word=tw.word if periodic else None,
-            periodic=periodic, knife_edge=bool(knife[i]),
+            denominator=float(den[i]), word=word, knife_edge=bool(knife[i]),
         ))
     slack = _lambda_slack(gap, beta, T, records)
     lams = np.array([rec.lam for rec in records])

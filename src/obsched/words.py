@@ -2,16 +2,19 @@
 
 Christoffel/mechanical word generation, lexicographic order, balance,
 conjugacy, Farey sequences, Christoffel-tree navigation and the 10->01
-exchange rewriting system.  Everything here is exact integer/rational
-arithmetic; no floats except where a real-valued rate is converted to an
-exact ``Fraction`` (binary floats are exact rationals, so this loses
-nothing).
+exchange rewriting system.  A word holds one byte per letter, so slicing,
+concatenation, comparison and printing are bytes operations.  Everything
+here is exact integer/rational arithmetic; no floats except where a
+real-valued rate is converted to an exact ``Fraction`` (binary floats are
+exact rationals, so this loses nothing).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Union
 
 Rate = Union[Fraction, float, int]
@@ -22,96 +25,87 @@ class NotSwappableError(ValueError):
 
 
 class Word:
-    """Immutable binary word stored as a packed bit sequence with explicit length.
+    """Immutable binary word stored as one byte, 0 or 1, per letter.
 
     Letters are indexed 1-based via :meth:`letter` so positions line up with
-    the usual combinatorics-on-words conventions.  Bit k of ``_bits``
-    (little-endian) holds letter k+1.
+    the usual combinatorics-on-words conventions.  ``bytes(w)`` gives the
+    letters, the form :func:`dynamics.threshold_walk` records actions in.
+    A word is built from a string of '0'/'1' characters, from bytes 0 and 1
+    (taken as they are) or from any iterable of integers 0 and 1.
     """
 
-    __slots__ = ("_bits", "_n")
+    __slots__ = ("_letters",)
 
-    def __init__(self, letters: Union[str, Iterable[int]] = ()):
-        bits = 0
-        n = 0
-        for ch in letters:
-            b = int(ch)
-            if b not in (0, 1):
-                raise ValueError(f"letters must be 0 or 1, got {ch!r}")
-            bits |= b << n
-            n += 1
-        self._bits = bits
-        self._n = n
-
-    @classmethod
-    def from_bits(cls, bits: int, n: int) -> "Word":
-        w = object.__new__(cls)
-        w._bits = bits & ((1 << n) - 1)
-        w._n = n
-        return w
+    def __init__(self, letters: Union[str, bytes, bytearray, Iterable[int]] = ()):
+        if isinstance(letters, str):
+            # strip leaves nothing exactly when every character is 0 or 1,
+            # and otherwise starts at the first other character.
+            bad = letters.strip("01")
+            if bad:
+                raise ValueError(f"letters must be '0' or '1', got {bad[0]!r}")
+            data = letters.encode().translate(_FROM_TEXT)
+        elif isinstance(letters, (bytes, bytearray)):
+            data = bytes(letters)
+        else:
+            try:
+                data = bytes(map(int, letters))
+            except ValueError:
+                raise ValueError("letters must be 0 or 1") from None
+        if data.translate(None, b"\x00\x01"):
+            raise ValueError("letters must be 0 or 1")
+        self._letters = data
 
     # -- basic queries ----------------------------------------------------
     def __len__(self) -> int:
-        return self._n
+        return len(self._letters)
 
-    @property
-    def bits(self) -> int:
-        return self._bits
+    def __bytes__(self) -> bytes:
+        return self._letters
 
     @property
     def ones(self) -> int:
-        return self._bits.bit_count()
+        return self._letters.count(1)
 
     @property
     def zeros(self) -> int:
-        return self._n - self.ones
+        return self._letters.count(0)
 
     def letter(self, k: int) -> int:
         """Letter w_k, 1-based."""
-        if not 1 <= k <= self._n:
-            raise IndexError(f"letter index {k} out of range 1..{self._n}")
-        return (self._bits >> (k - 1)) & 1
+        if not 1 <= k <= len(self):
+            raise IndexError(f"letter index {k} out of range 1..{len(self)}")
+        return self._letters[k - 1]
 
     def rate(self) -> Fraction:
-        if self._n == 0:
+        if len(self) == 0:
             raise ValueError("empty word has no rate")
-        return Fraction(self.ones, self._n)
+        return Fraction(self.ones, len(self))
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        for _ in range(self._n):
-            yield bits & 1
-            bits >>= 1
+        return iter(self._letters)
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self)
+        return self._letters.translate(_TO_TEXT).decode()
 
     def __repr__(self) -> str:
         return f"Word('{self}')"
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Word)
-            and self._n == other._n
-            and self._bits == other._bits
-        )
+        return isinstance(other, Word) and self._letters == other._letters
 
     def __hash__(self) -> int:
-        return hash((self._bits, self._n))
+        return hash(self._letters)
 
     # -- construction -----------------------------------------------------
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word.from_bits(self._bits | (other._bits << self._n), self._n + other._n)
+        return Word(self._letters + other._letters)
 
     def __mul__(self, k: int) -> "Word":
         if k < 0:
             raise ValueError("repeat count must be non-negative")
-        bits = 0
-        for _ in range(k):
-            bits = (bits << self._n) | self._bits
-        return Word.from_bits(bits, self._n * k)
+        return Word(self._letters * k)
 
     __rmul__ = __mul__
 
@@ -119,29 +113,29 @@ class Word:
         """Letters i through j inclusive, 1-based; empty when j < i."""
         if j < i:
             return Word()
-        if not (1 <= i and j <= self._n):
-            raise IndexError(f"factor {i}:{j} out of range 1..{self._n}")
-        return Word.from_bits(self._bits >> (i - 1), j - i + 1)
+        if not (1 <= i and j <= len(self)):
+            raise IndexError(f"factor {i}:{j} out of range 1..{len(self)}")
+        return Word(self._letters[i - 1 : j])
 
     def prefix(self, k: int) -> "Word":
         return self.factor(1, k)
 
     def reverse(self) -> "Word":
-        bits = 0
-        for b in self:
-            bits = (bits << 1) | b
-        return Word.from_bits(bits, self._n)
+        return Word(self._letters[::-1])
 
     def is_palindrome(self) -> bool:
-        return self == self.reverse()
+        return self._letters == self._letters[::-1]
 
     def conjugate(self, i: int) -> "Word":
         """Cyclic rotation w_{(i mod n)+1..n} w_{1..(i mod n)}."""
-        if self._n == 0:
+        if len(self) == 0:
             return self
-        i %= self._n
-        return self.factor(i + 1, self._n) + self.prefix(i)
+        i %= len(self)
+        return Word(self._letters[i:] + self._letters[:i])
 
+
+_FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
+_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 EPSILON = Word()
 
@@ -237,9 +231,7 @@ def is_balanced(w: Word) -> bool:
     n = len(w)
     if n <= 1:
         return True
-    prefix = [0]
-    for b in w:
-        prefix.append(prefix[-1] + b)
+    prefix = [0, *accumulate(w)]
     for length in range(1, n):
         counts = [prefix[i + length] - prefix[i] for i in range(n - length + 1)]
         if max(counts) - min(counts) > 1:
@@ -251,15 +243,10 @@ def lex_cmp(u: Word, v: Word) -> int:
     """Lexicographic comparison: -1 if u < v, 0 if equal, +1 if u > v.
 
     A finite word precedes every proper extension of itself; otherwise the
-    first differing letter decides.
+    first differing letter decides: the order of the words' bytes.
     """
-    for k in range(1, min(len(u), len(v)) + 1):
-        a, b = u.letter(k), v.letter(k)
-        if a != b:
-            return -1 if a < b else 1
-    if len(u) == len(v):
-        return 0
-    return -1 if len(u) < len(v) else 1
+    a, b = bytes(u), bytes(v)
+    return (a > b) - (a < b)
 
 
 class ChristoffelPair(NamedTuple):
@@ -307,21 +294,15 @@ def apply_exchange(w: Word, j: int) -> Word:
     """Replace the factor 10 at positions (j-1, j) by 01."""
     if not (2 <= j <= len(w)):
         raise IndexError(f"exchange position {j} out of range")
-    if w.letter(j - 1) != 1 or w.letter(j) != 0:
+    letters = bytes(w)
+    if letters[j - 2 : j] != b"\x01\x00":
         raise ValueError(f"no 10 factor at position {j - 1}")
-    bits = w.bits ^ (0b11 << (j - 2))
-    return Word.from_bits(bits, len(w))
+    return Word(letters[: j - 2] + b"\x00\x01" + letters[j:])
 
 
 def swap_distance(a: Word, b: Word) -> int:
-    """Sum over prefixes of the surplus of 1s in a over b."""
-    d = 0
-    ca = cb = 0
-    for k in range(1, len(a) + 1):
-        ca += a.letter(k)
-        cb += b.letter(k)
-        d += ca - cb
-    return d
+    """Sum over the prefixes of a of the surplus of 1s in a over b."""
+    return sum(accumulate(a)) - sum(accumulate(b.prefix(len(a))))
 
 
 def swap_sequence(a: Word, b: Word) -> list[int]:
@@ -336,23 +317,18 @@ def swap_sequence(a: Word, b: Word) -> list[int]:
         raise NotSwappableError("not swappable: lengths differ")
     if a.ones != b.ones:
         raise NotSwappableError("not swappable: 1-counts differ")
-    ca = cb = 0
-    for k in range(1, n + 1):
-        ca += a.letter(k)
-        cb += b.letter(k)
-        if k < n and ca < cb:
+    # The 1-counts agree, so a deficit can only come before the last letter.
+    for k, (ca, cb) in enumerate(zip(accumulate(a), accumulate(b)), 1):
+        if ca < cb:
             raise NotSwappableError(f"not swappable: prefix 1-count deficit at {k}")
     moves: list[int] = []
     cur = a
     while cur != b:
-        surplus = 0
-        i = 0
-        for k in range(1, n + 1):
-            surplus += cur.letter(k) - b.letter(k)
-            if surplus > 0:
-                i = k
-                break
-        j = next(k for k in range(i + 1, n + 1) if cur.letter(k) == 0)
+        # The first surplus letter i is a 1, and so is every letter up to the
+        # next 0 at j: the factor 10 ends at j.
+        surplus = accumulate(map(sub, cur, b))
+        i = next(k for k, d in enumerate(surplus, 1) if d > 0)
+        j = bytes(cur).index(0, i) + 1
         cur = apply_exchange(cur, j)
         moves.append(j)
     return moves

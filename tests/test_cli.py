@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from obsched import index as index_mod
-from obsched import lqg, oracle
+from obsched import cli, lqg, oracle
 from obsched.cli import main
 
 
@@ -511,6 +511,17 @@ class TestOverflowingActivePrecision:
     )
     def test_exits_1(self, capsys, args):
         code, out, err = self.run_quietly(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: a1 = 1e+308 is too large") and err.count("\n") == 1
+
+    def test_word_exits_1_before_walking(self, capsys, monkeypatch):
+        def itinerary(*args):
+            raise AssertionError("the itinerary was walked before the check")
+
+        monkeypatch.setattr(cli, "itinerary", itinerary)
+        code, out, err = self.run_quietly(
+            ["word", *self.ARM, "--x", "0.5", "--z", "inf", "--len", "2000000"], capsys
+        )
         assert code == 1 and out == ""
         assert err.startswith("error: a1 = 1e+308 is too large") and err.count("\n") == 1
 

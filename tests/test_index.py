@@ -777,7 +777,7 @@ class TestIndexBeta1:
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
         unit = index_beta1(p, costs.linear(), 0.5)
         priced = index_beta1(p.with_costs(0.5, 3.0), costs.linear(), 0.5)
-        assert unit.word == threshold_word(p, 0.5, 256).word and unit.periodic
+        assert unit.word == threshold_word(p, 0.5, 256).word and unit.word is not None
         assert unit.denominator == 0.5 and priced.denominator == 1.25
         assert priced.lam == pytest.approx(unit.lam / 2.5, rel=1e-15)
         assert priced.numerator == pytest.approx(priced.lam * priced.denominator)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,93 @@ class TestWordType:
         assert w.letter(2) == 0
         with pytest.raises(IndexError):
             w.letter(0)
+
+
+def spellings(text):
+    """The word spelled by a '0'/'1' string, in every input form Word accepts."""
+    ints = [int(c) for c in text]
+    return [
+        text, bytes(ints), bytearray(ints), ints,
+        np.array(ints, dtype=np.int64), (b for b in ints),
+    ]
+
+
+def prefix_ones(text):
+    return [text[:k].count("1") for k in range(1, len(text) + 1)]
+
+
+BINARY = st.text(alphabet="01", max_size=24)
+
+
+class TestWordAgainstStr:
+    """Each Word operation against the same operation on the '0'/'1' string."""
+
+    @given(BINARY)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_input_form_spells_the_same_word(self, s):
+        for letters in spellings(s):
+            w = Word(letters)
+            assert str(w) == s and len(w) == len(s)
+            assert bytes(w) == bytes(int(c) for c in s)
+            assert list(w) == [int(c) for c in s]
+            assert w == Word(s) and hash(w) == hash(Word(s))
+
+    @given(BINARY, BINARY, st.integers(0, 3), st.integers(-30, 30), st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_operations(self, s, t, k, i, data):
+        u, v = Word(s), Word(t)
+        n = len(s)
+        assert [u.letter(j) for j in range(1, n + 1)] == [int(c) for c in s]
+        a = data.draw(st.integers(1, n + 1))
+        b = data.draw(st.integers(a - 1, n))
+        assert str(u.factor(a, b)) == s[a - 1 : b]
+        assert str(u + v) == s + t
+        assert str(u * k) == str(k * u) == s * k
+        assert str(u.reverse()) == s[::-1]
+        assert u.is_palindrome() == (s == s[::-1])
+        rot = i % n if n else 0
+        assert str(u.conjugate(i)) == s[rot:] + s[:rot]
+        assert (u.ones, u.zeros) == (s.count("1"), s.count("0"))
+        assert (u == v) == (s == t)
+        if s == t:
+            assert hash(u) == hash(v)
+        assert lex_cmp(u, v) == (s > t) - (s < t)
+
+    @given(BINARY, st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exchange_and_distance(self, s, data):
+        u = Word(s)
+        for j in range(2, len(s) + 1):
+            if s[j - 2 : j] == "10":
+                assert str(apply_exchange(u, j)) == s[: j - 2] + "01" + s[j:]
+            else:
+                with pytest.raises(ValueError):
+                    apply_exchange(u, j)
+        t = data.draw(st.text(alphabet="01", min_size=len(s), max_size=len(s)))
+        expected = sum(x - y for x, y in zip(prefix_ones(s), prefix_ones(t)))
+        assert swap_distance(u, Word(t)) == expected
+
+    @pytest.mark.parametrize(
+        "letters",
+        ["012", "\x00", "0 1", b"01", bytearray(b"\x02"), [2], [-1], [256],
+         np.array([0, 2])],
+        ids=["digit-2", "nul-char", "space", "ascii-bytes", "bytearray-2", "two",
+             "minus-one", "256", "numpy-2"],
+    )
+    def test_rejects(self, letters):
+        with pytest.raises(ValueError):
+            Word(letters)
+
+    def test_accepts_bools_and_numpy_ints(self):
+        assert str(Word([True, False])) == "10"
+        assert str(Word([np.int64(1), np.uint8(0), np.bool_(True)])) == "101"
+
+    def test_long_word_round_trips(self):
+        s = "0100101" * 30000
+        w = Word(s)
+        assert len(w) == 210000 and str(w) == s
+        assert Word(bytes(w)) == w == Word(iter(list(w)))
+        assert str(w.factor(100001, 200000)) == s[100000:200000]
 
 
 class TestChristoffel:
