@@ -2,19 +2,18 @@
 
 Each arm is an independent Kalman-filtered time series; m arms receive the
 expensive observation per round.  Posterior variances evolve
-deterministically given the actions, so deterministic policies produce
-seed-independent variance trajectories; sampled observations only move the
-posterior means.  Randomness comes from one named generator (PCG64) whose
-seed sequence is spawned into one child stream per arm plus one stream for
-the random policy, in that order.
+deterministically given the actions, and the costs and every policy but
+``random`` read only the variances, so the simulator tracks the variances
+alone and only ``random`` depends on the seed.  It draws from one named
+generator (PCG64) on a child stream of the scenario's seed sequence.
 
 Per round the simulator picks the active arms and steps each arm's
 variance as a Python float with the arm's own variance map; over the few
 arms of a scenario, numpy's per-call cost would outweigh the arithmetic.
 Under a deterministic policy the joint state is eventually periodic, so
 stepping stops at its first exact repeat and the cycle is tiled over the
-rest of the horizon.  Each arm's noise is drawn up front from its own
-stream and its cost is evaluated once per run on the states it visited.
+rest of the horizon.  Each arm's cost and off-grid index lookups are
+reckoned once per run on the states it visited.
 """
 
 from __future__ import annotations
@@ -43,11 +42,10 @@ class Arm:
     params: ArmParams
     cost: CostFn
     weight: float = 1.0
-    x0: float = 0.0
     v0: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("weight", "x0", "v0"):
+        for name in ("weight", "v0"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"arm {name} must be finite, got {value}")
@@ -128,7 +126,6 @@ class Scenario:
                         params=params,
                         cost=cost,
                         weight=_arm_number(blk, i, "weight", 1.0),
-                        x0=_arm_number(blk, i, "x0", 0.0),
                         v0=_arm_number(blk, i, "v0"),
                     )
                 )
@@ -182,12 +179,9 @@ class IndexTables:
     grids: list[np.ndarray]
     log_grids: list[np.ndarray]
     values: list[np.ndarray]
-    out_of_range: int = 0
 
     def lookup(self, arm: int, v: float) -> float:
         g = self.grids[arm]
-        if v < g[0] or v > g[-1]:
-            self.out_of_range += 1
         lv = math.log(max(v, g[0]))
         return float(np.interp(lv, self.log_grids[arm], self.values[arm]))
 
@@ -250,7 +244,6 @@ class SimTrace:
     chosen: list[tuple[int, ...]]
     actions: np.ndarray  # (horizon, n)
     variances: np.ndarray  # (horizon + 1, n)
-    means: np.ndarray  # (horizon + 1, n)
     inst_cost: np.ndarray  # (horizon,)
     disc_cum_cost: np.ndarray  # (horizon,)
     total_discounted_cost: float
@@ -322,22 +315,20 @@ def simulate(
     """Run the belief-state chain under the named policy.
 
     Exactly m arms are active each round; the trace is bit-reproducible
-    for a given seed.  Each step chooses the active arms and steps each
-    arm's variance as a Python float with the arm's own
-    :func:`~obsched.dynamics.scalar_map`, whose states are bitwise those
-    of :func:`~obsched.dynamics.phi`.  Under ``whittle``,
+    for a given seed, which only ``random`` reads.  Each step chooses the
+    active arms and steps each arm's variance as a Python float with the
+    arm's own :func:`~obsched.dynamics.scalar_map`, whose states are
+    bitwise those of :func:`~obsched.dynamics.phi`.  Under ``whittle``,
     ``myopic`` and ``round_robin`` the pick and the next state depend only
     on the variances and the round-robin position, so when step t repeats
     the state of step k bit for bit, steps t onward copy steps
-    k + (i - k) mod (t - k), off-grid index lookups included, and
-    ``trace.cycle`` is (k, t - k).  ``random`` steps every round.
-    Everything else happens once per run over all steps: the action
-    matrix is filled from the picks, each arm's noise is drawn up front
-    from its own stream (the same values as one draw per step), and each
-    arm's cost is evaluated once on all of its visited states.  Each
-    step's cost is still added up over the arms in arm order, and each
-    arm's posterior mean m <- A m + e is stepped on Python floats, the
-    same two operations per step as on arrays.
+    k + (i - k) mod (t - k), and ``trace.cycle`` is (k, t - k).
+    ``random`` steps every round.  Everything else happens once per run
+    over all steps: the action matrix is filled from the picks, each
+    arm's cost is evaluated on all of its visited states, and since
+    ``whittle`` looks up every arm's state at every step, its off-grid
+    lookups are the visited states outside their arm's grid.  Each step's
+    cost is still added up over the arms in arm order.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -346,22 +337,18 @@ def simulate(
     m = scenario.m
     if policy == "whittle" and tables is None:
         tables = build_index_tables(scenario)
-    seeds = np.random.SeedSequence(scenario.seed).spawn(n + 1)
-    arm_rngs = [np.random.default_rng(s) for s in seeds[:n]]
-    policy_rng = np.random.default_rng(seeds[n])
+    # Child n of the seed's sequence: a given seed keeps its random
+    # schedule (tests/golden/simulate.random.csv pins it).
+    policy_rng = np.random.default_rng(
+        np.random.SeedSequence(scenario.seed, spawn_key=(n,)))
 
     steps = scenario.horizon
     maps = [scalar_map(a.params) for a in arms]
-    # The posterior mean is multiplied by the signed A when the arm came
-    # from raw Kalman parameters; costs only ever see the variance.
-    mult = np.array([a.params.r if a.params.A is None else a.params.A for a in arms])
     variances = np.empty((steps + 1, n))
     chosen: list[tuple[int, ...]] = []
     variances[0] = [a.v0 for a in arms]
     v = variances[0].tolist()
     rr_next = 0
-    # Off-grid index lookups made at each step; only whittle makes any.
-    off_grid = np.zeros(steps, dtype=np.int64)
     # The first step at which each (variances, rr_next) state was seen.
     first_step: dict[tuple[bytes, int], int] = {}
     cycle = None
@@ -372,9 +359,7 @@ def simulate(
                 cycle = (k, t - k)
                 break
         if policy == "whittle":
-            before = tables.out_of_range
             pick = whittle_policy(tables, v, m)
-            off_grid[t] = tables.out_of_range - before
         elif policy == "myopic":
             pick = myopic_policy(arms, v, m)
         elif policy == "round_robin":
@@ -391,11 +376,12 @@ def simulate(
         src = k + (np.arange(t, steps + 1) - k) % period
         variances[t:] = variances[src]
         chosen.extend([chosen[j] for j in src[:-1]])
-        off_grid[t:] = off_grid[src[:-1]]
-        if tables is not None:
-            tables.out_of_range += int(off_grid[t:].sum())
     actions = np.zeros((steps, n), dtype=np.int64)
     actions[np.arange(steps)[:, None], chosen] = 1
+    off_grid = 0
+    if policy == "whittle":
+        for g, col in zip(tables.grids, variances[:-1].T):
+            off_grid += int(np.count_nonzero((col < g[0]) | (col > g[-1])))
 
     inst = np.zeros(steps)
     for i, arm in enumerate(arms):
@@ -404,27 +390,15 @@ def simulate(
         )
     disc = np.multiply.accumulate(np.r_[1.0, np.full(steps - 1, scenario.beta)])
     cum = np.cumsum(disc * inst)
-
-    noise = np.column_stack([rng.standard_normal(steps) for rng in arm_rngs])
-    noise *= np.sqrt(np.maximum(0.0, mult * mult * variances[:-1] + 1.0 - variances[1:]))
-    means = np.empty((steps + 1, n))
-    means[0] = [a.x0 for a in arms]
-    for i, (a_i, x) in enumerate(zip(mult.tolist(), means[0].tolist())):
-        col = [x]
-        for e in noise[:, i].tolist():
-            x = a_i * x + e
-            col.append(x)
-        means[:, i] = col
     return SimTrace(
         policy=policy,
         chosen=chosen,
         actions=actions,
         variances=variances,
-        means=means,
         inst_cost=inst,
         disc_cum_cost=cum,
         total_discounted_cost=float(cum[-1]),
-        index_out_of_range=int(off_grid.sum()),
+        index_out_of_range=off_grid,
         cycle=cycle,
     )
 
@@ -435,27 +409,3 @@ def tournament(
     """Run several policies on the same scenario, sharing index tables."""
     tables = build_index_tables(scenario) if "whittle" in policies else None
     return {pol: simulate(scenario, pol, tables=tables) for pol in policies}
-
-
-def fig7_scenario(
-    n: int = 10,
-    heavy_weight: float = 10.0,
-    horizon: int = 200,
-    beta: float = 0.99,
-    seed: int = 7,
-) -> Scenario:
-    """Benchmark: n identical arms, one carrying a heavier uncertainty cost.
-
-    All arms start at variance 4 with free observations; only the cost
-    ordering whittle < {myopic, round_robin} is meaningful, not magnitudes.
-    """
-    from .costs import linear
-
-    params = ArmParams(r=1.0, a0=0.0, a1=0.1, c0=0.0, c1=0.0)
-    cost = linear()
-    arms = tuple(
-        Arm(params=params, cost=cost, weight=heavy_weight if i == 0 else 1.0,
-            x0=4.0, v0=4.0)
-        for i in range(n)
-    )
-    return Scenario(arms=arms, m=1, beta=beta, horizon=horizon, seed=seed)

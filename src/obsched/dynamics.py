@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class ArmParams:
 
     r is the absolute state multiplier, a0 < a1 the passive/active
     observation precisions (a1 = inf means noiseless active observations),
-    and c0 <= c1 the per-step observation costs.  Raw Kalman fields are
-    carried through when the instance came from :meth:`from_kalman`.
+    and c0 <= c1 the per-step observation costs.
     """
 
     r: float
@@ -53,10 +52,6 @@ class ArmParams:
     a1: float
     c0: float = 0.0
     c1: float = 1.0
-    A: Optional[float] = None
-    sigma_x: Optional[float] = None
-    sigma_y0: Optional[float] = None
-    sigma_y1: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r <= 1.0:
@@ -99,10 +94,7 @@ class ArmParams:
             )
         a0 = 0.0 if math.isinf(sigma_y0) else sigma_x / sigma_y0
         a1 = sigma_x / sigma_y1
-        return cls(
-            r=abs(A), a0=a0, a1=a1, c0=c0, c1=c1,
-            A=A, sigma_x=sigma_x, sigma_y0=sigma_y0, sigma_y1=sigma_y1,
-        )
+        return cls(r=abs(A), a0=a0, a1=a1, c0=c0, c1=c1)
 
     @classmethod
     def from_var_decay(
@@ -384,17 +376,10 @@ def sturmian_fixed_point(p: ArmParams, rate: float, depth: int) -> tuple[float, 
 def knife_edge_tol(s: float) -> float:
     """Distance from threshold s within which a state is knife-edge (-1 for infinite s).
 
-    ``abs(v - s) <= knife_edge_tol(s)`` is :func:`is_knife_edge` for a
-    scalar state, with the tolerance computed once per orbit.
+    A state v is knife-edge when ``abs(v - s) <= knife_edge_tol(s)``; the
+    orbit walks compute the tolerance once per orbit.
     """
     return -1.0 if math.isinf(s) else KNIFE_EDGE_TOL * max(1.0, abs(s))
-
-
-def is_knife_edge(x: FloatArray, s: float) -> FloatArray:
-    """Whether a state is within the knife-edge tolerance of the threshold."""
-    if math.isinf(s):
-        return np.zeros_like(x, dtype=bool) if isinstance(x, np.ndarray) else False
-    return np.abs(x - s) <= knife_edge_tol(s)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,11 @@ class LqgSolution:
     z: float  # threshold on the raw posterior variance
 
 
+def _riccati_quadratic(p: LqgProblem) -> tuple[float, float, float]:
+    """Coefficients (qa, qb, qc) of the Riccati quadratic qa R^2 + qb R + qc."""
+    return -p.beta * p.B**2, p.beta * p.B**2 * p.D + p.beta * p.A**2 * p.F - p.F, p.D * p.F
+
+
 def riccati_root(problem: LqgProblem) -> float:
     """Unique positive root of -beta B^2 R^2 + (beta B^2 D + beta A^2 F - F) R + D F.
 
@@ -73,9 +78,7 @@ def riccati_root(problem: LqgProblem) -> float:
     p = problem
     if p.F == 0.0:
         return p.D
-    qa = -p.beta * p.B**2
-    qb = p.beta * p.B**2 * p.D + p.beta * p.A**2 * p.F - p.F
-    qc = p.D * p.F
+    qa, qb, qc = _riccati_quadratic(p)
     disc = qb * qb - 4.0 * qa * qc
     s = math.sqrt(disc)
     if qb >= 0.0:
@@ -145,11 +148,8 @@ def observation_threshold(problem: LqgProblem, alpha: float) -> float:
 def solve_lqg(problem: LqgProblem) -> LqgSolution:
     """Riccati root, feedback gain, variance-cost rate and observation threshold."""
     R = riccati_root(problem)
-    residual = abs(
-        -problem.beta * problem.B**2 * R**2
-        + (problem.beta * problem.B**2 * problem.D + problem.beta * problem.A**2 * problem.F - problem.F) * R
-        + problem.D * problem.F
-    )
+    qa, qb, qc = _riccati_quadratic(problem)
+    residual = abs(qa * R**2 + qb * R + qc)
     scale = max(1.0, problem.D * max(1.0, problem.F), R * R * problem.beta * problem.B**2)
     if residual > 1e-10 * scale:
         raise InconsistencyError(f"Riccati residual {residual} too large")
@@ -160,8 +160,3 @@ def solve_lqg(problem: LqgProblem) -> LqgSolution:
     L = feedback_gain(problem, R)
     z = observation_threshold(problem, alpha)
     return LqgSolution(R=R, L=L, alpha=alpha, z=z)
-
-
-def lqg_act(sol: LqgSolution, mean: float, variance: float) -> tuple[float, int]:
-    """Control u = -L x and query a = 1 exactly when the variance reaches z."""
-    return -sol.L * mean, int(variance >= sol.z)

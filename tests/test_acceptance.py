@@ -47,6 +47,8 @@ from obsched.words import (
     swap_sequence,
 )
 
+from support import fig7_scenario
+
 
 def _report(n, label, t0, limit):
     elapsed = time.perf_counter() - t0
@@ -323,8 +325,7 @@ def test_criterion_09_palindromic_orbit_lemmas():
 
 def test_criterion_10_policy_tournament():
     t0 = time.perf_counter()
-    scenario = bandit.fig7_scenario(n=10, heavy_weight=10.0, horizon=200,
-                                    beta=0.99, seed=7)
+    scenario = fig7_scenario(n=10, heavy_weight=10.0, horizon=200, beta=0.99, seed=7)
     first = bandit.tournament(scenario, ("whittle", "myopic", "round_robin"))
     totals = {k: v.total_discounted_cost for k, v in first.items()}
     assert totals["whittle"] < totals["myopic"], totals

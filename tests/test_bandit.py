@@ -4,7 +4,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from obsched.bandit import (
     IndexTables,
     Scenario,
     build_index_tables,
-    fig7_scenario,
     myopic_policy,
     simulate,
     tournament,
@@ -27,10 +26,12 @@ from obsched.bandit import (
 from obsched.costs import CostDomainError
 from obsched.dynamics import ArmParams, phi, phi0, phi1
 
+from support import fig7_scenario
+
 
 def two_arm_scenario(**kw):
     params = ArmParams(r=0.9, a0=0.0, a1=1.0, c0=0.0, c1=0.0)
-    arm = Arm(params=params, cost=costs.linear(), weight=1.0, x0=0.0, v0=2.0)
+    arm = Arm(params=params, cost=costs.linear(), weight=1.0, v0=2.0)
     defaults = dict(arms=(arm, arm), m=1, beta=0.9, horizon=12, seed=3)
     defaults.update(kw)
     return Scenario(**defaults)
@@ -47,7 +48,7 @@ class TestScenario:
         with pytest.raises(ValueError):
             two_arm_scenario(horizon=0)
         params = ArmParams(r=0.9, a0=0.0, a1=1.0)
-        for field in ("v0", "weight", "x0"):
+        for field in ("v0", "weight"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=field):
                     Arm(params=params, cost=costs.linear(), **{field: bad})
@@ -181,16 +182,25 @@ class TestDeterminism:
         a = simulate(sc, "whittle")
         b = simulate(sc, "whittle")
         np.testing.assert_array_equal(a.variances, b.variances)
-        np.testing.assert_array_equal(a.means, b.means)
         assert a.total_discounted_cost == b.total_discounted_cost
 
-    def test_seed_changes_means_not_variances(self):
+    def test_seed_only_moves_random(self):
         sc1 = fig7_scenario(horizon=40, seed=1)
         sc2 = fig7_scenario(horizon=40, seed=2)
         for pol in ("whittle", "myopic", "round_robin"):
             t1, t2 = simulate(sc1, pol), simulate(sc2, pol)
-            np.testing.assert_array_equal(t1.variances, t2.variances)
-            assert not np.array_equal(t1.means, t2.means)
+            for field in fields(t1):
+                a, b = getattr(t1, field.name), getattr(t2, field.name)
+                if isinstance(a, np.ndarray):
+                    np.testing.assert_array_equal(a, b)
+                else:
+                    assert a == b, (pol, field.name)
+            assert t1.summary() == t2.summary()
+            csv1, csv2 = io.StringIO(), io.StringIO()
+            t1.to_csv(csv1)
+            t2.to_csv(csv2)
+            assert csv1.getvalue() == csv2.getvalue()
+        assert simulate(sc1, "random").chosen != simulate(sc2, "random").chosen
 
 
 class TestAccounting:
@@ -222,16 +232,16 @@ def mixed_scenario(**kw):
     """Mixed costs and weights, c0 < c1, a noiseless arm and a signed A."""
     arms = (
         Arm(ArmParams(r=0.9, a0=0.1, a1=2.0, c0=0.2, c1=1.0), costs.entropy(),
-            weight=2.5, x0=1.0, v0=3.0),
+            weight=2.5, v0=3.0),
         Arm(ArmParams(r=0.95, a0=0.0, a1=math.inf, c0=0.1, c1=0.7),
-            costs.power(2.0), weight=0.8, x0=-2.0, v0=1.5),
+            costs.power(2.0), weight=0.8, v0=1.5),
         Arm(ArmParams.from_kalman(A=-0.97, sigma_x=1.0, sigma_y0=3.0,
                                   sigma_y1=0.5, c0=0.0, c1=0.5),
-            costs.neg_precision(), weight=4.0, x0=0.5, v0=6.0),
+            costs.neg_precision(), weight=4.0, v0=6.0),
         Arm(ArmParams(r=1.0, a0=0.05, a1=1.5, c0=0.3, c1=0.9),
-            costs.bounded_demo(), weight=1.3, x0=0.0, v0=0.7),
+            costs.bounded_demo(), weight=1.3, v0=0.7),
         Arm(ArmParams(r=0.8, a0=0.2, a1=4.0, c0=0.0, c1=1.2), costs.linear(),
-            weight=7.0, x0=3.0, v0=2.0),
+            weight=7.0, v0=2.0),
     )
     defaults = dict(arms=arms, m=2, beta=0.97, horizon=300, seed=11)
     defaults.update(kw)
@@ -239,24 +249,21 @@ def mixed_scenario(**kw):
 
 
 def reference_simulate(scenario, policy, tables):
-    """One arm at a time per step: scalar phi, cost and noise draw."""
+    """One arm at a time per step: scalar phi, cost and off-grid lookup count."""
     n = len(scenario.arms)
     m = scenario.m
-    seeds = np.random.SeedSequence(scenario.seed).spawn(n + 1)
-    arm_rngs = [np.random.default_rng(s) for s in seeds[:n]]
-    policy_rng = np.random.default_rng(seeds[n])
+    policy_rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(n + 1)[n])
     steps = scenario.horizon
     variances = np.empty((steps + 1, n))
-    means = np.empty((steps + 1, n))
     actions = np.zeros((steps, n), dtype=np.int64)
     chosen = []
     inst = np.empty(steps)
     cum = np.empty(steps)
     variances[0] = [a.v0 for a in scenario.arms]
-    means[0] = [a.x0 for a in scenario.arms]
     disc = 1.0
     total = 0.0
     rr_next = 0
+    off_grid = 0
     for t in range(steps):
         v = variances[t]
         if policy == "whittle":
@@ -272,46 +279,33 @@ def reference_simulate(scenario, policy, tables):
         actions[t, list(pick)] = 1
         step_cost = 0.0
         for i, arm in enumerate(scenario.arms):
+            if policy == "whittle":
+                grid = tables.grids[i]
+                off_grid += not grid[0] <= v[i] <= grid[-1]
             act = int(actions[t, i])
             step_cost += arm.weight * arm.cost.eval(v[i]) + arm.params.work_cost(act)
-            new_v = phi(arm.params, act, float(v[i]))
-            mult = arm.params.A if arm.params.A is not None else arm.params.r
-            innov_var = max(0.0, mult * mult * v[i] + 1.0 - new_v)
-            means[t + 1, i] = mult * means[t, i] + math.sqrt(innov_var) * float(
-                arm_rngs[i].standard_normal()
-            )
-            variances[t + 1, i] = new_v
+            variances[t + 1, i] = phi(arm.params, act, float(v[i]))
         inst[t] = step_cost
         total += disc * step_cost
         cum[t] = total
         disc *= scenario.beta
-    return chosen, actions, variances, means, inst, cum, total
+    return chosen, actions, variances, inst, cum, total, off_grid
 
 
 def assert_matches_reference(scenario, policy, tables=None):
-    """simulate equals reference_simulate bit for bit, off-grid counts included.
-
-    Each side gets its own index tables, so the shared-table counter of
-    the simulated side must grow by exactly what the reference looked up.
-    Given ``tables``, each side gets a copy of them with a zero counter.
-    """
+    """simulate equals reference_simulate bit for bit, off-grid counts included."""
     if tables is None:
-        ref_tables = build_index_tables(scenario, n_points=64)
         tables = build_index_tables(scenario, n_points=64)
-    else:
-        ref_tables, tables = (replace(tables, out_of_range=0) for _ in range(2))
-    chosen, actions, variances, means, inst, cum, total = reference_simulate(
-        scenario, policy, ref_tables
+    chosen, actions, variances, inst, cum, total, off_grid = reference_simulate(
+        scenario, policy, tables
     )
     trace = simulate(scenario, policy, tables=tables)
     assert trace.chosen == chosen
     for got, want in ((trace.actions, actions), (trace.variances, variances),
-                      (trace.means, means), (trace.inst_cost, inst),
-                      (trace.disc_cum_cost, cum)):
+                      (trace.inst_cost, inst), (trace.disc_cum_cost, cum)):
         np.testing.assert_array_equal(got, want)
     assert trace.total_discounted_cost == total
-    assert trace.index_out_of_range == ref_tables.out_of_range
-    assert tables.out_of_range == ref_tables.out_of_range
+    assert trace.index_out_of_range == off_grid
     return trace
 
 
@@ -321,7 +315,6 @@ class TestBatchStepping:
         trace = assert_matches_reference(mixed_scenario(), policy)
         # the scenario exercises every branch the batch has to reproduce
         assert trace.actions[:, 1].any() and np.any(trace.variances[1:, 1] == 0.0)
-        assert np.any(trace.means[:, 2] < 0.0) and np.any(trace.means[:, 2] > 0.0)
 
     def test_visited_state_outside_cost_domain_raises(self):
         # entropy is undefined at v = 0, which a noiseless observation reaches
@@ -338,7 +331,6 @@ class TestBatchStepping:
         second = simulate(sc, "whittle", tables=tables)
         assert first.index_out_of_range > 0
         assert second.index_out_of_range == first.index_out_of_range
-        assert tables.out_of_range == 2 * first.index_out_of_range
         assert simulate(sc, "round_robin", tables=tables).index_out_of_range == 0
 
 
@@ -388,8 +380,7 @@ def sim_arms(draw):
     v0 = draw(st.floats(0.1, 8.0))
     if cost.kind == "linear" and draw(st.booleans()):
         v0 = 0.0
-    return Arm(params, cost, weight=draw(st.floats(0.5, 8.0)),
-               x0=draw(st.floats(-3.0, 3.0)), v0=v0)
+    return Arm(params, cost, weight=draw(st.floats(0.5, 8.0)), v0=v0)
 
 
 @st.composite
@@ -473,12 +464,6 @@ class TestTablesAndExports:
         # arms 2..10 are identical and must share one grid object
         assert tables.grids[1] is tables.grids[2]
         assert tables.grids[0] is not tables.grids[1]
-
-    def test_lookup_flags_out_of_range(self):
-        sc = fig7_scenario(horizon=10)
-        tables = build_index_tables(sc, n_points=64)
-        tables.lookup(0, 1e9)
-        assert tables.out_of_range == 1
 
     def test_lookup_interpolates_on_log_grid(self):
         sc = fig7_scenario(horizon=10)

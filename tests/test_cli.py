@@ -258,7 +258,6 @@ class TestSimulateCommand:
             {**SCENARIO, "m": True},
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "v0": "nan"}] * 2},
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "weight": "inf"}] * 2},
-            {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "x0": "-inf"}] * 2},
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "cost": "power",
                                    "power_q": float("nan")}] * 3},
             {**SCENARIO, "arms": [{**SCENARIO["arms"][0], "cost": "power",
@@ -269,7 +268,7 @@ class TestSimulateCommand:
         ids=["list-payload", "int-payload", "int-arms", "object-arms",
              "list-r", "list-cost", "list-beta", "fractional-seed", "fractional-m",
              "fractional-horizon", "fractional-string-horizon", "null-seed",
-             "bool-m", "nan-v0", "inf-weight", "inf-x0", "nan-power-q",
+             "bool-m", "nan-v0", "inf-weight", "nan-power-q",
              "string-power-q", "string-a1", "negative-seed"],
     )
     def test_malformed_scenario_rejected(self, tmp_path, capsys, payload):
@@ -302,6 +301,15 @@ class TestSimulateCommand:
         scen.write_text(json.dumps(SCENARIO))
         assert code == 0
         assert run(["simulate", "--scenario", str(scen)], capsys)[1] == out
+
+    def test_x0_is_ignored(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(SCENARIO))
+        _, want, _ = run(["simulate", "--scenario", str(scen)], capsys)
+        for x0 in (3.0, "-inf", "two"):
+            arms = [{**arm, "x0": x0} for arm in SCENARIO["arms"]]
+            scen.write_text(json.dumps({**SCENARIO, "arms": arms}))
+            assert run(["simulate", "--scenario", str(scen)], capsys) == (0, want, "")
 
     def test_empty_policy_list_rejected(self, tmp_path, capsys):
         scen = tmp_path / "scenario.json"

@@ -17,7 +17,6 @@ from obsched.dynamics import (
     ArmParams,
     ThresholdWord,
     fixed_point,
-    is_knife_edge,
     phi,
     scalar_map,
     threshold_word,
@@ -41,6 +40,8 @@ from obsched.index import (
     whittle_index,
 )
 from obsched.words import Word, central_palindrome, christoffel, farey
+
+from support import is_knife_edge
 
 
 def random_params(rng, r_lo=0.3, r_hi=1.0, a1_max=3.0):
@@ -150,7 +151,7 @@ def stepped_sums(p, cost, beta, x, s, first, T):
         if t == 0:
             act = first
         else:
-            knife = knife or bool(is_knife_edge(v, s))
+            knife = knife or is_knife_edge(v, s)
             act = int(v >= s)
         states.append(v)
         acts.append(act)

@@ -9,7 +9,12 @@ import pytest
 from obsched import costs, oracle
 from obsched.dynamics import phi
 from obsched.index import IndexQuery, whittle_index
-from obsched.lqg import LqgProblem, lqg_act, riccati_root, solve_lqg
+from obsched.lqg import LqgProblem, riccati_root, solve_lqg
+
+
+def lqg_act(sol, mean, variance):
+    """Control u = -L x and query a = 1 exactly when the variance reaches z."""
+    return -sol.L * mean, int(variance >= sol.z)
 
 
 def random_problem(rng, f_zero=False):

@@ -1,11 +1,14 @@
-"""Package layout: the modules import only each other's public names."""
+"""Package layout: the modules import only each other's public names, and
+every name they import is used."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import obsched
 
 SRC = Path(obsched.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def private_imports(source: str, filename: str) -> list[str]:
@@ -84,5 +87,76 @@ def test_no_private_attributes_of_sibling_modules():
     assert len(paths) >= 9
     found = [
         line for path in paths for line in private_attributes(path.read_text(), path.name)
+    ]
+    assert found == []
+
+
+def unused_imports(source: str, filename: str, keep: frozenset = frozenset()) -> list[str]:
+    """Each name the source imports but never reads, other than those in ``keep``.
+
+    A name is read when it is loaded anywhere in the module or listed in
+    ``__all__``; ``from __future__`` imports bind no name.
+    """
+    tree = ast.parse(source, filename)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    found = [
+        (node.lineno, f"{filename}:{node.lineno}: {name}")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        if name not in read and name not in keep
+    ]
+    return [line for _, line in sorted(found)]
+
+
+def wrapped_names(monkeypatch) -> dict[str, frozenset]:
+    """Per module file, the attributes ``perfbench/layers.py`` wraps by name."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    names: dict[str, set] = {}
+    for _, paths, _ in layers.SPANS + layers.LEAVES:
+        for path in paths:
+            if len(path) == 2:
+                names.setdefault(f"{path[0]}.py", set()).add(path[1])
+    return {name: frozenset(attrs) for name, attrs in names.items()}
+
+
+def test_unused_import_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Callable, Optional, Union\n"
+        "from .dynamics import phi, phi0  # noqa: F401\n"
+        "from .words import Word\n"
+        "__all__ = ['Word']\n"
+        "def f(g: Callable) -> Union[int, None]:\n"
+        "    import logging\n"
+        "    return os.path.join(np.pi)\n"
+    )
+    assert unused_imports(source, "m.py", frozenset({"phi"})) == [
+        "m.py:4: Optional",
+        "m.py:5: phi0",
+        "m.py:9: logging",
+    ]
+
+
+def test_every_import_is_used(monkeypatch):
+    keep = wrapped_names(monkeypatch)
+    assert keep["bandit.py"] >= {"phi", "phi0"}
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 9
+    found = [
+        line
+        for path in paths
+        for line in unused_imports(path.read_text(), path.name,
+                                   keep.get(path.name, frozenset()))
     ]
     assert found == []

@@ -35,7 +35,6 @@ from obsched.dynamics import (
     Orbit,
     ThresholdWord,
     fixed_point,
-    is_knife_edge,
     itinerary,
     orbit,
     phi,
@@ -61,6 +60,8 @@ from obsched.words import (
     is_christoffel,
 )
 
+from support import is_knife_edge
+
 RATES = [f for f in farey(7) if 0 < f < 1]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -82,7 +83,7 @@ def reference_threshold_word(p, x, max_len):
     v = phi1(p, x)
     states, acts, seen, knife = [], [], set(), False
     while len(states) < 16 * max_len and v not in seen:
-        knife = knife or bool(is_knife_edge(v, x))
+        knife = knife or is_knife_edge(v, x)
         seen.add(v)
         states.append(v)
         acts.append(int(v >= x))
