@@ -283,17 +283,21 @@ class SimTrace:
                 )
 
 
-def _select_top_m(scores: np.ndarray, m: int) -> tuple[int, ...]:
-    """Indices of the m largest scores; ties break toward lower arm id."""
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return tuple(sorted(int(i) for i in order[:m]))
+def _select_top_m(scores: list[float], m: int) -> tuple[int, ...]:
+    """Indices of the m largest scores; ties break toward lower arm id.
+
+    ``sorted`` is stable with ``reverse=True`` too, so equal scores keep
+    arm order.
+    """
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    return tuple(sorted(order[:m]))
 
 
 def whittle_policy(
     tables: IndexTables, variances: Sequence[float], m: int
 ) -> tuple[int, ...]:
     """The m arms with the largest interpolated index; ties to lower arm id."""
-    scores = np.array([tables.lookup(i, float(v)) for i, v in enumerate(variances)])
+    scores = [tables.lookup(i, float(v)) for i, v in enumerate(variances)]
     return _select_top_m(scores, m)
 
 
@@ -301,9 +305,7 @@ def myopic_policy(
     arms: Sequence[Arm], variances: Sequence[float], m: int
 ) -> tuple[int, ...]:
     """The m arms with the highest current weighted cost; ties to lower arm id."""
-    scores = np.array(
-        [arm.weight * arm.cost.eval(float(v)) for arm, v in zip(arms, variances)]
-    )
+    scores = [arm.weight * arm.cost.eval(float(v)) for arm, v in zip(arms, variances)]
     return _select_top_m(scores, m)
 
 

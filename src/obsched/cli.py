@@ -29,15 +29,10 @@ from .dynamics import (
     threshold_word,
     y0,
 )
-from .index import (
-    IndexTable,
-    UncertifiedPeriodError,
-    index_beta1,
-    index_table,
-)
+from .index import IndexTable, index_beta1, index_table
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Validation failure; message is printed as a one-liner and exits 1."""
 
 
@@ -71,17 +66,7 @@ def _parse_grid(spec: str, log: bool) -> np.ndarray:
 
 def _arm_from_args(args: argparse.Namespace) -> ArmParams:
     a1 = math.inf if args.a1 in ("inf", "Infinity") else float(args.a1)
-    try:
-        return ArmParams(r=args.r, a0=args.a0, a1=a1, c0=args.c0, c1=args.c1)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _cost_from_args(args: argparse.Namespace) -> costs.CostFn:
-    try:
-        return costs.by_name(args.cost, getattr(args, "power_q", None))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return ArmParams(r=args.r, a0=args.a0, a1=a1, c0=args.c0, c1=args.c1)
 
 
 def _emit(path: Optional[str], output: Union[str, dict]) -> None:
@@ -171,10 +156,7 @@ def build_parser() -> _Parser:
 
 def _beta1_table(params: ArmParams, cost: costs.CostFn, grid) -> IndexTable:
     """Discount-to-one limit of the index over a grid; its T is a fixed 400."""
-    try:
-        records = [index_beta1(params, cost, float(x)) for x in grid]
-    except UncertifiedPeriodError as exc:
-        raise CliError(str(exc)) from None
+    records = [index_beta1(params, cost, float(x)) for x in grid]
     lams = np.array([rec.lam for rec in records])
     violations = int(np.sum(np.diff(lams) < -1e-9))
     return IndexTable(records, violations, 400, 1e-9)
@@ -190,14 +172,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid_log or args.grid_lin, log=args.grid_log is not None)
     params = _arm_from_args(args)
     check_denominator(params, grid[-1])
-    cost = _cost_from_args(args)
-    try:
-        if args.beta == 1.0:
-            table = _beta1_table(params, cost, grid)
-        else:
-            table = index_table(params, cost, args.beta, grid, words=not args.no_words)
-    except costs.CostDomainError as exc:
-        raise CliError(str(exc)) from None
+    cost = costs.by_name(args.cost, args.power_q)
+    if args.beta == 1.0:
+        table = _beta1_table(params, cost, grid)
+    else:
+        table = index_table(params, cost, args.beta, grid, words=not args.no_words)
     if args.format == "csv":
         lines = ["x,lambda,numerator,denominator,word,knife_edge\n"]
         for rec in table.records:
@@ -270,10 +249,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read scenario: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed scenario JSON: {exc}") from None
-    try:
-        scenario = bandit.Scenario.from_json(payload)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    scenario = bandit.Scenario.from_json(payload)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise CliError(f"--policies names no policy; choose from {bandit.POLICIES}")
@@ -301,14 +277,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_lqg(args: argparse.Namespace) -> int:
     sy0 = math.inf if args.sigma_y0 in ("inf", "Infinity") else float(args.sigma_y0)
-    try:
-        problem = lqg.LqgProblem(
-            A=args.A, B=args.B, D=args.D, F=args.F, beta=args.beta,
-            sigma_x=args.sigma_x, sigma_y0=sy0, sigma_y1=args.sigma_y1,
-            c0=args.c0, c1=args.c1,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    problem = lqg.LqgProblem(
+        A=args.A, B=args.B, D=args.D, F=args.F, beta=args.beta,
+        sigma_x=args.sigma_x, sigma_y0=sy0, sigma_y1=args.sigma_y1,
+        c0=args.c0, c1=args.c1,
+    )
     sol = lqg.solve_lqg(problem)
     payload = {"command": "lqg", "R": sol.R, "L": sol.L, "alpha": sol.alpha,
                "z": sol.z if math.isfinite(sol.z) else _fmt(sol.z)}
@@ -317,8 +290,6 @@ def _cmd_lqg(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.beta < 1.0:
-        raise CliError(f"beta must be in [0, 1), got {args.beta}")
     if args.grid_n < 64:
         raise CliError(f"--grid-n must be at least 64, got {args.grid_n}")
     if args.cross_checks < 0:
@@ -326,16 +297,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")
     params = _arm_from_args(args)
-    cost = _cost_from_args(args)
+    cost = costs.by_name(args.cost, args.power_q)
     cfg = oracle.PcliConfig(seed=args.seed)
     # The report's states and thresholds, and the DP grid of the cross-checks.
     top = y0(params)
     lo, hi = oracle.state_bounds(params, cfg)
     check_denominator(params, max(hi, 4.0 * top) if math.isfinite(top) else hi)
-    try:
-        report = oracle.pcli_report(params, cost, args.beta, cfg)
-    except costs.CostDomainError as exc:
-        raise CliError(str(exc)) from None
+    # pcli_report checks beta before it steps an orbit.
+    report = oracle.pcli_report(params, cost, args.beta, cfg)
     crosses = []
     threshold_ok = True
     # The DP grid spans [1e-4 y1, 4 y0], so there are no cross-checks when
@@ -383,13 +352,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

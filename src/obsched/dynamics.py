@@ -84,9 +84,9 @@ class ArmParams:
         0 < sigma_y1 < sigma_y0 <= inf (the active observation is the
         higher-quality one) and 0 < |A| <= 1.
         """
-        if sigma_x <= 0:
+        if not sigma_x > 0:
             raise ValueError("sigma_x must be positive")
-        if A == 0 or abs(A) > 1:
+        if not 0.0 < abs(A) <= 1.0:
             raise ValueError(f"|A| must be in (0, 1], got {A}")
         if not 0 < sigma_y1 < sigma_y0:
             raise ValueError(

@@ -55,7 +55,7 @@ def _debug(msg: str, *args: object) -> None:
     logging.getLogger("obsched").debug(msg, *args)
 
 
-class UncertifiedPeriodError(RuntimeError):
+class UncertifiedPeriodError(ArithmeticError):
     """The threshold word at x could not be certified periodic."""
 
 
@@ -80,6 +80,15 @@ def cost_gap(p: ArmParams) -> float:
             " and the index is undefined"
         )
     return p.c1 - p.c0
+
+
+def work_floor(gap: float, beta: float, T: int) -> float:
+    """Lower bound on the marginal work at s = x for cost gap ``gap``.
+
+    The exact floor (1 - beta) gap, less the work an orbit truncated at
+    step T can leave out: gap beta^(T+1) / (1 - beta).
+    """
+    return (1.0 - beta) * gap - gap * beta ** (T + 1) / max(1e-300, 1.0 - beta)
 
 
 @dataclass(frozen=True)
@@ -202,8 +211,7 @@ def whittle_index(q: IndexQuery) -> IndexRecord:
     c1, w1, k1 = _orbit_terms(q.params, q.cost, q.beta, q.x, q.x, 1, T)
     num = _fsum_diff(c0, c1)
     den = _fsum_diff(w1, w0)
-    slack = gap * q.beta ** (T + 1) / max(1e-300, 1.0 - q.beta)
-    if den <= 0.0 or den < (1.0 - q.beta) * gap - slack - 1e-15:
+    if den <= 0.0 or den < work_floor(gap, q.beta, T) - 1e-15:
         raise InconsistencyError(
             f"marginal work {den} below its lower bound at x={q.x}:"
             " internal inconsistency"

@@ -34,20 +34,15 @@ class LqgProblem:
     def __post_init__(self) -> None:
         if self.B == 0.0:
             raise ValueError("B must be non-zero")
-        if not 0.0 < abs(self.A) <= 1.0:
-            raise ValueError(f"|A| must be in (0, 1], got {self.A}")
         if self.D <= 0.0:
             raise ValueError("D must be positive")
         if self.F < 0.0:
             raise ValueError("F must be non-negative")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if self.sigma_x <= 0.0:
-            raise ValueError("sigma_x must be positive")
-        if not 0.0 < self.sigma_y1 < self.sigma_y0:
-            raise ValueError("need 0 < sigma_y1 < sigma_y0")
-        if not self.c0 <= self.c1:
-            raise ValueError("need c0 <= c1")
+        # A, sigma_x, the sigma_y and the costs are checked where they are
+        # normalized.
+        self.arm()
 
     def arm(self) -> ArmParams:
         return ArmParams.from_kalman(

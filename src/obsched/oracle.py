@@ -35,6 +35,7 @@ from .index import (
     marginal_sums_batch,
     truncation_horizon,
     whittle_index,
+    work_floor,
 )
 
 
@@ -395,8 +396,7 @@ def pcli_report(
 
     # PCLI1: marginal work at s = x stays above its discounted lower bound.
     work = den[0]
-    slack = gap * beta ** (T + 1) / max(1e-300, 1.0 - beta)
-    bound = (1.0 - beta) * gap - slack
+    bound = work_floor(gap, beta, T)
     margin = float(np.min(work - bound))
     report["pcli1"] = {
         "samples": cfg.work_samples,

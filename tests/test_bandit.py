@@ -154,6 +154,23 @@ class TestPolicies:
         trace = simulate(sc, "myopic")
         assert trace.chosen[0] == (0,)
 
+    @pytest.mark.parametrize(
+        "scores, m, expected",
+        [([0.0, -0.0, 0.0, 1.0, -0.0], 3, (0, 1, 3)), ([-0.0, 0.0, 2.0, 0.0], 2, (0, 2)),
+         ([0.0, -0.0], 1, (0,)), ([-0.0, 0.0], 1, (0,)), ([5.0] * 4, 2, (0, 1)),
+         ([1.0, 3.0, 3.0, 1.0], 3, (0, 1, 2))],
+    )
+    def test_equal_scores_pick_lowest_ids(self, scores, m, expected):
+        # 0.0 and -0.0 are equal scores.  The lower arm id wins every tie,
+        # as under np.lexsort keyed on (-score, id).
+        class Tables:
+            def lookup(self, i, v):
+                return scores[i]
+
+        order = np.lexsort((np.arange(len(scores)), -np.array(scores)))
+        assert tuple(sorted(int(i) for i in order[:m])) == expected
+        assert whittle_policy(Tables(), [1.0] * len(scores), m) == expected
+
     def test_whittle_m_complement(self):
         params = ArmParams(r=0.9, a0=0.0, a1=1.0, c0=0.0, c1=0.0)
         arms = tuple(

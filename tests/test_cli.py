@@ -397,6 +397,24 @@ class TestLqgCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--A", "2", "|A| must be in (0, 1], got 2.0"),
+            ("--A", "nan", "|A| must be in (0, 1], got nan"),
+            ("--A", "0", "|A| must be in (0, 1], got 0.0"),
+            ("--sigma-x", "-1", "sigma_x must be positive"),
+            ("--sigma-x", "nan", "sigma_x must be positive"),
+            ("--sigma-y0", "5", "need 0 < sigma_y1 < sigma_y0, got 10.0, 5.0"),
+            ("--c0", "2", "need c0 <= c1, got c0=2.0, c1=1.0"),
+        ],
+        ids=["A-2", "A-nan", "A-0", "sigma-x-neg", "sigma-x-nan", "sigma-y0-below-y1",
+             "c0-above-c1"],
+    )
+    def test_invalid_input_is_named(self, capsys, flag, value, message):
+        code, out, err = run(self.ARGS + [flag, value], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_riccati_residual_exits_2(self, capsys, monkeypatch):
         # A Riccati root that does not solve the equation is an internal
         # inconsistency, not invalid input.
@@ -551,3 +569,34 @@ class TestOverflowingActivePrecision:
             capsys,
         )
         assert code == 0 and len(out.splitlines()) == 3
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory exits 1 with one error line."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(SCENARIO))
+        return {
+            "index": TestIndexCommand.ARGS,
+            "word": ["word", "--r", "0.9", "--a0", "0", "--a1", "0.5", "--x", "2"],
+            "simulate": ["simulate", "--scenario", str(scen)],
+            "lqg": TestLqgCommand.ARGS,
+            "verify": ["verify", *TestVerifyCommand.ARM, "--cross-checks", "0",
+                       "--grid-n", "64"],
+        }
+
+    @pytest.mark.parametrize("command", ["index", "word", "simulate", "lqg", "verify"])
+    def test_out_exits_1(self, tmp_path, capsys, argv, command):
+        code, out, err = run(argv[command] + ["--out", str(tmp_path / "missing" / "o")],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_trace_out_exits_1(self, tmp_path, capsys, argv):
+        code, out, err = run(
+            argv["simulate"] + ["--trace-out", str(tmp_path / "missing" / "t")], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,5 @@
-"""Package layout: the modules import only each other's public names, and
-every name they import is used."""
+"""Package layout: the modules import only each other's public names,
+every name they import is used, and the CLI does not re-wrap library errors."""
 
 import ast
 import importlib
@@ -160,3 +160,42 @@ def test_every_import_is_used(monkeypatch):
                                    keep.get(path.name, frozenset()))
     ]
     assert found == []
+
+
+def cli_rewraps(source: str, filename: str) -> list[str]:
+    """Each ``except`` handler whose body is only ``raise CliError(str(<caught>))``.
+
+    ``cli.main`` already prints such an exception as one error line with
+    its exit code, so the handler adds nothing.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ExceptHandler) and node.name and len(node.body) == 1:
+            rewrap = ast.parse(f"CliError(str({node.name}))", mode="eval").body
+            stmt = node.body[0]
+            if isinstance(stmt, ast.Raise) and ast.dump(stmt.exc) == ast.dump(rewrap):
+                found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_rewrap_detector():
+    source = (
+        "try:\n"
+        "    f()\n"
+        "except ValueError as exc:\n"
+        "    raise CliError(str(exc)) from None\n"
+        "except KeyError as err:\n"
+        "    raise CliError(str(err))\n"
+        "except OSError as exc:\n"
+        "    raise CliError(f'cannot read scenario: {exc}') from None\n"
+        "except TypeError as exc:\n"
+        "    raise CliError(str(other)) from None\n"
+        "except ArithmeticError as exc:\n"
+        "    log(exc)\n"
+        "    raise CliError(str(exc)) from None\n"
+    )
+    assert cli_rewraps(source, "m.py") == ["m.py:3", "m.py:5"]
+
+
+def test_cli_has_no_rewraps():
+    assert cli_rewraps((SRC / "cli.py").read_text(), "cli.py") == []
