@@ -159,7 +159,7 @@ def _beta1_table(params: ArmParams, cost: costs.CostFn, grid) -> IndexTable:
     records = [index_beta1(params, cost, float(x)) for x in grid]
     lams = np.array([rec.lam for rec in records])
     violations = int(np.sum(np.diff(lams) < -1e-9))
-    return IndexTable(records, violations, 400, 1e-9)
+    return IndexTable(records, violations, 400)
 
 
 def _cmd_index(args: argparse.Namespace) -> int:

@@ -44,7 +44,7 @@ class ArmParams:
 
     r is the absolute state multiplier, a0 < a1 the passive/active
     observation precisions (a1 = inf means noiseless active observations),
-    and c0 <= c1 the per-step observation costs.
+    and c0 <= c1 the finite per-step observation costs.
     """
 
     r: float
@@ -58,6 +58,8 @@ class ArmParams:
             raise ValueError(f"r must be in (0, 1], got {self.r}")
         if not 0.0 <= self.a0 < self.a1:
             raise ValueError(f"need 0 <= a0 < a1, got a0={self.a0}, a1={self.a1}")
+        if not (math.isfinite(self.c0) and math.isfinite(self.c1)):
+            raise ValueError(f"need finite c0 and c1, got c0={self.c0}, c1={self.c1}")
         if not self.c0 <= self.c1:
             raise ValueError(f"need c0 <= c1, got c0={self.c0}, c1={self.c1}")
 

@@ -327,92 +327,38 @@ def marginal_sums_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Marginal cost, marginal work, knife-edge flags of one arm; x and s broadcast.
 
-    Plain >= comparisons decide actions here, as in the scalar kernel;
-    points that ever tie a threshold are flagged.  Each sum is taken to
-    infinity in closed form once its orbit repeats a state exactly, and
-    truncated at T when it does not repeat by then.  Both
-    forced first actions step as one batch of 2n orbits (see
-    :func:`_threshold_sums_batch`): orbits [0, n) start passive and orbits
-    [n, 2n) start active.
-    """
-    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
-    shape, n = x.shape, x.size
-    cost_sums, work_sums, knife, n_open = _threshold_sums_batch(
-        p, beta, cost, np.tile(x.ravel(), 2), np.tile(s.ravel(), 2),
-        np.arange(2 * n) >= n, T,
-    )
-    if n_open:
-        _debug("%d of %d batch orbits reached T=%d with no repeat", n_open, 2 * n, T)
-    return (
-        (cost_sums[:n] - cost_sums[n:]).reshape(shape),
-        (work_sums[n:] - work_sums[:n]).reshape(shape),
-        (knife[:n] | knife[n:]).reshape(shape),
-    )
+    Point i has two s[i]-threshold orbits from x[i], one per forced first
+    action; all share the arm p and the discount beta.  Plain >=
+    comparisons decide actions, as in the scalar kernel, and points whose
+    orbits come within ``knife_edge_tol(s)`` of s are flagged.  Repeats
+    are found by Brent's method: each orbit is compared bitwise with an
+    anchor state retaken at t = 1, 2, 4, ...  An orbit back at its anchor
+    state at step t is periodic from the anchor step k with period
+    n = t - k and stops stepping; its sum is the part before k plus the
+    cycle's sum times 1 / (1 - beta^n).  Orbits with no repeat by T are
+    truncated there, and their number is logged.  The anchor schedule
+    depends only on t, so each orbit's sums do not depend on the other
+    orbits of the batch.  Memory stays O(len(x)).
 
-
-def _classes(x: np.ndarray, first: np.ndarray, s: np.ndarray):
-    """Group orbits that differ at most in their threshold.
-
-    Orbits share a class when their start (bit for bit) and first action
-    agree.  Returns the permutation ``order`` that makes each class
-    contiguous with its thresholds ascending, and the list [lo, hi] of the
-    classes' ranges in it.
-    """
-    n = x.size
-    keys = (x.view(np.int64), first)
-    order = np.lexsort((s,) + keys)
-    start = np.zeros(n, dtype=bool)
-    start[:1] = True
-    for key in keys:
-        key = key[order]
-        start[1:] |= key[1:] != key[:-1]
-    lo = np.flatnonzero(start)
-    # No orbits make no classes.
-    return order, [lo, np.append(lo[1:], n)[:lo.size]]
-
-
-def _share(out: np.ndarray, order: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Copy the column of each class's first orbit in ``out`` to its other orbits.
-
-    The classes are the ranges [lo[j], hi[j]) of ``order``.
-    """
-    for a, b in zip(lo, hi):
-        out[:, order[a + 1:b]] = out[:, order[a], None]
-
-
-def _threshold_sums_batch(
-    p: ArmParams, beta: float, cost: CostFn,
-    x: np.ndarray, s: np.ndarray, first: np.ndarray, T: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Cost and work sums of one arm's s-threshold orbits, each with a forced first action.
-
-    Orbit i starts at x[i] with first action first[i] and threshold s[i];
-    all orbits share the arm p and the discount beta.  Returns the
-    infinite-horizon sums, the knife-edge flags (a state within
-    ``knife_edge_tol(s)`` of s) and the number of orbits stepped to T
-    without a repeat, whose sums are truncated at T.  Repeats are found by
-    Brent's method: each orbit is compared bitwise with an anchor state
-    retaken at t = 1, 2, 4, ...  An orbit back at its anchor state at step
-    t is periodic from the anchor step k with period n = t - k and stops
-    stepping; its sum is the part before k plus the cycle's sum times
-    1 / (1 - beta^n).  The anchor schedule depends only on t, so each
-    orbit's sums do not depend on the other orbits of the batch.  Memory
-    stays O(len(x)).
-
-    Orbits that differ only in their threshold step as classes (see
-    :func:`_classes`).  A class is a range of its group's sorted
-    thresholds whose orbits share one state, one head and cycle sum, one
-    anchor and the step k.  The invariant holds while every member takes
-    the same action, so a class whose state v lies inside its range
-    (first threshold <= v < last) is split before the step: the members
-    s <= v act and keep the row, the members s > v rest in a new row with
-    copies of the state, sums and anchor.  Every member thus sees the
-    float operations of its own orbit, in the same order, and its sums
-    are bitwise those of stepping it alone.  Knife-edge flags stay per
-    member.  A class that does not straddle v ties v only if its member
-    nearest to v does (the last member of an acting class, the first of a
-    resting one): near a tie v - s is exact (Sterbenz), and the tolerances
-    of two thresholds differ by at most 1e-12 times their gap.  Only when the
+    The orbits step in sorted positions: the points are sorted by
+    (start bits, threshold) into the permutation o, and the passive-first
+    orbits take positions [0, n), the active-first orbits [n, 2n).
+    Orbits that differ only in their threshold step as classes.  A class
+    is a range of positions, with one start and first action and
+    ascending thresholds, whose orbits share one state, one head and
+    cycle sum, one anchor and the step k.  The invariant holds while every
+    member takes the same action, so a class whose state v lies inside
+    its range (first threshold <= v < last) is split before the step:
+    the members s <= v act and keep the row, the members s > v rest in a
+    new row with copies of the state, sums and anchor.  Every member thus
+    sees the float operations of its own orbit, in the same order, and
+    its sums are bitwise those of stepping it alone.  A class's sums go
+    to its first position, and at the end every position takes the sums
+    of the class start before it.  Knife-edge flags stay per member.  A
+    class that does not straddle v ties v only if its member nearest to
+    v does (the last member of an acting class, the first of a resting
+    one): near a tie v - s is exact (Sterbenz), and the tolerances of two
+    thresholds differ by at most 1e-12 times their gap.  Only when the
     nearest member ties are the members within a few tolerances of v
     tested one by one.  When every class has one member, as in a batch of
     distinct starts, the class bookkeeping costs one Python bool per step.
@@ -429,27 +375,37 @@ def _threshold_sums_batch(
     and that bound is finite, the states are evaluated unchecked, and
     otherwise every step is checked.
     """
-    n = x.size
+    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
+    shape, n = x.shape, x.size
+    x, s = x.ravel(), s.ravel()
+    o = np.lexsort((s, x.view(np.int64)))
+    bits = x.view(np.int64)[o]
+    # The first position of each class, updated as classes split.
+    start = np.ones(2 * n, dtype=bool)
+    start[1:n] = start[n + 1:] = bits[1:] != bits[:-1]
+    s = np.tile(s[o], 2)
     tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
     c0, c1, beta = p.c0, p.c1, np.array([beta])
     step = batch_map(p)
-    # Per class: its range [lo, hi) of ``order``, which lists the class's
-    # orbits by ascending threshold, and the threshold and tolerance of
-    # its last orbit.  The per-class arrays are replaced one at a time,
-    # which keeps the transient copies small.
-    order, bounds = _classes(x, first, s)
-    bounds += [s[order[bounds[1] - 1]], tol[order[bounds[1] - 1]]]
-    sums = np.empty((2, n))
-    knife = np.zeros(n, dtype=bool)
-    # Each class steps from the start and first action of its first orbit.
-    rep = order[bounds[0]]
+    # Per class: its range [lo, hi) of positions and the threshold and
+    # tolerance of its last position.  The per-class arrays are replaced
+    # one at a time, which keeps the transient copies small.
+    lo = np.flatnonzero(start)
+    # No orbits make no classes.
+    bounds = [lo, np.append(lo[1:], 2 * n)[:lo.size]]
+    bounds += [s[bounds[1] - 1], tol[bounds[1] - 1]]
+    m = lo.size // 2
+    sums = np.empty((2, 2 * n))
+    knife = np.zeros(2 * n, dtype=bool)
+    # Each class steps from its start, the passive-first classes first.
+    x0 = np.tile(x[o[lo[:m]]], 2)
     # Summed over t < k, and over k <= t.
-    head = np.stack([cost.eval(x[rep]), np.where(first[rep], c1, c0)])
+    head = np.stack([cost.eval(x0), np.repeat([c0, c1], m)])
     den_max = 2.0 * (float(np.max(x, initial=0.0)) + T) * (p.a1 * p.r2) + p.a1 + 1.0
     positive = math.isfinite(p.a1) and den_max < math.inf
     cost_at = cost.eval_unchecked if positive else cost.eval
     cyc = np.zeros_like(head)
-    v = step(first[rep], x[rep])
+    v = np.concatenate([step(False, x0[:m]), step(True, x0[m:])])
     anchor, k = v, 1
     # The classes with more than one member, whose ties are flagged per
     # orbit as they happen; those of the others accumulate in lknife.
@@ -459,15 +415,12 @@ def _threshold_sums_batch(
         if t > k:
             hit = v == anchor
             if hit.any():
-                ids = order[bounds[0][hit]]
+                ids = bounds[0][hit]
                 done = cyc[:, hit]
                 done *= _cycle_factor(beta, t - k)
                 done += head[:, hit]
                 sums[:, ids] = done
                 knife[ids] |= lknife[hit]
-                if mrows.size:
-                    rows = mrows[hit[mrows]]
-                    _share(sums, order, bounds[0][rows], bounds[1][rows])
                 keep = ~hit
                 v, anchor, lknife = v[keep], anchor[keep], lknife[keep]
                 head = head[:, keep]
@@ -486,10 +439,10 @@ def _threshold_sums_batch(
         tie = np.abs(off, out=off) <= bounds[3]
         act = v >= bounds[2]
         if mrows.size:
-            low = s[order[bounds[0][mrows]]]
+            low = s[bounds[0][mrows]]
             split = mrows[(v[mrows] >= low) & ~act[mrows]]
             if split.size:
-                _split(order, s, tol, bounds, split, v[split])
+                _split(s, tol, start, bounds, split, v[split])
                 v = _append(v, split)
                 anchor = _append(anchor, split)
                 lknife = _append(lknife, split)
@@ -501,23 +454,33 @@ def _threshold_sums_batch(
                 act = v >= bounds[2]
             # The member nearest to the state of a resting class is its first.
             rest = mrows[~act[mrows]]
-            near = order[bounds[0][rest]]
+            near = bounds[0][rest]
             tie[rest] = np.abs(v[rest] - s[near]) <= tol[near]
             ties = mrows[tie[mrows]]
             if ties.size:
-                _flag_ties(knife, order, s, tol, bounds[0][ties], bounds[1][ties], v[ties])
+                _flag_ties(knife, s, tol, bounds[0][ties], bounds[1][ties], v[ties])
                 tie[ties] = False
         lknife |= tie
         disc = beta**t
         cyc[0] += disc * cost_at(v)
         cyc[1] += np.where(act, disc * c1, disc * c0)
         v = step(act, v)
-    ids = order[bounds[0]]
     head += cyc
-    sums[:, ids] = head
-    knife[ids] |= lknife
-    _share(sums, order, bounds[0][mrows], bounds[1][mrows])
-    return sums[0], sums[1], knife, int(np.sum(bounds[1] - bounds[0]))
+    sums[:, bounds[0]] = head
+    knife[bounds[0]] |= lknife
+    n_open = int(np.sum(bounds[1] - bounds[0]))
+    if n_open:
+        _debug("%d of %d batch orbits reached T=%d with no repeat", n_open, 2 * n, T)
+    # Each position reads its sums at its class's first position, lead;
+    # point i sits at position inv[i] among the passive-first orbits.
+    lead = np.maximum.accumulate(np.where(start, np.arange(2 * n), 0))
+    inv = np.argsort(o)
+    sums0, sums1 = sums[:, lead[inv]], sums[:, lead[inv + n]]
+    return (
+        (sums0[0] - sums1[0]).reshape(shape),
+        (sums1[1] - sums0[1]).reshape(shape),
+        (knife[inv] | knife[inv + n]).reshape(shape),
+    )
 
 
 def _append(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -526,40 +489,40 @@ def _append(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _split(
-    order: np.ndarray, s: np.ndarray, tol: np.ndarray,
+    s: np.ndarray, tol: np.ndarray, start: np.ndarray,
     bounds: list, rows: np.ndarray, v: np.ndarray,
 ) -> None:
     """Split the classes at ``rows`` at their states v, updating ``bounds``.
 
     The members with threshold s <= v stay in their row; the others form
-    a new class, appended in the order of ``rows``.
+    a new class, appended in the order of ``rows``, whose first position
+    is marked in ``start``.
     """
     cut = np.array([
-        a + np.searchsorted(s[order[a:b]], u, "right")
+        a + np.searchsorted(s[a:b], u, "right")
         for a, b, u in zip(bounds[0][rows], bounds[1][rows], v)
     ])
+    start[cut] = True
     bounds[0] = np.concatenate([bounds[0], cut])
-    last = order[cut - 1]
-    for i, at_cut in ((1, cut), (2, s[last]), (3, tol[last])):
+    for i, at_cut in ((1, cut), (2, s[cut - 1]), (3, tol[cut - 1])):
         bounds[i] = _append(bounds[i], rows)
         bounds[i][rows] = at_cut
 
 
 def _flag_ties(
-    knife: np.ndarray, order: np.ndarray, s: np.ndarray, tol: np.ndarray,
+    knife: np.ndarray, s: np.ndarray, tol: np.ndarray,
     lo: np.ndarray, hi: np.ndarray, v: np.ndarray,
 ) -> None:
-    """Flag the orbits of the classes [lo, hi) whose threshold ties the class state v.
+    """Flag the positions of the classes [lo, hi) whose threshold ties the class state v.
 
-    The orbits whose threshold lies within 4 knife-edge tolerances of v
-    are tested.
+    The positions whose threshold lies within 4 knife-edge tolerances of
+    v are tested.
     """
     for a, b, u in zip(lo, hi, v):
-        members = order[a:b]
         w = 4.0 * KNIFE_EDGE_TOL * max(1.0, abs(u))
-        thr = s[members]
+        thr = s[a:b]
         i, j = np.searchsorted(thr, u - w, "left"), np.searchsorted(thr, u + w, "right")
-        knife[members[i:j]] |= np.abs(u - thr[i:j]) <= tol[members[i:j]]
+        knife[a + i:a + j] |= np.abs(u - thr[i:j]) <= tol[a + i:a + j]
 
 
 @dataclass(frozen=True)
@@ -567,7 +530,6 @@ class IndexTable:
     records: list[IndexRecord]
     monotonicity_violations: int
     T: int
-    tolerance: float
 
 
 def index_table(
@@ -606,9 +568,8 @@ def index_table(
         ))
     slack = _lambda_slack(gap, beta, T, records)
     lams = np.array([rec.lam for rec in records])
-    tol = 1e-9 + slack
-    violations = int(np.sum(np.diff(lams) < -tol))
-    return IndexTable(records, violations, T, tol)
+    violations = int(np.sum(np.diff(lams) < -(1e-9 + slack)))
+    return IndexTable(records, violations, T)
 
 
 def _lambda_slack(

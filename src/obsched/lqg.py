@@ -32,12 +32,12 @@ class LqgProblem:
     c1: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.B == 0.0:
-            raise ValueError("B must be non-zero")
-        if self.D <= 0.0:
-            raise ValueError("D must be positive")
-        if self.F < 0.0:
-            raise ValueError("F must be non-negative")
+        if not 0.0 < abs(self.B) < math.inf:
+            raise ValueError(f"B must be non-zero and finite, got {self.B}")
+        if not 0.0 < self.D < math.inf:
+            raise ValueError(f"D must be positive and finite, got {self.D}")
+        if not 0.0 <= self.F < math.inf:
+            raise ValueError(f"F must be non-negative and finite, got {self.F}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         # A, sigma_x, the sigma_y and the costs are checked where they are

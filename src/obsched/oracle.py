@@ -495,8 +495,6 @@ class CrossValidation:
     action_above: int
     action_below: int
     threshold_ok: bool
-    dp_threshold_above: float
-    dp_threshold_below: float
 
 
 def cross_validate(
@@ -533,15 +531,12 @@ def cross_validate(
         params, cost, beta, rec.lam - delta, g, tol=tol, start=sol_above.values,
         actions_only=True,
     )
-    above = dp_threshold(sol_above)
-    below = dp_threshold(sol_below)
     return CrossValidation(
         x_star=x_star,
         lam=rec.lam,
         delta=delta,
         action_above=int(sol_above.actions[k]),
         action_below=int(sol_below.actions[k]),
-        threshold_ok=above.is_threshold and below.is_threshold,
-        dp_threshold_above=above.threshold,
-        dp_threshold_below=below.threshold,
+        threshold_ok=dp_threshold(sol_above).is_threshold
+        and dp_threshold(sol_below).is_threshold,
     )

@@ -407,9 +407,15 @@ class TestLqgCommand:
             ("--sigma-x", "nan", "sigma_x must be positive"),
             ("--sigma-y0", "5", "need 0 < sigma_y1 < sigma_y0, got 10.0, 5.0"),
             ("--c0", "2", "need c0 <= c1, got c0=2.0, c1=1.0"),
+            ("--B", "nan", "B must be non-zero and finite, got nan"),
+            ("--B", "inf", "B must be non-zero and finite, got inf"),
+            ("--D", "nan", "D must be positive and finite, got nan"),
+            ("--D", "inf", "D must be positive and finite, got inf"),
+            ("--F", "nan", "F must be non-negative and finite, got nan"),
+            ("--F", "inf", "F must be non-negative and finite, got inf"),
         ],
         ids=["A-2", "A-nan", "A-0", "sigma-x-neg", "sigma-x-nan", "sigma-y0-below-y1",
-             "c0-above-c1"],
+             "c0-above-c1", "B-nan", "B-inf", "D-nan", "D-inf", "F-nan", "F-inf"],
     )
     def test_invalid_input_is_named(self, capsys, flag, value, message):
         code, out, err = run(self.ARGS + [flag, value], capsys)
@@ -569,6 +575,29 @@ class TestOverflowingActivePrecision:
             capsys,
         )
         assert code == 0 and len(out.splitlines()) == 3
+
+
+class TestNonFiniteObservationCost:
+    """An infinite or NaN c0 or c1 exits 1 with one error line naming both."""
+
+    @pytest.mark.parametrize("command", ["index", "verify", "simulate", "lqg"])
+    @pytest.mark.parametrize("c0, c1", [("0", "inf"), ("nan", "1"), ("-inf", "1")])
+    def test_exits_1(self, tmp_path, capsys, command, c0, c1):
+        if command == "simulate":
+            arms = [dict(SCENARIO["arms"][1], c0=float(c0), c1=float(c1))] * 2
+            scen = tmp_path / "scenario.json"
+            scen.write_text(json.dumps(dict(SCENARIO, arms=arms)))
+            args = ["simulate", "--scenario", str(scen)]
+        else:
+            args = {
+                "index": TestIndexCommand.ARGS,
+                "verify": ["verify", *TestVerifyCommand.ARM, "--cross-checks", "0",
+                           "--grid-n", "64"],
+                "lqg": TestLqgCommand.ARGS,
+            }[command] + [f"--c0={c0}", f"--c1={c1}"]
+        code, out, err = run(args, capsys)
+        message = f"need finite c0 and c1, got c0={float(c0)}, c1={float(c1)}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestUnwritableOutput:

@@ -27,7 +27,6 @@ from obsched.index import (
     IndexQuery,
     UncertifiedPeriodError,
     _orbit_terms,
-    _threshold_sums_batch,
     closed_form_noiseless,
     closed_form_noiseless_limit,
     index_beta1,
@@ -303,11 +302,9 @@ class TestClosedFormTails:
         T = truncation_horizon(beta) if beta < 0.999 else 3000
         assert not assert_kernels_match_stepped(params, costs.linear(), beta, 1.3, s, T)
 
-    def test_mixed_first_actions_match_single_action_batches(self):
-        # An orbit's sums do not depend on the rest of its batch: with the
-        # first actions mixed, every column equals its column in the
-        # all-passive or all-active batch, bit for bit, and a sub-batch
-        # gives the columns of the whole batch.
+    def test_sub_batch_gives_the_batch_columns(self):
+        # A point's sums do not depend on the rest of its batch: a sub-batch
+        # gives the columns of the whole batch, bit for bit.
         rng = np.random.default_rng(41)
         knife_arm = ArmParams(r=0.8, a0=0.1, a1=1.0)
         never = ArmParams(r=1.0, a0=0.0, a1=1.0)  # never repeats at s = inf
@@ -319,21 +316,12 @@ class TestClosedFormTails:
             s = rng.uniform(0.05, 8.0, n)
             s[::11] = math.inf
             x[4] = s[4] = y1(knife_arm)  # on knife_arm, ties the threshold at every step
-
-            def run(first):
-                return _threshold_sums_batch(p, beta, cost, x, s, first, T)
-
-            first = rng.random(n) < 0.5
-            mixed, all0, all1 = run(first), run(np.zeros(n, bool)), run(np.ones(n, bool))
-            for got, want0, want1 in zip(mixed[:3], all0[:3], all1[:3]):
-                assert got.tobytes() == np.where(first, want1, want0).tobytes()
+            whole = marginal_sums_batch(p, beta, cost, x, s, T)
             if p is knife_arm:
-                assert all0[2][4] and all1[2][4]
-            if p is never:
-                assert all0[3] >= 1 and all1[3] >= 1
+                assert whole[2][4]
             cols = np.sort(rng.permutation(n)[:n // 3])
-            part = _threshold_sums_batch(p, beta, cost, x[cols], s[cols], first[cols], T)
-            for got, want in zip(part[:3], mixed[:3]):
+            part = marginal_sums_batch(p, beta, cost, x[cols], s[cols], T)
+            for got, want in zip(part, whole):
                 assert got.tobytes() == want[cols].tobytes()
 
     def test_knife_edge_start_flagged_and_repeats(self):
@@ -421,8 +409,9 @@ def reference_threshold_sums_batch(p, beta, cost, x, s, first, T):
 
 
 class TestBatchKernelMatchesReference:
-    """The trimmed batch kernel gives the reference kernel's sums, knife
-    flags and capped counts bit for bit, and the same domain errors."""
+    """The batch kernel gives the marginal sums and knife flags of the
+    reference kernel's two halves bit for bit, its capped count and the
+    same domain errors."""
 
     ADMISSIBLE = (
         costs.linear(), costs.entropy(), costs.neg_precision(), costs.power(0.5),
@@ -454,47 +443,58 @@ class TestBatchKernelMatchesReference:
         s[::11] = math.inf
         if seed == 2:
             x[:4] = s[:4] = y1(p)
-        return p, beta, x, s, rng.random(n) < 0.5
+        return p, beta, x, s
 
     @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
     @pytest.mark.parametrize("seed", range(4))
-    def test_bitwise_equal(self, cost, seed):
+    def test_bitwise_equal(self, cost, seed, caplog):
         rng = np.random.default_rng([71, seed])
-        p, beta, x, s, first = self.batch(rng, cost, seed)
-        got = self.assert_matches_reference(p, beta, cost, x, s, first, 3000)
+        p, beta, x, s = self.batch(rng, cost, seed)
+        got, capped = self.assert_matches_reference(caplog, p, beta, cost, x, s, 3000)
         if seed == 2:
             assert got[2][:4].all()
         if seed == 3:
-            assert got[3] >= 1
+            assert capped >= 1
 
     @staticmethod
-    def assert_matches_reference(p, beta, cost, x, s, first, T):
-        got = _threshold_sums_batch(p, beta, cost, x, s, first, T)
-        want = reference_threshold_sums_batch(p, beta, cost, x, s, first, T)
-        for g, w in zip(got[:3], want[:3]):
-            assert g.tobytes() == w.tobytes()
-        assert got[3] == want[3]
-        return got
+    def assert_matches_reference(caplog, p, beta, cost, x, s, T):
+        """Compare with the reference run on both first actions, passive
+        then active; returns the kernel's arrays and its capped count."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="obsched"):
+            got = marginal_sums_batch(p, beta, cost, x, s, T)
+        n = x.size
+        first = np.arange(2 * n) >= n
+        c, w, knife, capped = reference_threshold_sums_batch(
+            p, beta, cost, np.tile(x, 2), np.tile(s, 2), first, T
+        )
+        want = (c[:n] - c[n:], w[n:] - w[:n], knife[:n] | knife[n:])
+        for g, v in zip(got, want):
+            assert g.tobytes() == v.tobytes()
+        logged = [rec.getMessage() for rec in caplog.records]
+        assert logged == (
+            [f"{capped} of {2 * n} batch orbits reached T={T} with no repeat"]
+            if capped else []
+        )
+        return got, capped
 
     @staticmethod
     def sweeps(rng, starts, thresholds, singles=()):
-        """Every start with every threshold, plus orbits with x = s, both
-        first actions, in a shuffled order."""
+        """Every start with every threshold, plus points with x = s, in a
+        shuffled order."""
         x = np.concatenate([np.repeat(starts, len(thresholds)), singles])
         s = np.concatenate([np.tile(thresholds, len(starts)), singles])
-        x, s = np.tile(x, 2), np.tile(s, 2)
-        first = np.arange(len(x)) >= len(x) // 2
         perm = rng.permutation(len(x))
-        return x[perm], s[perm], first[perm]
+        return x[perm], s[perm]
 
     @staticmethod
-    def largest_class(x, s, first):
-        lo, hi = index_mod._classes(x, first, s)[1]
-        return int(np.max(hi - lo))
+    def largest_class(x):
+        """The most points that share one start, bit for bit."""
+        return int(np.unique(x.view(np.int64), return_counts=True)[1].max())
 
     @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
     @pytest.mark.parametrize("seed", range(3))
-    def test_fixed_x_sweeps_bitwise_equal(self, cost, seed):
+    def test_fixed_x_sweeps_bitwise_equal(self, cost, seed, caplog):
         # Unsorted thresholds with duplicates, both infinities and a NaN
         # (which never acts), repeated starts, and singleton orbits x = s
         # in the same batch.
@@ -508,15 +508,16 @@ class TestBatchKernelMatchesReference:
         thresholds = np.concatenate([thresholds, [math.inf, -math.inf, math.inf, math.nan]])
         starts = np.append(rng.uniform(0.05, 8.0, 3), 1.0)
         starts[1] = starts[0]
-        x, s, first = self.sweeps(rng, starts, thresholds, rng.uniform(0.05, 8.0, 40))
-        assert self.largest_class(x, s, first) == 2 * len(thresholds)
-        self.assert_matches_reference(p, beta, cost, x, s, first, 3000)
+        x, s = self.sweeps(rng, starts, thresholds, rng.uniform(0.05, 8.0, 40))
+        assert self.largest_class(x) == 2 * len(thresholds)
+        self.assert_matches_reference(caplog, p, beta, cost, x, s, 3000)
 
     @pytest.mark.parametrize("first_action", [0, 1])
-    def test_knife_ties_inside_classes(self, first_action):
-        # Thresholds tie the state v1 = phi(x) of step 1: one equals it, so
-        # the class splits exactly at the tie, and others lie within the
-        # tolerance on both sides, inside the halves; some lie just beyond.
+    def test_knife_ties_inside_classes(self, first_action, caplog):
+        # Thresholds tie the state v1 = phi(x) of step 1 after first_action:
+        # one equals it, so the class splits exactly at the tie, and others
+        # lie within the tolerance on both sides, inside the halves; some
+        # lie just beyond.
         p = ArmParams(r=0.9, a0=0.1, a1=1.0)
         x = 2.0
         v1 = scalar_map(p)(first_action, x)
@@ -526,22 +527,22 @@ class TestBatchKernelMatchesReference:
         assert ties[:6].all() and not ties[6:8].any()
         thresholds = np.concatenate([near, np.linspace(0.1, 6.0, 60)])
         rng = np.random.default_rng(5)
-        x_arr, s, first = self.sweeps(rng, [x], thresholds)
-        first[:] = bool(first_action)
-        got = self.assert_matches_reference(p, 0.9, costs.linear(), x_arr, s, first, 2000)
+        x_arr, s = self.sweeps(rng, [x], thresholds)
+        got, _ = self.assert_matches_reference(caplog, p, 0.9, costs.linear(), x_arr, s, 2000)
         knife = got[2]
         assert knife[np.isin(s, near[ties])].all()
 
-    def test_noiseless_sweeps(self):
+    def test_noiseless_sweeps(self, caplog):
         # a1 = inf takes active orbits to 0, which ties the threshold 0.
         p = ArmParams(r=0.8, a0=0.0, a1=math.inf)
         rng = np.random.default_rng(6)
         thresholds = np.concatenate([[0.0, -math.inf, 0.0], rng.uniform(0.05, 4.0, 80)])
-        x, s, first = self.sweeps(rng, [0.5, 3.0], thresholds, [0.7, 2.0])
-        knife = self.assert_matches_reference(p, 0.9, costs.linear(), x, s, first, 2000)[2]
+        x, s = self.sweeps(rng, [0.5, 3.0], thresholds, [0.7, 2.0])
+        got, _ = self.assert_matches_reference(caplog, p, 0.9, costs.linear(), x, s, 2000)
+        knife = got[2]
         assert knife[s == 0.0].all()
 
-    def test_class_without_repeat_counts_its_members(self):
+    def test_class_without_repeat_counts_its_members(self, caplog):
         # With r = 1 and a0 = 0 an orbit that never acts grows by 1 a step
         # and never repeats: thresholds beyond reach leave whole classes at
         # the step cap, and the capped count counts their members.
@@ -550,10 +551,50 @@ class TestBatchKernelMatchesReference:
         far = [math.inf, 1e9, math.inf, 2e9, math.inf]
         thresholds = np.concatenate([far, rng.uniform(0.5, 6.0, 50)])
         starts = [1.5, 4.0, 4.0]
-        x, s, first = self.sweeps(rng, starts, thresholds, [2.5, 3.5])
-        T = 500
-        got = self.assert_matches_reference(p, 0.99, costs.linear(), x, s, first, T)
-        assert got[3] == 2 * len(starts) * len(far)
+        x, s = self.sweeps(rng, starts, thresholds, [2.5, 3.5])
+        _, capped = self.assert_matches_reference(caplog, p, 0.99, costs.linear(), x, s, 500)
+        assert capped == 2 * len(starts) * len(far)
+
+    @given(
+        r=st.floats(0.3, 1.0),
+        a0=st.sampled_from((0.0, 0.2)),
+        a1=st.sampled_from((1.0, 2.5, math.inf)),
+        beta=st.sampled_from((0.0, 0.5, 0.9, 0.99)),
+        starts=st.lists(
+            st.one_of(st.sampled_from((0.0, -0.0, 1.0)), st.floats(0.0, 8.0)),
+            min_size=1, max_size=4,
+        ),
+        points=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.one_of(
+                    st.sampled_from((math.inf, -math.inf, math.nan, 0.0, 1.0)),
+                    st.floats(0.0, 8.0),
+                ),
+            ),
+            min_size=1, max_size=40,
+        ),
+        seed=st.integers(0, 2**16),
+        subset=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_permuted_or_sub_batch_gives_the_batch_columns(
+        self, r, a0, a1, beta, starts, points, seed, subset
+    ):
+        # Repeated starts share classes, +0.0 and -0.0 starts do not, and
+        # infinite and NaN thresholds sort to the ends of their classes: in
+        # any order and any part of the batch, a point's columns are those
+        # of the whole batch, bit for bit.
+        p = ArmParams(r=r, a0=a0, a1=a1)
+        x = np.array([starts[i % len(starts)] for i, _ in points])
+        s = np.array([thr for _, thr in points])
+        whole = marginal_sums_batch(p, beta, costs.linear(), x, s, 300)
+        cols = np.random.default_rng(seed).permutation(x.size)
+        if subset:
+            cols = cols[:max(1, x.size // 2)]
+        part = marginal_sums_batch(p, beta, costs.linear(), x[cols], s[cols], 300)
+        for got, want in zip(part, whole):
+            assert got.tobytes() == want[cols].tobytes()
 
     def test_empty_batch(self):
         p = ArmParams(r=0.9, a0=0.0, a1=1.0)

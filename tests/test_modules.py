@@ -1,5 +1,6 @@
 """Package layout: the modules import only each other's public names,
-every name they import is used, and the CLI does not re-wrap library errors."""
+every name they import is used, every private name they define is read,
+and the CLI does not re-wrap library errors."""
 
 import ast
 import importlib
@@ -160,6 +161,72 @@ def test_every_import_is_used(monkeypatch):
                                    keep.get(path.name, frozenset()))
     ]
     assert found == []
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Each module-level private name (``_name``, not dunder) that no source reads.
+
+    ``sources`` maps file names to their text.  A name is read when any
+    source loads it, reads it as an attribute or imports it; its own
+    definition does not count.
+    """
+    trees = {filename: ast.parse(text, filename) for filename, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    found = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [
+                f"{filename}:{node.lineno}: {name}"
+                for name in names
+                if name.startswith("_") and not name.endswith("__") and name not in read
+            ]
+    return found
+
+
+def test_orphan_detector():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_unused: int = 4\n"
+            "__all__ = ['f']\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _dead():\n"
+            "    return 0\n"
+            "class _Orphan:\n"
+            "    pass\n"
+            "def f():\n"
+            "    return _helper()\n"
+        ),
+        "b.py": "from . import c\n_ALIAS = c._read_elsewhere\n_ALIAS()\n",
+        "c.py": "def _read_elsewhere():\n    pass\n",
+    }
+    assert orphaned_private_names(sources) == [
+        "a.py:2: _unused",
+        "a.py:6: _dead",
+        "a.py:8: _Orphan",
+    ]
+
+
+def test_no_orphaned_private_names():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 9
+    assert orphaned_private_names({path.name: path.read_text() for path in paths}) == []
 
 
 def cli_rewraps(source: str, filename: str) -> list[str]:
