@@ -48,11 +48,11 @@ class Arm:
         for name in ("weight", "v0"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"arm {name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.weight <= 0:
-            raise ValueError("arm weight must be positive")
+            raise ValueError(f"weight must be positive, got {self.weight}")
         if self.v0 < 0:
-            raise ValueError("initial variance must be non-negative")
+            raise ValueError(f"v0 must be non-negative, got {self.v0}")
 
 
 @dataclass(frozen=True)
@@ -113,25 +113,25 @@ class Scenario:
                 raise ValueError(f"arm {i} must be a JSON object, got {blk!r}")
             try:
                 params = ArmParams(
-                    r=_arm_number(blk, i, "r"),
-                    a0=_arm_number(blk, i, "a0"),
-                    a1=_arm_number(blk, i, "a1"),
-                    c0=_arm_number(blk, i, "c0", 0.0),
-                    c1=_arm_number(blk, i, "c1", 1.0),
+                    r=_arm_number(blk, "r"),
+                    a0=_arm_number(blk, "a0"),
+                    a1=_arm_number(blk, "a1"),
+                    c0=_arm_number(blk, "c0", 0.0),
+                    c1=_arm_number(blk, "c1", 1.0),
                 )
-                q = None if blk.get("power_q") is None else _arm_number(blk, i, "power_q")
+                q = None if blk.get("power_q") is None else _arm_number(blk, "power_q")
                 cost = by_name(blk.get("cost", "linear"), q)
                 arms.append(
                     Arm(
                         params=params,
                         cost=cost,
-                        weight=_arm_number(blk, i, "weight", 1.0),
-                        v0=_arm_number(blk, i, "v0"),
+                        weight=_arm_number(blk, "weight", 1.0),
+                        v0=_arm_number(blk, "v0"),
                     )
                 )
             except KeyError as exc:
                 raise ValueError(f"arm {i} missing required field {exc}") from None
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"arm {i}: {exc}") from None
         try:
             beta = float(payload["beta"])
@@ -148,14 +148,14 @@ class Scenario:
         )
 
 
-def _arm_number(blk: dict, i: int, key: str, default: Optional[float] = None) -> float:
-    """Field ``key`` of arm i as a float; required when there is no default."""
+def _arm_number(blk: dict, key: str, default: Optional[float] = None) -> float:
+    """Field ``key`` of an arm as a float; required when there is no default."""
     value = blk[key] if default is None else blk.get(key, default)
     try:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(
-            f"arm {i}: field '{key}' must be a number, got {value!r}"
+            f"field '{key}' must be a number, got {value!r}"
         ) from None
 
 

@@ -7,20 +7,28 @@ and ``verify`` (PCLI property report plus DP cross-checks).  Output is
 deterministic: floats print with 17 significant digits and identical
 configurations yield byte-identical files.
 
+``main`` may be called repeatedly in one process.  The parser is built
+once per process, and each command imports only the modules it runs, so
+``index`` and ``word`` never load the simulator, the LQG solver or the DP
+oracle.  ``index --format json`` is written from a per-record template
+whose bytes are exactly those of ``json.dump(payload, indent=2)``.
+
 Exit codes: 0 success, 1 validation error, 2 internal inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import bandit, costs, lqg, oracle
+from . import costs
 from .dynamics import (
     ArmParams,
     InconsistencyError,
@@ -73,6 +81,8 @@ def _emit(path: Optional[str], output: Union[str, dict]) -> None:
     """Write the output to the file at path, or to stdout for None or "-".
 
     A dict is streamed as JSON indented by 2, with a trailing newline.
+    Index tables come here as a string already: ``_index_json`` writes the
+    same bytes from a template, without the pure-Python indenting encoder.
     """
     fh = sys.stdout if path is None or path == "-" else open(path, "w", newline="")
     try:
@@ -102,7 +112,9 @@ def _add_cost_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--power-q", dest="power_q", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="obsched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -162,6 +174,48 @@ def _beta1_table(params: ArmParams, cost: costs.CostFn, grid) -> IndexTable:
     return IndexTable(records, violations, 400)
 
 
+_INDEX_RECORD = """\
+    {{
+      "x": {},
+      "lambda": {},
+      "numerator": {},
+      "denominator": {},
+      "word": {},
+      "knife_edge": {}
+    }}"""
+
+
+def _json_float(x: float) -> str:
+    """x as json.dump writes a float, np.float64 included."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _index_json(table: IndexTable) -> str:
+    """json.dump of the table's payload with indent=2, plus a newline.
+
+    The table holds at least one record, as every grid has two points.
+    """
+    records = ",\n".join(
+        _INDEX_RECORD.format(
+            _json_float(rec.x), _json_float(rec.lam), _json_float(rec.numerator),
+            _json_float(rec.denominator),
+            "null" if rec.word is None else encode_basestring_ascii(str(rec.word)),
+            "true" if rec.knife_edge else "false",
+        )
+        for rec in table.records
+    )
+    return (
+        '{\n  "command": "index",\n'
+        f'  "records": [\n{records}\n  ],\n'
+        f'  "monotonicity_violations": {table.monotonicity_violations},\n'
+        f'  "T": {table.T}\n}}\n'
+    )
+
+
 def _cmd_index(args: argparse.Namespace) -> int:
     if (args.grid_log is None) == (args.grid_lin is None):
         raise CliError("exactly one of --grid-log / --grid-lin is required")
@@ -187,23 +241,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
             )
         _emit(args.out, "".join(lines))
         return 0
-    payload = {
-        "command": "index",
-        "records": [
-            {
-                "x": rec.x,
-                "lambda": rec.lam,
-                "numerator": rec.numerator,
-                "denominator": rec.denominator,
-                "word": str(rec.word) if rec.word is not None else None,
-                "knife_edge": rec.knife_edge,
-            }
-            for rec in table.records
-        ],
-        "monotonicity_violations": table.monotonicity_violations,
-        "T": table.T,
-    }
-    _emit(args.out, payload)
+    _emit(args.out, _index_json(table))
     return 0
 
 
@@ -242,6 +280,8 @@ def _cmd_word(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import bandit
+
     try:
         with open(args.scenario) as fh:
             payload = json.load(fh)
@@ -276,6 +316,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lqg(args: argparse.Namespace) -> int:
+    from . import lqg
+
     sy0 = math.inf if args.sigma_y0 in ("inf", "Infinity") else float(args.sigma_y0)
     problem = lqg.LqgProblem(
         A=args.A, B=args.B, D=args.D, F=args.F, beta=args.beta,
@@ -290,6 +332,8 @@ def _cmd_lqg(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle
+
     if args.grid_n < 64:
         raise CliError(f"--grid-n must be at least 64, got {args.grid_n}")
     if args.cross_checks < 0:

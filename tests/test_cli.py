@@ -2,15 +2,27 @@
 
 import functools
 import json
+import math
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import obsched
 from obsched import index as index_mod
 from obsched import cli, lqg, oracle
 from obsched.cli import main
+from obsched.index import IndexRecord, IndexTable
+from obsched.words import Word
+
+from test_golden import COMMANDS, GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +298,23 @@ class TestSimulateCommand:
         code, out, err = run(["simulate", "--scenario", str(scen)], capsys)
         assert code == 1 and out == ""
         assert err == f"error: arm 0: field '{field}' must be a number, got 'two'\n"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("r", 2.0, "r must be in (0, 1], got 2.0"),
+            ("c1", "inf", "need finite c0 and c1, got c0=0.0, c1=inf"),
+            ("weight", -1.0, "weight must be positive, got -1.0"),
+            ("v0", -1.0, "v0 must be non-negative, got -1.0"),
+            ("cost", "power", "cost 'power' requires an exponent"),
+        ],
+    )
+    def test_out_of_range_arm_field_is_named(self, tmp_path, capsys, field, value, message):
+        arm = SCENARIO["arms"][1]
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({**SCENARIO, "arms": [arm, {**arm, field: value}]}))
+        code, out, err = run(["simulate", "--scenario", str(scen)], capsys)
+        assert (code, out, err) == (1, "", f"error: arm 1: {message}\n")
 
     def test_negative_seed_is_named(self, tmp_path, capsys):
         scen = tmp_path / "scenario.json"
@@ -597,6 +626,8 @@ class TestNonFiniteObservationCost:
             }[command] + [f"--c0={c0}", f"--c1={c1}"]
         code, out, err = run(args, capsys)
         message = f"need finite c0 and c1, got c0={float(c0)}, c1={float(c1)}"
+        if command == "simulate":
+            message = "arm 0: " + message
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
@@ -629,3 +660,123 @@ class TestUnwritableOutput:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of a new interpreter that runs code with this obsched importable."""
+    src = str(Path(obsched.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return proc.stdout
+
+
+class TestManyCommandsInOneProcess:
+    """main keeps no state between calls, though the parser is built only once."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_words_come_back_after_no_words(self, tmp_path):
+        argv = COMMANDS["index.json"]
+        no_words, words = tmp_path / "no_words.json", tmp_path / "words.json"
+        assert main(argv + ["--no-words", "--out", str(no_words)]) == 0
+        assert main(argv + ["--out", str(words)]) == 0
+        assert words.read_bytes() == (GOLDEN / "index.json").read_bytes()
+        fresh = run_fresh(
+            f"from obsched.cli import main; main({argv + ['--no-words']!r})")
+        assert no_words.read_text() == fresh
+        assert all(rec["word"] is None for rec in json.loads(fresh)["records"])
+
+    @pytest.mark.parametrize(
+        "bad", [["nope"], COMMANDS["word.txt"] + ["--bogus"], ["lqg", "--A", "x"]],
+        ids=["unknown-command", "unknown-flag", "bad-value"],
+    )
+    def test_valid_command_after_parse_error(self, tmp_path, capsys, bad):
+        code, out, err = run(bad, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        path = tmp_path / "word.txt"
+        assert main(COMMANDS["word.txt"] + ["--out", str(path)]) == 0
+        assert path.read_bytes() == (GOLDEN / "word.txt").read_bytes()
+
+    def test_index_json_after_lqg(self, tmp_path):
+        for name in ("lqg.json", "index.json"):
+            path = tmp_path / name
+            assert main(COMMANDS[name] + ["--out", str(path)]) == 0
+            assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def index_payload(table: IndexTable) -> dict:
+    """The index JSON as a dict, for json.dumps to write."""
+    return {
+        "command": "index",
+        "records": [
+            {
+                "x": rec.x,
+                "lambda": rec.lam,
+                "numerator": rec.numerator,
+                "denominator": rec.denominator,
+                "word": str(rec.word) if rec.word is not None else None,
+                "knife_edge": rec.knife_edge,
+            }
+            for rec in table.records
+        ],
+        "monotonicity_violations": table.monotonicity_violations,
+        "T": table.T,
+    }
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+FIELDS = st.tuples(
+    st.floats() | st.sampled_from(SPECIAL_FLOATS), st.booleans()
+).map(lambda t: np.float64(t[0]) if t[1] else t[0])
+RECORDS = st.builds(
+    IndexRecord,
+    x=FIELDS, lam=FIELDS, numerator=FIELDS, denominator=FIELDS,
+    word=st.none() | st.text("01", min_size=1, max_size=40).map(Word),
+    knife_edge=st.booleans(),
+)
+TABLES = st.builds(
+    IndexTable, st.lists(RECORDS, min_size=1, max_size=6),
+    st.integers(0, 10**6), st.integers(1, 5_000_000),
+)
+
+
+class TestIndexJsonWriter:
+    """The index template writes exactly what json.dumps(indent=2) writes."""
+
+    @given(table=TABLES)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_json_dumps(self, table):
+        assert cli._index_json(table) == json.dumps(index_payload(table), indent=2) + "\n"
+
+    def test_special_values(self):
+        records = [
+            IndexRecord(x=x, lam=np.float64(x), numerator=-x, denominator=np.float64(-x),
+                        word=Word("0110") if i % 2 else None, knife_edge=bool(i % 3))
+            for i, x in enumerate(SPECIAL_FLOATS)
+        ]
+        for table in (IndexTable(records, 3, 2750), IndexTable(records[:1], 0, 400)):
+            text = cli._index_json(table)
+            assert text == json.dumps(index_payload(table), indent=2) + "\n"
+        assert '"x": NaN' in text and "np.float64" not in text
+
+
+class TestCommandImports:
+    """index and word load neither the simulator, the LQG solver nor the DP oracle."""
+
+    def test_index_and_word_import_only_what_they_run(self, tmp_path):
+        out = tmp_path / "out"
+        code = (
+            "from obsched import cli\n"
+            f"assert cli.main({COMMANDS['index.json'] + ['--out', str(out)]!r}) == 0\n"
+            f"assert cli.main({COMMANDS['word.txt'] + ['--out', str(out)]!r}) == 0\n"
+            "loaded = lambda: [m for m in ('bandit', 'lqg', 'oracle')"
+            " if f'obsched.{m}' in sys.modules]\n"
+            "print(loaded())\n"
+            f"assert cli.main({COMMANDS['lqg.json'] + ['--out', str(out)]!r}) == 0\n"
+            "print(loaded())\n"
+        )
+        assert run_fresh(code) == "[]\n['lqg']\n"
