@@ -33,6 +33,7 @@ from .dynamics import (
     ArmParams,
     InconsistencyError,
     check_denominator,
+    check_discounted_sums,
     itinerary,
     threshold_word,
     y0,
@@ -230,6 +231,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if args.beta == 1.0:
         table = _beta1_table(params, cost, grid)
     else:
+        check_discounted_sums(params, cost, args.beta, grid[0], grid[-1])
         table = index_table(params, cost, args.beta, grid, words=not args.no_words)
     if args.format == "csv":
         lines = ["x,lambda,numerator,denominator,word,knife_edge\n"]
@@ -344,32 +346,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cost = costs.by_name(args.cost, args.power_q)
     cfg = oracle.PcliConfig(seed=args.seed)
     # The report's states and thresholds, and the DP grid of the cross-checks.
-    top = y0(params)
-    lo, hi = oracle.state_bounds(params, cfg)
-    check_denominator(params, max(hi, 4.0 * top) if math.isfinite(top) else hi)
-    # pcli_report checks beta before it steps an orbit.
-    report = oracle.pcli_report(params, cost, args.beta, cfg)
-    crosses = []
-    threshold_ok = True
     # The DP grid spans [1e-4 y1, 4 y0], so there are no cross-checks when
     # the passive fixed point is infinite (r = 1, a0 = 0).
-    if math.isfinite(top):
-        grid = oracle.default_grid(params, n=args.grid_n)
+    top = y0(params)
+    lo, hi = oracle.state_bounds(params, cfg)
+    grid = oracle.default_grid(params, n=args.grid_n) if math.isfinite(top) else None
+    v_lo, v_hi = (lo, hi) if grid is None else (min(lo, grid.lo), max(hi, grid.hi))
+    check_denominator(params, v_hi)
+    check_discounted_sums(params, cost, args.beta, v_lo, v_hi)
+    report = oracle.pcli_report(params, cost, args.beta, cfg)
+    crosses = []
+    if grid is not None:
         rng = np.random.default_rng(args.seed)
-        for x_star in rng.uniform(lo, min(hi, grid.hi * 0.5), args.cross_checks):
-            cv = oracle.cross_validate(params, cost, args.beta, float(x_star), grid)
-            threshold_ok = threshold_ok and cv.threshold_ok
-            crosses.append(
-                {
-                    "x_star": cv.x_star,
-                    "lambda": cv.lam,
-                    "delta": cv.delta,
-                    "action_at_higher_price": cv.action_above,
-                    "action_at_lower_price": cv.action_below,
-                    "flip_ok": cv.action_above == 0 and cv.action_below == 1,
-                    "threshold_ok": cv.threshold_ok,
-                }
+        x_stars = rng.uniform(lo, min(hi, grid.hi * 0.5), args.cross_checks)
+        # Run from the highest x*, so the highest price, down, each solve
+        # warm-started from the last; print in the order drawn.
+        cvs = [None] * len(x_stars)
+        values = None
+        for j in np.argsort(-x_stars, kind="stable"):
+            cvs[j] = oracle.cross_validate(
+                params, cost, args.beta, float(x_stars[j]), grid, start=values
             )
+            values = cvs[j].values
+        crosses = [
+            {
+                "x_star": cv.x_star,
+                "lambda": cv.lam,
+                "delta": cv.delta,
+                "action_at_higher_price": cv.action_above,
+                "action_at_lower_price": cv.action_below,
+                "flip_ok": cv.action_above == 0 and cv.action_below == 1,
+                "threshold_ok": cv.threshold_ok,
+            }
+            for cv in cvs
+        ]
+    threshold_ok = all(c["threshold_ok"] for c in crosses)
     flips_ok = all(c["flip_ok"] for c in crosses)
     ok = bool(report["ok"] and threshold_ok and flips_ok)
     payload = {"command": "verify", "pcli": report, "cross_validation": crosses,

@@ -19,13 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
 # ``is_balanced`` is unused here but stays a module attribute:
 # perfbench/layers.py wraps ``dynamics.is_balanced`` by name.
 from .words import Word, is_balanced, is_christoffel  # noqa: F401
+
+if TYPE_CHECKING:
+    from .costs import CostFn
 
 # States within this scaled distance of a threshold are knife-edge: the
 # action decision is precision-sensitive and callers should be told.
@@ -129,6 +132,38 @@ def check_denominator(p: ArmParams, v_max: float) -> None:
         raise ValueError(
             f"a1 = {p.a1!r} is too large: the map denominator a1 r^2 v + a1 + 1"
             f" overflows at v = {v!r}"
+        )
+
+
+def check_discounted_sums(
+    p: ArmParams, cost: CostFn, beta: float, lo: float, hi: float
+) -> None:
+    """Raise ValueError when a discounted sum on threshold orbits can overflow.
+
+    An orbit whose start and threshold lie in [lo, hi] stays in
+    [min(lo, 1/(a1 + 1)), max(hi + 1, 1/a1)]: a step lands at or above
+    phi_1(0) = 1/(a1 + 1), a resting step adds at most 1 to a state below
+    the threshold, and an acting step lands below 1/a1.  Each cost sum is
+    at most max|C| / (1 - beta) over that range, and each work sum at most
+    max(|c0|, |c1|) / (1 - beta), so an index numerator is at most
+    2 max|C| / (1 - beta); both bounds must be finite.  The cost families
+    are monotone, so max|C| is taken at an end of the range.
+    """
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must be in [0, 1), got {beta}")
+    lo = min(float(lo), 1.0 / (p.a1 + 1.0))
+    hi = max(float(hi) + 1.0, 1.0 / p.a1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stage = 2.0 * max(abs(cost.eval(lo)), abs(cost.eval(hi))) / (1.0 - beta)
+    if not math.isfinite(stage):
+        raise ValueError(
+            f"cost {cost.kind!r} is too large: 2 max|C| / (1 - beta) over the"
+            f" orbits' states [{lo!r}, {hi!r}] is not finite at beta = {beta!r}"
+        )
+    if not math.isfinite(max(abs(p.c0), abs(p.c1)) / (1.0 - beta)):
+        raise ValueError(
+            f"c0 = {p.c0!r}, c1 = {p.c1!r} are too large: max(|c0|, |c1|) / (1 - beta)"
+            f" is not finite at beta = {beta!r}"
         )
 
 

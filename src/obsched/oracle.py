@@ -13,7 +13,7 @@ verifies the majorisation inequality used by the monotonicity argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -92,7 +92,8 @@ class DPSolution:
     sweep.  It is below tol/2 when the solve ran to the span stop (0 at
     beta = 0, where one sweep is exact).  A solve that stopped on certified
     actions (``value_iteration(actions_only=True)``) returns the bound at
-    that sweep, which may be larger; its actions are still exact.
+    that sweep, which may be larger; its actions are still exact, but for
+    at most one point when it stopped with ``exact_at``.
     """
 
     grid: DPGrid
@@ -114,6 +115,7 @@ def value_iteration(
     start: Optional[np.ndarray] = None,
     *,
     actions_only: bool = False,
+    exact_at: Optional[int] = None,
 ) -> DPSolution:
     """Solve the nu-priced DP by contraction iteration on the grid.
 
@@ -149,6 +151,22 @@ def value_iteration(
     The returned values are then the midpoint at that sweep, and
     ``residual`` its bound.  Without a certificate the solve runs to the
     span stop as above.
+
+    ``exact_at=k`` (with ``actions_only``) names the one grid point whose
+    action the caller reads; the caller reads the rest of the actions only
+    through ``dp_threshold(...).is_threshold``.  The solve then also stops
+    when exactly one point i fails the bound above, with i != k and
+    0 < i < n - 1, and its certified neighbours i - 1 and i + 1 take
+    different actions.  Whichever action i takes, exactly one of the pairs
+    (i - 1, i) and (i, i + 1) switches, so the number of switches, the
+    first and last actions, and hence ``is_threshold``, are those of the
+    span-stopped solve, as is the action at k.  The one action at i is the
+    sign of this sweep's gap and may differ from the span-stopped solve's.
+    While the smallest |D| sits at such a point, the second smallest is
+    the margin that triggers the next measurement.  The margins of the
+    every-point test are still tracked, and trigger a measurement at every
+    sweep where ``actions_only`` alone would measure; as the sweeps are the
+    same, the solve stops no later than that one.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
@@ -172,7 +190,9 @@ def value_iteration(
     V = np.zeros(grid.n) if start is None else np.array(start, dtype=float)
     V_new = np.empty(grid.n)
     diff = np.empty(grid.n)
-    margin = math.inf
+    size = np.empty(grid.n)
+    base_max = float(np.abs(base).max())
+    margin = relaxed = math.inf
     actions = None
     for it in range(1, max_iter + 1):
         q = _continuation(V, idx, wts, nbr)
@@ -185,13 +205,26 @@ def value_iteration(
         V, V_new = V_new, V
         if gain * (hi - lo) < tol:
             break
-        if actions_only and gain * (hi - lo) + beta * tol < margin:
+        bound = gain * (hi - lo) + beta * tol
+        if actions_only and bound < max(margin, relaxed):
             # V_new holds the values this sweep started from.
-            scale = float(np.abs(base).max()) + float(np.abs(V_new).max())
+            scale = base_max + float(np.abs(V_new).max())
             slack = 32.0 * (1.0 + gain) * np.finfo(float).eps * scale
             gap = np.subtract(q[1], q[0], out=diff)
-            margin = float(np.abs(gap).min())
-            if margin > gain * (hi - lo) + beta * tol + slack:
+            np.abs(gap, out=size)
+            i = int(size.argmin())
+            if bound < margin:
+                margin = float(size[i])
+            relaxed = float(size[i])
+            if (
+                exact_at is not None
+                and i != exact_at
+                and 0 < i < grid.n - 1
+                and (gap[i - 1] <= 0.0) != (gap[i + 1] <= 0.0)
+            ):
+                size[i] = math.inf
+                relaxed = float(size.min())
+            if relaxed > bound + slack:
                 actions = (gap <= 0.0).astype(np.int64)
                 break
     else:
@@ -487,7 +520,11 @@ def _action_matrix(
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """One oracle-vs-index comparison at a price straddling lambda(x*)."""
+    """One oracle-vs-index comparison at a price straddling lambda(x*).
+
+    ``values`` are the lower-price solve's values, a warm start for the
+    next cross-check; they take no part in comparisons.
+    """
 
     x_star: float
     lam: float
@@ -495,6 +532,7 @@ class CrossValidation:
     action_above: int
     action_below: int
     threshold_ok: bool
+    values: np.ndarray = field(compare=False, repr=False)
 
 
 def cross_validate(
@@ -504,14 +542,20 @@ def cross_validate(
     x_star: float,
     grid: Optional[DPGrid] = None,
     tol: float = 1e-9,
+    start: Optional[np.ndarray] = None,
 ) -> CrossValidation:
     """Set nu = lambda(x*) +/- delta and confirm the DP flips the action at x*.
 
     delta is ten grid cells of index variation, estimated from a local
     finite difference; both DP solutions must be threshold policies.  The
-    comparison reads only the DP actions, so both solves stop once their
-    actions are certified (``actions_only``).  The lower-price DP starts
-    from the higher-price solution's values, which are close to its own.
+    comparison reads only the action at x*'s grid point k and whether each
+    policy is a threshold policy, so both solves stop once those are
+    certified (``actions_only``, ``exact_at=k``).  The higher-price DP
+    starts from ``start`` (zeros by default), and the lower-price DP from
+    the higher-price solution's values, which are close to its own.  The
+    certificate holds from any start, so only ``values`` depend on
+    ``start``; a nearby start, such as the ``values`` of the cross-check at
+    the next higher x*, takes fewer sweeps.
     """
     g = grid or default_grid(params, n=2048)
     rec = whittle_index(IndexQuery(params, cost, beta, x_star))
@@ -525,11 +569,12 @@ def cross_validate(
     slope = abs(lam_hi - lam_lo) / (2.0 * h)
     delta = max(10.0 * cell * slope, 1e-6 * max(1.0, abs(rec.lam)))
     sol_above = value_iteration(
-        params, cost, beta, rec.lam + delta, g, tol=tol, actions_only=True
+        params, cost, beta, rec.lam + delta, g, tol=tol, start=start,
+        actions_only=True, exact_at=k,
     )
     sol_below = value_iteration(
         params, cost, beta, rec.lam - delta, g, tol=tol, start=sol_above.values,
-        actions_only=True,
+        actions_only=True, exact_at=k,
     )
     return CrossValidation(
         x_star=x_star,
@@ -539,4 +584,5 @@ def cross_validate(
         action_below=int(sol_below.actions[k]),
         threshold_ok=dp_threshold(sol_above).is_threshold
         and dp_threshold(sol_below).is_threshold,
+        values=sol_below.values,
     )

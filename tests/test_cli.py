@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import obsched
 from obsched import index as index_mod
-from obsched import cli, lqg, oracle
+from obsched import cli, costs, lqg, oracle
 from obsched.cli import main
+from obsched.dynamics import ArmParams
 from obsched.index import IndexRecord, IndexTable
 from obsched.words import Word
 
@@ -540,6 +541,48 @@ class TestVerifyCommand:
         assert payload["cross_validation"] == []
         assert payload["ok"]
 
+    def test_chained_cross_checks_match_cold_solves(self, capsys, monkeypatch):
+        # The cross-checks run from the highest x* down, each warm-started
+        # from the last one's values, and print in the order drawn, as cold
+        # solves would.
+        calls = []
+        chained = oracle.cross_validate
+
+        def spy(params, cost, beta, x_star, grid, start=None):
+            calls.append((x_star, start is None))
+            return chained(params, cost, beta, x_star, grid, start=start)
+
+        monkeypatch.setattr(oracle, "cross_validate", spy)
+        code, out, _ = run(
+            ["verify", *self.ARM, "--cross-checks", "5", "--grid-n", "256"], capsys
+        )
+        assert code == 0
+        records = json.loads(out)["cross_validation"]
+        drawn = [rec["x_star"] for rec in records]
+        assert drawn != sorted(drawn, reverse=True)
+        assert calls == [(x, i == 0) for i, x in enumerate(sorted(drawn, reverse=True))]
+
+        monkeypatch.setattr(oracle, "cross_validate", chained)
+        solve = oracle.value_iteration
+
+        def cold(*args, start=None, **kwargs):
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "value_iteration", cold)
+        params = ArmParams(r=0.9, a0=0.0, a1=0.8)
+        grid = oracle.default_grid(params, n=256)
+        for rec, x_star in zip(records, drawn):
+            cv = oracle.cross_validate(params, costs.linear(), 0.8, x_star, grid)
+            assert rec == {
+                "x_star": cv.x_star,
+                "lambda": cv.lam,
+                "delta": cv.delta,
+                "action_at_higher_price": cv.action_above,
+                "action_at_lower_price": cv.action_below,
+                "flip_ok": cv.action_above == 0 and cv.action_below == 1,
+                "threshold_ok": cv.threshold_ok,
+            }
+
 
 class TestOverflowingActivePrecision:
     """A finite a1 whose map denominator a1 r^2 v + a1 + 1 overflows on a
@@ -604,6 +647,34 @@ class TestOverflowingActivePrecision:
             capsys,
         )
         assert code == 0 and len(out.splitlines()) == 3
+
+
+class TestOverflowingCost:
+    """A stage or observation cost whose discounted sums overflow at the
+    command's beta exits 1 with one error line and no numpy warning."""
+
+    INDEX = ["index", "--r", "0.9", "--a0", "0", "--a1", "0.01", "--beta", "0.9"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (INDEX + ["--grid-lin", "1:2:2", "--c1", "1e308"],
+             "c0 = 0.0, c1 = 1e+308 are too large"),
+            (INDEX + ["--grid-lin", "1:1e307:2"], "cost 'linear' is too large"),
+            # The active images, near 1/a1 = 1e-300, lie far below the grid.
+            (["index", "--r", "0.9", "--a0", "0", "--a1", "1e300", "--beta", "0.9",
+              "--cost", "power", "--power-q", "-3", "--grid-lin", "1:2:2"],
+             "cost 'power(-3.0)' is too large"),
+            (["verify", "--r", "0.9", "--a0", "0", "--a1", "0.8", "--beta", "0.8",
+              "--cost", "linear", "--c1", "1e308"],
+             "c0 = 0.0, c1 = 1e+308 are too large"),
+        ],
+        ids=["index", "index-stage-cost", "index-orbit-states", "verify"],
+    )
+    def test_exits_1(self, capsys, args, message):
+        code, out, err = TestOverflowingActivePrecision.run_quietly(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestNonFiniteObservationCost:

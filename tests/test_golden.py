@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from obsched import oracle
 from obsched.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -81,6 +82,37 @@ def test_trace_matches_golden(policy, tmp_path):
     write_traces(tmp_path)
     name = f"simulate.{policy}.csv"
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_verify_cross_checks_take_fewer_sweeps(monkeypatch, tmp_path):
+    # On the golden verify input, chaining the warm starts and the exact_at
+    # stop each save value-iteration sweeps, and print the same bytes as
+    # unchained every-point solves.
+    solve, check = oracle.value_iteration, oracle.cross_validate
+
+    def run(chain, relax):
+        sweeps = []
+
+        def counted(*args, exact_at=None, **kwargs):
+            sol = solve(*args, exact_at=exact_at if relax else None, **kwargs)
+            sweeps.append(sol.iterations)
+            return sol
+
+        def cross_validate(*args, start=None, **kwargs):
+            return check(*args, start=start if chain else None, **kwargs)
+
+        monkeypatch.setattr(oracle, "value_iteration", counted)
+        monkeypatch.setattr(oracle, "cross_validate", cross_validate)
+        out = tmp_path / f"{chain}-{relax}.json"
+        assert main(COMMANDS["verify.json"] + ["--out", str(out)]) == 0
+        return out.read_bytes(), sum(sweeps)
+
+    both, chained, relaxed, neither = (
+        run(True, True), run(True, False), run(False, True), run(False, False)
+    )
+    assert both[0] == chained[0] == relaxed[0] == neither[0]
+    assert both[1] < min(chained[1], relaxed[1])
+    assert max(chained[1], relaxed[1]) < neither[1]
 
 
 @pytest.mark.parametrize("name", ["word.txt", "lqg.json"])

@@ -407,6 +407,138 @@ class TestCertifiedActions:
         assert fast.actions.tobytes() == full.actions.tobytes()
 
 
+class TestCertifiedPrintedPoint:
+    """``exact_at=k`` lets one point other than k stay uncertified between
+    neighbours with different actions: the action at k and the threshold
+    flag are still the span-stopped solve's, in no more sweeps than
+    ``actions_only`` alone."""
+
+    @pytest.mark.parametrize("cost", TestCertifiedActions.ADMISSIBLE, ids=lambda c: c.kind)
+    @given(
+        r=st.floats(0.4, 0.98),
+        a0=st.floats(0.0, 0.4),
+        gap=st.one_of(st.floats(0.1, 2.0), st.just(math.inf)),
+        beta=st.sampled_from([0.0, 0.5, 0.9, 0.97]),
+        u=st.floats(0.1, 0.9),
+        price=st.one_of(st.floats(-0.3, 0.3), st.floats(-1e-3, 1e-3)),
+        warm=st.sampled_from([None, "other_price", "noise"]),
+        at=st.one_of(st.just("x_star"), st.integers(0, 255)),
+    )
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_printed_action_and_flag_in_no_more_sweeps(
+        self, cost, r, a0, gap, beta, u, price, warm, at
+    ):
+        assume(math.isfinite(gap) or not cost.positive_only)
+        p = ArmParams(r=r, a0=a0, a1=a0 + gap)
+        g = default_grid(p, n=256)
+        x_star = y1(p) + u * (y0(p) - y1(p))
+        lam = whittle_index(IndexQuery(p, cost, max(beta, 0.1), x_star)).lam
+        nu = lam + price * max(1.0, abs(lam))
+        if warm is None:
+            start = None
+        elif warm == "other_price":
+            start = value_iteration(p, cost, beta, 1.1 * nu + 0.1, g).values
+        else:
+            start = np.random.default_rng(5).uniform(-5.0, 5.0, g.n)
+        # x*'s grid point, as cross_validate reads it, sits at the switch.
+        k = min(max(int(np.searchsorted(g.points(), x_star)), 1), g.n - 2)
+        k = k if at == "x_star" else at
+        full = value_iteration(p, cost, beta, nu, g, start=start)
+        fast = value_iteration(p, cost, beta, nu, g, start=start, actions_only=True)
+        exact = value_iteration(
+            p, cost, beta, nu, g, start=start, actions_only=True, exact_at=k
+        )
+        assert exact.actions[k] == full.actions[k]
+        assert dp_threshold(exact).is_threshold == dp_threshold(full).is_threshold
+        assert exact.iterations <= fast.iterations
+        moved = np.flatnonzero(exact.actions != full.actions)
+        assert len(moved) <= 1
+        assert all(0 < i < g.n - 1 and i != k for i in moved)
+
+    def test_one_open_point_at_the_switch_stops_earlier(self):
+        # At x*'s index price the policy switches at x*'s grid point k, so
+        # the smallest Q-gaps sit beside k; the exact_at solve stops before
+        # the every-point test has certified them all.
+        p = ArmParams(r=0.9, a0=0.0, a1=0.8)
+        g = default_grid(p, n=256)
+        lam = whittle_index(IndexQuery(p, costs.linear(), 0.8, 2.0)).lam
+        k = int(np.searchsorted(g.points(), 2.0))
+        full = value_iteration(p, costs.linear(), 0.8, lam, g)
+        fast = value_iteration(p, costs.linear(), 0.8, lam, g, actions_only=True)
+        exact = value_iteration(
+            p, costs.linear(), 0.8, lam, g, actions_only=True, exact_at=k
+        )
+        assert exact.iterations < fast.iterations < full.iterations
+        assert exact.actions[k] == full.actions[k]
+        assert dp_threshold(exact).is_threshold and dp_threshold(full).is_threshold
+
+    def test_the_every_point_schedule_is_kept(self):
+        # Here a measurement triggered by the second-smallest margin alone
+        # would miss the sweep where actions_only stops (19 sweeps, not 8).
+        p = ArmParams(r=0.8762087763467148, a0=0.21053728765347676, a1=2.125132441948639)
+        g = default_grid(p, n=256)
+        nu = 0.6544977139220106
+        fast = value_iteration(p, costs.entropy(), 0.5, nu, g, actions_only=True)
+        exact = value_iteration(
+            p, costs.entropy(), 0.5, nu, g, actions_only=True, exact_at=213
+        )
+        assert exact.iterations <= fast.iterations
+
+    @staticmethod
+    def prices_around_flip(holds, lo, hi):
+        """Prices just below and just above where holds(nu) turns false."""
+        assert holds(lo) and not holds(hi)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if holds(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    def test_the_printed_point_is_never_left_open(self):
+        # At a price where the action at k ties, the one open point may not
+        # be k: from every start, k's action is the span-stopped solve's.
+        p = ArmParams(r=0.9, a0=0.0, a1=0.8)
+        g = default_grid(p, n=256)
+        k = int(np.searchsorted(g.points(), 2.0))
+        lam = whittle_index(IndexQuery(p, costs.linear(), 0.8, 2.0)).lam
+
+        def active_at_k(nu):
+            return value_iteration(p, costs.linear(), 0.8, nu, g).actions[k] == 1
+
+        for nu in self.prices_around_flip(active_at_k, 0.8 * lam, 1.3 * lam):
+            for seed in range(20):
+                start = np.random.default_rng(seed).uniform(-5.0, 5.0, g.n)
+                full = value_iteration(p, costs.linear(), 0.8, nu, g, start=start)
+                exact = value_iteration(
+                    p, costs.linear(), 0.8, nu, g, start=start, actions_only=True,
+                    exact_at=k,
+                )
+                assert exact.actions[k] == full.actions[k]
+
+    def test_a_tie_between_equal_actions_is_never_left_open(self):
+        # A cost bump at v = 3 makes observing pay on an island of states
+        # whose passive image lands on it.  At the price where the island
+        # shrinks to one point and vanishes, that point ties between two
+        # passive neighbours; its action decides the threshold flag.
+        p = ArmParams(r=0.9, a0=0.0, a1=0.8)
+        g = DPGrid(0.05, 8.0, n=128)
+        bump = costs.custom(lambda v: 50.0 * np.exp(-(((v - 3.0) / 0.2) ** 2)))
+
+        def island(nu):
+            return value_iteration(p, bump, 0.8, nu, g).actions.any()
+
+        for nu in self.prices_around_flip(island, 20.0, 60.0):
+            for seed in range(12):
+                start = np.random.default_rng(seed).uniform(-5.0, 5.0, g.n)
+                full = value_iteration(p, bump, 0.8, nu, g, start=start)
+                exact = value_iteration(
+                    p, bump, 0.8, nu, g, start=start, actions_only=True, exact_at=10
+                )
+                assert dp_threshold(exact).is_threshold == dp_threshold(full).is_threshold
+
+
 class TestActionMatrix:
     @pytest.mark.parametrize("a1", [0.8, math.inf])
     def test_matches_scalar_stepping(self, a1):
