@@ -30,7 +30,7 @@ from .costs import CostFn, by_name
 # perfbench/layers.py wraps ``bandit.phi`` and ``bandit.phi0`` by name in its
 # traced pass.
 from .dynamics import (  # noqa: F401
-    ArmParams, check_denominator, phi, phi0, scalar_map, y0,
+    ArmParams, check_discounted_sums, phi, phi0, scalar_map, y0,
 )
 from .index import marginal_sums_batch, truncation_horizon
 
@@ -78,20 +78,12 @@ class Scenario:
         for i, arm in enumerate(self.arms):
             try:
                 lo, hi = _table_range(arm, self.horizon)
-                check_denominator(arm.params, hi)
-                # 2 max|w C| / (1 - beta) bounds the numerator of every
-                # index in the arm's table; the cost families are monotone,
-                # so the max is taken at an end of the range.
-                wc = max(abs(arm.weight * arm.cost.eval(x)) for x in (lo, hi))
-                if not math.isfinite(2.0 * wc / (1.0 - self.beta)):
-                    raise ValueError(
-                        f"weight {arm.weight!r} overflows: 2 * weight * cost / (1 - beta)"
-                        f" is not finite on the index-table range [{lo!r}, {hi!r}]"
-                    )
+                total += check_discounted_sums(
+                    arm.params, arm.cost.scale(arm.weight), self.beta, lo, hi
+                )
             except ValueError as exc:
                 raise ValueError(f"arm {i}: {exc}") from None
-            total += 2.0 * wc + max(abs(arm.params.c0), abs(arm.params.c1))
-        if not math.isfinite(total / (1.0 - self.beta)):
+        if not math.isfinite(total):
             raise ValueError(
                 "the arms' weights overflow together: the sum over arms of"
                 " (2 * weight * cost + observation cost) / (1 - beta) is not finite"

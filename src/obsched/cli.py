@@ -226,9 +226,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
         raise CliError("--no-words: the beta = 1 limit needs each point's certified word")
     grid = _parse_grid(args.grid_log or args.grid_lin, log=args.grid_log is not None)
     params = _arm_from_args(args)
-    check_denominator(params, grid[-1])
     cost = costs.by_name(args.cost, args.power_q)
     if args.beta == 1.0:
+        check_denominator(params, grid[-1])
         table = _beta1_table(params, cost, grid)
     else:
         check_discounted_sums(params, cost, args.beta, grid[0], grid[-1])
@@ -352,7 +352,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = oracle.state_bounds(params, cfg)
     grid = oracle.default_grid(params, n=args.grid_n) if math.isfinite(top) else None
     v_lo, v_hi = (lo, hi) if grid is None else (min(lo, grid.lo), max(hi, grid.hi))
-    check_denominator(params, v_hi)
     check_discounted_sums(params, cost, args.beta, v_lo, v_hi)
     report = oracle.pcli_report(params, cost, args.beta, cfg)
     crosses = []

@@ -120,9 +120,8 @@ class ArmParams:
 def check_denominator(p: ArmParams, v_max: float) -> None:
     """Raise ValueError when a map denominator can overflow on threshold orbits.
 
-    An orbit whose start and threshold are at most v_max stays at or below
-    max(v_max, 1/a1) + 1: a resting step adds at most 1 to a state below
-    the threshold, and an acting step lands below 1/a1.  The largest
+    Orbits whose start and threshold are at most v_max stay at or below
+    max(v_max + 1, 1/a1) (see :func:`check_discounted_sums`).  The largest
     denominator, a1 r^2 v + a1 + 1, is therefore checked at
     v = max(v_max, 1) + 1; a1 < 1 cannot overflow below 1/a1 + 1.  An
     overflowing denominator would turn the state into 0.
@@ -137,34 +136,40 @@ def check_denominator(p: ArmParams, v_max: float) -> None:
 
 def check_discounted_sums(
     p: ArmParams, cost: CostFn, beta: float, lo: float, hi: float
-) -> None:
-    """Raise ValueError when a discounted sum on threshold orbits can overflow.
+) -> float:
+    """Raise ValueError when a sum on threshold orbits can overflow; else bound it.
 
     An orbit whose start and threshold lie in [lo, hi] stays in
     [min(lo, 1/(a1 + 1)), max(hi + 1, 1/a1)]: a step lands at or above
     phi_1(0) = 1/(a1 + 1), a resting step adds at most 1 to a state below
-    the threshold, and an acting step lands below 1/a1.  Each cost sum is
-    at most max|C| / (1 - beta) over that range, and each work sum at most
-    max(|c0|, |c1|) / (1 - beta), so an index numerator is at most
-    2 max|C| / (1 - beta); both bounds must be finite.  The cost families
-    are monotone, so max|C| is taken at an end of the range.
+    the threshold, and an acting step lands below 1/a1.  The map
+    denominator is checked first (:func:`check_denominator` at hi).  Each
+    cost sum is at most max|C| / (1 - beta) over that range, and each work
+    sum at most max(|c0|, |c1|) / (1 - beta), so an index numerator is at
+    most 2 max|C| / (1 - beta); both bounds must be finite.  The cost
+    families are monotone, so max|C| is taken at an end of the range.
+    Returns (2 max|C| + max(|c0|, |c1|)) / (1 - beta), which may overflow
+    where its two checked terms do not.
     """
+    check_denominator(p, hi)
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
     lo = min(float(lo), 1.0 / (p.a1 + 1.0))
     hi = max(float(hi) + 1.0, 1.0 / p.a1)
     with np.errstate(over="ignore", invalid="ignore"):
-        stage = 2.0 * max(abs(cost.eval(lo)), abs(cost.eval(hi))) / (1.0 - beta)
-    if not math.isfinite(stage):
+        c_max = max(abs(cost.eval(lo)), abs(cost.eval(hi)))
+    if not math.isfinite(2.0 * c_max / (1.0 - beta)):
         raise ValueError(
             f"cost {cost.kind!r} is too large: 2 max|C| / (1 - beta) over the"
             f" orbits' states [{lo!r}, {hi!r}] is not finite at beta = {beta!r}"
         )
-    if not math.isfinite(max(abs(p.c0), abs(p.c1)) / (1.0 - beta)):
+    work_max = max(abs(p.c0), abs(p.c1))
+    if not math.isfinite(work_max / (1.0 - beta)):
         raise ValueError(
             f"c0 = {p.c0!r}, c1 = {p.c1!r} are too large: max(|c0|, |c1|) / (1 - beta)"
             f" is not finite at beta = {beta!r}"
         )
+    return (2.0 * c_max + work_max) / (1.0 - beta)
 
 
 def phi(p: ArmParams, action: int, v: FloatArray) -> FloatArray:

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsched import costs
+from obsched import bandit, costs
 from obsched.bandit import (
     POLICIES,
     Arm,
@@ -24,7 +25,7 @@ from obsched.bandit import (
     whittle_policy,
 )
 from obsched.costs import CostDomainError
-from obsched.dynamics import ArmParams, phi, phi0, phi1
+from obsched.dynamics import ArmParams, check_discounted_sums, phi, phi0, phi1
 
 from support import fig7_scenario
 
@@ -35,6 +36,36 @@ def two_arm_scenario(**kw):
     defaults = dict(arms=(arm, arm), m=1, beta=0.9, horizon=12, seed=3)
     defaults.update(kw)
     return Scenario(**defaults)
+
+
+EDGE_COSTS = (costs.linear(), costs.entropy(), costs.power(2.0), costs.power(-1.5),
+              costs.power(-3.0))
+EDGE_HORIZON = 40
+
+
+@st.composite
+def edge_scenarios(draw):
+    """Arms with a1 in [0.01, 1e300]; each weight is plain, or within a
+    factor 64 below and 8 above the largest the arm's own bound admits."""
+    beta = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+    arms = []
+    for _ in range(draw(st.integers(2, 3))):
+        a1 = 10.0 ** draw(st.floats(-2.0, 300.0))
+        c0 = draw(st.sampled_from([0.0, 0.4]))
+        params = ArmParams(r=draw(st.floats(0.6, 1.0)), a0=draw(st.sampled_from([0.0, 0.005])),
+                           a1=a1, c0=c0, c1=draw(st.sampled_from([c0, c0 + 0.6])))
+        arm = Arm(params, draw(st.sampled_from(EDGE_COSTS)), v0=draw(st.floats(0.1, 8.0)))
+        try:
+            lo, hi = bandit._table_range(arm, EDGE_HORIZON)
+            bound = check_discounted_sums(params, arm.cost, beta, lo, hi)
+        except ValueError:
+            bound = 1.0  # fails at weight 1, so at every edge weight
+        if draw(st.booleans()):
+            weight = draw(st.floats(0.5, 8.0))
+        else:
+            weight = sys.float_info.max / bound * 2.0 ** draw(st.floats(-6.0, 3.0))
+        arms.append(replace(arm, weight=min(weight, sys.float_info.max)))
+    return Scenario(arms=tuple(arms), m=1, beta=beta, horizon=EDGE_HORIZON, seed=0)
 
 
 class TestScenario:
@@ -80,15 +111,17 @@ class TestScenario:
         [(1e308, 0.9, False), (1e300, 0.9, True), (1e306, 0.0, True), (1e306, 0.99, False)],
     )
     def test_overflowing_weight_rejected(self, weight, beta, accepted):
-        # 2 * weight * C(hi) / (1 - beta) must be finite on the table range;
-        # here hi = 2 y0 = 10.53, so the largest weight is 8.5e306 (1 - beta).
+        # 2 * weight * C / (1 - beta) must be finite on the orbits' states,
+        # whose top is hi + 1 = 2 y0 + 1 = 11.53, so the largest weight is
+        # 1.8e308 / (2 * 11.53) * (1 - beta) = 7.8e306 (1 - beta).
         params = ArmParams(r=0.9, a0=0.0, a1=1.0)
         heavy = Arm(params, costs.linear(), weight=weight, v0=2.0)
         arms = (heavy, replace(heavy, weight=1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if not accepted:
-                with pytest.raises(ValueError, match=r"^arm 0: weight 1e\+30[68] "):
+                message = r"^arm 0: cost '1e\+30[68]\*linear' is too large"
+                with pytest.raises(ValueError, match=message):
                     Scenario(arms=arms, m=1, beta=beta, horizon=12, seed=3)
                 return
             sc = Scenario(arms=arms, m=1, beta=beta, horizon=12, seed=3)
@@ -98,13 +131,28 @@ class TestScenario:
     def test_overflowing_weights_together_rejected(self):
         # Each arm alone passes the per-arm bound, but the per-round cost
         # of nine of them overflows the discounted sum.
-        heavy = Arm(ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear(), weight=8.5e305, v0=2.0)
+        heavy = Arm(ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear(), weight=7.5e305, v0=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^the arms' weights overflow together"):
                 Scenario(arms=(heavy,) * 9, m=1, beta=0.9, horizon=50, seed=1)
             sc = Scenario(arms=(heavy, replace(heavy, weight=1.0)), m=1, beta=0.9,
                           horizon=50, seed=1)
+            assert math.isfinite(simulate(sc, "myopic").total_discounted_cost)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_accepted_scenarios_stay_finite(self, data):
+        """Every scenario the overflow guard admits has finite index tables
+        and a finite myopic run, without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sc = data.draw(edge_scenarios())
+            except ValueError:
+                return
+            for values in build_index_tables(sc, n_points=64).values:
+                assert np.isfinite(values).all()
             assert math.isfinite(simulate(sc, "myopic").total_discounted_cost)
 
     def test_from_json_power_exponent_is_a_float(self):
@@ -334,9 +382,14 @@ class TestBatchStepping:
         assert trace.actions[:, 1].any() and np.any(trace.variances[1:, 1] == 0.0)
 
     def test_visited_state_outside_cost_domain_raises(self):
-        # entropy is undefined at v = 0, which a noiseless observation reaches
+        # entropy is undefined at v = 0.  A noiseless observation reaches it
+        # on the index table's orbits, so the scenario is rejected; a start
+        # at v0 = 0 is reached only by the run.
         params = ArmParams(r=0.9, a0=0.0, a1=math.inf, c0=0.0, c1=0.0)
         arms = (Arm(params, costs.entropy(), v0=2.0), Arm(params, costs.linear(), v0=1.0))
+        with pytest.raises(ValueError, match=r"^arm 0: cost '1.0\*entropy' undefined at v = 0"):
+            Scenario(arms=arms, m=1, beta=0.9, horizon=5, seed=0)
+        arms = (Arm(replace(params, a1=1.0), costs.entropy(), v0=0.0), arms[1])
         sc = Scenario(arms=arms, m=1, beta=0.9, horizon=5, seed=0)
         with pytest.raises(CostDomainError):
             simulate(sc, "round_robin")

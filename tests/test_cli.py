@@ -356,8 +356,8 @@ class TestSimulateCommand:
         assert code == 1 and "malformed" in err
 
     def test_overflowing_weight_exits_1(self, tmp_path, capsys):
-        # Above about 8.5e305 the linear arm's discounted cost bound on its
-        # index-table range is not finite at beta = 0.9.
+        # Above about 7.8e305 the linear arm's discounted cost bound on its
+        # orbits' states is not finite at beta = 0.9.
         arm = {"r": 0.9, "a0": 0.0, "a1": 1.0, "v0": 2.0, "cost": "linear"}
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(
@@ -365,12 +365,13 @@ class TestSimulateCommand:
         code, out, err = TestOverflowingActivePrecision.run_quietly(
             ["simulate", "--scenario", str(scen), "--policies", "whittle,myopic"], capsys)
         assert code == 1 and out == ""
-        assert err.startswith("error: arm 0: weight 1e+308 overflows") and err.count("\n") == 1
+        assert err.startswith("error: arm 0: cost '1e+308*linear' is too large")
+        assert err.count("\n") == 1
 
     def test_overflowing_weights_together_exit_1(self, tmp_path, capsys):
         # Nine arms each below the per-arm bound overflow the round's sum.
         arm = {"r": 0.9, "a0": 0.0, "a1": 1.0, "v0": 2.0, "cost": "linear",
-               "weight": 8.5e305}
+               "weight": 7.5e305}
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(
             {"m": 1, "beta": 0.9, "horizon": 50, "seed": 1, "arms": [arm] * 9}))
@@ -668,10 +669,23 @@ class TestOverflowingCost:
             (["verify", "--r", "0.9", "--a0", "0", "--a1", "0.8", "--beta", "0.8",
               "--cost", "linear", "--c1", "1e308"],
              "c0 = 0.0, c1 = 1e+308 are too large"),
+            # The same arm as index-orbit-states: its index table's active
+            # images lie far below the table.
+            (["simulate", "--scenario",
+              {"m": 1, "beta": 0.9, "horizon": 20, "seed": 1,
+               "arms": [{"r": 0.9, "a0": 0, "a1": 1e300, "cost": "power",
+                         "power_q": -3, "v0": 1},
+                        {"r": 0.9, "a0": 0, "a1": 1, "v0": 2}]}],
+             "arm 0: cost '1.0*power(-3.0)' is too large"),
         ],
-        ids=["index", "index-stage-cost", "index-orbit-states", "verify"],
+        ids=["index", "index-stage-cost", "index-orbit-states", "verify",
+             "simulate-orbit-states"],
     )
-    def test_exits_1(self, capsys, args, message):
+    def test_exits_1(self, tmp_path, capsys, args, message):
+        if isinstance(args[-1], dict):  # a scenario, passed as its file's path
+            scen = tmp_path / "scenario.json"
+            scen.write_text(json.dumps(args[-1]))
+            args = [*args[:-1], str(scen)]
         code, out, err = TestOverflowingActivePrecision.run_quietly(args, capsys)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
