@@ -73,13 +73,14 @@ class Scenario:
             raise ValueError("horizon must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        # Bounds the discounted cost of a run, summed over the arms.
+        # Bounds the discounted cost of a run, summed over the arms: a run
+        # visits each arm's start v0 and the states of its table's orbits.
         total = 0.0
         for i, arm in enumerate(self.arms):
             try:
                 lo, hi = _table_range(arm, self.horizon)
                 total += check_discounted_sums(
-                    arm.params, arm.cost.scale(arm.weight), self.beta, lo, hi
+                    arm.params, arm.cost.scale(arm.weight), self.beta, min(lo, arm.v0), hi
                 )
             except ValueError as exc:
                 raise ValueError(f"arm {i}: {exc}") from None
@@ -219,8 +220,8 @@ def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
             if not p.c1 > p.c0:
                 p = p.with_costs(0.0, 1.0)
             wcost = arm.cost.scale(arm.weight)
-            num, den, _ = marginal_sums_batch(p, scenario.beta, wcost, g, g, T)
-            cache[key] = (g, np.log(g), num / den)
+            sums = marginal_sums_batch(p, scenario.beta, wcost, g, g, T)
+            cache[key] = (g, np.log(g), sums.cost / sums.work)
         g, log_g, lam = cache[key]
         grids.append(g)
         log_grids.append(log_g)

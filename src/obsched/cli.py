@@ -50,12 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
 def _parse_grid(spec: str, log: bool) -> np.ndarray:
     try:
         lo_s, hi_s, n_s = spec.split(":")
@@ -74,8 +68,7 @@ def _parse_grid(spec: str, log: bool) -> np.ndarray:
 
 
 def _arm_from_args(args: argparse.Namespace) -> ArmParams:
-    a1 = math.inf if args.a1 in ("inf", "Infinity") else float(args.a1)
-    return ArmParams(r=args.r, a0=args.a0, a1=a1, c0=args.c0, c1=args.c1)
+    return ArmParams(r=args.r, a0=args.a0, a1=float(args.a1), c0=args.c0, c1=args.c1)
 
 
 def _emit(path: Optional[str], output: Union[str, dict]) -> None:
@@ -238,8 +231,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         for rec in table.records:
             word = str(rec.word) if rec.word is not None else ""
             lines.append(
-                f"{_fmt(rec.x)},{_fmt(rec.lam)},{_fmt(rec.numerator)},"
-                f"{_fmt(rec.denominator)},{word},{int(rec.knife_edge)}\n"
+                f"{rec.x:.17g},{rec.lam:.17g},{rec.numerator:.17g},"
+                f"{rec.denominator:.17g},{word},{int(rec.knife_edge)}\n"
             )
         _emit(args.out, "".join(lines))
         return 0
@@ -312,7 +305,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             },
         )
         return 0
-    rows = [f"{pol},{_fmt(results[pol].total_discounted_cost)}\n" for pol in policies]
+    rows = [f"{pol},{results[pol].total_discounted_cost:.17g}\n" for pol in policies]
     _emit(args.out, "policy,total_discounted_cost\n" + "".join(rows))
     return 0
 
@@ -320,15 +313,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_lqg(args: argparse.Namespace) -> int:
     from . import lqg
 
-    sy0 = math.inf if args.sigma_y0 in ("inf", "Infinity") else float(args.sigma_y0)
     problem = lqg.LqgProblem(
         A=args.A, B=args.B, D=args.D, F=args.F, beta=args.beta,
-        sigma_x=args.sigma_x, sigma_y0=sy0, sigma_y1=args.sigma_y1,
+        sigma_x=args.sigma_x, sigma_y0=float(args.sigma_y0), sigma_y1=args.sigma_y1,
         c0=args.c0, c1=args.c1,
     )
     sol = lqg.solve_lqg(problem)
     payload = {"command": "lqg", "R": sol.R, "L": sol.L, "alpha": sol.alpha,
-               "z": sol.z if math.isfinite(sol.z) else _fmt(sol.z)}
+               "z": sol.z if math.isfinite(sol.z) else format(sol.z, ".17g")}
     _emit(args.out, payload)
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,17 +42,6 @@ MAX_TRUNCATION_STEPS = 5_000_000
 # beyond rounding: float cycles of one word lie ~1e-16 / (1 - contraction)
 # apart (at most 9.1e-13 over 4,500 random arms and states).
 MEAN_COST_TOL = 1e-9
-
-
-def _debug(msg: str, *args: object) -> None:
-    """Log to the "obsched" logger at debug level.
-
-    ``logging`` is imported on first use: importing it with the package
-    would add about 6% (3 ms) to the package's import time.
-    """
-    import logging
-
-    logging.getLogger("obsched").debug(msg, *args)
 
 
 class UncertifiedPeriodError(ArithmeticError):
@@ -164,11 +153,6 @@ def _orbit_terms(
     ``math.fsum`` before any large partial sum is rounded.
     """
     terms, k, n, knife = _orbit_walk(p, cost, x, s, first_action, T)
-    if not n:
-        _debug(
-            "orbit from x=%r (first action %d, threshold %r) reached T=%d"
-            " with no repeat", x, first_action, s, T,
-        )
     terms *= beta ** np.arange(terms.shape[1], dtype=float)
     if n:
         terms[:, k:] *= _cycle_factor(beta, n)
@@ -322,23 +306,38 @@ def index_beta1(params: ArmParams, cost: CostFn, x: float) -> IndexRecord:
 # Vectorized grid evaluation.
 
 
+class OrbitSums(NamedTuple):
+    """What :func:`marginal_sums_batch` finds at each point of its batch.
+
+    ``cost``, ``work`` and ``knife`` have the batch's shape.  ``period``
+    has one more axis of length 2, the passive-first orbit then the
+    active-first one, and holds each orbit's period, or 0 for an orbit
+    truncated at T with no repeat.
+    """
+
+    cost: np.ndarray
+    work: np.ndarray
+    knife: np.ndarray
+    period: np.ndarray
+
+
 def marginal_sums_batch(
     p: ArmParams, beta: float, cost: CostFn, x: np.ndarray, s: np.ndarray, T: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginal cost, marginal work, knife-edge flags of one arm; x and s broadcast.
+) -> OrbitSums:
+    """Marginal cost, marginal work, knife-edge flags and orbit periods of one arm.
 
-    Point i has two s[i]-threshold orbits from x[i], one per forced first
-    action; all share the arm p and the discount beta.  Plain >=
-    comparisons decide actions, as in the scalar kernel, and points whose
-    orbits come within ``knife_edge_tol(s)`` of s are flagged.  Repeats
-    are found by Brent's method: each orbit is compared bitwise with an
-    anchor state retaken at t = 1, 2, 4, ...  An orbit back at its anchor
-    state at step t is periodic from the anchor step k with period
-    n = t - k and stops stepping; its sum is the part before k plus the
-    cycle's sum times 1 / (1 - beta^n).  Orbits with no repeat by T are
-    truncated there, and their number is logged.  The anchor schedule
-    depends only on t, so each orbit's sums do not depend on the other
-    orbits of the batch.  Memory stays O(len(x)).
+    x and s broadcast.  Point i has two s[i]-threshold orbits from x[i],
+    one per forced first action; all share the arm p and the discount
+    beta.  Plain >= comparisons decide actions, as in the scalar kernel,
+    and points whose orbits come within ``knife_edge_tol(s)`` of s are
+    flagged.  Repeats are found by Brent's method: each orbit is compared
+    bitwise with an anchor state retaken at t = 1, 2, 4, ...  An orbit
+    back at its anchor state at step t is periodic from the anchor step k
+    with period n = t - k and stops stepping; its sum is the part before
+    k plus the cycle's sum times 1 / (1 - beta^n).  Orbits with no repeat
+    by T are truncated there and get period 0.  The anchor schedule
+    depends only on t, so each orbit's sums and period do not depend on
+    the other orbits of the batch.  Memory stays O(len(x)).
 
     The orbits step in sorted positions: the points are sorted by
     (start bits, threshold) into the permutation o, and the passive-first
@@ -352,9 +351,9 @@ def marginal_sums_batch(
     the members s <= v act and keep the row, the members s > v rest in a
     new row with copies of the state, sums and anchor.  Every member thus
     sees the float operations of its own orbit, in the same order, and
-    its sums are bitwise those of stepping it alone.  A class's sums go
-    to its first position, and at the end every position takes the sums
-    of the class start before it.  Knife-edge flags stay per member.  A
+    its sums are bitwise those of stepping it alone.  A class's sums and
+    period go to its first position, and at the end every position takes
+    those of the class start before it.  Knife-edge flags stay per member.  A
     class that does not straddle v ties v only if its member nearest to
     v does (the last member of an acting class, the first of a resting
     one): near a tie v - s is exact (Sterbenz), and the tolerances of two
@@ -397,6 +396,7 @@ def marginal_sums_batch(
     m = lo.size // 2
     sums = np.empty((2, 2 * n))
     knife = np.zeros(2 * n, dtype=bool)
+    period = np.zeros(2 * n, dtype=np.int64)
     # Each class steps from its start, the passive-first classes first.
     x0 = np.tile(x[o[lo[:m]]], 2)
     # Summed over t < k, and over k <= t.
@@ -420,6 +420,7 @@ def marginal_sums_batch(
                 done *= _cycle_factor(beta, t - k)
                 done += head[:, hit]
                 sums[:, ids] = done
+                period[ids] = t - k
                 knife[ids] |= lknife[hit]
                 keep = ~hit
                 v, anchor, lknife = v[keep], anchor[keep], lknife[keep]
@@ -468,18 +469,16 @@ def marginal_sums_batch(
     head += cyc
     sums[:, bounds[0]] = head
     knife[bounds[0]] |= lknife
-    n_open = int(np.sum(bounds[1] - bounds[0]))
-    if n_open:
-        _debug("%d of %d batch orbits reached T=%d with no repeat", n_open, 2 * n, T)
     # Each position reads its sums at its class's first position, lead;
     # point i sits at position inv[i] among the passive-first orbits.
     lead = np.maximum.accumulate(np.where(start, np.arange(2 * n), 0))
     inv = np.argsort(o)
     sums0, sums1 = sums[:, lead[inv]], sums[:, lead[inv + n]]
-    return (
+    return OrbitSums(
         (sums0[0] - sums1[0]).reshape(shape),
         (sums1[1] - sums0[1]).reshape(shape),
         (knife[inv] | knife[inv + n]).reshape(shape),
+        np.stack([period[lead[inv]], period[lead[inv + n]]], axis=-1).reshape(shape + (2,)),
     )
 
 
@@ -556,15 +555,15 @@ def index_table(
     p = params
     gap = cost_gap(p)
     T = truncation_horizon(beta)
-    num, den, knife = marginal_sums_batch(p, beta, cost, xs, xs, T)
-    lam = num / den
+    sums = marginal_sums_batch(p, beta, cost, xs, xs, T)
+    lam = sums.cost / sums.work
     records: list[IndexRecord] = []
     for i, x in enumerate(xs):
         tw = threshold_word(p, float(x), 64) if words else None
         word = tw.word if tw is not None and tw.periodic else None
         records.append(IndexRecord(
-            x=float(x), lam=float(lam[i]), numerator=float(num[i]),
-            denominator=float(den[i]), word=word, knife_edge=bool(knife[i]),
+            x=float(x), lam=float(lam[i]), numerator=float(sums.cost[i]),
+            denominator=float(sums.work[i]), word=word, knife_edge=bool(sums.knife[i]),
         ))
     slack = _lambda_slack(gap, beta, T, records)
     lams = np.array([rec.lam for rec in records])

@@ -423,9 +423,9 @@ def pcli_report(
     segments = [(xs, xs), (grid, grid)]
     segments += [(np.full_like(svals, x_probe), svals) for svals in sweeps]
     x_all, s_all = (np.concatenate(parts) for parts in zip(*segments))
-    num, den, _ = marginal_sums_batch(p, beta, cost, x_all, s_all, T)
+    sums = marginal_sums_batch(p, beta, cost, x_all, s_all, T)
     cuts = np.cumsum([len(s) for _, s in segments])[:-1]
-    num, den = np.split(num, cuts), np.split(den, cuts)
+    num, den = np.split(sums.cost, cuts), np.split(sums.work, cuts)
 
     # PCLI1: marginal work at s = x stays above its discounted lower bound.
     work = den[0]
@@ -475,8 +475,8 @@ def pcli_report(
     dws = [np.diff(mwork) for mwork in den[2:]]
     jumps = [np.flatnonzero(dw != 0.0) for dw in dws]
     s_jump = np.concatenate([np.empty(0)] + [sv[j] for sv, j in zip(sweeps, jumps)])
-    lam_num, lam_den, _ = marginal_sums_batch(p, beta, cost, s_jump, s_jump, T)
-    lams = np.split(lam_num / lam_den, np.cumsum([j.size for j in jumps])[:-1])
+    at_jumps = marginal_sums_batch(p, beta, cost, s_jump, s_jump, T)
+    lams = np.split(at_jumps.cost / at_jumps.work, np.cumsum([j.size for j in jumps])[:-1])
     checks = []
     for (a_s, b_s), mcost, dw, j, lam_j in zip(intervals, num[2:], dws, jumps, lams):
         terms = np.zeros_like(dw)

@@ -99,7 +99,7 @@ def test_criterion_03_q_curves_cross_once():
             hi = mid
     s_star = 0.5 * (lo + hi)
     xs = np.linspace(0.2, 5.0, 481)
-    mcost, mwork, _ = marginal_sums_batch(arm, beta, cost, xs, np.full_like(xs, s_star), T)
+    mcost, mwork, _, _ = marginal_sums_batch(arm, beta, cost, xs, np.full_like(xs, s_star), T)
     diff = nu * mwork - mcost  # Q(x,1) - Q(x,0)
     signs = np.sign(diff)
     crossings = np.flatnonzero(signs[:-1] * signs[1:] < 0)

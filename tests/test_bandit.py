@@ -24,7 +24,6 @@ from obsched.bandit import (
     tournament,
     whittle_policy,
 )
-from obsched.costs import CostDomainError
 from obsched.dynamics import ArmParams, check_discounted_sums, phi, phi0, phi1
 
 from support import fig7_scenario
@@ -383,16 +382,15 @@ class TestBatchStepping:
 
     def test_visited_state_outside_cost_domain_raises(self):
         # entropy is undefined at v = 0.  A noiseless observation reaches it
-        # on the index table's orbits, so the scenario is rejected; a start
-        # at v0 = 0 is reached only by the run.
+        # on the index table's orbits, and a run visits its start v0 = 0:
+        # either way the scenario is rejected.
         params = ArmParams(r=0.9, a0=0.0, a1=math.inf, c0=0.0, c1=0.0)
         arms = (Arm(params, costs.entropy(), v0=2.0), Arm(params, costs.linear(), v0=1.0))
         with pytest.raises(ValueError, match=r"^arm 0: cost '1.0\*entropy' undefined at v = 0"):
             Scenario(arms=arms, m=1, beta=0.9, horizon=5, seed=0)
         arms = (Arm(replace(params, a1=1.0), costs.entropy(), v0=0.0), arms[1])
-        sc = Scenario(arms=arms, m=1, beta=0.9, horizon=5, seed=0)
-        with pytest.raises(CostDomainError):
-            simulate(sc, "round_robin")
+        with pytest.raises(ValueError, match=r"^arm 0: cost '1.0\*entropy' undefined at v = 0"):
+            Scenario(arms=arms, m=1, beta=0.9, horizon=5, seed=0)
 
     def test_off_grid_count_is_per_run(self):
         sc = mixed_scenario()

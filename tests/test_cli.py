@@ -677,9 +677,16 @@ class TestOverflowingCost:
                          "power_q": -3, "v0": 1},
                         {"r": 0.9, "a0": 0, "a1": 1, "v0": 2}]}],
              "arm 0: cost '1.0*power(-3.0)' is too large"),
+            # The run starts arm 0 at v0 = 1e-110, far below its table.
+            (["simulate", "--policies", "myopic", "--scenario",
+              {"m": 1, "beta": 0.9, "horizon": 20, "seed": 1,
+               "arms": [{"r": 0.9, "a0": 0, "a1": 1, "cost": "power",
+                         "power_q": -3, "v0": 1e-110},
+                        {"r": 0.9, "a0": 0, "a1": 1, "v0": 2}]}],
+             "arm 0: cost '1.0*power(-3.0)' is too large"),
         ],
         ids=["index", "index-stage-cost", "index-orbit-states", "verify",
-             "simulate-orbit-states"],
+             "simulate-orbit-states", "simulate-start"],
     )
     def test_exits_1(self, tmp_path, capsys, args, message):
         if isinstance(args[-1], dict):  # a scenario, passed as its file's path

@@ -1,12 +1,11 @@
 """Marginal sums, the index, closed forms, limit procedure, Q-values."""
 
-import logging
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from obsched import costs
@@ -25,8 +24,10 @@ from obsched.dynamics import (
 )
 from obsched.index import (
     IndexQuery,
+    OrbitSums,
     UncertifiedPeriodError,
     _orbit_terms,
+    _orbit_walk,
     closed_form_noiseless,
     closed_form_noiseless_limit,
     index_beta1,
@@ -127,7 +128,7 @@ class TestMarginals:
             x = float(rng.uniform(0.1, 8.0))
             s = float(rng.uniform(0.1, 8.0))
             T = truncation_horizon(beta)
-            mc, mw, knife = marginal_sums_batch(
+            mc, mw, knife, _ = marginal_sums_batch(
                 p, beta, costs.linear(), np.array([x]), np.array([s]), T
             )
             if knife[0]:
@@ -238,7 +239,7 @@ def assert_kernels_match_stepped(p, cost, beta, x, s, T):
     (c0, w0, s0), (c1, w1, s1) = (
         expected_sums(p, cost, beta, x, s, first, T, batch=True) for first in (0, 1)
     )
-    mc, mw, knife = marginal_sums_batch(p, beta, cost, np.array([x]), np.array([s]), T)
+    mc, mw, knife, _ = marginal_sums_batch(p, beta, cost, np.array([x]), np.array([s]), T)
     assert abs(mc[0] - (c0 - c1)) <= 1e-12 * (s0 + s1)
     assert abs(mw[0] - (w1 - w0)) <= 1e-12 * (s0 + s1)
     return bool(knife[0])
@@ -278,7 +279,7 @@ class TestClosedFormTails:
         p = ArmParams(r=0.6, a0=0.1, a1=1.5, c0=0.0, c1=1.0)
         xs = np.geomspace(0.2, 3.0, 7)
         for T in range(1, 40):
-            mc, mw, _ = marginal_sums_batch(p, beta, costs.linear(), xs, xs, T)
+            mc, mw, _, _ = marginal_sums_batch(p, beta, costs.linear(), xs, xs, T)
             for i, x in enumerate(xs):
                 (c0, w0, s0), (c1, w1, s1) = (
                     expected_sums(p, costs.linear(), beta, x, x, first, T, batch=True)
@@ -318,7 +319,7 @@ class TestClosedFormTails:
             x[4] = s[4] = y1(knife_arm)  # on knife_arm, ties the threshold at every step
             whole = marginal_sums_batch(p, beta, cost, x, s, T)
             if p is knife_arm:
-                assert whole[2][4]
+                assert whole.knife[4]
             cols = np.sort(rng.permutation(n)[:n // 3])
             part = marginal_sums_batch(p, beta, cost, x[cols], s[cols], T)
             for got, want in zip(part, whole):
@@ -336,28 +337,24 @@ class TestClosedFormTails:
                 cterms, _, knife = _orbit_terms(p, costs.linear(), beta, x, x, first, 500)
                 assert knife and len(cterms) < 50
 
-    def test_fallback_logged_once_per_call(self, caplog):
+    def test_capped_orbits_have_period_0(self):
+        # With r = 1 and a0 = 0 an orbit that never acts grows by 1 a step.
         p = ArmParams(r=1.0, a0=0.0, a1=1.0)
         xs = np.array([0.5, 1.5, 2.5])
-        with caplog.at_level(logging.DEBUG, logger="obsched"):
-            _orbit_terms(p, costs.linear(), 0.9, 1.0, math.inf, 0, 300)
-            marginal_sums_batch(p, 0.9, costs.linear(), xs, np.full(3, math.inf), 300)
-        messages = [rec.getMessage() for rec in caplog.records]
-        assert len(messages) == 2
-        assert "reached T=300 with no repeat" in messages[0]
-        assert messages[1].startswith("6 of 6 batch orbits reached T=300")
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="obsched"):
-            _orbit_terms(p, costs.linear(), 0.9, 1.0, 2.5, 0, 300)
-        assert not caplog.records
+        got = marginal_sums_batch(p, 0.9, costs.linear(), xs, np.full(3, math.inf), 300)
+        assert got.period.tolist() == [[0, 0]] * 3
+        assert _orbit_walk(p, costs.linear(), 1.0, math.inf, 0, 300)[2] == 0
+        assert _orbit_walk(p, costs.linear(), 1.0, 2.5, 0, 300)[2] > 0
 
 
 def reference_threshold_sums_batch(p, beta, cost, x, s, first, T):
     """The batch kernel before its per-step trims, as the bitwise reference.
 
-    One arm p and one beta for all orbits.  Every step goes through the
-    checked ``cost.eval``, every map step applies the a1 = inf mask, and
-    the knife test and work summand are computed out of place.
+    Returns each orbit's cost and work sums, knife flag and period (0 for
+    an orbit with no repeat by T).  One arm p and one beta for all orbits.
+    Every step goes through the checked ``cost.eval``, every map step
+    applies the a1 = inf mask, and the knife test and work summand are
+    computed out of place.
     """
     a1_inf = math.isinf(p.a1)
     a1 = 1.0 if a1_inf else p.a1
@@ -374,6 +371,7 @@ def reference_threshold_sums_batch(p, beta, cost, x, s, first, T):
     beta = np.array([beta])
     tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
     knife = np.zeros(x.size, dtype=bool)
+    period = np.zeros(x.size, dtype=np.int64)
     sums = np.empty((2, x.size))
     head = np.stack([cost.eval(x), np.where(first, p.c1, p.c0)])
     cyc = np.zeros_like(head)
@@ -387,6 +385,7 @@ def reference_threshold_sums_batch(p, beta, cost, x, s, first, T):
                 ids = live[hit]
                 geo = index_mod._cycle_factor(beta, t - k)
                 sums[:, ids] = head[:, hit] + geo * cyc[:, hit]
+                period[ids] = t - k
                 knife[ids] = lknife[hit]
                 keep = ~hit
                 live, v, anchor, lknife = live[keep], v[keep], anchor[keep], lknife[keep]
@@ -405,13 +404,13 @@ def reference_threshold_sums_batch(p, beta, cost, x, s, first, T):
         v = step(act, v)
     knife[live] = lknife
     sums[:, live] = head + cyc
-    return sums[0], sums[1], knife, live.size
+    return sums[0], sums[1], knife, period
 
 
 class TestBatchKernelMatchesReference:
-    """The batch kernel gives the marginal sums and knife flags of the
-    reference kernel's two halves bit for bit, its capped count and the
-    same domain errors."""
+    """The batch kernel gives the marginal sums, knife flags and orbit
+    periods of the reference kernel's two halves bit for bit, and the same
+    domain errors."""
 
     ADMISSIBLE = (
         costs.linear(), costs.entropy(), costs.neg_precision(), costs.power(0.5),
@@ -447,36 +446,31 @@ class TestBatchKernelMatchesReference:
 
     @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
     @pytest.mark.parametrize("seed", range(4))
-    def test_bitwise_equal(self, cost, seed, caplog):
+    def test_bitwise_equal(self, cost, seed):
         rng = np.random.default_rng([71, seed])
         p, beta, x, s = self.batch(rng, cost, seed)
-        got, capped = self.assert_matches_reference(caplog, p, beta, cost, x, s, 3000)
+        got, capped = self.assert_matches_reference(p, beta, cost, x, s, 3000)
         if seed == 2:
-            assert got[2][:4].all()
+            assert got.knife[:4].all()
         if seed == 3:
             assert capped >= 1
 
     @staticmethod
-    def assert_matches_reference(caplog, p, beta, cost, x, s, T):
+    def assert_matches_reference(p, beta, cost, x, s, T):
         """Compare with the reference run on both first actions, passive
-        then active; returns the kernel's arrays and its capped count."""
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="obsched"):
-            got = marginal_sums_batch(p, beta, cost, x, s, T)
+        then active; returns the kernel's result and its capped count."""
+        got = marginal_sums_batch(p, beta, cost, x, s, T)
         n = x.size
         first = np.arange(2 * n) >= n
-        c, w, knife, capped = reference_threshold_sums_batch(
+        c, w, knife, period = reference_threshold_sums_batch(
             p, beta, cost, np.tile(x, 2), np.tile(s, 2), first, T
         )
-        want = (c[:n] - c[n:], w[n:] - w[:n], knife[:n] | knife[n:])
-        for g, v in zip(got, want):
+        want = (c[:n] - c[n:], w[n:] - w[:n], knife[:n] | knife[n:],
+                np.stack([period[:n], period[n:]], axis=-1))
+        for g, v in zip(got, want, strict=True):
+            assert g.shape == v.shape and g.dtype == v.dtype
             assert g.tobytes() == v.tobytes()
-        logged = [rec.getMessage() for rec in caplog.records]
-        assert logged == (
-            [f"{capped} of {2 * n} batch orbits reached T={T} with no repeat"]
-            if capped else []
-        )
-        return got, capped
+        return got, int((got.period == 0).sum())
 
     @staticmethod
     def sweeps(rng, starts, thresholds, singles=()):
@@ -494,7 +488,7 @@ class TestBatchKernelMatchesReference:
 
     @pytest.mark.parametrize("cost", ADMISSIBLE, ids=lambda c: c.kind)
     @pytest.mark.parametrize("seed", range(3))
-    def test_fixed_x_sweeps_bitwise_equal(self, cost, seed, caplog):
+    def test_fixed_x_sweeps_bitwise_equal(self, cost, seed):
         # Unsorted thresholds with duplicates, both infinities and a NaN
         # (which never acts), repeated starts, and singleton orbits x = s
         # in the same batch.
@@ -510,10 +504,10 @@ class TestBatchKernelMatchesReference:
         starts[1] = starts[0]
         x, s = self.sweeps(rng, starts, thresholds, rng.uniform(0.05, 8.0, 40))
         assert self.largest_class(x) == 2 * len(thresholds)
-        self.assert_matches_reference(caplog, p, beta, cost, x, s, 3000)
+        self.assert_matches_reference(p, beta, cost, x, s, 3000)
 
     @pytest.mark.parametrize("first_action", [0, 1])
-    def test_knife_ties_inside_classes(self, first_action, caplog):
+    def test_knife_ties_inside_classes(self, first_action):
         # Thresholds tie the state v1 = phi(x) of step 1 after first_action:
         # one equals it, so the class splits exactly at the tie, and others
         # lie within the tolerance on both sides, inside the halves; some
@@ -528,21 +522,19 @@ class TestBatchKernelMatchesReference:
         thresholds = np.concatenate([near, np.linspace(0.1, 6.0, 60)])
         rng = np.random.default_rng(5)
         x_arr, s = self.sweeps(rng, [x], thresholds)
-        got, _ = self.assert_matches_reference(caplog, p, 0.9, costs.linear(), x_arr, s, 2000)
-        knife = got[2]
-        assert knife[np.isin(s, near[ties])].all()
+        got, _ = self.assert_matches_reference(p, 0.9, costs.linear(), x_arr, s, 2000)
+        assert got.knife[np.isin(s, near[ties])].all()
 
-    def test_noiseless_sweeps(self, caplog):
+    def test_noiseless_sweeps(self):
         # a1 = inf takes active orbits to 0, which ties the threshold 0.
         p = ArmParams(r=0.8, a0=0.0, a1=math.inf)
         rng = np.random.default_rng(6)
         thresholds = np.concatenate([[0.0, -math.inf, 0.0], rng.uniform(0.05, 4.0, 80)])
         x, s = self.sweeps(rng, [0.5, 3.0], thresholds, [0.7, 2.0])
-        got, _ = self.assert_matches_reference(caplog, p, 0.9, costs.linear(), x, s, 2000)
-        knife = got[2]
-        assert knife[s == 0.0].all()
+        got, _ = self.assert_matches_reference(p, 0.9, costs.linear(), x, s, 2000)
+        assert got.knife[s == 0.0].all()
 
-    def test_class_without_repeat_counts_its_members(self, caplog):
+    def test_class_without_repeat_counts_its_members(self):
         # With r = 1 and a0 = 0 an orbit that never acts grows by 1 a step
         # and never repeats: thresholds beyond reach leave whole classes at
         # the step cap, and the capped count counts their members.
@@ -552,7 +544,7 @@ class TestBatchKernelMatchesReference:
         thresholds = np.concatenate([far, rng.uniform(0.5, 6.0, 50)])
         starts = [1.5, 4.0, 4.0]
         x, s = self.sweeps(rng, starts, thresholds, [2.5, 3.5])
-        _, capped = self.assert_matches_reference(caplog, p, 0.99, costs.linear(), x, s, 500)
+        _, capped = self.assert_matches_reference(p, 0.99, costs.linear(), x, s, 500)
         assert capped == 2 * len(starts) * len(far)
 
     @given(
@@ -583,8 +575,8 @@ class TestBatchKernelMatchesReference:
     ):
         # Repeated starts share classes, +0.0 and -0.0 starts do not, and
         # infinite and NaN thresholds sort to the ends of their classes: in
-        # any order and any part of the batch, a point's columns are those
-        # of the whole batch, bit for bit.
+        # any order and any part of the batch, a point's sums, flag and
+        # periods are those of the whole batch, bit for bit.
         p = ArmParams(r=r, a0=a0, a1=a1)
         x = np.array([starts[i % len(starts)] for i, _ in points])
         s = np.array([thr for _, thr in points])
@@ -593,13 +585,55 @@ class TestBatchKernelMatchesReference:
         if subset:
             cols = cols[:max(1, x.size // 2)]
         part = marginal_sums_batch(p, beta, costs.linear(), x[cols], s[cols], 300)
-        for got, want in zip(part, whole):
-            assert got.tobytes() == want[cols].tobytes()
+        assert part.period.shape == (cols.size, 2)
+        for name in OrbitSums._fields:
+            assert getattr(part, name).tobytes() == getattr(whole, name)[cols].tobytes()
+
+    @given(
+        r=st.floats(0.3, 1.0),
+        a0=st.sampled_from((0.0, 0.2)),
+        a1=st.sampled_from((1.0, 2.5, math.inf)),
+        beta=st.sampled_from((0.0, 0.9, 0.99)),
+        T=st.sampled_from((1, 2, 5, 40, 300)),
+        points=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 8.0)),
+                st.one_of(st.sampled_from((math.inf, 1.0)), st.floats(0.0, 8.0)),
+            ),
+            max_size=12,
+        ),
+        rows=st.sampled_from((1, 2)),
+    )
+    @example(r=0.8, a0=0.2, a1=1.0, beta=0.9, T=300, points=[], rows=1)
+    @example(r=0.8, a0=0.2, a1=1.0, beta=0.9, T=300, points=[(2.0, 2.0)], rows=1)
+    @example(r=1.0, a0=0.0, a1=1.0, beta=0.9, T=300, points=[(2.0, math.inf)], rows=1)
+    @example(r=0.8, a0=0.2, a1=2.5, beta=0.5, T=300,
+             points=[(0.5, 0.5), (1.0, math.inf), (2.0, 1.0), (2.0, 3.0)], rows=2)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_period_is_the_walks_period(self, r, a0, a1, beta, T, points, rows):
+        # Brent's test sees a repeat no earlier than the first-repeat walk
+        # of _orbit_walk: a period the kernel finds is the walk's, and an
+        # orbit the walk caps at T has period 0.  Batches of any shape.
+        p = ArmParams(r=r, a0=a0, a1=a1)
+        shape = (2, len(points) // 2) if rows == 2 else (len(points),)
+        points = points[:math.prod(shape)]
+        x = np.array([x0 for x0, _ in points], dtype=float).reshape(shape)
+        s = np.array([thr for _, thr in points], dtype=float).reshape(shape)
+        got = marginal_sums_batch(p, beta, costs.linear(), x, s, T)
+        assert got.period.shape == shape + (2,)
+        for i in np.ndindex(shape):
+            for first in (0, 1):
+                n = _orbit_walk(p, costs.linear(), x[i], s[i], first, T)[2]
+                period = got.period[i + (first,)]
+                if period:
+                    assert period == n
+                if not n:
+                    assert period == 0
 
     def test_empty_batch(self):
         p = ArmParams(r=0.9, a0=0.0, a1=1.0)
         got = marginal_sums_batch(p, 0.9, costs.linear(), np.array([]), np.array([]), 50)
-        assert [a.shape for a in got] == [(0,), (0,), (0,)]
+        assert [a.shape for a in got] == [(0,), (0,), (0,), (0, 2)]
 
     def test_noiseless_entropy_raises_the_domain_error(self):
         # With a1 = inf an active step reaches variance 0, where entropy is
@@ -694,7 +728,7 @@ class TestWhittleIndex:
             beta = float(rng.uniform(0.8, 0.99))
             x = float(rng.uniform(0.2, 8.0))
             T = max(200, math.ceil(math.log(1e-10) / math.log(beta)))
-            (num1, den1, _), (num2, den2, _) = (
+            (num1, den1, _, _), (num2, den2, _, _) = (
                 marginal_sums_batch(p, beta, costs.linear(), x, x, t)
                 for t in (T, 2 * T)
             )

@@ -1,6 +1,7 @@
 """Package layout: the modules import only each other's public names,
 every name they import is used, every private name they define is read,
-and the CLI does not re-wrap library errors."""
+the CLI does not re-wrap library errors, and only the CLI writes to the
+console."""
 
 import ast
 import importlib
@@ -266,3 +267,63 @@ def test_rewrap_detector():
 
 def test_cli_has_no_rewraps():
     assert cli_rewraps((SRC / "cli.py").read_text(), "cli.py") == []
+
+
+def side_channels(source: str, filename: str) -> list[str]:
+    """Each import of ``logging``, ``print`` call and use of ``sys.stdout`` or ``sys.stderr``.
+
+    A library module returns what it finds; only the CLI prints it.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "logging"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [
+                f"{node.module}.{alias.name}" for alias in node.names
+                if node.module.split(".")[0] == "logging"
+                or (node.module == "sys" and alias.name in ("stdout", "stderr"))
+            ]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = ["print"] if node.func.id == "print" else []
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"sys.{node.attr}"] if (
+                node.value.id == "sys" and node.attr in ("stdout", "stderr")) else []
+        else:
+            names = []
+        found += [(node.lineno, f"{filename}:{node.lineno}: {name}") for name in names]
+    return [line for _, line in sorted(found)]
+
+
+def test_side_channel_detector():
+    source = (
+        "import sys\n"
+        "import logging.handlers\n"
+        "from logging import getLogger\n"
+        "from sys import stderr, argv\n"
+        "def f(out=sys.stdout):\n"
+        "    print('x', file=out)\n"
+        "    sys.stderr.write('y')\n"
+        "    return out.print(sys.argv), print\n"
+    )
+    assert side_channels(source, "m.py") == [
+        "m.py:2: logging.handlers",
+        "m.py:3: logging.getLogger",
+        "m.py:4: sys.stderr",
+        "m.py:5: sys.stdout",
+        "m.py:6: print",
+        "m.py:7: sys.stderr",
+    ]
+    assert side_channels("def g():\n    import logging\n", "m.py") == ["m.py:2: logging"]
+
+
+def test_only_the_cli_writes_to_the_console():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 9
+    found = [
+        line
+        for path in paths
+        if path.name != "cli.py"
+        for line in side_channels(path.read_text(), path.name)
+    ]
+    assert found == []

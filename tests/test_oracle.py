@@ -67,14 +67,14 @@ def reference_pcli_report(params, cost, beta, cfg):
     report = {"params": {"r": p.r, "a0": p.a0, "a1": p.a1, "beta": beta,
                          "cost": cost.kind, "condition_c": cost.condition_c}}
     xs = rng.uniform(lo, hi, cfg.work_samples)
-    _, work, _ = sums(xs, xs)
+    _, work, _, _ = sums(xs, xs)
     slack = gap * beta ** (T + 1) / max(1e-300, 1.0 - beta)
     bound = (1.0 - beta) * gap - slack
     margin = float(np.min(work - bound))
     report["pcli1"] = {"samples": cfg.work_samples, "bound": bound,
                        "min_margin": margin, "ok": bool(margin >= -1e-9)}
     grid = np.geomspace(lo, hi, cfg.lambda_points)
-    num, den, _ = sums(grid, grid)
+    num, den, _, _ = sums(grid, grid)
     dlam = np.diff(num / den)
     tol = 1e-9 + beta ** (T + 1) / (1.0 - beta) if beta > 0 else 1e-9
     violations = int(np.sum(dlam < -tol))
@@ -103,8 +103,8 @@ def reference_pcli_report(params, cost, beta, cfg):
         if b_s - a_s < 0.05 * (hi - lo):
             b_s = min(hi, a_s + 0.05 * (hi - lo))
         svals = np.linspace(a_s, b_s, cfg.sweep_points)
-        mcost, mwork, _ = sums(np.full_like(svals, x_probe), svals)
-        num, den, _ = sums(svals, svals)
+        mcost, mwork, _, _ = sums(np.full_like(svals, x_probe), svals)
+        num, den, _, _ = sums(svals, svals)
         lhs = float(mcost[-1] - mcost[0])
         rhs = float(np.sum((num / den)[:-1] * np.diff(mwork)))
         scale = max(1.0, abs(lhs), abs(rhs))
@@ -765,7 +765,7 @@ class TestPcli:
         first, second = calls
         head = cfg.work_samples + cfg.lambda_points
         assert first[3].size == head + cfg.pcli3_intervals * cfg.sweep_points
-        _, work, _ = marginal_sums_batch(*first)
+        _, work, _, _ = marginal_sums_batch(*first)
         sweeps = work[head:].reshape(cfg.pcli3_intervals, cfg.sweep_points)
         jumps = int(np.count_nonzero(np.diff(sweeps, axis=1)))
         # Both forced first actions of each (s_j, s_j) step as orbits.
