@@ -202,31 +202,32 @@ def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
 
     Identical (params, cost, weight, bounds) arms share a table; the index
     is evaluated with the arm's weighted cost, so weights are baked in.
+    One :func:`~obsched.index.marginal_sums_batch` call steps the grids of
+    all distinct arms together, which gives each arm's own sums bit for
+    bit in the steps of the slowest arm.
     """
-    grids: list[np.ndarray] = []
-    log_grids: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    cache: dict = {}
     T = truncation_horizon(scenario.beta)
+    keys: list = []
+    todo: dict = {}
     for arm in scenario.arms:
         lo, hi = _table_range(arm, scenario.horizon)
-        key = (arm.params, id(arm.cost), arm.weight, lo, hi)
-        if key not in cache:
-            g = np.geomspace(lo, hi, n_points)
+        keys.append((arm.params, id(arm.cost), arm.weight, lo, hi))
+        if keys[-1] not in todo:
             # The index prices one unit of activation effort; when the
             # scenario's observation costs coincide they cannot serve as
             # the work scale.
             p = arm.params
             if not p.c1 > p.c0:
                 p = p.with_costs(0.0, 1.0)
-            wcost = arm.cost.scale(arm.weight)
-            sums = marginal_sums_batch(p, scenario.beta, wcost, g, g, T)
-            cache[key] = (g, np.log(g), sums.cost / sums.work)
-        g, log_g, lam = cache[key]
-        grids.append(g)
-        log_grids.append(log_g)
-        values.append(lam)
-    return IndexTables(grids, log_grids, values)
+            todo[keys[-1]] = (p, arm.cost.scale(arm.weight), np.geomspace(lo, hi, n_points))
+    params, wcosts, grids = zip(*todo.values())
+    sums = marginal_sums_batch(params, scenario.beta, wcosts, grids, grids, T)
+    cache = {
+        key: (g, np.log(g), arm_sums.cost / arm_sums.work)
+        for key, g, arm_sums in zip(todo, grids, sums)
+    }
+    tables = [cache[key] for key in keys]
+    return IndexTables(*(list(col) for col in zip(*tables)))
 
 
 @dataclass

@@ -224,7 +224,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         check_denominator(params, grid[-1])
         table = _beta1_table(params, cost, grid)
     else:
-        check_discounted_sums(params, cost, args.beta, grid[0], grid[-1])
         table = index_table(params, cost, args.beta, grid, words=not args.no_words)
     if args.format == "csv":
         lines = ["x,lambda,numerator,denominator,word,knife_edge\n"]

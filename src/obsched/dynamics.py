@@ -7,10 +7,11 @@ The one-step variance update under query action a is the Moebius map
 in units of the process-noise variance.  This module provides the maps,
 their 2x2 matrix representation, fixed points of word compositions,
 threshold orbits, itineraries of the induced map-with-a-gap, and the
-bracketing of fixed points for irrational-rate threshold words.  One arm's
-map comes bound to its coefficients in two forms: :func:`scalar_map` steps
-a Python float and :func:`batch_map` an array of states, with bitwise the
-floats of :func:`phi`.  Every scalar threshold orbit is read off
+bracketing of fixed points for irrational-rate threshold words.  The map
+has two fast forms: :func:`scalar_map` binds one arm's coefficients and
+steps a Python float, and :func:`batch_map` steps an array of states, of
+one arm or of several, from :func:`map_coefficients` columns; both give
+bitwise the floats of :func:`phi`.  Every scalar threshold orbit is read off
 :func:`threshold_walk`.
 """
 
@@ -211,32 +212,38 @@ def scalar_map(p: ArmParams) -> Callable[[int, float], float]:
     return step
 
 
-def batch_map(p: ArmParams) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The variance update as step(act, v) on arrays, p's coefficients bound once.
+def map_coefficients(p: ArmParams) -> np.ndarray:
+    """p's variance map as one column of :func:`batch_map` coefficients.
 
-    The array twin of :func:`scalar_map`: actions and states broadcast,
-    only the taken branch is evaluated, and each element gets the float
-    operations of :func:`phi` (0.0 for an active step with a1 = inf).  A
-    r^2 v is (a r^2) v there too, while (a r^2 v + a) + 1 must not become
-    a r^2 v + (a + 1).  The coefficients are 1-element arrays, which
-    ``np.where`` selects from faster than from Python floats.
+    The rows are r^2, a0 r^2, a0, a1 r^2, a1 and a flag, 1.0 when a1 = inf
+    and 0.0 otherwise; a noiseless arm stores 1 for a1, so that its
+    discarded active image stays finite.
     """
     a1_inf = math.isinf(p.a1)
     a1 = 1.0 if a1_inf else p.a1
-    r2, a0r2, a0, a1r2, a1 = (
-        np.array([c]) for c in (p.r2, p.a0 * p.r2, p.a0, a1 * p.r2, a1)
-    )
+    return np.array([[p.r2], [p.a0 * p.r2], [p.a0], [a1 * p.r2], [a1], [float(a1_inf)]])
 
-    def step(act: np.ndarray, v: np.ndarray) -> np.ndarray:
-        den = np.where(act, a1r2, a0r2) * v
-        den += np.where(act, a1, a0)
-        den += 1.0
-        out = r2 * v
-        out += 1.0
-        out /= den
-        return np.where(act, 0.0, out) if a1_inf else out
 
-    return step
+def batch_map(coef: np.ndarray, act: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The variance update on arrays: the images of states v under actions act.
+
+    The array twin of :func:`scalar_map`.  ``coef`` holds rows of
+    :func:`map_coefficients` columns, one column per state or one for all
+    of them; columns, actions and states broadcast.  Only the taken branch
+    is evaluated, and each element gets the float operations of
+    :func:`phi` (0.0 for an active step with a1 = inf).  A r^2 v is
+    (a r^2) v there too, while (a r^2 v + a) + 1 must not become
+    a r^2 v + (a + 1).  The sixth row, the a1 = inf flag, is read when
+    present; a caller whose columns all have a finite a1 may leave it out
+    to skip its select.
+    """
+    den = np.where(act, coef[3], coef[1]) * v
+    den += np.where(act, coef[4], coef[2])
+    den += 1.0
+    out = coef[0] * v
+    out += 1.0
+    out /= den
+    return np.where(act * coef[5], 0.0, out) if len(coef) > 5 else out
 
 
 def phi_word(p: ArmParams, w: Word, v: float) -> float:

@@ -10,14 +10,15 @@ within the step cap T of :func:`truncation_horizon` are truncated there.
 Also: closed forms for the noiseless case, the discount-to-one limit
 from the same exact cycles, Q-values of threshold policies, and grid
 tabulation with monotonicity accounting.  The batch kernel steps many
-orbits of one arm and one beta per call, with :func:`dynamics.batch_map`.
+orbits of one beta per call, of one arm or of several, with
+:func:`dynamics.batch_map`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .dynamics import (  # noqa: F401
     ArmParams,
     InconsistencyError,
     batch_map,
+    check_discounted_sums,
+    map_coefficients,
     phi,
     scalar_map,
     threshold_walk,
@@ -322,116 +325,167 @@ class OrbitSums(NamedTuple):
 
 
 def marginal_sums_batch(
-    p: ArmParams, beta: float, cost: CostFn, x: np.ndarray, s: np.ndarray, T: int
-) -> OrbitSums:
-    """Marginal cost, marginal work, knife-edge flags and orbit periods of one arm.
+    p: Union[ArmParams, Sequence[ArmParams]],
+    beta: float,
+    cost: Union[CostFn, Sequence[CostFn]],
+    x: Union[np.ndarray, Sequence[np.ndarray]],
+    s: Union[np.ndarray, Sequence[np.ndarray]],
+    T: int,
+) -> Union[OrbitSums, list[OrbitSums]]:
+    """Marginal cost, marginal work, knife-edge flags and orbit periods of orbit batches.
 
-    x and s broadcast.  Point i has two s[i]-threshold orbits from x[i],
-    one per forced first action; all share the arm p and the discount
-    beta.  Plain >= comparisons decide actions, as in the scalar kernel,
-    and points whose orbits come within ``knife_edge_tol(s)`` of s are
-    flagged.  Repeats are found by Brent's method: each orbit is compared
-    bitwise with an anchor state retaken at t = 1, 2, 4, ...  An orbit
-    back at its anchor state at step t is periodic from the anchor step k
-    with period n = t - k and stops stepping; its sum is the part before
-    k plus the cycle's sum times 1 / (1 - beta^n).  Orbits with no repeat
-    by T are truncated there and get period 0.  The anchor schedule
-    depends only on t, so each orbit's sums and period do not depend on
-    the other orbits of the batch.  Memory stays O(len(x)).
+    One arm's call passes its params p, its cost and the arrays x and s,
+    which broadcast, and returns one :class:`OrbitSums`.  A call for
+    several arms passes sequences of each arm's p, cost, x and s, and
+    returns a list with each arm's :class:`OrbitSums`.  Point i of an arm
+    has two s[i]-threshold orbits from x[i], one per forced first action;
+    all orbits share the discount beta and the step cap T.  Plain >=
+    comparisons decide actions, as in the scalar kernel, and points whose
+    orbits come within ``knife_edge_tol(s)`` of s are flagged.  Repeats
+    are found by Brent's method: each orbit is compared bitwise with an
+    anchor state retaken at t = 1, 2, 4, ...  An orbit back at its anchor
+    state at step t is periodic from the anchor step k with period
+    n = t - k and stops stepping; its sum is the part before k plus the
+    cycle's sum times 1 / (1 - beta^n).  Orbits with no repeat by T are
+    truncated there and get period 0.  The anchor schedule depends only
+    on t, so each orbit's sums and period do not depend on the other
+    orbits of the call, of its own arm or of another: a call for several
+    arms gives bitwise each arm's own call, in the steps of its slowest
+    orbit rather than the sum of the arms' steps.  Memory stays O(len(x)).
 
     The orbits step in sorted positions: the points are sorted by
-    (start bits, threshold) into the permutation o, and the passive-first
-    orbits take positions [0, n), the active-first orbits [n, 2n).
-    Orbits that differ only in their threshold step as classes.  A class
-    is a range of positions, with one start and first action and
-    ascending thresholds, whose orbits share one state, one head and
+    (arm, start bits, threshold) into the permutation o, and the
+    passive-first orbits take positions [0, n), the active-first orbits
+    [n, 2n).  Orbits that differ only in their threshold step as classes.
+    A class is a range of positions, with one arm, start and first action
+    and ascending thresholds, whose orbits share one state, one head and
     cycle sum, one anchor and the step k.  The invariant holds while every
     member takes the same action, so a class whose state v lies inside
     its range (first threshold <= v < last) is split before the step:
     the members s <= v act and keep the row, the members s > v rest in a
-    new row with copies of the state, sums and anchor.  Every member thus
-    sees the float operations of its own orbit, in the same order, and
-    its sums are bitwise those of stepping it alone.  A class's sums and
-    period go to its first position, and at the end every position takes
-    those of the class start before it.  Knife-edge flags stay per member.  A
-    class that does not straddle v ties v only if its member nearest to
-    v does (the last member of an acting class, the first of a resting
-    one): near a tie v - s is exact (Sterbenz), and the tolerances of two
-    thresholds differ by at most 1e-12 times their gap.  Only when the
-    nearest member ties are the members within a few tolerances of v
-    tested one by one.  When every class has one member, as in a batch of
-    distinct starts, the class bookkeeping costs one Python bool per step.
+    new row with copies of the state, sums, anchor and coefficients.  Every
+    member thus sees the float operations of its own orbit, in the same
+    order, and its sums are bitwise those of stepping it alone.  A class's
+    sums and period go to its first position, and at the end every
+    position takes those of the class start before it.  Knife-edge flags
+    stay per member.  A class that does not straddle v ties v only if its
+    member nearest to v does (the last member of an acting class, the
+    first of a resting one): near a tie v - s is exact (Sterbenz), and the
+    tolerances of two thresholds differ by at most 1e-12 times their gap.
+    Only when the nearest member ties are the members within a few
+    tolerances of v tested one by one.  When every class has one member,
+    as in a batch of distinct starts, the class bookkeeping costs one
+    Python bool per step.
 
-    beta is raised to the power t as a 1-element array: numpy's power
-    gives the same float there as in a full row, while a Python float
-    power may differ from it in the last bit.
+    Each row carries its arm's :func:`dynamics.map_coefficients` column
+    and its c0 and c1, so one :func:`dynamics.batch_map` call steps every
+    arm.  The rows stay sorted by arm, so that each arm's cost is
+    evaluated on its own slice of the states (on the whole row when one
+    arm is left).  beta is raised to the power t as a 1-element array:
+    numpy's power gives the same float there as in a full row, while a
+    Python float power may differ from it in the last bit.
 
     Only the starting states go through the cost's domain check.  The
     states at t >= 1 are variance images, positive unless an active step
     with a1 = inf, or a map denominator that overflows, takes them to 0.
-    A step adds at most 1 to a state, so the denominators stay below
-    a1 r^2 (max x + T) + a1 + 1 (doubled for rounding); when a1 is finite
-    and that bound is finite, the states are evaluated unchecked, and
-    otherwise every step is checked.
+    A step adds at most 1 to a state, so the denominators of an arm stay
+    below a1 r^2 (max x + T) + a1 + 1 (doubled for rounding); when a1 is
+    finite and that bound is finite, the arm's states are evaluated
+    unchecked, and otherwise every step of that arm is checked.
     """
-    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
-    shape, n = x.shape, x.size
-    x, s = x.ravel(), s.ravel()
-    o = np.lexsort((s, x.view(np.int64)))
+    one = isinstance(p, ArmParams)
+    arms, cost_fns, xs, ss = ([p], [cost], [x], [s]) if one else (p, cost, x, s)
+    pairs = [
+        np.broadcast_arrays(np.asarray(xa, dtype=float), np.asarray(sa, dtype=float))
+        for xa, sa in zip(xs, ss, strict=True)
+    ]
+    sizes = [xa.size for xa, _ in pairs]
+    x = np.concatenate([xa.ravel() for xa, _ in pairs])
+    s = np.concatenate([sa.ravel() for _, sa in pairs])
+    n = x.size
+    arm_at = np.repeat(np.arange(len(pairs)), sizes)
+    o = np.lexsort((s, x.view(np.int64), arm_at))
     bits = x.view(np.int64)[o]
-    # The first position of each class, updated as classes split.
+    # The arm at each sorted point, and the first position of each class,
+    # updated as classes split.
+    arm_at = arm_at[o]
     start = np.ones(2 * n, dtype=bool)
-    start[1:n] = start[n + 1:] = bits[1:] != bits[:-1]
+    start[1:n] = start[n + 1:] = (bits[1:] != bits[:-1]) | (arm_at[1:] != arm_at[:-1])
     s = np.tile(s[o], 2)
     tol = np.where(np.isinf(s), -1.0, KNIFE_EDGE_TOL * np.maximum(1.0, np.abs(s)))
-    c0, c1, beta = p.c0, p.c1, np.array([beta])
-    step = batch_map(p)
+    beta = np.array([beta])
     # Per class: its range [lo, hi) of positions and the threshold and
     # tolerance of its last position.  The per-class arrays are replaced
-    # one at a time, which keeps the transient copies small.
+    # one at a time, which keeps the transient copies small.  Rows are
+    # classes, ordered by arm.
     lo = np.flatnonzero(start)
     # No orbits make no classes.
-    bounds = [lo, np.append(lo[1:], 2 * n)[:lo.size]]
-    bounds += [s[bounds[1] - 1], tol[bounds[1] - 1]]
-    m = lo.size // 2
+    hi = np.append(lo[1:], 2 * n)[:lo.size]
+    arm = arm_at[lo % n]
+    rows = np.argsort(arm, kind="stable")
+    lo, hi, arm = lo[rows], hi[rows], arm[rows]
+    bounds = [lo, hi, s[hi - 1], tol[hi - 1]]
     sums = np.empty((2, 2 * n))
     knife = np.zeros(2 * n, dtype=bool)
     period = np.zeros(2 * n, dtype=np.int64)
-    # Each class steps from its start, the passive-first classes first.
-    x0 = np.tile(x[o[lo[:m]]], 2)
+    # Each class steps from its start.  Rows 0-5 of coef are the map's
+    # coefficients, 6 and 7 the observation costs c0 and c1, with one
+    # column per row, or one column for all while the rows are of one arm.
+    first = lo >= n
+    x0 = x[o[lo % n]]
+    coef = np.concatenate(
+        [np.vstack([map_coefficients(pa), [[pa.c0], [pa.c1]]]) for pa in arms], axis=1
+    )[:, arm]
+    cost_at = []
+    for pa, (xa, _), ca in zip(arms, pairs, cost_fns, strict=True):
+        den_max = 2.0 * (float(np.max(xa, initial=0.0)) + T) * (pa.a1 * pa.r2) + pa.a1 + 1.0
+        positive = math.isfinite(pa.a1) and den_max < math.inf
+        cost_at.append(ca.eval_unchecked if positive else ca.eval)
     # Summed over t < k, and over k <= t.
-    head = np.stack([cost.eval(x0), np.repeat([c0, c1], m)])
-    den_max = 2.0 * (float(np.max(x, initial=0.0)) + T) * (p.a1 * p.r2) + p.a1 + 1.0
-    positive = math.isfinite(p.a1) and den_max < math.inf
-    cost_at = cost.eval_unchecked if positive else cost.eval
+    head = np.stack([
+        _cost(_segments(arm, [ca.eval for ca in cost_fns]), x0),
+        np.where(first, coef[7], coef[6]),
+    ])
     cyc = np.zeros_like(head)
-    v = np.concatenate([step(False, x0[:m]), step(True, x0[m:])])
+    segs = _segments(arm, cost_at)
+    if len(segs) == 1:
+        coef = coef[:, :1]
+    noiseless = any(math.isinf(pa.a1) for pa in arms)
+    step, c0, c1 = _rows(coef, noiseless)
+    v = batch_map(step, first, x0)
     anchor, k = v, 1
     # The classes with more than one member, whose ties are flagged per
     # orbit as they happen; those of the others accumulate in lknife.
     mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
     lknife = np.zeros(v.size, dtype=bool)
     for t in range(1, T + 1):
+        if not v.size:
+            break
         if t > k:
             hit = v == anchor
             if hit.any():
+                # Row numbers select columns faster than masks.
+                keep, hit = np.flatnonzero(~hit), np.flatnonzero(hit)
                 ids = bounds[0][hit]
-                done = cyc[:, hit]
+                done = cyc.take(hit, axis=1)
                 done *= _cycle_factor(beta, t - k)
-                done += head[:, hit]
+                done += head.take(hit, axis=1)
                 sums[:, ids] = done
                 period[ids] = t - k
                 knife[ids] |= lknife[hit]
-                keep = ~hit
-                v, anchor, lknife = v[keep], anchor[keep], lknife[keep]
-                head = head[:, keep]
-                cyc = cyc[:, keep]
+                v, anchor, lknife, head, cyc = (
+                    a.take(keep, axis=-1) for a in (v, anchor, lknife, head, cyc)
+                )
                 for i, row in enumerate(bounds):
                     bounds[i] = row[keep]
                 if mrows.size:
                     mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
-                if not v.size:
-                    break
+                if coef.shape[1] > 1:
+                    coef, arm = coef.take(keep, axis=1), arm[keep]
+                    segs = _segments(arm, cost_at)
+                    if len(segs) == 1:
+                        coef = coef[:, :1]
+                    step, c0, c1 = _rows(coef, noiseless)
             if t == 2 * k:
                 head += cyc
                 cyc = np.zeros_like(head)
@@ -444,11 +498,21 @@ def marginal_sums_batch(
             split = mrows[(v[mrows] >= low) & ~act[mrows]]
             if split.size:
                 _split(s, tol, start, bounds, split, v[split])
-                v = _append(v, split)
-                anchor = _append(anchor, split)
-                lknife = _append(lknife, split)
-                head = _append(head, split)
-                cyc = _append(cyc, split)
+                v, anchor, lknife, head, cyc = (
+                    _append(a, split) for a in (v, anchor, lknife, head, cyc)
+                )
+                if coef.shape[1] > 1:
+                    # The new rows go back among their arm's rows.
+                    coef, arm = _append(coef, split), _append(arm, split)
+                    rows = np.argsort(arm, kind="stable")
+                    v, anchor, lknife, head, cyc, coef, arm = (
+                        a.take(rows, axis=-1)
+                        for a in (v, anchor, lknife, head, cyc, coef, arm)
+                    )
+                    for i, row in enumerate(bounds):
+                        bounds[i] = row[rows]
+                    segs = _segments(arm, cost_at)
+                    step, c0, c1 = _rows(coef, noiseless)
                 mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
                 off = np.subtract(v, bounds[2])
                 tie = np.abs(off, out=off) <= bounds[3]
@@ -463,9 +527,11 @@ def marginal_sums_batch(
                 tie[ties] = False
         lknife |= tie
         disc = beta**t
-        cyc[0] += disc * cost_at(v)
-        cyc[1] += np.where(act, disc * c1, disc * c0)
-        v = step(act, v)
+        cyc[0] += disc * _cost(segs, v)
+        work = np.where(act, c1, c0)
+        work *= disc
+        cyc[1] += work
+        v = batch_map(step, act, v)
     head += cyc
     sums[:, bounds[0]] = head
     knife[bounds[0]] |= lknife
@@ -474,17 +540,47 @@ def marginal_sums_batch(
     lead = np.maximum.accumulate(np.where(start, np.arange(2 * n), 0))
     inv = np.argsort(o)
     sums0, sums1 = sums[:, lead[inv]], sums[:, lead[inv + n]]
-    return OrbitSums(
-        (sums0[0] - sums1[0]).reshape(shape),
-        (sums1[1] - sums0[1]).reshape(shape),
-        (knife[inv] | knife[inv + n]).reshape(shape),
-        np.stack([period[lead[inv]], period[lead[inv + n]]], axis=-1).reshape(shape + (2,)),
+    fields = (
+        sums0[0] - sums1[0],
+        sums1[1] - sums0[1],
+        knife[inv] | knife[inv + n],
+        np.stack([period[lead[inv]], period[lead[inv + n]]], axis=-1),
     )
+    ends = np.cumsum(sizes)
+    out = [
+        OrbitSums(*(a[end - size:end].reshape(xa.shape + a.shape[1:]) for a in fields))
+        for (xa, _), size, end in zip(pairs, sizes, ends)
+    ]
+    return out[0] if one else out
+
+
+def _rows(coef: np.ndarray, noiseless: bool) -> tuple:
+    """The :func:`dynamics.batch_map` rows of coef, the flag only when
+    ``noiseless``, and its c0 and c1 rows."""
+    return tuple(coef[:6 if noiseless else 5]), coef[6], coef[7]
+
+
+def _segments(arm: np.ndarray, fns: list) -> list:
+    """(fns[a], start, end) for each arm a with rows, whose rows are [start, end).
+
+    ``arm`` is the rows' arms, in ascending order.  With no rows the first
+    arm stands for all.
+    """
+    edges = np.searchsorted(arm, np.arange(len(fns) + 1))
+    segs = [(f, a, b) for f, a, b in zip(fns, edges[:-1], edges[1:]) if a < b]
+    return segs or [(fns[0], 0, 0)]
+
+
+def _cost(segs: list, v: np.ndarray) -> np.ndarray:
+    """Each arm's cost at its rows' states; the whole row at once for one arm."""
+    if len(segs) == 1:
+        return segs[0][0](v)
+    return np.concatenate([f(v[a:b]) for f, a, b in segs])
 
 
 def _append(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``a`` with copies of its columns ``cols`` appended."""
-    return np.concatenate([a, a[..., cols]], axis=-1)
+    return np.concatenate([a, a.take(cols, axis=-1)], axis=-1)
 
 
 def _split(
@@ -540,19 +636,22 @@ def index_table(
 ) -> IndexTable:
     """Tabulate the index over an ascending state grid.
 
-    Every record comes from :func:`marginal_sums_batch`, with its
-    knife-edge flag; with ``words`` each point also gets its certified
-    :func:`threshold_word` of period at most 64 (None when uncertified).
-    Decreases of lambda beyond 1e-9 plus the slack of orbits truncated at
-    the step cap are counted as monotonicity violations (admissible costs
-    must produce none).
+    Sums that could overflow on the grid's orbits raise ValueError first
+    (:func:`dynamics.check_discounted_sums`).  Every record comes from one
+    :func:`marginal_sums_batch` call, with its knife-edge flag; with
+    ``words`` each point also gets its certified :func:`threshold_word`
+    of period at most 64 (None when uncertified).  Decreases of lambda
+    beyond 1e-9 plus the slack of orbits truncated at the step cap are
+    counted as monotonicity violations (admissible costs must produce
+    none).
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or len(xs) == 0:
         raise ValueError("grid must be a non-empty 1-d sequence")
-    if np.any(np.diff(xs) <= 0):
+    if not np.all(np.diff(xs) > 0):
         raise ValueError("grid must be strictly ascending")
     p = params
+    check_discounted_sums(p, cost, beta, xs[0], xs[-1])
     gap = cost_gap(p)
     T = truncation_horizon(beta)
     sums = marginal_sums_batch(p, beta, cost, xs, xs, T)

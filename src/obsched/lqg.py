@@ -104,7 +104,10 @@ def observation_threshold(problem: LqgProblem, alpha: float) -> float:
     give z = -inf (always observe) and, when the passive fixed point caps
     the index, targets above it give z = +inf.  An a1 whose map
     denominator overflows on the bracket's orbits raises ValueError (see
-    :func:`dynamics.check_denominator`).
+    :func:`dynamics.check_denominator`).  The index is below the target
+    at every bracket bottom and not below it at every top, so once the
+    midpoint rounds to an end the bracket can no longer change and the
+    bisection stops, with the z of all BISECTION_STEPS steps.
     """
     p = problem
     price = p.c1 - p.c0
@@ -133,6 +136,8 @@ def observation_threshold(problem: LqgProblem, alpha: float) -> float:
             check_denominator(arm, hi)
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _lambda_normalized(arm, p.beta, mid) < target:
             lo = mid
         else:

@@ -24,6 +24,7 @@ from .dynamics import (
     ArmParams,
     InconsistencyError,
     batch_map,
+    map_coefficients,
     phi0,
     phi1,
     y0,
@@ -508,13 +509,13 @@ def _action_matrix(
     p: ArmParams, x: float, thresholds: np.ndarray, t_len: int
 ) -> np.ndarray:
     """Actions A_{1:t}(x, a0-free; s) for every threshold in the sweep."""
-    step = batch_map(p)
+    coef = map_coefficients(p)
     v = np.full_like(thresholds, x)
     acts = np.empty((t_len, len(thresholds)), dtype=np.int8)
     for t in range(t_len):
         a = v >= thresholds
         acts[t] = a
-        v = step(a, v)
+        v = batch_map(coef, a, v)
     return acts
 
 

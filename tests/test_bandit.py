@@ -25,6 +25,7 @@ from obsched.bandit import (
     whittle_policy,
 )
 from obsched.dynamics import ArmParams, check_discounted_sums, phi, phi0, phi1
+from obsched.index import truncation_horizon
 
 from support import fig7_scenario
 
@@ -532,6 +533,40 @@ class TestTablesAndExports:
         # arms 2..10 are identical and must share one grid object
         assert tables.grids[1] is tables.grids[2]
         assert tables.grids[0] is not tables.grids[1]
+
+    def test_one_kernel_call_tabulates_every_distinct_arm(self, monkeypatch):
+        # A noiseless arm, a c0 = c1 arm (priced through with_costs(0, 1)),
+        # an entropy arm and a repeated arm: one kernel call steps the four
+        # distinct arms, and each table is its arm's own call, bit for bit.
+        kernel = bandit.marginal_sums_batch
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(bandit, "marginal_sums_batch", counting)
+        arms = (
+            Arm(ArmParams(r=0.95, a0=0.0, a1=2.0), costs.linear(), weight=2.0, v0=3.0),
+            Arm(ArmParams(r=0.9, a0=0.0, a1=math.inf), costs.linear(), v0=1.0),
+            Arm(ArmParams(r=0.99, a0=0.001, a1=0.5, c0=0.3, c1=0.3), costs.entropy(),
+                weight=4.0, v0=5.0),
+            Arm(ArmParams(r=0.8, a0=0.0, a1=0.05), costs.power(2.0), v0=0.5),
+        )
+        sc = Scenario(arms=arms + arms[:1], m=2, beta=0.99, horizon=50, seed=1)
+        tables = build_index_tables(sc, n_points=64)
+        assert len(calls) == 1 and len(calls[0][0]) == 4
+        T = truncation_horizon(sc.beta)
+        for i, arm in enumerate(sc.arms):
+            lo, hi = bandit._table_range(arm, sc.horizon)
+            g = np.geomspace(lo, hi, 64)
+            p = arm.params
+            if not p.c1 > p.c0:
+                p = p.with_costs(0.0, 1.0)
+            alone = kernel(p, sc.beta, arm.cost.scale(arm.weight), g, g, T)
+            assert tables.grids[i].tobytes() == g.tobytes()
+            assert tables.values[i].tobytes() == (alone.cost / alone.work).tobytes()
+        assert tables.values[4] is tables.values[0]
 
     def test_lookup_interpolates_on_log_grid(self):
         sc = fig7_scenario(horizon=10)

@@ -14,6 +14,7 @@ from obsched.dynamics import (
     fixed_point,
     itinerary,
     letter_matrix,
+    map_coefficients,
     moebius_matrix,
     orbit,
     phi,
@@ -162,9 +163,9 @@ class TestPhiBatch:
         ]
         v = self.states(rng, 400)
         for p in arms:
-            step = batch_map(p)
+            coef = map_coefficients(p)
             for act in (rng.random(400) < 0.5, rng.integers(0, 2, 400), True, False, 0, 1):
-                got = step(act, v)
+                got = batch_map(coef, act, v)
                 want = reference_phi_batch(p, act, v)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -175,9 +176,29 @@ class TestPhiBatch:
             p = self.random_arm(rng)
             v = self.states(rng, 30)
             act = rng.integers(0, 2, 30)
-            got = batch_map(p)(act, v)
+            got = batch_map(map_coefficients(p), act, v)
             for i in range(30):
                 assert got[i] == phi(p, int(act[i]), float(v[i]))
+
+    def test_columns_of_several_arms(self):
+        # One column per state, from arms with finite and infinite a1, gives
+        # each state its own arm's image; without the flag row the finite
+        # arms' images are unchanged.
+        rng = np.random.default_rng(8)
+        arms = [self.random_arm(rng) for _ in range(12)] + [
+            ArmParams(r=0.7, a0=0.0, a1=math.inf)]
+        which = rng.integers(0, len(arms), 300)
+        coef = np.concatenate([map_coefficients(p) for p in arms], axis=1)[:, which]
+        v = self.states(rng, 300)
+        act = rng.random(300) < 0.5
+        got = batch_map(coef, act, v)
+        finite = batch_map(coef[:5], act, v)
+        for i, p in enumerate(arms):
+            mine = which == i
+            want = reference_phi_batch(p, act[mine], v[mine])
+            assert got[mine].tobytes() == want.tobytes()
+            if not math.isinf(p.a1):
+                assert finite[mine].tobytes() == want.tobytes()
 
     def test_scalar_coefficients_broadcast(self):
         # One arm's coefficients broadcast over the states; with a1 = inf
@@ -185,7 +206,7 @@ class TestPhiBatch:
         p = ArmParams(r=0.9, a0=0.0, a1=math.inf)
         vs = np.linspace(0.0, 5.0, 7)
         act = vs >= 2.0
-        got = batch_map(p)(act, vs)
+        got = batch_map(map_coefficients(p), act, vs)
         assert got.tobytes() == reference_phi_batch(p, act, vs).tobytes()
         assert np.all(got[act] == 0.0)
 

@@ -1,6 +1,7 @@
 """Marginal sums, the index, closed forms, limit procedure, Q-values."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -654,6 +655,96 @@ class TestBatchKernelMatchesReference:
             marginal_sums_batch(p, 0.9, costs.power(0.5), xs, xs, 100)
 
 
+# Costs defined at 0, for noiseless arms and zero starts, and costs that are not.
+COSTS_AT_ZERO = (costs.linear(), costs.power(2.0), costs.bounded_demo())
+COSTS_ABOVE_ZERO = (costs.entropy(), costs.power(-0.5), costs.neg_precision())
+
+
+@st.composite
+def arm_batches(draw):
+    """One arm's (params, cost, x, s) for a call of several arms.
+
+    a1 = inf and a1 = 1e300 (whose denominators overflow, so its states
+    stay checked) take costs defined at 0.  c0 = c1 arms come as drawn or
+    as build_index_tables passes them, through ``with_costs(0, 1)``.
+    Repeated starts with varied thresholds make classes that split; the
+    thresholds include both infinities, NaN and the knife point y1.
+    """
+    a1 = draw(st.sampled_from((1.0, 2.5, 1e300, math.inf)))
+    c0, c1 = draw(st.sampled_from(((0.0, 1.0), (0.4, 0.4), (0.2, 1.5))))
+    p = ArmParams(r=draw(st.floats(0.3, 1.0)), a0=draw(st.sampled_from((0.0, 0.2))),
+                  a1=a1, c0=c0, c1=c1)
+    if c0 == c1 and draw(st.booleans()):
+        p = p.with_costs(0.0, 1.0)
+    above_zero = a1 < 1e300 and draw(st.booleans())
+    cost = draw(st.sampled_from(COSTS_ABOVE_ZERO if above_zero else COSTS_AT_ZERO))
+    knife = y1(p)
+    starts = draw(st.lists(
+        st.one_of(st.sampled_from((1.0, knife) if above_zero else (0.0, 1.0, knife)),
+                  st.floats(0.05, 8.0)),
+        min_size=1, max_size=3,
+    ))
+    points = draw(st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.one_of(st.sampled_from((math.inf, -math.inf, math.nan, knife)),
+                      st.floats(0.0, 8.0)),
+        ),
+        max_size=30,
+    ))
+    x = np.array([starts[i % len(starts)] for i, _ in points], dtype=float)
+    s = np.array([thr for _, thr in points], dtype=float)
+    return p, cost, x, s
+
+
+class TestSeveralArms:
+    """A call for several arms gives each arm its own call's OrbitSums, bit
+    for bit."""
+
+    @given(
+        batches=st.lists(arm_batches(), min_size=1, max_size=4),
+        empty_at=st.integers(0, 4),
+        beta=st.sampled_from((0.0, 0.5, 0.9, 0.99)),
+        T=st.sampled_from((1, 5, 40, 300)),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_each_arm_gets_its_own_calls_sums(self, batches, empty_at, beta, T):
+        # One arm of every call has no points.
+        p, cost, _, _ = batches[empty_at % len(batches)]
+        batches.insert(empty_at % (len(batches) + 1), (p, cost, np.empty(0), np.empty(0)))
+        ps, cs, xs, ss = zip(*batches)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = marginal_sums_batch(ps, beta, cs, xs, ss, T)
+            assert isinstance(got, list) and len(got) == len(batches)
+            for mine, (p, cost, x, s) in zip(got, batches):
+                alone = marginal_sums_batch(p, beta, cost, x, s, T)
+                for name in OrbitSums._fields:
+                    a, b = getattr(mine, name), getattr(alone, name)
+                    assert a.shape == b.shape and a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+
+    def test_shapes_broadcast_per_arm(self):
+        # Each arm's x and s broadcast on their own; a 2-D arm keeps its shape.
+        ps = [ArmParams(r=0.9, a0=0.0, a1=1.0), ArmParams(r=0.8, a0=0.1, a1=math.inf)]
+        xs = [np.linspace(0.5, 3.0, 6).reshape(2, 3), 2.0]
+        ss = [1.5, np.array([0.5, 2.0, math.inf])]
+        got = marginal_sums_batch(ps, 0.9, [costs.linear()] * 2, xs, ss, 200)
+        assert [g.period.shape for g in got] == [(2, 3, 2), (3, 2)]
+        for mine, p, x, s in zip(got, ps, xs, ss):
+            alone = marginal_sums_batch(p, 0.9, costs.linear(), x, s, 200)
+            for name in OrbitSums._fields:
+                assert getattr(mine, name).tobytes() == getattr(alone, name).tobytes()
+
+    def test_domain_error_names_the_arms_state(self):
+        # Each arm's states stay checked or unchecked by its own rule: the
+        # noiseless entropy arm raises at 0, as its own call does.
+        ps = [ArmParams(r=0.9, a0=0.0, a1=1.0), ArmParams(r=0.9, a0=0.0, a1=math.inf)]
+        xs = [np.geomspace(0.5, 5.0, 6)] * 2
+        with pytest.raises(costs.CostDomainError) as info:
+            marginal_sums_batch(ps, 0.9, [costs.entropy()] * 2, xs, xs, 100)
+        assert str(info.value) == "cost 'entropy' undefined at v = 0.0 (domain is (0, inf))"
+
+
 def word_pinned_sums(params, cost, beta, x, word, T):
     """(numerator, denominator) to T with the actions pinned to a Christoffel word.
 
@@ -976,6 +1067,15 @@ class TestIndexTable:
         p = ArmParams(r=0.9, a0=0.0, a1=1.0)
         with pytest.raises(ValueError):
             index_table(p, costs.linear(), 0.9, np.array([2.0, 1.0]))
+
+    def test_overflowing_sums_raise_without_warnings(self):
+        # The library call runs the CLI's overflow guard: no NaN records and
+        # no RuntimeWarning.
+        p = ArmParams(r=0.9, a0=0.0, a1=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^cost 'power\(-3\.0\)' is too large"):
+                index_table(p, costs.power(-3.0), 0.9, np.array([1.0, 2.0]), words=False)
 
     def test_knife_edge_points_flagged(self):
         # A grid point at the active fixed point ties the threshold forever;

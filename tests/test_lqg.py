@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from obsched import costs, oracle
-from obsched.dynamics import phi
+from obsched import costs, lqg, oracle
+from obsched.dynamics import phi, y0, y1
 from obsched.index import IndexQuery, whittle_index
 from obsched.lqg import LqgProblem, riccati_root, solve_lqg
 
@@ -30,6 +30,34 @@ def random_problem(rng, f_zero=False):
         c0=0.0,
         c1=float(rng.uniform(0.05, 3.0)),
     )
+
+
+def reference_threshold(problem, alpha):
+    """lqg.observation_threshold with all BISECTION_STEPS bisection steps."""
+    p = problem
+    if p.c1 - p.c0 <= 0.0:
+        return -math.inf
+    if alpha <= 1e-12:
+        return math.inf
+    arm = p.arm()
+    target = (p.c1 - p.c0) / (alpha * p.sigma_x)
+    lo, top = 1e-9, y0(arm)
+    hi = 4.0 * top if math.isfinite(top) else 4.0 * max(1.0, y1(arm))
+    if lqg._lambda_normalized(arm, p.beta, lo) >= target:
+        return -math.inf
+    while lqg._lambda_normalized(arm, p.beta, hi) < target:
+        if math.isfinite(top):
+            return math.inf
+        hi *= 2.0
+        if hi > 1e12:
+            return math.inf
+    for _ in range(lqg.BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if lqg._lambda_normalized(arm, p.beta, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return p.sigma_x * 0.5 * (lo + hi)
 
 
 class TestValidation:
@@ -138,6 +166,33 @@ class TestThreshold:
         with pytest.raises(ValueError, match=r"overflows at v = 17\.0$"):
             solve_lqg(doubling)
         assert math.isfinite(solve_lqg(replace(doubling, D=1.0)).z)
+
+    def test_bisection_stops_when_the_bracket_cannot_shrink(self, monkeypatch):
+        # Against the bisection that always runs all BISECTION_STEPS steps:
+        # the same z bit for bit, in fewer index probes.
+        probes = []
+        normalized = lqg._lambda_normalized
+
+        def counting(arm, beta, v):
+            probes.append(v)
+            return normalized(arm, beta, v)
+
+        monkeypatch.setattr(lqg, "_lambda_normalized", counting)
+        rng = np.random.default_rng(45)
+        saved = 0
+        for _ in range(20):
+            prob = random_problem(rng)
+            alpha = solve_lqg(prob).alpha
+            probes.clear()
+            z = lqg.observation_threshold(prob, alpha)
+            used = len(probes)
+            probes.clear()
+            want = reference_threshold(prob, alpha)
+            assert repr(z) == repr(want)
+            assert used <= len(probes)
+            saved += len(probes) - used
+        assert saved > 0
+
 
     def test_act_conventions(self):
         prob = LqgProblem(A=0.9, B=1.0, D=1.0, F=0.5, beta=0.9, sigma_x=1.0,
