@@ -10,6 +10,9 @@ generator (PCG64) on a child stream of the scenario's seed sequence.
 Per round the simulator picks the active arms and steps each arm's
 variance as a Python float with the arm's own variance map; over the few
 arms of a scenario, numpy's per-call cost would outweigh the arithmetic.
+The picks run on Python floats too: ``whittle`` interpolates its index
+tables with ``np.interp``'s formula on lists, ``myopic`` scores with the
+unchecked cost, and ``random`` draws its whole schedule in one call.
 Under a deterministic policy the joint state is eventually periodic, so
 stepping stops at its first exact repeat and the cycle is tiled over the
 rest of the horizon.  Each arm's cost and off-grid index lookups are
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -35,6 +39,12 @@ from .dynamics import (  # noqa: F401
 from .index import marginal_sums_batch, truncation_horizon
 
 POLICIES = ("whittle", "myopic", "round_robin", "random")
+# Above 10,000 arms numpy's Generator.choice may leave Floyd's algorithm,
+# whose draws _random_schedule replays; a scenario's seed must keep its
+# random schedule.
+MAX_ARMS = 10_000
+# The fields a scenario's arm may hold; ``x0`` is accepted and ignored.
+_ARM_FIELDS = ("r", "a0", "a1", "c0", "c1", "cost", "power_q", "weight", "v0", "x0")
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         n = len(self.arms)
+        if n > MAX_ARMS:
+            raise ValueError(f"need at most {MAX_ARMS} arms, got {n}")
         if not 1 <= self.m < n:
             raise ValueError(f"need 1 <= m < n arms, got m={self.m}, n={n}")
         if not 0.0 <= self.beta < 1.0:
@@ -104,6 +116,9 @@ class Scenario:
         for i, blk in enumerate(payload["arms"]):
             if not isinstance(blk, dict):
                 raise ValueError(f"arm {i} must be a JSON object, got {blk!r}")
+            for key in blk:
+                if key not in _ARM_FIELDS:
+                    raise ValueError(f"arm {i}: unknown field {key!r}")
             try:
                 params = ArmParams(
                     r=_arm_number(blk, "r"),
@@ -167,16 +182,47 @@ def _integer(payload: dict, key: str) -> int:
 
 @dataclass
 class IndexTables:
-    """Per-arm index interpolation tables on log-variance grids."""
+    """Per-arm index interpolation tables on log-variance grids.
+
+    :meth:`lookup` reads copies of the tables taken at construction.
+    """
 
     grids: list[np.ndarray]
     log_grids: list[np.ndarray]
     values: list[np.ndarray]
+    # Per arm, (grid[0], log grid, values) as Python floats for lookup;
+    # arms that share a table share its lists.
+    _rows: list[tuple[float, list[float], list[float]]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rows: dict[int, tuple[float, list[float], list[float]]] = {}
+        for g, xp, fp in zip(self.grids, self.log_grids, self.values):
+            if id(fp) not in rows:
+                rows[id(fp)] = (float(g[0]), xp.tolist(), fp.tolist())
+        self._rows = [rows[id(fp)] for fp in self.values]
 
     def lookup(self, arm: int, v: float) -> float:
-        g = self.grids[arm]
-        lv = math.log(max(v, g[0]))
-        return float(np.interp(lv, self.log_grids[arm], self.values[arm]))
+        """np.interp(log(max(v, grid[0])), log grid, values) on Python floats.
+
+        Bitwise ``np.interp``'s value for a variance v: its search (the last
+        grid point at or below x), its ends and exact hits, its formula and
+        its retry from the right end of a segment when that gives NaN.
+        """
+        lo, xp, fp = self._rows[arm]
+        x = math.log(max(v, lo))
+        j = bisect_right(xp, x) - 1
+        if j < 0:
+            return fp[0]
+        if j == len(xp) - 1 or xp[j] == x:
+            return fp[j]
+        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+        y = slope * (x - xp[j]) + fp[j]
+        if y != y:
+            y = slope * (x - xp[j + 1]) + fp[j + 1]
+            if y != y and fp[j] == fp[j + 1]:
+                y = fp[j]
+        return y
 
 
 def _table_range(arm: Arm, horizon: int) -> tuple[float, float]:
@@ -298,9 +344,40 @@ def whittle_policy(
 def myopic_policy(
     arms: Sequence[Arm], variances: Sequence[float], m: int
 ) -> tuple[int, ...]:
-    """The m arms with the highest current weighted cost; ties to lower arm id."""
-    scores = [arm.weight * arm.cost.eval(float(v)) for arm, v in zip(arms, variances)]
+    """The m arms with the highest current weighted cost; ties to lower arm id.
+
+    Costs are evaluated unchecked, so each variance must lie in its arm's
+    cost domain.  Every state of a run does: ``Scenario`` checks each cost
+    at a lower bound on the states its run visits, and :func:`simulate`
+    evaluates the visited states checked once per run.
+    """
+    scores = [arm.weight * float(arm.cost.eval_unchecked(np.asarray(v, dtype=float)))
+              for arm, v in zip(arms, variances)]
     return _select_top_m(scores, m)
+
+
+def _random_schedule(
+    rng: np.random.Generator, n: int, m: int, rounds: int
+) -> list[tuple[int, ...]]:
+    """Per round, ``sorted(rng.choice(n, m, replace=False))``, from one draw.
+
+    For n <= MAX_ARMS, ``choice`` runs Floyd's algorithm: m bounded draws
+    on [0, j] for j = n - m ... n - 1, where a value already taken becomes
+    j, then m - 1 shuffle draws on [0, i] for i = m - 1 ... 1.  One
+    ``integers`` call with those bounds tiled over the rounds consumes the
+    generator exactly as ``rounds`` ``choice`` calls do; the shuffle draws
+    are discarded, since the picks are sorted.
+    """
+    highs = np.tile(np.r_[np.arange(n - m + 1, n + 1), np.arange(m, 1, -1)], rounds)
+    draws = rng.integers(0, highs).tolist()
+    width = 2 * m - 1
+    schedule = []
+    for t in range(0, rounds * width, width):
+        taken: set[int] = set()
+        for j, x in zip(range(n - m, n), draws[t:t + m]):
+            taken.add(j if x in taken else x)
+        schedule.append(tuple(sorted(taken)))
+    return schedule
 
 
 def simulate(
@@ -319,7 +396,11 @@ def simulate(
     on the variances and the round-robin position, so when step t repeats
     the state of step k bit for bit, steps t onward copy steps
     k + (i - k) mod (t - k), and ``trace.cycle`` is (k, t - k).
-    ``random`` steps every round.  Everything else happens once per run
+    ``random`` steps every round, on a schedule drawn before the first in
+    one ``integers`` call that gives the picks of one ``choice`` call per
+    round (:func:`_random_schedule`).  Each round's picks run on Python
+    floats: ``whittle`` reads :meth:`IndexTables.lookup` and ``myopic``
+    the unchecked cost of each arm.  Everything else happens once per run
     over all steps: the action matrix is filled from the picks, each
     arm's cost is evaluated on all of its visited states, and since
     ``whittle`` looks up every arm's state at every step, its off-grid
@@ -331,14 +412,15 @@ def simulate(
     arms = scenario.arms
     n = len(arms)
     m = scenario.m
+    steps = scenario.horizon
     if policy == "whittle" and tables is None:
         tables = build_index_tables(scenario)
-    # Child n of the seed's sequence: a given seed keeps its random
-    # schedule (tests/golden/simulate.random.csv pins it).
-    policy_rng = np.random.default_rng(
-        np.random.SeedSequence(scenario.seed, spawn_key=(n,)))
-
-    steps = scenario.horizon
+    if policy == "random":
+        # Child n of the seed's sequence: a given seed keeps its random
+        # schedule (tests/golden/simulate.random.csv pins it).
+        schedule = _random_schedule(
+            np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(n,))),
+            n, m, steps)
     maps = [scalar_map(a.params) for a in arms]
     variances = np.empty((steps + 1, n))
     chosen: list[tuple[int, ...]] = []
@@ -362,7 +444,7 @@ def simulate(
             pick = tuple(sorted((rr_next + j) % n for j in range(m)))
             rr_next = (rr_next + m) % n
         else:
-            pick = tuple(sorted(policy_rng.choice(n, m, replace=False).tolist()))
+            pick = schedule[t]
         chosen.append(pick)
         v = [step(i in pick, x) for i, step, x in zip(range(n), maps, v)]
         variances[t + 1] = v

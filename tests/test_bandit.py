@@ -6,20 +6,21 @@ import math
 import sys
 import warnings
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obsched import bandit, costs
 from obsched.bandit import (
+    MAX_ARMS,
     POLICIES,
     Arm,
     IndexTables,
     Scenario,
     build_index_tables,
-    myopic_policy,
     simulate,
     tournament,
     whittle_policy,
@@ -163,6 +164,49 @@ class TestScenario:
         for bad, message in ((math.nan, "finite"), ("two", "'two'")):
             with pytest.raises(ValueError, match=message):
                 Scenario.from_json({**payload, "arms": [{**arm, "power_q": bad}] * 2})
+
+    def test_from_json_rejects_unknown_arm_fields(self):
+        arm = {"r": 0.9, "a0": 0.0, "a1": 1.0, "v0": 2.0}
+        payload = {"m": 1, "beta": 0.9, "horizon": 5, "seed": 1}
+        with pytest.raises(ValueError, match=r"^arm 0: unknown field 'wieght'$"):
+            Scenario.from_json({**payload, "arms": [{**arm, "wieght": 10.0}, arm]})
+        assert len(Scenario.from_json({**payload, "arms": [{**arm, "x0": 3.0}, arm]}).arms) == 2
+
+    @given(n=st.integers(MAX_ARMS + 1, 4 * MAX_ARMS), data=st.data())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_too_many_arms_rejected_before_per_arm_work(self, n, data):
+        m = data.draw(st.integers(1, n - 1))
+        arm = Arm(ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear(), v0=2.0)
+
+        def per_arm(*args):
+            raise AssertionError("per-arm work before the arm count was checked")
+
+        with mock.patch.object(bandit, "_table_range", per_arm), \
+                mock.patch.object(bandit, "check_discounted_sums", per_arm):
+            with pytest.raises(ValueError, match=rf"^need at most 10000 arms, got {n}$"):
+                Scenario(arms=(arm,) * n, m=m, beta=0.9, horizon=5, seed=0)
+
+
+class TestRandomSchedule:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 64), data=st.data(),
+           rounds=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_one_draw_equals_choice_per_round(self, seed, n, data, rounds):
+        """The one-call schedule gives choice's picks and leaves the
+        generator where rounds choice calls leave it."""
+        m = data.draw(st.integers(1, n - 1))
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [tuple(sorted(want_rng.choice(n, m, replace=False).tolist()))
+                for _ in range(rounds)]
+        assert bandit._random_schedule(rng, n, m, rounds) == want
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 166, 250, MAX_ARMS - 1])
+    def test_one_draw_equals_choice_at_the_arm_limit(self, m):
+        rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = [tuple(sorted(want_rng.choice(MAX_ARMS, m, replace=False).tolist()))
+                for _ in range(3)]
+        assert bandit._random_schedule(rng, MAX_ARMS, m, 3) == want
 
 
 class TestPolicies:
@@ -313,8 +357,19 @@ def mixed_scenario(**kw):
     return Scenario(**defaults)
 
 
+def reference_pick(scores, m):
+    """The m highest scores, ties to the lower arm id, as np.lexsort orders them."""
+    order = np.lexsort((np.arange(len(scores)), -np.array(scores)))
+    return tuple(sorted(int(i) for i in order[:m]))
+
+
 def reference_simulate(scenario, policy, tables):
-    """One arm at a time per step: scalar phi, cost and off-grid lookup count."""
+    """One arm at a time per step: scalar phi, cost and off-grid lookup count.
+
+    Scores with ``np.interp`` on the tables and the checked ``CostFn.eval``,
+    and draws ``random``'s picks with one ``choice`` call per round, so
+    none of ``simulate``'s own scoring or drawing code is used.
+    """
     n = len(scenario.arms)
     m = scenario.m
     policy_rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(n + 1)[n])
@@ -332,9 +387,13 @@ def reference_simulate(scenario, policy, tables):
     for t in range(steps):
         v = variances[t]
         if policy == "whittle":
-            pick = whittle_policy(tables, v, m)
+            pick = reference_pick([
+                float(np.interp(math.log(max(x, g[0])), np.log(g), lam))
+                for x, g, lam in zip(v, tables.grids, tables.values)
+            ], m)
         elif policy == "myopic":
-            pick = myopic_policy(scenario.arms, v, m)
+            pick = reference_pick(
+                [arm.weight * arm.cost.eval(float(x)) for arm, x in zip(scenario.arms, v)], m)
         elif policy == "round_robin":
             pick = tuple(sorted((rr_next + j) % n for j in range(m)))
             rr_next = (rr_next + m) % n
@@ -526,6 +585,15 @@ class TestFig7:
         assert trace.actions[:, 0].mean() > 0.40
 
 
+def assert_lookup_is_interp(tables, arm, v):
+    """lookup(arm, v) is np.interp's value bit for bit, NaN for NaN."""
+    g = tables.grids[arm]
+    want = float(np.interp(math.log(max(v, g[0])), tables.log_grids[arm], tables.values[arm]))
+    got = tables.lookup(arm, v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (v, got, want)
+
+
 class TestTablesAndExports:
     def test_tables_shared_for_identical_arms(self):
         sc = fig7_scenario(horizon=10)
@@ -569,12 +637,35 @@ class TestTablesAndExports:
         assert tables.values[4] is tables.values[0]
 
     def test_lookup_interpolates_on_log_grid(self):
-        sc = fig7_scenario(horizon=10)
-        tables = build_index_tables(sc, n_points=64)
-        g, lam = tables.grids[0], tables.values[0]
-        for v in (g[0], 0.5 * (g[10] + g[11]), g[-1], 1e9):
-            want = np.interp(math.log(max(v, g[0])), np.log(g), lam)
-            assert tables.lookup(0, v) == float(want)
+        # Real tables, at every grid point and its float neighbours, at the
+        # states whose logs are the grid's, between points, off both ends
+        # and at v = 0.
+        tables = build_index_tables(mixed_scenario(), n_points=64)
+        for arm, g in enumerate(tables.grids):
+            near = [np.nextafter(g, 0.0), g, np.nextafter(g, np.inf), 0.5 * (g[1:] + g[:-1]),
+                    np.exp(tables.log_grids[arm])]
+            vs = np.concatenate(near + [g[0] * np.exp(-np.linspace(0.0, 1.0, 9)),
+                                        g[-1] * np.exp(np.linspace(0.0, 1.0, 9)), [1e9]])
+            for v in [0.0] + vs.tolist():
+                assert_lookup_is_interp(tables, arm, v)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_lookup_equals_interp_on_hand_built_tables(self, data):
+        """Flat segments, signed zeros and +-inf values (whose segments take
+        np.interp's NaN retry) on random increasing log grids."""
+        k = data.draw(st.integers(2, 12))
+        steps = data.draw(st.lists(st.floats(1e-9, 3.0), min_size=k - 1, max_size=k - 1))
+        xp = np.cumsum([data.draw(st.floats(-20.0, 5.0))] + steps)
+        assume(np.all(np.diff(xp) > 0.0))
+        lam = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e308, -1e308, math.inf, -math.inf])
+            | st.floats(-1e3, 1e3), min_size=k, max_size=k)))
+        tables = IndexTables([np.exp(xp)], [xp], [lam])
+        xs = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+                             [xp[0] - 1.0, xp[-1] + 1.0, data.draw(st.floats(xp[0], xp[-1]))]])
+        for v in [0.0] + np.exp(xs).tolist():
+            assert_lookup_is_interp(tables, 0, v)
 
     def test_csv_export(self):
         sc = two_arm_scenario(horizon=3)

@@ -332,6 +332,19 @@ class TestSimulateCommand:
         assert code == 0
         assert run(["simulate", "--scenario", str(scen)], capsys)[1] == out
 
+    @pytest.mark.parametrize(
+        "arms, message",
+        [([{**SCENARIO["arms"][0], "wieght": 10.0}, SCENARIO["arms"][1]],
+          "arm 0: unknown field 'wieght'"),
+         ([SCENARIO["arms"][0]] * 10001, "need at most 10000 arms, got 10001")],
+        ids=["misspelled-weight", "too-many-arms"],
+    )
+    def test_scenario_rejected_with_one_line(self, tmp_path, capsys, arms, message):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({**SCENARIO, "arms": arms}))
+        code, out, err = run(["simulate", "--scenario", str(scen)], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_x0_is_ignored(self, tmp_path, capsys):
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(SCENARIO))
