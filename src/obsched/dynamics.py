@@ -11,8 +11,8 @@ bracketing of fixed points for irrational-rate threshold words.  The map
 has two fast forms: :func:`scalar_map` binds one arm's coefficients and
 steps a Python float, and :func:`batch_map` steps an array of states, of
 one arm or of several, from :func:`map_coefficients` columns; both give
-bitwise the floats of :func:`phi`.  Every scalar threshold orbit is read off
-:func:`threshold_walk`.
+bitwise the floats of :func:`phi`, as does the loop of
+:func:`threshold_walk`, off which every scalar threshold orbit is read.
 """
 
 from __future__ import annotations
@@ -135,30 +135,38 @@ def check_denominator(p: ArmParams, v_max: float) -> None:
         )
 
 
+def orbit_range(p: ArmParams, lo: float, hi: float) -> tuple[float, float]:
+    """[min(lo, 1/(a1 + 1)), max(hi + 1, 1/a1)], the states of the orbits whose
+    start and threshold lie in [lo, hi] (see :func:`check_discounted_sums`)."""
+    return min(float(lo), 1.0 / (p.a1 + 1.0)), max(float(hi) + 1.0, 1.0 / p.a1)
+
+
 def check_discounted_sums(
-    p: ArmParams, cost: CostFn, beta: float, lo: float, hi: float
+    p: ArmParams, cost: CostFn, beta: float, lo: float, hi: float, end_costs=None
 ) -> float:
     """Raise ValueError when a sum on threshold orbits can overflow; else bound it.
 
     An orbit whose start and threshold lie in [lo, hi] stays in
-    [min(lo, 1/(a1 + 1)), max(hi + 1, 1/a1)]: a step lands at or above
-    phi_1(0) = 1/(a1 + 1), a resting step adds at most 1 to a state below
-    the threshold, and an acting step lands below 1/a1.  The map
-    denominator is checked first (:func:`check_denominator` at hi).  Each
-    cost sum is at most max|C| / (1 - beta) over that range, and each work
-    sum at most max(|c0|, |c1|) / (1 - beta), so an index numerator is at
-    most 2 max|C| / (1 - beta); both bounds must be finite.  The cost
-    families are monotone, so max|C| is taken at an end of the range.
-    Returns (2 max|C| + max(|c0|, |c1|)) / (1 - beta), which may overflow
-    where its two checked terms do not.
+    :func:`orbit_range`, [min(lo, 1/(a1 + 1)), max(hi + 1, 1/a1)]: a step
+    lands at or above phi_1(0) = 1/(a1 + 1), a resting step adds at most 1
+    to a state below the threshold, and an acting step lands below 1/a1.
+    The map denominator is checked first (:func:`check_denominator` at hi).
+    Each cost sum is at most max|C| / (1 - beta) over that range, and each
+    work sum at most max(|c0|, |c1|) / (1 - beta), so an index numerator is
+    at most 2 max|C| / (1 - beta); both bounds must be finite.  The cost
+    families are monotone, so max|C| is taken at an end of the range; a
+    caller that evaluated C there already passes the two floats as
+    ``end_costs``.  Returns (2 max|C| + max(|c0|, |c1|)) / (1 - beta),
+    which may overflow where its two checked terms do not.
     """
     check_denominator(p, hi)
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    lo = min(float(lo), 1.0 / (p.a1 + 1.0))
-    hi = max(float(hi) + 1.0, 1.0 / p.a1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_max = max(abs(cost.eval(lo)), abs(cost.eval(hi)))
+    lo, hi = orbit_range(p, lo, hi)
+    if end_costs is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            end_costs = cost.eval(lo), cost.eval(hi)
+    c_max = max(abs(end_costs[0]), abs(end_costs[1]))
     if not math.isfinite(2.0 * c_max / (1.0 - beta)):
         raise ValueError(
             f"cost {cost.kind!r} is too large: 2 max|C| / (1 - beta) over the"
@@ -196,7 +204,7 @@ def scalar_map(p: ArmParams) -> Callable[[int, float], float]:
     Each step does the float operations of :func:`phi` (and returns 0.0
     for an active step with a1 = inf), so its states are bitwise those of
     :func:`phi`; it only skips the per-call attribute reads and dispatch.
-    Orbit loops that step one state at a time use it.
+    The simulator steps each arm with it.
     """
     r2 = p.r2
     a0r2, a0 = p.a0 * r2, p.a0
@@ -426,7 +434,7 @@ def knife_edge_tol(s: float) -> float:
     """Distance from threshold s within which a state is knife-edge (-1 for infinite s).
 
     A state v is knife-edge when ``abs(v - s) <= knife_edge_tol(s)``; the
-    orbit walks compute the tolerance once per orbit.
+    scalar orbits compute the tolerance once per orbit.
     """
     return -1.0 if math.isinf(s) else KNIFE_EDGE_TOL * max(1.0, abs(s))
 
@@ -450,9 +458,9 @@ def orbit(p: ArmParams, x: float, a: int, s: float, T: int) -> Orbit:
     """
     if T < 1:
         raise ValueError("T must be positive")
-    step = scalar_map(p)
     x = float(x)
-    states, acts, k, knife = threshold_walk(step, step(a, x), s, T)
+    states, k = threshold_walk(p, scalar_map(p)(a, x), s, T)
+    acts, knife = walk_actions(states, s)
     return Orbit(
         np.array([x, *_tiled(states, k, T)]),
         np.array([a, *_tiled(acts, k, T)], dtype=np.int64),
@@ -472,8 +480,8 @@ def itinerary(p: ArmParams, x: float, z: float, n: int) -> Word:
         raise ValueError("n must be positive")
     if not math.isfinite(x) or math.isnan(z):
         raise ValueError(f"need a finite x and a non-NaN z, got x={x}, z={z}")
-    _, acts, k, _ = threshold_walk(scalar_map(p), x, z, n)
-    return Word(_tiled(acts, k, n))
+    states, k = threshold_walk(p, x, z, n)
+    return Word(_tiled(walk_actions(states, z)[0], k, n))
 
 
 @dataclass(frozen=True)
@@ -483,36 +491,41 @@ class ThresholdWord:
     knife_edge: bool
 
 
-def threshold_walk(
-    step: Callable[[int, float], float], v: float, s: float, cap: int
-) -> tuple[list[float], bytearray, int, bool]:
-    """The s-threshold orbit from v until its first exact repeat, at most cap states.
+def threshold_walk(p: ArmParams, v: float, s: float, cap: int) -> tuple[list[float], int]:
+    """The s-threshold orbit of p from v until its first exact repeat, at most cap states.
 
-    ``step`` is a :func:`scalar_map` stepper and v the state after a forced
-    first action; from v on each action is 1{state >= s}.  Returns the
-    states, their actions (one byte each), the cycle start k and whether a
-    state ties s within :func:`knife_edge_tol`.  The states stop before the
-    first state that equals, bit for bit, an earlier one, states[k]: the
-    orbit is periodic from k with period len(states) - k, forever.  Without
-    a repeat within cap states, k = len(states) = cap.
+    v is the state after a forced first action; from v on each action is
+    1{state >= s}.  Returns the states and the cycle start k.  The states
+    stop before the first state that equals, bit for bit, an earlier one,
+    states[k]: the orbit is periodic from k with period len(states) - k,
+    forever.  Without a repeat within cap states, k = len(states) = cap.
+    The loop only tests for the repeat and steps, with the float
+    operations of :func:`scalar_map` inline; :func:`walk_actions` reads
+    the actions and knife-edge ties off the states afterwards.
     """
+    r2 = p.r2
+    a0r2, a0 = p.a0 * r2, p.a0
+    a1r2, a1, a1_inf = p.a1 * r2, p.a1, math.isinf(p.a1)
     v, s = float(v), float(s)
-    tol = knife_edge_tol(s)
-    states: list[float] = []
-    acts = bytearray()
     seen: dict[float, int] = {}
-    knife = False
     for i in range(cap):
-        if abs(v - s) <= tol:
-            knife = True
         k = seen.setdefault(v, i)
-        if k < i:
-            return states, acts, k, knife
-        states.append(v)
-        b = v >= s
-        acts.append(b)
-        v = step(b, v)
-    return states, acts, cap, knife
+        if k != i:
+            return list(seen), k
+        if v >= s:
+            v = 0.0 if a1_inf else (r2 * v + 1.0) / (a1r2 * v + a1 + 1.0)
+        else:
+            v = (r2 * v + 1.0) / (a0r2 * v + a0 + 1.0)
+    return list(seen), cap
+
+
+def walk_actions(states: list[float], s: float) -> tuple[bytearray, bool]:
+    """The actions 1{state >= s} of :func:`threshold_walk` states, one byte
+    each, and whether a state ties s within :func:`knife_edge_tol`."""
+    s = float(s)
+    tol = knife_edge_tol(s)
+    # s <= v is v >= s, NaN included.
+    return bytearray(map(s.__le__, states)), any(abs(v - s) <= tol for v in states)
 
 
 def _tiled(seq, k: int, length: int):
@@ -530,15 +543,27 @@ def threshold_word(p: ArmParams, x: float, max_len: int) -> ThresholdWord:
     """Shortest word generating the x-threshold orbit, with periodicity certificate.
 
     The orbit starts at x_1 = phi_1(x) and thereafter applies phi_1 exactly
-    when the state is >= x.  It is walked by :func:`threshold_walk` to its
-    first exact repeat of a state, at most 16 max_len states.  With period
-    n there, the word is certified when the actions from x_1 on are
-    exactly q-periodic for the least q <= max_len dividing n, and their
-    first q letters form a Christoffel word.  The repeat makes the
-    periodicity exact for the computed orbit forever, so no tolerance is
-    involved.  Otherwise the result is uncertified and carries the orbit's
-    first max_len actions; uncertified periodicity is reported, never
-    guessed.
+    when the state is >= x; :func:`certified_word` certifies its walk.
+    """
+    x = float(x)
+    # The first step is a real phi1 call: perfbench/layers.py counts the
+    # calls of ``dynamics.phi1`` by name.
+    return certified_word(p, x, max_len, lambda cap: threshold_walk(p, phi1(p, x), x, cap))
+
+
+def certified_word(p: ArmParams, x: float, max_len: int, walk: Callable) -> ThresholdWord:
+    """The certified :func:`threshold_word` of the x-threshold orbit, given its walk.
+
+    ``walk(cap)`` returns the :func:`threshold_walk` of the orbit from
+    x_1 = phi_1(x), at most cap = 16 max_len states; it is called only when
+    x lies strictly between the pure maps' fixed points (the one-letter
+    words apply at and beyond them).  With period n, the word is certified
+    when the actions from x_1 on are exactly q-periodic for the least
+    q <= max_len dividing n, and their first q letters form a Christoffel
+    word.  The repeat makes the periodicity exact for the computed orbit
+    forever, so no tolerance is involved.  Otherwise the result is
+    uncertified and carries the orbit's first max_len actions; uncertified
+    periodicity is reported, never guessed.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
@@ -556,9 +581,8 @@ def threshold_word(p: ArmParams, x: float, max_len: int) -> ThresholdWord:
     knife = abs(x - v_passive) <= knife_edge_tol(v_passive)
     if math.isfinite(v_passive) and (knife or x > v_passive):
         return ThresholdWord(Word("0"), True, knife)
-    # The first step is a real phi1 call: perfbench/layers.py counts the
-    # calls of ``dynamics.phi1`` by name.
-    _, acts, k, knife = threshold_walk(scalar_map(p), phi1(p, x), x, 16 * max_len)
+    states, k = walk(16 * max_len)
+    acts, knife = walk_actions(states, x)
     n = len(acts) - k
     for q in range(1, min(n, max_len) + 1):
         # The walk holds a whole cycle, so with q dividing n a q-periodic

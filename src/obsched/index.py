@@ -7,6 +7,9 @@ to the infinite horizon.  Threshold orbits are eventually periodic: once
 an orbit repeats a state bit for bit, the rest of its sum is the cycle's
 sum times 1 / (1 - beta^n), in closed form.  Orbits that do not repeat
 within the step cap T of :func:`truncation_horizon` are truncated there.
+The scalar point queries walk a point's orbits to their first repeat and
+evaluate all their states in one cost call, together with the ends of
+the states' range for the overflow guard of :func:`whittle_index`.
 Also: closed forms for the noiseless case, the discount-to-one limit
 from the same exact cycles, Q-values of threshold policies, and grid
 tabulation with monotonicity accounting.  The batch kernel steps many
@@ -22,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .costs import CostFn
+from .costs import CostDomainError, CostFn
 # ``phi`` and ``is_balanced`` are unused here but stay module attributes:
 # perfbench/layers.py wraps ``index.phi`` and ``index.is_balanced`` by name
 # in its traced pass.
@@ -31,8 +34,11 @@ from .dynamics import (  # noqa: F401
     ArmParams,
     InconsistencyError,
     batch_map,
+    certified_word,
     check_discounted_sums,
+    knife_edge_tol,
     map_coefficients,
+    orbit_range,
     phi,
     scalar_map,
     threshold_walk,
@@ -115,89 +121,94 @@ def _cycle_factor(beta, n):
         return -1.0 / np.expm1(n * np.log(beta))
 
 
-def _orbit_walk(
-    p: ArmParams, cost: CostFn, x: float, s: float, first_action: int, cap: int
-) -> tuple[np.ndarray, int, int, bool]:
-    """Undiscounted (cost, work) summand rows of one forced-first-action orbit.
+def _orbit_summands(p, cost, x, s, firsts, cap, beta=None, ends=(), walks=None):
+    """Cost and work summands of s-threshold orbits from x, discounted by beta if given.
 
-    Summand t is step t: the forced first action at x, then the s-threshold
-    walk of :func:`threshold_walk` (at most ``cap`` states).  After the first
-    step the action depends only on the state, so once a state recurs bit
-    for bit the summands K..K+n-1 are one cycle, repeated forever.  Returns
-    the rows, K, the state period n (0 without a repeat, K then being the
-    number of summands) and whether a state ties s.
+    Orbit i takes the forced action firsts[i] at x, then follows the
+    :func:`threshold_walk` from its image (at most ``cap`` states), or the
+    walk ``walks[firsts[i]]`` done already.  Their states, then ``ends``,
+    go through one checked ``cost.eval``; errors are those of walking and
+    evaluating the orbits one after another.  Summand t is discounted by
+    beta^t, and a cycle's summands also by 1 / (1 - beta^n), so that they
+    add up to the infinite-horizon sums.  Returns the cost and work rows,
+    the spans (a, c, b) of the orbits' columns [a, b), periodic from c
+    (c = b without a repeat) and followed by the ends' costs, and whether
+    a walk state ties s.
     """
-    step = scalar_map(p)
-    x = float(x)
-    states, acts, k, knife = threshold_walk(step, step(first_action, x), s, cap)
-    acts.insert(0, bool(first_action))
-    terms = np.stack([
-        cost.eval(np.array([x] + states)),
-        np.where(np.frombuffer(acts, dtype=np.uint8), p.c1, p.c0),
-    ])
-    return terms, k + 1, len(states) - k, knife
+    step, x, walks = scalar_map(p), float(x), walks or {}
+    try:
+        walked = [walks.get(a) or threshold_walk(p, step(a, x), s, cap) for a in firsts]
+        states, spans = [], []
+        for walk, k in walked:
+            spans.append((len(states), len(states) + 1 + k, len(states) + 1 + len(walk)))
+            states += [x, *walk]
+        n = len(states)
+        v = np.fromiter(states + list(ends), float, n + len(ends))
+        costs = cost.eval(v)
+    except (ZeroDivisionError, CostDomainError):
+        for a in firsts:
+            cost.eval(np.array([x, *threshold_walk(p, step(a, x), s, cap)[0]]))
+        raise
+    act = v >= s
+    tol = knife_edge_tol(s)  # -1 for an infinite s, which no state ties
+    tie = np.abs(v[:n] - s) <= tol if tol >= 0.0 else np.zeros(n, dtype=bool)
+    for (a, _, _), first in zip(spans, firsts):
+        act[a], tie[a] = first, False
+    terms = np.array([costs, np.where(act, p.c1, p.c0)])
+    if beta is not None:
+        disc = beta ** np.arange(max(b - a for a, _, b in spans), dtype=float)
+        cycles = [(c, b) for _, c, b in spans if c < b]
+        factors = _cycle_factor(beta, np.array([b - c for c, b in cycles], dtype=float))
+        for a, _, b in spans:
+            terms[:, a:b] *= disc[:b - a]
+        for (c, b), factor in zip(cycles, factors):
+            terms[:, c:b] *= factor
+    return terms, spans, bool(tie.any())
 
 
-def _orbit_terms(
-    p: ArmParams,
-    cost: CostFn,
-    beta: float,
-    x: float,
-    s: float,
-    first_action: int,
-    T: int,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Summands of the discounted cost and work sums of one forced-first-action orbit.
-
-    The summands of :func:`_orbit_walk`, discounted, add up to the
-    infinite-horizon sums: the cycle's summands appear once, scaled by
-    1 / (1 - beta^n).  An orbit with no repeat within T steps is truncated
-    at T.  Returning summands lets callers difference two orbits with one
-    ``math.fsum`` before any large partial sum is rounded.
-    """
-    terms, k, n, knife = _orbit_walk(p, cost, x, s, first_action, T)
-    terms *= beta ** np.arange(terms.shape[1], dtype=float)
-    if n:
-        terms[:, k:] *= _cycle_factor(beta, n)
-    return terms[0], terms[1], knife
-
-
-def _fsum_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a) - sum(b), rounded once."""
-    return math.fsum(np.concatenate([a, -b]))
+def _marginal_sum(terms, spans, row):
+    """Marginal cost (row 0: the passive-first orbit's sum less the active-first
+    one's) or marginal work (row 1: the reverse), summed with one ``math.fsum``
+    before anything is rounded; the subtracted summands are negated in place."""
+    (a, _, b), (c, _, d) = spans[::-1] if row else spans
+    np.negative(terms[row, c:d], out=terms[row, c:d])
+    return math.fsum(terms[row, a:b].tolist() + terms[row, c:d].tolist())
 
 
 def marginal_cost(q: IndexQuery, s: float) -> float:
     """Discounted uncertainty-cost surplus of starting passive over active."""
     T = truncation_horizon(q.beta)
-    c0, _, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 0, T)
-    c1, _, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 1, T)
-    return _fsum_diff(c0, c1)
+    return _marginal_sum(*_orbit_summands(q.params, q.cost, q.x, s, (0, 1), T, q.beta)[:2], 0)
 
 
 def marginal_work(q: IndexQuery, s: float) -> float:
     """Discounted observation-effort surplus of starting active over passive."""
     T = truncation_horizon(q.beta)
-    _, w0, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 0, T)
-    _, w1, _ = _orbit_terms(q.params, q.cost, q.beta, q.x, s, 1, T)
-    return _fsum_diff(w1, w0)
+    return _marginal_sum(*_orbit_summands(q.params, q.cost, q.x, s, (0, 1), T, q.beta)[:2], 1)
 
 
 def whittle_index(q: IndexQuery) -> IndexRecord:
     """The Whittle index at q.x from infinite-horizon marginal sums.
 
-    Each orbit's sum is taken to infinity in closed form after its first
-    exact repeat (truncated at the step cap T without one), and the two
-    orbits are differenced before rounding.  Iterates tying the threshold
-    set the knife-edge flag.  No word is certified (``word=None``, as in
-    ``index_table(words=False)``).
+    The two forced-first-action orbits are walked to their first exact
+    repeat (at most the step cap T states) and evaluated in one cost call
+    with the ends of their :func:`dynamics.orbit_range`, where costs too
+    large to sum raise ValueError (:func:`dynamics.check_discounted_sums`).
+    Each orbit's sum is taken to infinity in closed form after its repeat
+    (truncated at T without one), and the orbits are differenced before
+    rounding.  Iterates tying the threshold set the knife-edge flag.  No
+    word is certified (``word=None``, as in ``index_table(words=False)``).
     """
-    gap = cost_gap(q.params)
+    p, x = q.params, q.x
+    gap = cost_gap(p)
     T = truncation_horizon(q.beta)
-    c0, w0, k0 = _orbit_terms(q.params, q.cost, q.beta, q.x, q.x, 0, T)
-    c1, w1, k1 = _orbit_terms(q.params, q.cost, q.beta, q.x, q.x, 1, T)
-    num = _fsum_diff(c0, c1)
-    den = _fsum_diff(w1, w0)
+    # The guard reads the ends' costs; until it passes, they may overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms, spans, knife = _orbit_summands(
+            p, q.cost, x, x, (0, 1), T, q.beta, orbit_range(p, x, x)
+        )
+    check_discounted_sums(p, q.cost, q.beta, x, x, terms[0, -2:].tolist())
+    num, den = _marginal_sum(terms, spans, 0), _marginal_sum(terms, spans, 1)
     if den <= 0.0 or den < work_floor(gap, q.beta, T) - 1e-15:
         raise InconsistencyError(
             f"marginal work {den} below its lower bound at x={q.x}:"
@@ -205,7 +216,7 @@ def whittle_index(q: IndexQuery) -> IndexRecord:
         )
     return IndexRecord(
         x=q.x, lam=num / den, numerator=num, denominator=den,
-        word=None, knife_edge=k0 or k1,
+        word=None, knife_edge=knife,
     )
 
 
@@ -219,9 +230,8 @@ def q_value(
     s: float,
 ) -> float:
     """Discounted cost-to-go plus nu-priced work of the s-threshold policy."""
-    T = truncation_horizon(beta)
-    cterms, wterms, _ = _orbit_terms(params, cost, beta, x, s, a, T)
-    return math.fsum(cterms) + nu * math.fsum(wterms)
+    terms, _, _ = _orbit_summands(params, cost, x, s, (a,), truncation_horizon(beta), beta)
+    return math.fsum(terms[0].tolist()) + nu * math.fsum(terms[1].tolist())
 
 
 def closed_form_noiseless(r: float, beta: float, x: float) -> float:
@@ -265,10 +275,12 @@ def index_beta1(params: ArmParams, cost: CostFn, x: float) -> IndexRecord:
     """Discount-to-one limit of the index at x, with its certified word.
 
     The limit denominator is (c1 - c0)/n for the word's period n <= 256.
-    Both forced-first-action orbits are walked to their first exact
-    repeat.  With p_i orbit i's cycle continued periodically in absolute
-    time, K_i its head and N the lcm of the state periods, the limit
-    numerator is sum_{t < K_0} (a0_t - p0_t) - sum_{t < K_1} (a1_t - p1_t)
+    Both forced-first-action orbits are walked once, to their first exact
+    repeat; the word is certified (:func:`dynamics.certified_word`) from
+    the active-first one, whose walk is the threshold word's.  With p_i
+    orbit i's cycle continued periodically in absolute time, K_i its head
+    and N the lcm of the state periods, the limit numerator is
+    sum_{t < K_0} (a0_t - p0_t) - sum_{t < K_1} (a1_t - p1_t)
     + sum_{j < N} j (p1_j - p0_j) / N, one ``math.fsum``.  The dropped
     1 / (1 - beta) terms cancel only if the cycles' mean costs agree; they
     differ at a knife edge, where rounding can put the orbits on different
@@ -276,18 +288,22 @@ def index_beta1(params: ArmParams, cost: CostFn, x: float) -> IndexRecord:
     """
     gap = cost_gap(params)
     x = float(x)
-    tw = threshold_word(params, x, 256)
+    walks = {}
+    # The word's walk is the active-first orbit's, kept for its summands.
+    tw = certified_word(params, x, 256, lambda cap: walks.setdefault(
+        1, threshold_walk(params, scalar_map(params)(1, x), x, cap)))
     if not tw.periodic:
         raise UncertifiedPeriodError(f"no certified period <= 256 at x={x}")
-    terms, cycles, knife, cap = [], [], tw.knife_edge, MAX_TRUNCATION_STEPS
-    for first, sign in ((0, 1.0), (1, -1.0)):
-        summands, k, m, tie = _orbit_walk(params, cost, x, x, first, cap)
-        if not m:
+    # A certified walk holds its whole cycle: a longer cap walks no further.
+    cap = MAX_TRUNCATION_STEPS
+    summands, spans, knife = _orbit_summands(params, cost, x, x, (0, 1), cap, walks=walks)
+    terms, cycles, knife = [], [], knife or tw.knife_edge
+    for (a, c, b), sign in zip(spans, (1.0, -1.0)):
+        if c == b:
             raise UncertifiedPeriodError(f"no repeat within {cap} steps at x={x}")
-        cyc = summands[0, k:]
-        terms += [sign * summands[0, :k], -sign * cyc[(np.arange(k) - k) % m]]
+        k, m, cyc = c - a, b - c, summands[0, c:b]
+        terms += [sign * summands[0, a:c], -sign * cyc[(np.arange(k) - k) % m]]
         cycles.append((cyc, k, m, math.fsum(cyc) / m))
-        knife = knife or tie
     (cyc0, k0, m0, mean0), (cyc1, k1, m1, mean1) = cycles
     if abs(mean0 - mean1) > MEAN_COST_TOL * max(np.abs(cyc0).max(), np.abs(cyc1).max()):
         raise (ArithmeticError if knife else InconsistencyError)(

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import linear
-from .dynamics import ArmParams, InconsistencyError, check_denominator, y0, y1
+from .dynamics import ArmParams, InconsistencyError, y0, y1
 from .index import IndexQuery, whittle_index
 
 BISECTION_STEPS = 60
@@ -90,24 +90,20 @@ def feedback_gain(problem: LqgProblem, R: float) -> float:
     return p.beta * p.A * p.B * R / denom
 
 
-def _lambda_normalized(arm: ArmParams, beta: float, v: float) -> float:
-    """Index of the induced variance arm with linear cost, at normalized state v."""
-    probe = arm.with_costs(0.0, 1.0)
-    return whittle_index(IndexQuery(probe, linear(), beta, v)).lam
-
-
 def observation_threshold(problem: LqgProblem, alpha: float) -> float:
     """Variance threshold z with lambda(z) = (c1 - c0) / alpha, by bisection.
 
-    The index of the induced arm is non-decreasing, so bisection over a
-    bracket applies; targets below the index at the bottom of the bracket
-    give z = -inf (always observe) and, when the passive fixed point caps
-    the index, targets above it give z = +inf.  An a1 whose map
-    denominator overflows on the bracket's orbits raises ValueError (see
-    :func:`dynamics.check_denominator`).  The index is below the target
-    at every bracket bottom and not below it at every top, so once the
-    midpoint rounds to an end the bracket can no longer change and the
-    bisection stops, with the z of all BISECTION_STEPS steps.
+    Each probe is a :func:`index.whittle_index` call on the induced arm
+    with costs (0, 1) and linear cost, both built once per solve.  The
+    index is non-decreasing, so bisection over a bracket applies; targets
+    below the index at the bottom of the bracket give z = -inf (always
+    observe) and, when the passive fixed point caps the index, targets
+    above it give z = +inf.  Every bracket top is probed, so an a1 whose
+    map denominator overflows on the bracket's orbits raises the probes'
+    ValueError.  The index is below the target at every bracket bottom
+    and not below it at every top, so once the midpoint rounds to an end
+    the bracket can no longer change and the bisection stops, with the z
+    of all BISECTION_STEPS steps.
     """
     p = problem
     price = p.c1 - p.c0
@@ -116,29 +112,30 @@ def observation_threshold(problem: LqgProblem, alpha: float) -> float:
     if alpha <= 1e-12:
         return math.inf
     arm = p.arm()
+    probe, cost = arm.with_costs(0.0, 1.0), linear()
+
+    def lam(v: float) -> float:
+        return whittle_index(IndexQuery(probe, cost, p.beta, v)).lam
+
     target = price / (alpha * p.sigma_x)
     lo = 1e-9
     top = y0(arm)
     hi = 4.0 * top if math.isfinite(top) else 4.0 * max(1.0, y1(arm))
-    # Every probe lies in [lo, hi]: each bracket top is checked before the
-    # first probe at or below it.
-    check_denominator(arm, hi)
-    if _lambda_normalized(arm, p.beta, lo) >= target:
+    if lam(lo) >= target:
         return -math.inf
     if math.isfinite(top):
-        if _lambda_normalized(arm, p.beta, hi) < target:
+        if lam(hi) < target:
             return math.inf
     else:
-        while _lambda_normalized(arm, p.beta, hi) < target:
+        while lam(hi) < target:
             hi *= 2.0
             if hi > 1e12:
                 return math.inf
-            check_denominator(arm, hi)
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _lambda_normalized(arm, p.beta, mid) < target:
+        if lam(mid) < target:
             lo = mid
         else:
             hi = mid

@@ -5,11 +5,22 @@ import math
 from obsched import costs
 from obsched.bandit import Arm, Scenario
 from obsched.dynamics import KNIFE_EDGE_TOL, ArmParams
+from obsched.index import _orbit_summands
 
 
 def is_knife_edge(v: float, s: float) -> bool:
     """Whether state v is within the knife-edge tolerance of threshold s."""
     return not math.isinf(s) and abs(v - s) <= KNIFE_EDGE_TOL * max(1.0, abs(s))
+
+
+def orbit_terms(p, cost, beta, x, s, first, T):
+    """One forced-first-action orbit through the scalar probe's helpers.
+
+    Returns its discounted cost and work summands, its knife-edge flag and
+    its period (0 for an orbit with no repeat within T states).
+    """
+    terms, [(_, c, b)], knife = _orbit_summands(p, cost, x, s, (first,), T, beta)
+    return terms[0], terms[1], knife, b - c
 
 
 def fig7_scenario(

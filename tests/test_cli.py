@@ -137,14 +137,15 @@ class TestIndexCommand:
         assert err.count("\n") == 1
 
     def test_beta1_mismatched_cycles_exit_2(self, capsys, monkeypatch):
-        walk = index_mod._orbit_walk
+        summands = index_mod._orbit_summands
 
-        def shifted(p, cost, x, s, first, cap):
-            terms, k, n, knife = walk(p, cost, x, s, first, cap)
-            terms[0, k:] *= 1.0 + 1e-6 * first
-            return terms, k, n, knife
+        def shifted(*args, **kwargs):
+            terms, spans, knife = summands(*args, **kwargs)
+            for first, (_, c, b) in enumerate(spans):
+                terms[0, c:b] *= 1.0 + 1e-6 * first
+            return terms, spans, knife
 
-        monkeypatch.setattr(index_mod, "_orbit_walk", shifted)
+        monkeypatch.setattr(index_mod, "_orbit_summands", shifted)
         code, out, err = run(self.BETA1 + ["--beta", "1"], capsys)
         assert code == 2 and out == "" and "mean costs" in err
 

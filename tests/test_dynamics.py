@@ -515,7 +515,8 @@ class TestThresholdWord:
         # The certificate depends only on the walk's actions and cycle
         # start: the least period dividing the cycle length must be
         # Christoffel and cover the head too.
-        walk = ([0.0] * len(acts), bytearray(int(b) for b in acts), k, False)
+        # States 2 act and states 0 rest at the threshold x = 1.
+        walk = ([2.0 if b == "1" else 0.0 for b in acts], k)
         monkeypatch.setattr(dynamics, "threshold_walk", lambda *args: walk)
         p = ArmParams(r=1.0, a0=0.0, a1=1.0)
         tw = threshold_word(p, 1.0, 8)

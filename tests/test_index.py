@@ -16,6 +16,7 @@ from obsched.dynamics import (
     KNIFE_EDGE_TOL,
     ArmParams,
     ThresholdWord,
+    check_discounted_sums,
     fixed_point,
     phi,
     scalar_map,
@@ -27,8 +28,6 @@ from obsched.index import (
     IndexQuery,
     OrbitSums,
     UncertifiedPeriodError,
-    _orbit_terms,
-    _orbit_walk,
     closed_form_noiseless,
     closed_form_noiseless_limit,
     index_beta1,
@@ -42,7 +41,7 @@ from obsched.index import (
 )
 from obsched.words import Word, central_palindrome, christoffel, farey
 
-from support import is_knife_edge
+from support import is_knife_edge, orbit_terms
 
 
 def random_params(rng, r_lo=0.3, r_hi=1.0, a1_max=3.0):
@@ -233,7 +232,7 @@ def assert_kernels_match_stepped(p, cost, beta, x, s, T):
     """Scalar orbit sums and batch marginal sums against expected_sums."""
     for first in (0, 1):
         csum, wsum, scale = expected_sums(p, cost, beta, x, s, first, T)
-        cterms, wterms, k = _orbit_terms(p, cost, beta, x, s, first, T)
+        cterms, wterms, k, _ = orbit_terms(p, cost, beta, x, s, first, T)
         assert abs(math.fsum(cterms) - csum) <= 1e-12 * scale
         assert abs(math.fsum(wterms) - wsum) <= 1e-12 * scale
         assert k == stepped_sums(p, cost, beta, x, s, first, T)[3]
@@ -335,7 +334,7 @@ class TestClosedFormTails:
         for beta in (0.5, 0.99):
             assert assert_kernels_match_stepped(p, costs.linear(), beta, x, x, 500)
             for first in (0, 1):
-                cterms, _, knife = _orbit_terms(p, costs.linear(), beta, x, x, first, 500)
+                cterms, _, knife, _ = orbit_terms(p, costs.linear(), beta, x, x, first, 500)
                 assert knife and len(cterms) < 50
 
     def test_capped_orbits_have_period_0(self):
@@ -344,8 +343,8 @@ class TestClosedFormTails:
         xs = np.array([0.5, 1.5, 2.5])
         got = marginal_sums_batch(p, 0.9, costs.linear(), xs, np.full(3, math.inf), 300)
         assert got.period.tolist() == [[0, 0]] * 3
-        assert _orbit_walk(p, costs.linear(), 1.0, math.inf, 0, 300)[2] == 0
-        assert _orbit_walk(p, costs.linear(), 1.0, 2.5, 0, 300)[2] > 0
+        assert orbit_terms(p, costs.linear(), 0.9, 1.0, math.inf, 0, 300)[3] == 0
+        assert orbit_terms(p, costs.linear(), 0.9, 1.0, 2.5, 0, 300)[3] > 0
 
 
 def reference_threshold_sums_batch(p, beta, cost, x, s, first, T):
@@ -613,7 +612,7 @@ class TestBatchKernelMatchesReference:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_period_is_the_walks_period(self, r, a0, a1, beta, T, points, rows):
         # Brent's test sees a repeat no earlier than the first-repeat walk
-        # of _orbit_walk: a period the kernel finds is the walk's, and an
+        # of the scalar probe: a period the kernel finds is the walk's, and an
         # orbit the walk caps at T has period 0.  Batches of any shape.
         p = ArmParams(r=r, a0=a0, a1=a1)
         shape = (2, len(points) // 2) if rows == 2 else (len(points),)
@@ -624,7 +623,7 @@ class TestBatchKernelMatchesReference:
         assert got.period.shape == shape + (2,)
         for i in np.ndindex(shape):
             for first in (0, 1):
-                n = _orbit_walk(p, costs.linear(), x[i], s[i], first, T)[2]
+                n = orbit_terms(p, costs.linear(), beta, x[i], s[i], first, T)[3]
                 period = got.period[i + (first,)]
                 if period:
                     assert period == n
@@ -872,13 +871,45 @@ class TestWhittleIndex:
         # Orbits whose work sums come out equal break the (1 - beta)(c1 - c0)
         # bound, which the theory guarantees: the CLI maps this to exit 2.
         p = ArmParams(r=0.9, a0=0.0, a1=1.0)
-        passive_only = index_mod._orbit_terms
+        summands = index_mod._orbit_summands
         monkeypatch.setattr(
-            index_mod, "_orbit_terms",
-            lambda p, cost, beta, x, s, first, T: passive_only(p, cost, beta, x, s, 0, T),
+            index_mod, "_orbit_summands",
+            lambda p, cost, x, s, firsts, *rest: summands(p, cost, x, s, (0, 0), *rest),
         )
         with pytest.raises(InconsistencyError, match="below its lower bound"):
             whittle_index(IndexQuery(p, costs.linear(), 0.9, 2.0))
+
+    def test_overflowing_cost_raises_the_guard_without_warnings(self):
+        # At a1 = 1e300 the orbits reach 1/(a1 + 1) = 1e-300, where
+        # power(-3) overflows: the guard's error, with no RuntimeWarning on
+        # the way (warnings are errors here).
+        p, cost = ArmParams(r=0.9, a0=0.0, a1=1e300), costs.power(-3.0)
+        with pytest.raises(ValueError) as want:
+            check_discounted_sums(p, cost, 0.9, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^cost 'power\(-3.0\)' is too large: ") as got:
+                whittle_index(IndexQuery(p, cost, 0.9, 1.0))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("cost", [costs.linear(), costs.entropy(), costs.power(-3.0)])
+    def test_one_cost_evaluation_per_query(self, monkeypatch, cost):
+        # Both orbits and the guard's two range ends go through one
+        # CostFn.eval call.
+        calls = []
+        evaluate = costs.CostFn.eval
+
+        def counting(self, v):
+            calls.append(np.size(v))
+            return evaluate(self, v)
+
+        monkeypatch.setattr(costs.CostFn, "eval", counting)
+        for p, beta, x in [(ArmParams(r=0.9, a0=0.0, a1=1.0), 0.9, 2.0),
+                           (ArmParams(r=1.0, a0=0.0, a1=0.3), 0.99, 5.0),
+                           (ArmParams(r=0.8, a0=0.1, a1=1.0), 0.5, y1(ArmParams(0.8, 0.1, 1.0)))]:
+            calls.clear()
+            whittle_index(IndexQuery(p, cost, beta, x))
+            assert len(calls) == 1 and calls[0] > 2
 
 
 class TestClosedForm:
@@ -951,6 +982,26 @@ class TestIndexBeta1:
         with pytest.raises(ArithmeticError, match="cost gap"):
             index_beta1(p.with_costs(1.0, 1.0), costs.linear(), 0.5)
 
+    def test_one_walk_per_orbit(self, monkeypatch):
+        # The word is read off the active-first orbit's walk: no separate
+        # threshold_word call, and one threshold walk per orbit.
+        walks = []
+        walk = index_mod.threshold_walk
+
+        def counting(*args):
+            walks.append(args[1:])
+            return walk(*args)
+
+        def no_word(*args):
+            raise AssertionError("index_beta1 called threshold_word")
+
+        monkeypatch.setattr(index_mod, "threshold_walk", counting)
+        monkeypatch.setattr(index_mod, "threshold_word", no_word)
+        p = ArmParams(r=1.0, a0=0.0, a1=1e6)
+        rec = index_beta1(p, costs.linear(), 0.5)
+        assert str(rec.word) == "01" and len(walks) == 2
+        assert {v for v, _, _ in walks} == {phi(p, 0, 0.5), phi(p, 1, 0.5)}
+
     def test_uncertified_period_raises(self):
         # A scan found no certified period <= 256 at this point.
         p = ArmParams(r=1.0, a0=0.0, a1=0.01)
@@ -964,15 +1015,15 @@ class TestIndexBeta1:
         # only when the two cycles' mean costs agree: the CLI maps a
         # mismatch to exit 2.
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
-        walk = index_mod._orbit_walk
+        summands = index_mod._orbit_summands
 
-        def shifted(p, cost, x, s, first, cap):
-            terms, k, n, knife = walk(p, cost, x, s, first, cap)
-            if first:
-                terms[0, k:] *= 1.0 + 1e-6
-            return terms, k, n, knife
+        def shifted(*args, **kwargs):
+            terms, spans, knife = summands(*args, **kwargs)
+            _, c, b = spans[1]
+            terms[0, c:b] *= 1.0 + 1e-6
+            return terms, spans, knife
 
-        monkeypatch.setattr(index_mod, "_orbit_walk", shifted)
+        monkeypatch.setattr(index_mod, "_orbit_summands", shifted)
         with pytest.raises(InconsistencyError, match="mean costs"):
             index_beta1(p, costs.linear(), 0.5)
 
@@ -985,17 +1036,21 @@ class TestIndexBeta1:
         # period of both.
         orbits = {0: ([5.0, 4.0], [1.0, 3.0]), 1: ([5.0, 0.5, 7.0], [2.0, 1.0, 3.0])}
 
-        def synthetic(p, cost, x, s, first, cap):
-            head, cyc = orbits[first]
-            terms = np.array([head + cyc, [0.0] * (len(head) + len(cyc))])
-            return terms, len(head), len(cyc), False
+        def synthetic(p, cost, x, s, firsts, cap, walks=None):
+            row, spans = [], []
+            for first in firsts:
+                head, cyc = orbits[first]
+                a = len(row)
+                row += head + cyc
+                spans.append((a, a + len(head), len(row)))
+            return np.array([row, [0.0] * len(row)]), spans, False
 
         def constant_term(head, cyc):
             k, n, S = len(head), len(cyc), Fraction(sum(cyc))
             J = sum(j * Fraction(a) for j, a in enumerate(cyc))
             return sum(map(Fraction, head)) + S * (n - 1) / (2 * n) - (k * S + J) / n
 
-        monkeypatch.setattr(index_mod, "_orbit_walk", synthetic)
+        monkeypatch.setattr(index_mod, "_orbit_summands", synthetic)
         p = ArmParams(r=1.0, a0=0.0, a1=1e6)
         rec = index_beta1(p, costs.linear(), 0.5)
         assert str(rec.word) == "01"

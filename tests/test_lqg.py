@@ -32,6 +32,12 @@ def random_problem(rng, f_zero=False):
     )
 
 
+def probe_lambda(arm, beta, v):
+    """One probe of lqg's bisection: the induced arm's index with costs (0, 1)
+    and linear cost, through the ``lqg.whittle_index`` name."""
+    return lqg.whittle_index(IndexQuery(arm.with_costs(0.0, 1.0), costs.linear(), beta, v)).lam
+
+
 def reference_threshold(problem, alpha):
     """lqg.observation_threshold with all BISECTION_STEPS bisection steps."""
     p = problem
@@ -43,9 +49,9 @@ def reference_threshold(problem, alpha):
     target = (p.c1 - p.c0) / (alpha * p.sigma_x)
     lo, top = 1e-9, y0(arm)
     hi = 4.0 * top if math.isfinite(top) else 4.0 * max(1.0, y1(arm))
-    if lqg._lambda_normalized(arm, p.beta, lo) >= target:
+    if probe_lambda(arm, p.beta, lo) >= target:
         return -math.inf
-    while lqg._lambda_normalized(arm, p.beta, hi) < target:
+    while probe_lambda(arm, p.beta, hi) < target:
         if math.isfinite(top):
             return math.inf
         hi *= 2.0
@@ -53,7 +59,7 @@ def reference_threshold(problem, alpha):
             return math.inf
     for _ in range(lqg.BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if lqg._lambda_normalized(arm, p.beta, mid) < target:
+        if probe_lambda(arm, p.beta, mid) < target:
             lo = mid
         else:
             hi = mid
@@ -171,13 +177,13 @@ class TestThreshold:
         # Against the bisection that always runs all BISECTION_STEPS steps:
         # the same z bit for bit, in fewer index probes.
         probes = []
-        normalized = lqg._lambda_normalized
+        index = lqg.whittle_index
 
-        def counting(arm, beta, v):
-            probes.append(v)
-            return normalized(arm, beta, v)
+        def counting(q):
+            probes.append(q.x)
+            return index(q)
 
-        monkeypatch.setattr(lqg, "_lambda_normalized", counting)
+        monkeypatch.setattr(lqg, "whittle_index", counting)
         rng = np.random.default_rng(45)
         saved = 0
         for _ in range(20):

@@ -12,6 +12,12 @@ theorem, an oracle that shares no code with the orbit walk, and the
 discount-to-one limit against the exact rational limit of the reference
 orbits.
 
+The point queries ``whittle_index``, ``q_value``, ``marginal_cost``,
+``marginal_work`` and ``index_beta1`` are checked the same way against
+references that walk, evaluate and sum each orbit on its own, as the
+queries did before they shared one cost evaluation: the same floats, flags
+and errors, and lqg's threshold bisected over the reference probe.
+
 Instances are drawn by derandomized hypothesis.  Many of them start at an
 end of a Christoffel word's fixed-point interval, where the threshold
 orbit returns to the threshold within a few ulps: there a one-ulp change
@@ -20,6 +26,7 @@ last bit too.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,13 +34,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from obsched import costs
+from obsched import costs, lqg
 from obsched.bandit import _reach_bound
 from obsched.dynamics import (
+    InconsistencyError,
     KNIFE_EDGE_TOL,
     ArmParams,
     Orbit,
     ThresholdWord,
+    check_discounted_sums,
     fixed_point,
     itinerary,
     orbit,
@@ -47,10 +56,19 @@ from obsched.dynamics import (
     y1,
 )
 from obsched.index import (
+    MAX_TRUNCATION_STEPS,
+    MEAN_COST_TOL,
+    IndexQuery,
     UncertifiedPeriodError,
     _cycle_factor,
-    _orbit_terms,
+    cost_gap,
     index_beta1,
+    marginal_cost,
+    marginal_work,
+    q_value,
+    truncation_horizon,
+    whittle_index,
+    work_floor,
 )
 from obsched.words import (
     Word,
@@ -60,7 +78,7 @@ from obsched.words import (
     is_christoffel,
 )
 
-from support import is_knife_edge
+from support import is_knife_edge, orbit_terms
 
 RATES = [f for f in farey(7) if 0 < f < 1]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -202,6 +220,133 @@ def reference_beta1_limit(p, x, n):
     return num * n / (Fraction(p.c1) - Fraction(p.c0))
 
 
+def reference_whittle_index(q):
+    """The index from two reference orbits, each walked, evaluated and summed
+    on its own, with the overflow guard once both are evaluated."""
+    p, beta, x = q.params, q.beta, q.x
+    gap = cost_gap(p)
+    T = truncation_horizon(beta)
+    c0, w0, k0, _, _ = reference_orbit_terms(p, q.cost, beta, x, x, 0, T)
+    c1, w1, k1, _, _ = reference_orbit_terms(p, q.cost, beta, x, x, 1, T)
+    check_discounted_sums(p, q.cost, beta, x, x)
+    num = math.fsum(np.concatenate([c0, -c1]))
+    den = math.fsum(np.concatenate([w1, -w0]))
+    if den <= 0.0 or den < work_floor(gap, beta, T) - 1e-15:
+        raise InconsistencyError(
+            f"marginal work {den} below its lower bound at x={x}: internal inconsistency"
+        )
+    return x, num / den, num, den, None, k0 or k1
+
+
+def reference_marginal(q, s, row):
+    """Marginal cost (row 0) or work (row 1) of the s-threshold policy."""
+    T = truncation_horizon(q.beta)
+    terms0 = reference_orbit_terms(q.params, q.cost, q.beta, q.x, s, 0, T)[row]
+    terms1 = reference_orbit_terms(q.params, q.cost, q.beta, q.x, s, 1, T)[row]
+    plus, minus = (terms1, terms0) if row else (terms0, terms1)
+    return math.fsum(np.concatenate([plus, -minus]))
+
+
+def reference_q_value(p, cost, beta, nu, x, a, s):
+    c, w = reference_orbit_terms(p, cost, beta, x, s, a, truncation_horizon(beta))[:2]
+    return math.fsum(c) + nu * math.fsum(w)
+
+
+def reference_index_beta1(p, cost, x):
+    """The discount-to-one limit with the reference certifier and orbits.
+
+    Each orbit is walked to its first repeat with one phi call per step and
+    evaluated on its own; the limit is the formula of ``index_beta1``.
+    """
+    gap = cost_gap(p)
+    x = float(x)
+    tw = reference_threshold_word(p, x, 256)
+    if not tw.periodic:
+        raise UncertifiedPeriodError(f"no certified period <= 256 at x={x}")
+    terms, cycles, knife, cap = [], [], tw.knife_edge, MAX_TRUNCATION_STEPS
+    for first, sign in ((0, 1.0), (1, -1.0)):
+        v, states, seen = float(x), [], {}
+        for t in range(cap + 1):
+            if t >= 1:
+                knife = knife or is_knife_edge(v, x)
+                k = seen.setdefault(v, t)
+                if k < t:
+                    break
+            states.append(v)
+            v = phi(p, first if t == 0 else int(v >= x), v)
+        else:
+            k = t = cap + 1
+        summands = cost.eval(np.array(states))
+        if k == t:
+            raise UncertifiedPeriodError(f"no repeat within {cap} steps at x={x}")
+        m = t - k
+        cyc = summands[k:]
+        terms += [sign * summands[:k], -sign * cyc[(np.arange(k) - k) % m]]
+        cycles.append((cyc, k, m, math.fsum(cyc) / m))
+    (cyc0, k0, m0, mean0), (cyc1, k1, m1, mean1) = cycles
+    if abs(mean0 - mean1) > MEAN_COST_TOL * max(np.abs(cyc0).max(), np.abs(cyc1).max()):
+        raise (ArithmeticError if knife else InconsistencyError)(
+            f"the orbits at x={x} reach cycles of mean costs {mean0} and {mean1}: "
+            + ("x is a knife edge" if knife else "internal inconsistency")
+        )
+    N = math.lcm(m0, m1)
+    j = np.arange(N)
+    terms.append(j * (cyc1[(j - k1) % m1] - cyc0[(j - k0) % m0]) / N)
+    n = len(tw.word)
+    lam = math.fsum(np.concatenate(terms)) * n / gap
+    return x, lam, lam * gap / n, gap / n, str(tw.word), knife
+
+
+def reference_threshold(problem, alpha):
+    """lqg.observation_threshold over the reference probe, all bisection steps."""
+    p = problem
+    if p.c1 - p.c0 <= 0.0:
+        return -math.inf
+    if alpha <= 1e-12:
+        return math.inf
+    probe = p.arm().with_costs(0.0, 1.0)
+
+    def lam(v):
+        return reference_whittle_index(IndexQuery(probe, costs.linear(), p.beta, v))[1]
+
+    target = (p.c1 - p.c0) / (alpha * p.sigma_x)
+    lo, top = 1e-9, y0(probe)
+    hi = 4.0 * top if math.isfinite(top) else 4.0 * max(1.0, y1(probe))
+    if lam(lo) >= target:
+        return -math.inf
+    while lam(hi) < target:
+        if math.isfinite(top):
+            return math.inf
+        hi *= 2.0
+        if hi > 1e12:
+            return math.inf
+    for _ in range(lqg.BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if lam(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return p.sigma_x * 0.5 * (lo + hi)
+
+
+def outcome(fn, *args):
+    """fn(*args) as comparable bits: its floats' bytes, or its error's type and text.
+
+    Warnings are ignored; both sides may overflow on the way to an error.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            got = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            return type(exc), str(exc)
+    if hasattr(got, "lam"):
+        got = (got.x, got.lam, got.numerator, got.denominator,
+               None if got.word is None else str(got.word), got.knife_edge)
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in (got if isinstance(got, tuple) else (got,)))
+
+
 # ---------------------------------------------------------------------------
 # Instances.
 
@@ -214,6 +359,51 @@ def arms(draw, finite_a1=False):
     gap = draw(st.floats(0.05, 3.0))
     a1 = a0 + gap if finite_a1 else draw(st.one_of(st.just(a0 + gap), st.just(math.inf)))
     return ArmParams(r=r, a0=a0, a1=a1, c0=0.2, c1=1.0)
+
+
+COST_FAMILIES = (
+    costs.linear, costs.entropy, costs.neg_precision, costs.ratio_demo, costs.bounded_demo,
+    lambda: costs.power(-3.0), lambda: costs.power(-3.0), lambda: costs.power(-1.0),
+    lambda: costs.power(0.5), lambda: costs.power(2.0), lambda: costs.constant(2.0),
+    lambda: costs.from_table([0.5, 1.0, 3.0], [0.0, 2.0, 3.0]),
+)
+
+
+@st.composite
+def query_arms(draw):
+    """Arms of :func:`arms` or with a1 = 1e300, and costs c0 < c1 or c0 = c1.
+
+    At a1 = 1e300 the orbits reach 1e-300, where power(-3) overflows.
+    """
+    p = draw(arms())
+    a1 = draw(st.sampled_from((p.a1, p.a1, 1e300)))
+    c0, c1 = draw(st.sampled_from(((0.2, 1.0), (0.0, 3.0), (0.2, 1.0), (0.0, 3.0), (1.0, 1.0))))
+    return ArmParams(r=p.r, a0=p.a0, a1=a1, c0=c0, c1=c1)
+
+
+@st.composite
+def query_state(draw, p):
+    """x below y1, at y1, inside [y1, y0], at or above y0, at 0, negative or at
+    a pole of the map, where a step divides by zero."""
+    lo, hi = y1(p), min(y0(p), 50.0)
+    kind = draw(st.sampled_from(
+        ("below", "y1", "start", "start", "start", "above", "zero", "negative", "pole")
+    ))
+    if kind == "below":
+        return lo * draw(st.floats(0.0, 1.0))
+    if kind == "y1":
+        return lo
+    if kind == "start":
+        # (the Christoffel-word points need a moderate a1)
+        return draw(start(p) if p.a1 < 1e100 else st.floats(1e-3, hi))
+    if kind == "above":
+        return hi * draw(st.floats(1.0, 3.0))
+    if kind == "zero":
+        return draw(st.sampled_from((0.0, -0.0)))
+    poles = [-(a + 1.0) / (a * p.r2) for a in (p.a0, p.a1) if 0.0 < a < math.inf]
+    if kind == "pole" and poles:
+        return draw(st.sampled_from(poles))
+    return -draw(st.floats(1e-3, 5.0))
 
 
 def word_point(p, rate: Fraction, head: str) -> float:
@@ -355,7 +545,7 @@ class TestDynamicsLoops:
             assert (got.threshold, got.first_action, got.knife_edge) == (
                 ref.threshold, ref.first_action, ref.knife_edge
             )
-            tiled.append(len(threshold_walk(scalar_map(p), phi(p, a, x), s, T)[0]) < T)
+            tiled.append(len(threshold_walk(p, phi(p, a, x), s, T)[0]) < T)
 
         check()
         assert sum(tiled) >= len(tiled) / 2
@@ -371,7 +561,7 @@ class TestDynamicsLoops:
             x = data.draw(st.one_of(st.just(z), start(p)))
             n = data.draw(st.one_of(st.integers(1, 200), st.integers(201, 3000)))
             assert itinerary(p, x, z, n) == reference_itinerary(p, x, z, n)
-            tiled.append(len(threshold_walk(scalar_map(p), x, z, n)[0]) < n)
+            tiled.append(len(threshold_walk(p, x, z, n)[0]) < n)
 
         check()
         assert sum(tiled) >= len(tiled) / 2
@@ -392,7 +582,7 @@ class TestIndexLoops:
         # (entropy is undefined at the state 0 that a1 = inf reaches)
         finite = math.isfinite(p.a1) and data.draw(st.booleans())
         cost = costs.entropy() if finite else costs.linear()
-        cterms, wterms, knife = _orbit_terms(p, cost, beta, x, s, first, T)
+        cterms, wterms, knife, _ = orbit_terms(p, cost, beta, x, s, first, T)
         rc, rw, rknife, _, t = reference_orbit_terms(p, cost, beta, x, s, first, T)
         # The summand layout is [:k] and one cycle k..t-1 scaled by its
         # infinite-tail factor, so equal arrays also mean the same repeat
@@ -436,3 +626,46 @@ class TestIndexLoops:
         p = ArmParams(r=r, a0=a0, a1=a1)
         rec = index_beta1(p, costs.linear(), x)
         assert_near_exact(rec.lam, reference_beta1_limit(p, x, len(rec.word)))
+
+
+class TestPointQueries:
+    """The point queries against the reference loops, bit for bit, errors included."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_whittle_index_and_marginals(self, data):
+        p = data.draw(query_arms())
+        x = data.draw(query_state(p))
+        beta = data.draw(st.sampled_from((0.0, 0.5, 0.9, 0.99, 0.999)))
+        cost = data.draw(st.sampled_from(COST_FAMILIES))()
+        q = IndexQuery(p, cost, beta, x)
+        assert outcome(whittle_index, q) == outcome(reference_whittle_index, q)
+        s = data.draw(st.one_of(st.just(x), query_state(p), st.just(math.inf)))
+        assert outcome(marginal_cost, q, s) == outcome(reference_marginal, q, s, 0)
+        assert outcome(marginal_work, q, s) == outcome(reference_marginal, q, s, 1)
+        nu, a = data.draw(st.floats(-2.0, 2.0)), data.draw(st.integers(0, 1))
+        assert outcome(q_value, p, cost, beta, nu, x, a, s) == outcome(
+            reference_q_value, p, cost, beta, nu, x, a, s)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_index_beta1(self, data):
+        p = data.draw(query_arms())
+        x = data.draw(query_state(p))
+        cost = data.draw(st.sampled_from(COST_FAMILIES))()
+        assert outcome(index_beta1, p, cost, x) == outcome(reference_index_beta1, p, cost, x)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_lqg_threshold(self, seed):
+        rng = np.random.default_rng(seed)
+        prob = lqg.LqgProblem(
+            A=float(rng.uniform(0.3, 1.0)), B=float(rng.uniform(0.5, 2.0)), D=1.0,
+            F=float(rng.choice([0.0, rng.uniform(0.0, 3.0)])),
+            beta=float(rng.uniform(0.3, 0.98)), sigma_x=float(rng.uniform(0.3, 3.0)),
+            sigma_y0=float(rng.choice([math.inf, rng.uniform(5.0, 500.0)])),
+            sigma_y1=float(rng.uniform(0.1, 3.0)), c0=0.0, c1=float(rng.uniform(0.05, 3.0)),
+        )
+        alpha = lqg.solve_lqg(prob).alpha
+        assert repr(lqg.observation_threshold(prob, alpha)) == repr(
+            reference_threshold(prob, alpha))
