@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -184,23 +184,13 @@ def _integer(payload: dict, key: str) -> int:
 class IndexTables:
     """Per-arm index interpolation tables on log-variance grids.
 
-    :meth:`lookup` reads copies of the tables taken at construction.
+    ``grids[i]`` is arm i's variance grid and ``rows[i]`` its table as
+    Python floats for :meth:`lookup`: (grid[0], log grid, values), the
+    values being weight_i * lambda_i.  Arms that share a table share its row.
     """
 
     grids: list[np.ndarray]
-    log_grids: list[np.ndarray]
-    values: list[np.ndarray]
-    # Per arm, (grid[0], log grid, values) as Python floats for lookup;
-    # arms that share a table share its lists.
-    _rows: list[tuple[float, list[float], list[float]]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        rows: dict[int, tuple[float, list[float], list[float]]] = {}
-        for g, xp, fp in zip(self.grids, self.log_grids, self.values):
-            if id(fp) not in rows:
-                rows[id(fp)] = (float(g[0]), xp.tolist(), fp.tolist())
-        self._rows = [rows[id(fp)] for fp in self.values]
+    rows: list[tuple[float, list[float], list[float]]]
 
     def lookup(self, arm: int, v: float) -> float:
         """np.interp(log(max(v, grid[0])), log grid, values) on Python floats.
@@ -209,7 +199,7 @@ class IndexTables:
         grid point at or below x), its ends and exact hits, its formula and
         its retry from the right end of a segment when that gives NaN.
         """
-        lo, xp, fp = self._rows[arm]
+        lo, xp, fp = self.rows[arm]
         x = math.log(max(v, lo))
         j = bisect_right(xp, x) - 1
         if j < 0:
@@ -250,7 +240,9 @@ def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
     is evaluated with the arm's weighted cost, so weights are baked in.
     One :func:`~obsched.index.marginal_sums_batch` call steps the grids of
     all distinct arms together, which gives each arm's own sums bit for
-    bit in the steps of the slowest arm.
+    bit in the steps of the slowest arm.  Each distinct arm's row is built
+    once from the kernel's cost / work, and the arms that share its table
+    share that row.
     """
     T = truncation_horizon(scenario.beta)
     keys: list = []
@@ -269,7 +261,7 @@ def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
     params, wcosts, grids = zip(*todo.values())
     sums = marginal_sums_batch(params, scenario.beta, wcosts, grids, grids, T)
     cache = {
-        key: (g, np.log(g), arm_sums.cost / arm_sums.work)
+        key: (g, (float(g[0]), np.log(g).tolist(), (arm_sums.cost / arm_sums.work).tolist()))
         for key, g, arm_sums in zip(todo, grids, sums)
     }
     tables = [cache[key] for key in keys]

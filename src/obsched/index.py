@@ -99,6 +99,8 @@ class IndexQuery:
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
+        if not math.isfinite(self.x):
+            raise ValueError(f"x must be finite, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,8 @@ def q_value(
     s: float,
 ) -> float:
     """Discounted cost-to-go plus nu-priced work of the s-threshold policy."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     terms, _, _ = _orbit_summands(params, cost, x, s, (a,), truncation_horizon(beta), beta)
     return math.fsum(terms[0].tolist()) + nu * math.fsum(terms[1].tolist())
 
@@ -650,50 +654,46 @@ def index_table(
     grid: Sequence[float],
     words: bool = True,
 ) -> IndexTable:
-    """Tabulate the index over an ascending state grid.
+    """Tabulate the index over an ascending finite state grid.
 
     Sums that could overflow on the grid's orbits raise ValueError first
-    (:func:`dynamics.check_discounted_sums`).  Every record comes from one
-    :func:`marginal_sums_batch` call, with its knife-edge flag; with
-    ``words`` each point also gets its certified :func:`threshold_word`
-    of period at most 64 (None when uncertified).  Decreases of lambda
-    beyond 1e-9 plus the slack of orbits truncated at the step cap are
-    counted as monotonicity violations (admissible costs must produce
-    none).
+    (:func:`dynamics.check_discounted_sums`).  One :func:`marginal_sums_batch`
+    call gives every point's sums and knife-edge flag; with ``words`` each
+    point also gets its certified :func:`threshold_word` of period at most
+    64 (None when uncertified).  The records are output only: decreases of
+    lambda beyond 1e-9 plus the slack of orbits truncated at the step cap
+    are counted from the kernel's columns as monotonicity violations
+    (admissible costs must produce none).
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or len(xs) == 0:
         raise ValueError("grid must be a non-empty 1-d sequence")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("grid must be strictly ascending")
+    if not np.isfinite(xs).all():
+        raise ValueError("grid must be finite")
     p = params
     check_discounted_sums(p, cost, beta, xs[0], xs[-1])
     gap = cost_gap(p)
     T = truncation_horizon(beta)
     sums = marginal_sums_batch(p, beta, cost, xs, xs, T)
     lam = sums.cost / sums.work
-    records: list[IndexRecord] = []
-    for i, x in enumerate(xs):
-        tw = threshold_word(p, float(x), 64) if words else None
+    cols = (lam.tolist(), sums.cost.tolist(), sums.work.tolist())
+    records = []
+    for x, lx, num, den, knife in zip(xs.tolist(), *cols, sums.knife.tolist()):
+        tw = threshold_word(p, x, 64) if words else None
         word = tw.word if tw is not None and tw.periodic else None
-        records.append(IndexRecord(
-            x=float(x), lam=float(lam[i]), numerator=float(sums.cost[i]),
-            denominator=float(sums.work[i]), word=word, knife_edge=bool(sums.knife[i]),
-        ))
-    slack = _lambda_slack(gap, beta, T, records)
-    lams = np.array([rec.lam for rec in records])
-    violations = int(np.sum(np.diff(lams) < -(1e-9 + slack)))
+        records.append(IndexRecord(x, lx, num, den, word, knife))
+    slack = _lambda_slack(gap, beta, T, *cols)
+    violations = int(np.sum(np.diff(lam) < -(1e-9 + slack)))
     return IndexTable(records, violations, T)
 
 
-def _lambda_slack(
-    gap: float, beta: float, T: int, records: list[IndexRecord]
-) -> float:
-    """Bound on the index perturbation of sums truncated at the step cap T."""
+def _lambda_slack(gap, beta, T, lams, nums, dens) -> float:
+    """Bound on the index perturbation of sums truncated at the step cap T,
+    from the lists of the grid's indices, numerators and denominators."""
     if beta == 0.0:
         return 0.0
     tail = beta ** (T + 1) / (1.0 - beta)
-    den_min = min(rec.denominator for rec in records)
-    num_scale = max(1.0, (1.0 - beta) * max(abs(rec.numerator) for rec in records))
-    lam_max = max(abs(rec.lam) for rec in records)
-    return tail * (num_scale + lam_max * gap) / den_min
+    num_scale = max(1.0, (1.0 - beta) * max(map(abs, nums)))
+    return tail * (num_scale + max(map(abs, lams)) * gap) / min(dens)

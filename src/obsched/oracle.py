@@ -24,6 +24,7 @@ from .dynamics import (
     ArmParams,
     InconsistencyError,
     batch_map,
+    check_discounted_sums,
     map_coefficients,
     phi0,
     phi1,
@@ -339,6 +340,10 @@ def majorisation_check(
     )
 
 
+# Largest fitted log-log growth exponent of the itineraries' discontinuity counts.
+SLOPE_LIMIT = 4.5
+
+
 @dataclass(frozen=True)
 class PcliConfig:
     seed: int = 20260810
@@ -349,7 +354,6 @@ class PcliConfig:
     pcli3_intervals: int = 3
     state_lo: Optional[float] = None
     state_hi: Optional[float] = None
-    slope_limit: float = 4.5
 
 
 def state_bounds(params: ArmParams, cfg: PcliConfig) -> tuple[float, float]:
@@ -373,6 +377,8 @@ def pcli_report(
 ) -> dict:
     """Run the partial-conservation-law property suite; findings are data.
 
+    Sums that could overflow on the orbits of its :func:`state_bounds`
+    raise ValueError first (:func:`dynamics.check_discounted_sums`).
     Sections: positivity of marginal work with its discounted lower bound,
     monotonicity and a sampled continuity modulus of the index, growth of
     the discontinuity count of finite itineraries in the threshold, and
@@ -403,6 +409,7 @@ def pcli_report(
     cfg = config or PcliConfig()
     rng = np.random.default_rng(cfg.seed)
     lo, hi = state_bounds(params, cfg)
+    check_discounted_sums(params, cost, beta, lo, hi)
     gap = cost_gap(params)
     T = truncation_horizon(beta)
     p = params
@@ -468,7 +475,7 @@ def pcli_report(
         "lengths": list(cfg.itinerary_lengths),
         "counts": counts,
         "fitted_exponent": slope,
-        "ok": bool(slope <= cfg.slope_limit),
+        "ok": bool(slope <= SLOPE_LIMIT),
     }
 
     # PCLI3: c_x(b) - c_x(a) equals the index-weighted sum of work jumps.

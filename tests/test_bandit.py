@@ -126,7 +126,7 @@ class TestScenario:
                     Scenario(arms=arms, m=1, beta=beta, horizon=12, seed=3)
                 return
             sc = Scenario(arms=arms, m=1, beta=beta, horizon=12, seed=3)
-            assert np.isfinite(build_index_tables(sc, n_points=64).values[0]).all()
+            assert np.isfinite(build_index_tables(sc, n_points=64).rows[0][2]).all()
             assert math.isfinite(simulate(sc, "myopic").total_discounted_cost)
 
     def test_overflowing_weights_together_rejected(self):
@@ -152,7 +152,7 @@ class TestScenario:
                 sc = data.draw(edge_scenarios())
             except ValueError:
                 return
-            for values in build_index_tables(sc, n_points=64).values:
+            for _, _, values in build_index_tables(sc, n_points=64).rows:
                 assert np.isfinite(values).all()
             assert math.isfinite(simulate(sc, "myopic").total_discounted_cost)
 
@@ -389,7 +389,7 @@ def reference_simulate(scenario, policy, tables):
         if policy == "whittle":
             pick = reference_pick([
                 float(np.interp(math.log(max(x, g[0])), np.log(g), lam))
-                for x, g, lam in zip(v, tables.grids, tables.values)
+                for x, g, (_, _, lam) in zip(v, tables.grids, tables.rows)
             ], m)
         elif policy == "myopic":
             pick = reference_pick(
@@ -545,7 +545,7 @@ class TestCycleTiling:
 def tables_for(scenario, policy):
     """64-point index tables for whittle; the other policies read none."""
     if policy != "whittle":
-        return IndexTables([], [], [])
+        return IndexTables([], [])
     return build_index_tables(scenario, n_points=64)
 
 
@@ -588,7 +588,7 @@ class TestFig7:
 def assert_lookup_is_interp(tables, arm, v):
     """lookup(arm, v) is np.interp's value bit for bit, NaN for NaN."""
     g = tables.grids[arm]
-    want = float(np.interp(math.log(max(v, g[0])), tables.log_grids[arm], tables.values[arm]))
+    want = float(np.interp(math.log(max(v, g[0])), np.log(g), tables.rows[arm][2]))
     got = tables.lookup(arm, v)
     assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (v, got, want)
@@ -633,8 +633,10 @@ class TestTablesAndExports:
                 p = p.with_costs(0.0, 1.0)
             alone = kernel(p, sc.beta, arm.cost.scale(arm.weight), g, g, T)
             assert tables.grids[i].tobytes() == g.tobytes()
-            assert tables.values[i].tobytes() == (alone.cost / alone.work).tobytes()
-        assert tables.values[4] is tables.values[0]
+            first, xp, fp = tables.rows[i]
+            assert (first, xp) == (float(g[0]), np.log(g).tolist())
+            assert np.array(fp).tobytes() == (alone.cost / alone.work).tobytes()
+        assert tables.rows[4] is tables.rows[0]
 
     def test_lookup_interpolates_on_log_grid(self):
         # Real tables, at every grid point and its float neighbours, at the
@@ -643,7 +645,7 @@ class TestTablesAndExports:
         tables = build_index_tables(mixed_scenario(), n_points=64)
         for arm, g in enumerate(tables.grids):
             near = [np.nextafter(g, 0.0), g, np.nextafter(g, np.inf), 0.5 * (g[1:] + g[:-1]),
-                    np.exp(tables.log_grids[arm])]
+                    np.exp(tables.rows[arm][1])]
             vs = np.concatenate(near + [g[0] * np.exp(-np.linspace(0.0, 1.0, 9)),
                                         g[-1] * np.exp(np.linspace(0.0, 1.0, 9)), [1e9]])
             for v in [0.0] + vs.tolist():
@@ -661,7 +663,8 @@ class TestTablesAndExports:
         lam = np.array(data.draw(st.lists(
             st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e308, -1e308, math.inf, -math.inf])
             | st.floats(-1e3, 1e3), min_size=k, max_size=k)))
-        tables = IndexTables([np.exp(xp)], [xp], [lam])
+        g = np.exp(xp)
+        tables = IndexTables([g], [(float(g[0]), np.log(g).tolist(), lam.tolist())])
         xs = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
                              [xp[0] - 1.0, xp[-1] + 1.0, data.draw(st.floats(xp[0], xp[-1]))]])
         for v in [0.0] + np.exp(xs).tolist():

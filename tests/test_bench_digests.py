@@ -15,6 +15,12 @@ differently and fail this test without any change in obsched.
 Regenerate the manifest only for an intended output change:
 
     PYTHONPATH=src python tests/test_bench_digests.py
+
+Given seeds, the script prints the digests of those seeds' jobs as JSON on
+stdout instead, and leaves the manifest as it is.  Two commits' outputs at
+seeds the manifest does not pin can then be compared with ``diff``:
+
+    PYTHONPATH=src python tests/test_bench_digests.py 2 3 4 > digests.json
 """
 
 import hashlib
@@ -69,9 +75,14 @@ def test_job_outputs_match_digests(workload, seed, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    seeds = [int(arg) for arg in sys.argv[1:]]
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in sorted(WORKLOADS):
-            for seed in SEEDS:
+            for seed in seeds or SEEDS:
                 digests.update(job_digests(workload, seed, Path(tmp)))
-    MANIFEST.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
+    if seeds:
+        sys.stdout.write(text)
+    else:
+        MANIFEST.write_text(text)

@@ -1,6 +1,8 @@
 """Marginal sums, the index, closed forms, limit procedure, Q-values."""
 
 import math
+import re
+import struct
 import warnings
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from obsched.dynamics import (
     ThresholdWord,
     check_discounted_sums,
     fixed_point,
+    orbit_range,
     phi,
     scalar_map,
     threshold_word,
@@ -26,10 +29,12 @@ from obsched.dynamics import (
 )
 from obsched.index import (
     IndexQuery,
+    IndexRecord,
     OrbitSums,
     UncertifiedPeriodError,
     closed_form_noiseless,
     closed_form_noiseless_limit,
+    cost_gap,
     index_beta1,
     index_table,
     marginal_cost,
@@ -1091,6 +1096,77 @@ class TestQValue:
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+def reference_index_table(p, cost, beta, grid, words):
+    """index_table's records, violation count and T from a loop over the
+    kernel's arrays, one record at a time, with the truncation slack and
+    the violations read back from the records."""
+    xs = np.asarray(grid, dtype=float)
+    T = truncation_horizon(beta)
+    sums = marginal_sums_batch(p, beta, cost, xs, xs, T)
+    lam = sums.cost / sums.work
+    records = []
+    for i, x in enumerate(xs):
+        tw = threshold_word(p, float(x), 64) if words else None
+        word = tw.word if tw is not None and tw.periodic else None
+        records.append(IndexRecord(
+            x=float(x), lam=float(lam[i]), numerator=float(sums.cost[i]),
+            denominator=float(sums.work[i]), word=word, knife_edge=bool(sums.knife[i]),
+        ))
+    slack = 0.0
+    if beta != 0.0:
+        tail = beta ** (T + 1) / (1.0 - beta)
+        den_min = min(rec.denominator for rec in records)
+        num_scale = max(1.0, (1.0 - beta) * max(abs(rec.numerator) for rec in records))
+        lam_max = max(abs(rec.lam) for rec in records)
+        slack = tail * (num_scale + lam_max * cost_gap(p)) / den_min
+    lams = np.array([rec.lam for rec in records])
+    return records, int(np.sum(np.diff(lams) < -(1e-9 + slack))), T
+
+
+# The CLI's cost families; power(-1.5) also gives non-monotone indices.
+TABLE_COSTS = [costs.by_name(name) for name in (
+    "linear", "entropy", "neg_precision", "ratio_demo", "bounded_demo")]
+TABLE_COSTS += [costs.power(q) for q in (-3.0, -1.5, -1.0, 0.5, 2.0)]
+
+
+def nan_band_cost(cost, a, b):
+    """``cost``, but NaN on the states strictly between a and b."""
+    return costs.custom(lambda v: np.where((a < v) & (v < b), np.nan, cost.eval_unchecked(v)))
+
+
+@st.composite
+def table_inputs(draw):
+    """An arm, a cost, perhaps NaN on a band of states inside the grid or
+    about one grid point, a beta and an ascending grid."""
+    beta = draw(st.sampled_from((0.0, 0.5, 0.99, 0.999)))
+    if beta == 0.999:
+        # Slowly contracting arms would step to T = 27,631 here and take
+        # most of the test's time; they are drawn at the other betas.
+        r, a0 = draw(st.floats(0.5, 0.95)), draw(st.floats(0.01, 0.5))
+    else:
+        r = draw(st.one_of(st.just(1.0), st.floats(0.5, 0.999)))
+        a0 = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.5)))
+    c0 = draw(st.sampled_from((0.0, 0.2)))
+    p = ArmParams(r=r, a0=a0, a1=a0 + draw(st.floats(0.05, 3.0)),
+                  c0=c0, c1=c0 + draw(st.floats(0.5, 3.0)))
+    lo = draw(st.floats(0.01, 2.0))
+    grid = np.geomspace(lo, lo * draw(st.floats(1.5, 100.0)), draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        # The fixed points, where the words are one letter and knife edges.
+        grid = np.unique(np.r_[grid, [v for v in (y1(p), y0(p)) if v < 1e3]])
+    cost = draw(st.sampled_from(TABLE_COSTS))
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            a, b = sorted(draw(st.floats(grid[0], grid[-1])) for _ in range(2))
+        else:
+            x = draw(st.sampled_from(grid.tolist()))
+            # The guard rejects a cost that is NaN at the orbits' lowest state.
+            assume(x != orbit_range(p, grid[0], grid[-1])[0])
+            a, b = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
+        cost = nan_band_cost(cost, a, b)
+    return p, cost, beta, grid
+
+
 class TestIndexTable:
     def test_monotone_for_admissible_cost(self):
         p = ArmParams(r=0.9, a0=0.0, a1=0.01)
@@ -1122,6 +1198,9 @@ class TestIndexTable:
         p = ArmParams(r=0.9, a0=0.0, a1=1.0)
         with pytest.raises(ValueError):
             index_table(p, costs.linear(), 0.9, np.array([2.0, 1.0]))
+        # The ascending check comes first, so a NaN grid is not ascending.
+        with pytest.raises(ValueError, match="^grid must be strictly ascending$"):
+            index_table(p, costs.linear(), 0.9, np.array([1.0, math.nan]))
 
     def test_overflowing_sums_raise_without_warnings(self):
         # The library call runs the CLI's overflow guard: no NaN records and
@@ -1145,6 +1224,69 @@ class TestIndexTable:
         assert len(flagged) == 1
         assert flagged[0].x == pytest.approx(y1(p))
         assert table.monotonicity_violations == 0
+
+    @given(inputs=table_inputs(), words=st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    # Passive orbits above y0 = 500.25 that reach T = 2,750 with no repeat.
+    @example(inputs=(ArmParams(r=0.999, a0=0.0, a1=1.0), costs.linear(), 0.99,
+                     np.geomspace(300.0, 2000.0, 7)), words=True)
+    # A non-monotone index with NaN at its last three points (4 violations;
+    # numpy's max would give the slack NaN and none), and at its first point
+    # only (no violation, as the slack is NaN; the reverse order gives 7).
+    @example(inputs=(ArmParams(r=1.0, a0=0.0, a1=2.0), nan_band_cost(costs.power(-1.5), 8.0, 9.0),
+                     0.99, np.geomspace(0.3, 30.0, 8)), words=False)
+    @example(inputs=(ArmParams(r=1.0, a0=0.0, a1=2.0),
+                     nan_band_cost(costs.power(-1.5), 1.0 - 1e-9, 1.0 + 1e-9),
+                     0.5, np.geomspace(1.0, 80.0, 9)), words=True)
+    def test_matches_record_loop(self, inputs, words):
+        """Records, violation count and T equal the record-by-record reference
+        bit for bit, on random arms and grids, with and without words."""
+        p, cost, beta, grid = inputs
+        got = index_table(p, cost, beta, grid, words=words)
+        records, violations, T = reference_index_table(p, cost, beta, grid, words)
+        assert (got.monotonicity_violations, got.T) == (violations, T)
+        assert len(got.records) == len(records)
+        for a, b in zip(got.records, records):
+            for name in ("x", "lam", "numerator", "denominator"):
+                u, w = getattr(a, name), getattr(b, name)
+                assert type(u) is float and struct.pack("<d", u) == struct.pack("<d", w)
+            assert type(a.knife_edge) is bool and a.knife_edge == b.knife_edge
+            assert a.word == b.word
+
+
+NON_FINITE_CALLS = {
+    "whittle_index": lambda p, cost, x: whittle_index(IndexQuery(p, cost, 0.9, x)),
+    "marginal_cost": lambda p, cost, x: marginal_cost(IndexQuery(p, cost, 0.9, x), 1.0),
+    "marginal_work": lambda p, cost, x: marginal_work(IndexQuery(p, cost, 0.9, x), 1.0),
+    "q_value": lambda p, cost, x: q_value(p, cost, 0.9, 1.0, x, 0, 1.0),
+    "index_table": lambda p, cost, x: index_table(p, cost, 0.9, sorted([1.0, x])),
+}
+
+
+@pytest.mark.parametrize("entry, x", [
+    ("whittle_index", math.nan), ("whittle_index", math.inf), ("whittle_index", -math.inf),
+    ("marginal_cost", math.nan), ("marginal_cost", math.inf), ("marginal_work", math.nan),
+    ("q_value", math.nan), ("q_value", math.inf),
+    ("index_table", math.inf), ("index_table", -math.inf),
+])
+def test_non_finite_states_rejected(entry, x):
+    # A non-finite state has no orbit of variances: each entry point says
+    # so, in threshold_word's words, instead of blaming the cost or a1 or
+    # returning NaN.
+    p, cost = ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear()
+    want = "grid must be finite" if entry == "index_table" else f"x must be finite, got {x}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            NON_FINITE_CALLS[entry](p, cost, x)
+
+
+@pytest.mark.parametrize("s", [-math.inf, math.inf])
+def test_infinite_thresholds_allowed(s):
+    # The all-active and all-passive policies of a finite state.
+    p, cost = ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear()
+    assert math.isfinite(marginal_cost(IndexQuery(p, cost, 0.9, 2.0), s))
+    assert math.isfinite(q_value(p, cost, 0.9, 1.0, 2.0, 0, s))
 
 
 class TestCrossRoutes:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from obsched import costs, oracle
 from obsched.dynamics import (
     ArmParams,
     InconsistencyError,
+    check_discounted_sums,
     moebius_matrix,
     phi,
     phi0,
@@ -30,6 +32,7 @@ from obsched.index import (
 from obsched.oracle import (
     DPGrid,
     DPSolution,
+    SLOPE_LIMIT,
     PcliConfig,
     _action_matrix,
     cross_validate,
@@ -96,7 +99,7 @@ def reference_pcli_report(params, cost, beta, cfg):
     slope = float(np.polyfit(tlog, clog, 1)[0])
     report["discontinuities"] = {"lengths": list(cfg.itinerary_lengths),
                                  "counts": counts, "fitted_exponent": slope,
-                                 "ok": bool(slope <= cfg.slope_limit)}
+                                 "ok": bool(slope <= SLOPE_LIMIT)}
     checks = []
     for _ in range(cfg.pcli3_intervals):
         a_s, b_s = np.sort(rng.uniform(lo, hi, 2))
@@ -782,6 +785,20 @@ class TestPcli:
             pcli_report(p, costs.entropy(), 0.9, cfg)
         assert str(got.value) == str(want.value)
         assert str(got.value) == "cost 'entropy' undefined at v = 0.0 (domain is (0, inf))"
+
+    def test_overflowing_sums_raise_without_warnings(self):
+        # At a1 = 1e300 the orbits reach 1/(a1 + 1) = 1e-300, where power(-3)
+        # overflows: the report raises the overflow guard's error over its
+        # own states, with no RuntimeWarning (warnings are errors here).
+        p, cost = ArmParams(r=0.9, a0=0.0, a1=1e300), costs.power(-3.0)
+        cfg = PcliConfig(work_samples=5, lambda_points=8, sweep_points=64)
+        with pytest.raises(ValueError) as want:
+            check_discounted_sums(p, cost, 0.9, *state_bounds(p, cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^cost 'power\(-3\.0\)' is too large") as got:
+                pcli_report(p, cost, 0.9, cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestMajorisation:
