@@ -471,17 +471,28 @@ def orbit(p: ArmParams, x: float, a: int, s: float, T: int) -> Orbit:
 def itinerary(p: ArmParams, x: float, z: float, n: int) -> Word:
     """First n letters of the itinerary of the map-with-a-gap at threshold z.
 
-    x_1 = x, sigma_t = 1{x_t >= z}, x_{t+1} = phi_{sigma_t}(x_t): the
-    actions of the :func:`threshold_walk` from x, tiled from its first
-    repeat.  x must be finite; z = -inf and z = inf give the all-active
-    and all-passive itineraries.
+    x_1 = x, sigma_t = 1{x_t >= z}, x_{t+1} = phi_{sigma_t}(x_t).  The
+    walk keeps one byte per letter and no states: an anchor state retaken
+    after 0, 1, 2, 4, ... steps finds a repeat (Brent), from which the
+    letters are tiled; the anchor lies in the cycle, so each is the orbit's.
+    x must be finite; z = -inf and z = inf give the all-active and
+    all-passive itineraries.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not math.isfinite(x) or math.isnan(z):
         raise ValueError(f"need a finite x and a non-NaN z, got x={x}, z={z}")
-    states, k = threshold_walk(p, x, z, n)
-    return Word(_tiled(walk_actions(states, z)[0], k, n))
+    step, v, z = scalar_map(p), float(x), float(z)
+    letters, anchor, k = bytearray(), v, 0
+    for i in range(n):
+        if i > k and v == anchor:
+            return Word(_tiled(letters, k, n))
+        if not i & (i - 1):
+            anchor, k = v, i
+        a = v >= z
+        letters.append(a)
+        v = step(a, v)
+    return Word(letters)
 
 
 @dataclass(frozen=True)

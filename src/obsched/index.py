@@ -47,6 +47,8 @@ from .dynamics import (  # noqa: F401
 from .words import Word, is_balanced  # noqa: F401
 
 MAX_TRUNCATION_STEPS = 5_000_000
+# States the batch kernel buffers per block of steps (64 KB).
+_BLOCK_STATES = 8192
 # Mean-cost gap of index_beta1's two cycles, relative to their largest cost,
 # beyond rounding: float cycles of one word lie ~1e-16 / (1 - contraction)
 # apart (at most 9.1e-13 over 4,500 random arms and states).
@@ -365,13 +367,29 @@ def marginal_sums_batch(
     are found by Brent's method: each orbit is compared bitwise with an
     anchor state retaken at t = 1, 2, 4, ...  An orbit back at its anchor
     state at step t is periodic from the anchor step k with period
-    n = t - k and stops stepping; its sum is the part before k plus the
-    cycle's sum times 1 / (1 - beta^n).  Orbits with no repeat by T are
-    truncated there and get period 0.  The anchor schedule depends only
-    on t, so each orbit's sums and period do not depend on the other
-    orbits of the call, of its own arm or of another: a call for several
-    arms gives bitwise each arm's own call, in the steps of its slowest
-    orbit rather than the sum of the arms' steps.  Memory stays O(len(x)).
+    n = t - k and stops; its sum is the part before k plus the cycle's sum
+    times 1 / (1 - beta^n).  Orbits with no repeat by T are truncated there
+    and get period 0.  The anchor schedule depends only on t, so each
+    orbit's sums and period do not depend on the other orbits of the call,
+    of its own arm or of another: a call for several arms gives bitwise
+    each arm's own call, in the steps of its slowest orbit rather than the
+    sum of the arms' steps.  Memory stays O(len(x)).
+
+    The orbits step in blocks: each step only acts, maps and copies its
+    states into the block's buffer.  A block ends before the next anchor
+    reset, at T, at ``_BLOCK_STATES`` states (64 KB; at least one step) or
+    at a state inside its class's threshold range, which starts the next
+    block.  2-D passes over the buffer then test its states after the first,
+    and the one after it within T, against the anchor, stopping each row
+    at its first repeat, flag knife-edge ties, and add the summands,
+    discounted by beta^t, to the cycle sums one step after another (numpy
+    reduces the leading axis in order when a row holds more values than
+    one).  A row that repeats inside a block reads its sums at the repeat
+    from a running sum over its columns; its later states repeat its cycle,
+    so they add no tie, split or cost error or warning that the cycle did
+    not.  The discount row is beta ** t of the 1-element array beta, which
+    numpy squares at t = 2, where a power row may differ in the last bit
+    (at beta = 0.8): so it takes beta ** 2 there.
 
     The orbits step in sorted positions: the points are sorted by
     (arm, start bits, threshold) into the permutation o, and the
@@ -381,29 +399,25 @@ def marginal_sums_batch(
     and ascending thresholds, whose orbits share one state, one head and
     cycle sum, one anchor and the step k.  The invariant holds while every
     member takes the same action, so a class whose state v lies inside
-    its range (first threshold <= v < last) is split before the step:
-    the members s <= v act and keep the row, the members s > v rest in a
-    new row with copies of the state, sums, anchor and coefficients.  Every
-    member thus sees the float operations of its own orbit, in the same
-    order, and its sums are bitwise those of stepping it alone.  A class's
-    sums and period go to its first position, and at the end every
-    position takes those of the class start before it.  Knife-edge flags
-    stay per member.  A class that does not straddle v ties v only if its
-    member nearest to v does (the last member of an acting class, the
-    first of a resting one): near a tie v - s is exact (Sterbenz), and the
-    tolerances of two thresholds differ by at most 1e-12 times their gap.
-    Only when the nearest member ties are the members within a few
-    tolerances of v tested one by one.  When every class has one member,
-    as in a batch of distinct starts, the class bookkeeping costs one
-    Python bool per step.
+    its range (first threshold <= v and not v >= last, for a NaN last) is
+    split at the start of a block: the members s <= v act and keep the
+    row, the members s > v rest in a new row with copies of the state,
+    sums, anchor and coefficients.  Every member thus sees the float
+    operations of its own orbit, in the same order, and its sums are
+    bitwise those of stepping it alone.  A class's sums and period go to
+    its first position, and at the end every position takes those of the
+    class start before it.  Knife-edge flags stay per member.  A class that
+    does not straddle v ties v only if its member nearest to v does (the
+    last member of an acting class, the first of a resting one): near a tie
+    v - s is exact (Sterbenz), and the tolerances of two thresholds differ
+    by at most 1e-12 times their gap.  Only when the nearest member ties
+    are the members within a few tolerances of v tested one by one.  The
+    range test runs at each step only while some class has two members.
 
     Each row carries its arm's :func:`dynamics.map_coefficients` column
     and its c0 and c1, so one :func:`dynamics.batch_map` call steps every
     arm.  The rows stay sorted by arm, so that each arm's cost is
-    evaluated on its own slice of the states (on the whole row when one
-    arm is left).  beta is raised to the power t as a 1-element array:
-    numpy's power gives the same float there as in a full row, while a
-    Python float power may differ from it in the last bit.
+    evaluated once per block, on its slice of the states.
 
     Only the starting states go through the cost's domain check.  The
     states at t >= 1 are variance images, positive unless an active step
@@ -411,7 +425,8 @@ def marginal_sums_batch(
     A step adds at most 1 to a state, so the denominators of an arm stay
     below a1 r^2 (max x + T) + a1 + 1 (doubled for rounding); when a1 is
     finite and that bound is finite, the arm's states are evaluated
-    unchecked, and otherwise every step of that arm is checked.
+    unchecked, and otherwise every block of that arm is checked, with the
+    error of the first step that has one.
     """
     one = isinstance(p, ArmParams)
     arms, cost_fns, xs, ss = ([p], [cost], [x], [s]) if one else (p, cost, x, s)
@@ -473,49 +488,19 @@ def marginal_sums_batch(
     noiseless = any(math.isinf(pa.a1) for pa in arms)
     step, c0, c1 = _rows(coef, noiseless)
     v = batch_map(step, first, x0)
-    anchor, k = v, 1
+    anchor, k, t = v, 1, 1
     # The classes with more than one member, whose ties are flagged per
-    # orbit as they happen; those of the others accumulate in lknife.
+    # orbit; those of the others accumulate in lknife.
     mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
     lknife = np.zeros(v.size, dtype=bool)
-    for t in range(1, T + 1):
-        if not v.size:
-            break
-        if t > k:
-            hit = v == anchor
-            if hit.any():
-                # Row numbers select columns faster than masks.
-                keep, hit = np.flatnonzero(~hit), np.flatnonzero(hit)
-                ids = bounds[0][hit]
-                done = cyc.take(hit, axis=1)
-                done *= _cycle_factor(beta, t - k)
-                done += head.take(hit, axis=1)
-                sums[:, ids] = done
-                period[ids] = t - k
-                knife[ids] |= lknife[hit]
-                v, anchor, lknife, head, cyc = (
-                    a.take(keep, axis=-1) for a in (v, anchor, lknife, head, cyc)
-                )
-                for i, row in enumerate(bounds):
-                    bounds[i] = row[keep]
-                if mrows.size:
-                    mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
-                if coef.shape[1] > 1:
-                    coef, arm = coef.take(keep, axis=1), arm[keep]
-                    segs = _segments(arm, cost_at)
-                    if len(segs) == 1:
-                        coef = coef[:, :1]
-                    step, c0, c1 = _rows(coef, noiseless)
-            if t == 2 * k:
-                head += cyc
-                cyc = np.zeros_like(head)
-                anchor, k = v, t
-        off = np.subtract(v, bounds[2])
-        tie = np.abs(off, out=off) <= bounds[3]
-        act = v >= bounds[2]
+    while t <= T and v.size:
+        if t == 2 * k:
+            head += cyc
+            cyc = np.zeros_like(head)
+            anchor, k = v, t
         if mrows.size:
-            low = s[bounds[0][mrows]]
-            split = mrows[(v[mrows] >= low) & ~act[mrows]]
+            u = v[mrows]
+            split = mrows[(u >= s[bounds[0][mrows]]) & ~(u >= bounds[2][mrows])]
             if split.size:
                 _split(s, tol, start, bounds, split, v[split])
                 v, anchor, lknife, head, cyc = (
@@ -534,24 +519,76 @@ def marginal_sums_batch(
                     segs = _segments(arm, cost_at)
                     step, c0, c1 = _rows(coef, noiseless)
                 mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
-                off = np.subtract(v, bounds[2])
-                tie = np.abs(off, out=off) <= bounds[3]
-                act = v >= bounds[2]
+            low, last = s[bounds[0][mrows]], bounds[2][mrows]
+        # The block's states at steps t .. t + m - 1, then the state after it.
+        m = min(2 * k - t, T + 1 - t, max(1, _BLOCK_STATES // v.size))
+        buf = np.empty((m + 1, v.size))
+        buf[0] = v
+        j = 0
+        while j < m:
+            v = batch_map(step, v >= bounds[2], v)
+            j += 1
+            buf[j] = v
+            if mrows.size and j < m:
+                # A class state inside its threshold range starts the next
+                # block, which splits the class.
+                u = v[mrows]
+                if ((u >= low) & ~(u >= last)).any():
+                    break
+        states = buf[:j]
+        act = states >= bounds[2]
+        tie = np.abs(states - bounds[2]) <= bounds[3]
+        if mrows.size:
             # The member nearest to the state of a resting class is its first.
-            rest = mrows[~act[mrows]]
-            near = bounds[0][rest]
-            tie[rest] = np.abs(v[rest] - s[near]) <= tol[near]
-            ties = mrows[tie[mrows]]
-            if ties.size:
-                _flag_ties(knife, s, tol, bounds[0][ties], bounds[1][ties], v[ties])
-                tie[ties] = False
-        lknife |= tie
-        disc = beta**t
-        cyc[0] += disc * _cost(segs, v)
-        work = np.where(act, c1, c0)
-        work *= disc
-        cyc[1] += work
-        v = batch_map(step, act, v)
+            near, um = bounds[0][mrows], states[:, mrows]
+            rest = np.abs(um - s[near]) <= tol[near]
+            tie[:, mrows] = np.where(act[:, mrows], tie[:, mrows], rest)
+            i, c = np.nonzero(tie[:, mrows])
+            if i.size:
+                _flag_ties(knife, s, tol, near[c], bounds[1][mrows[c]], um[i, c])
+                tie[:, mrows] = False
+        lknife |= tie.any(axis=0)
+        # Repeats at steps t + 1 .. t + j (within T); a row's first counts.
+        eq = buf[1:j + (t + j <= T)] == anchor
+        hit = eq.any(axis=0)
+        hits = np.flatnonzero(hit)
+        # Summand i of a row is discounted by beta^(t + i), beta^2 squared.
+        disc = beta ** np.arange(t, t + j, dtype=float)[:, None]
+        if t <= 2 < t + j:
+            disc[2 - t] = beta**2
+        # Row 0 is cyc, row i + 1 the summands of step t + i; 2 values a row.
+        terms = np.empty((j + 1, 2, v.size))
+        terms[0] = cyc
+        np.multiply(_cost(segs, states), disc, out=terms[1:, 0])
+        np.multiply(np.where(act, c1, c0), disc, out=terms[1:, 1])
+        cyc = np.add.reduce(terms, axis=0)
+        if hits.size:
+            at = eq[:, hits].argmax(axis=0) + 1
+            ids = bounds[0][hits]
+            cycle = t + at - k
+            # The sums of a hit row stop at its repeat.
+            done = np.add.accumulate(terms[:, :, hits], axis=0)[at, :, np.arange(hits.size)].T
+            done *= _cycle_factor(beta, cycle)
+            done += head.take(hits, axis=1)
+            sums[:, ids] = done
+            period[ids] = cycle
+            knife[ids] |= lknife[hits]
+            # Row numbers select columns faster than masks.
+            keep = np.flatnonzero(~hit)
+            v, anchor, lknife, head, cyc = (
+                a.take(keep, axis=-1) for a in (v, anchor, lknife, head, cyc)
+            )
+            for i, row in enumerate(bounds):
+                bounds[i] = row[keep]
+            if mrows.size:
+                mrows = np.flatnonzero(bounds[1] - bounds[0] > 1)
+            if coef.shape[1] > 1:
+                coef, arm = coef.take(keep, axis=1), arm[keep]
+                segs = _segments(arm, cost_at)
+                if len(segs) == 1:
+                    coef = coef[:, :1]
+                step, c0, c1 = _rows(coef, noiseless)
+        t += j
     head += cyc
     sums[:, bounds[0]] = head
     knife[bounds[0]] |= lknife
@@ -592,10 +629,19 @@ def _segments(arm: np.ndarray, fns: list) -> list:
 
 
 def _cost(segs: list, v: np.ndarray) -> np.ndarray:
-    """Each arm's cost at its rows' states; the whole row at once for one arm."""
-    if len(segs) == 1:
-        return segs[0][0](v)
-    return np.concatenate([f(v[a:b]) for f, a, b in segs])
+    """Each arm's cost at its rows' states, on v's last axis, as one flat
+    array per arm; a domain error is that of v's rows one after another."""
+    try:
+        if len(segs) == 1:
+            return segs[0][0](v.ravel()).reshape(v.shape)
+        return np.concatenate(
+            [f(v[..., a:b].ravel()).reshape(v[..., a:b].shape) for f, a, b in segs], axis=-1
+        )
+    except CostDomainError:
+        for row in v.reshape(-1, v.shape[-1]):
+            for f, a, b in segs:
+                f(row[a:b])
+        raise
 
 
 def _append(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -691,9 +737,11 @@ def index_table(
 
 def _lambda_slack(gap, beta, T, lams, nums, dens) -> float:
     """Bound on the index perturbation of sums truncated at the step cap T,
-    from the lists of the grid's indices, numerators and denominators."""
+    from the finite entries of the lists of the grid's indices, numerators
+    and denominators: a NaN index hides no violation of the others."""
     if beta == 0.0:
         return 0.0
+    lams, nums, dens = ([u for u in a if math.isfinite(u)] for a in (lams, nums, dens))
     tail = beta ** (T + 1) / (1.0 - beta)
-    num_scale = max(1.0, (1.0 - beta) * max(map(abs, nums)))
-    return tail * (num_scale + max(map(abs, lams)) * gap) / min(dens)
+    num_scale = max(1.0, (1.0 - beta) * max(map(abs, nums), default=0.0))
+    return tail * (num_scale + max(map(abs, lams), default=0.0) * gap) / min(dens)

@@ -4,8 +4,10 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,9 @@ from obsched.dynamics import ArmParams, check_discounted_sums, phi, phi0, phi1
 from obsched.index import truncation_horizon
 
 from support import fig7_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import make_jobs  # noqa: E402
 
 
 def two_arm_scenario(**kw):
@@ -637,6 +642,31 @@ class TestTablesAndExports:
             assert (first, xp) == (float(g[0]), np.log(g).tolist())
             assert np.array(fp).tobytes() == (alone.cost / alone.work).tobytes()
         assert tables.rows[4] is tables.rows[0]
+
+    # tracemalloc peak of the kernel call below before it stepped in blocks
+    # of states (2,719 KB); the blocks may add at most 512 KB to it.
+    KERNEL_PEAK_BYTES = 2_784_741 + 512 * 1024
+
+    def test_kernel_memory_on_the_benchmark_scenario(self, monkeypatch):
+        # The benchmark's seed-1 sim-1 scenario: 7 distinct arms of 512
+        # points at beta = 0.99, whose slowest orbits step to T = 2,750.
+        job = next(j for j in make_jobs("tournament", 1) if j.name == "sim-1")
+        scenario = Scenario.from_json(json.loads(job.files[0][1]))
+        kernel = bandit.marginal_sums_batch
+        calls = []
+        monkeypatch.setattr(
+            bandit, "marginal_sums_batch", lambda *a: calls.append(a) or kernel(*a)
+        )
+        build_index_tables(scenario)
+        (args,) = calls
+        assert len(args[0]) == 7 and [g.size for g in args[3]] == [512] * 7
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.KERNEL_PEAK_BYTES
 
     def test_lookup_interpolates_on_log_grid(self):
         # Real tables, at every grid point and its float neighbours, at the

@@ -1,9 +1,12 @@
 """Variance maps, matrices, fixed points, orbits, itineraries, threshold words."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obsched import dynamics
 from obsched.dynamics import (
@@ -459,6 +462,38 @@ class TestItinerary:
             while m < n and w.letter(m + 1) == first:
                 m += 1
             assert is_balanced(w.factor(m + 1, n))
+
+    def test_memory_is_a_byte_per_letter(self):
+        # The all-passive orbit with r = 1 and a0 = 0 climbs by 1 a letter
+        # and never repeats: the walk keeps its letters and no states.
+        p = ArmParams(r=1.0, a0=0.0, a1=0.5)
+        tracemalloc.start()
+        try:
+            w = itinerary(p, 0.5, math.inf, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bytes(w) == bytes(200_000)
+        assert peak < 1 << 20
+
+    @given(
+        r=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+        a0=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        a1=st.one_of(st.just(math.inf), st.floats(0.05, 3.0)),
+        x=st.floats(0.0, 8.0),
+        z=st.one_of(st.sampled_from((math.inf, -math.inf, 0.0)), st.floats(0.0, 8.0)),
+        n=st.one_of(st.integers(1, 40), st.integers(200, 3000)),
+    )
+    @example(r=1.0, a0=0.0, a1=0.1, x=60.0, z=60.0, n=1000)  # head 433, period 53
+    @example(r=1.0, a0=0.0, a1=0.1, x=5.0, z=5.0, n=5)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_letters_are_the_tiled_first_repeat_walk(self, r, a0, a1, x, z, n):
+        # Brent's repeat comes at or after the first one, from an anchor in
+        # the cycle: tiling from it gives every letter of the walk's tiling.
+        p = ArmParams(r=r, a0=a0, a1=a0 + a1)
+        states, k = dynamics.threshold_walk(p, x, z, n)
+        want = dynamics._tiled(dynamics.walk_actions(states, z)[0], k, n)
+        assert bytes(itinerary(p, x, z, n)) == bytes(want)
 
 
 class TestThresholdWord:

@@ -23,6 +23,7 @@ from obsched.dynamics import (
     orbit_range,
     phi,
     scalar_map,
+    threshold_walk,
     threshold_word,
     y0,
     y1,
@@ -659,6 +660,194 @@ class TestBatchKernelMatchesReference:
             marginal_sums_batch(p, 0.9, costs.power(0.5), xs, xs, 100)
 
 
+def brent_repeat_step(p, x, s, first, T):
+    """The step at which the batch kernel's repeat test stops the orbit, or 0.
+
+    The orbit's first-repeat walk gives its head and period n; anchors are
+    retaken at steps 1, 2, 4, ..., and the first anchor a in the cycle with
+    n <= a sees the repeat at step a + n.  0 when that is beyond T.
+    """
+    walk, k = threshold_walk(p, scalar_map(p)(first, x), s, T + 1)
+    if k == len(walk):
+        return 0
+    a, n = 1, len(walk) - k
+    while a <= k or a < n:
+        a *= 2
+    return a + n if a + n <= T else 0
+
+
+@pytest.fixture
+def kernel_blocks(monkeypatch):
+    """The kernel's blocks as (first step, steps, rows), read off its cost calls."""
+    shapes = []
+    cost = index_mod._cost
+
+    def recording(segs, v):
+        if v.ndim == 2:
+            shapes.append(v.shape)
+        return cost(segs, v)
+
+    monkeypatch.setattr(index_mod, "_cost", recording)
+
+    def blocks():
+        starts = np.cumsum([1] + [m for m, _ in shapes])
+        return [(int(t), m, rows) for t, (m, rows) in zip(starts, shapes)]
+
+    return blocks
+
+
+def block_cut(t, m, rows, T):
+    """Whether the block of m steps from t, over rows, ended before the
+    next anchor reset, T and the state buffer, that is at a split."""
+    k = 1 << (t.bit_length() - 1)
+    return m < min(2 * k - t, T + 1 - t, max(1, index_mod._BLOCK_STATES // rows))
+
+
+class TestBlockEdges:
+    """The kernel steps in blocks and tests repeats, ties and sums per
+    block: at each kind of block edge its results stay bitwise those of the
+    per-step reference, errors included."""
+
+    match = staticmethod(TestBatchKernelMatchesReference.assert_matches_reference)
+
+    def test_discount_keeps_numpys_square_at_t_2(self):
+        # beta^2 of a 1-element array is numpy's square, which for
+        # beta = 0.8 differs in the last bit from its power at 2.0.
+        beta = np.array([0.8])
+        assert (beta ** np.arange(3.0))[2] != (beta**2)[0]
+        rng = np.random.default_rng(81)
+        for cost in (costs.linear(), costs.entropy(), costs.power(0.5)):
+            p = random_params(rng)
+            x, s = rng.uniform(0.05, 8.0, (2, 40))
+            self.match(p, 0.8, cost, x, s, 500)
+
+    def test_buffer_cuts_blocks_of_many_orbits(self, kernel_blocks):
+        # 2,200 orbits: the 8,192-state buffer holds 3 steps of them, and
+        # the passive orbits of infinite thresholds stay to the cap.
+        rng = np.random.default_rng(82)
+        p = ArmParams(r=1.0, a0=0.0, a1=0.7)
+        x, s = rng.uniform(0.05, 20.0, (2, 1100))
+        s[::25] = math.inf
+        self.match(p, 0.99, costs.entropy(), x, s, 600)
+        blocks = kernel_blocks()
+        assert blocks[0][2] == 2200
+        assert any(m == index_mod._BLOCK_STATES // rows for _, m, rows in blocks[:-1])
+
+    @pytest.mark.parametrize("T", [2**j + d for j in (4, 5, 6, 7) for d in (-1, 0, 1)])
+    def test_T_ends_a_block(self, T):
+        # Some orbits are seen at step T + 1, the state after the last
+        # block, where they stay capped: at T = 2^j those of period 1 (seen
+        # one step after the anchor 2^j), and at T = 33 some of period 2.
+        rng = np.random.default_rng(83)
+        edge = False
+        for p in (ArmParams(r=0.9, a0=0.1, a1=1.0), ArmParams(r=0.8, a0=0.0, a1=2.0)):
+            x = rng.uniform(0.05, 40.0, 100)
+            s = np.where(rng.random(100) < 0.5, x, rng.uniform(0.0, 40.0, 100))
+            got, _ = self.match(p, 0.9, costs.linear(), x, s, T)
+            longer = marginal_sums_batch(p, 0.9, costs.linear(), x, s, T + 1)
+            edge |= bool(((got.period == 0) & (longer.period > 0)).any())
+        assert edge == (T in (16, 33, 64, 128))
+
+    def test_one_row_sums_in_order(self, kernel_blocks):
+        # At 2^53 a passive step adds nothing, so the passive-first orbit
+        # repeats at once; the active-first one climbs alone to the cap, in
+        # blocks of one row, where numpy would sum an axis pairwise.
+        p = ArmParams(r=1.0, a0=0.0, a1=0.5, c0=0.3, c1=1.1)
+        x = np.array([2.0**53])
+        got, capped = self.match(p, 0.99, costs.bounded_demo(), x, math.inf, 1000)
+        assert got.period.tolist() == [[1, 0]] and capped == 1
+        assert max(m for _, m, rows in kernel_blocks() if rows == 1) >= 256
+
+    def test_repeats_at_every_offset_of_a_block(self, kernel_blocks):
+        # Long heads and distinct starts: some block sees a repeat at each
+        # of its steps after the first and at the state after it.
+        rng = np.random.default_rng(3)
+        p = ArmParams(r=1.0, a0=0.0, a1=0.3)
+        x = rng.uniform(0.05, 40.0, 600)
+        T = 2000
+        self.match(p, 0.99, costs.linear(), x, x, T)
+        found = {}
+        for first in (0, 1):
+            for x0 in x:
+                at = brent_repeat_step(p, x0, x0, first, T)
+                for t, m, _ in kernel_blocks():
+                    if t < at <= t + m:
+                        found.setdefault((t, m), set()).add(at - t)
+        assert any(m >= 8 and hits == set(range(1, m + 1)) for (_, m), hits in found.items())
+
+    def test_arm_finishing_inside_a_block(self, kernel_blocks):
+        # The quick arm's last orbit repeats inside a block of the slow
+        # arm's capped orbits; both get their own call's sums.
+        rng = np.random.default_rng(85)
+        quick = ArmParams(r=0.5, a0=0.2, a1=2.0, c0=0.1, c1=0.9)
+        slow = ArmParams(r=1.0, a0=0.0, a1=1.5)
+        xq, sq = rng.uniform(0.05, 4.0, (2, 30))
+        xs = rng.uniform(0.05, 8.0, 20)
+        ss = np.where(np.arange(20) % 2, math.inf, rng.uniform(0.05, 8.0, 20))
+        T = 400
+        got = marginal_sums_batch(
+            [quick, slow], 0.9, [costs.power(0.5), costs.linear()], [xq, xs], [sq, ss], T
+        )
+        last = max(brent_repeat_step(quick, x, s, f, T) for f in (0, 1) for x, s in zip(xq, sq))
+        t, m, _ = next(b for b in kernel_blocks() if b[0] < last <= b[0] + b[1])
+        assert last < t + m and kernel_blocks()[-1][0] + kernel_blocks()[-1][1] == T + 1
+        for mine, (p, cost, x, s) in zip(
+            got, [(quick, costs.power(0.5), xq, sq), (slow, costs.linear(), xs, ss)]
+        ):
+            alone, _ = self.match(p, 0.9, cost, x, s, T)
+            for name in OrbitSums._fields:
+                assert getattr(mine, name).tobytes() == getattr(alone, name).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_end_at_splits(self, kernel_blocks, seed):
+        # A fixed start with thresholds that split its classes at many
+        # steps: blocks end where a state falls inside a class's range, and
+        # the next block splits it.  With no +inf threshold, the NaN one
+        # ends the class of the largest finite thresholds.
+        rng = np.random.default_rng([86, seed])
+        p = random_params(rng, r_hi=0.99)
+        # The orbits settle between the pure maps' fixed points.
+        lo, hi = y1(p), y0(p)
+        thresholds = np.concatenate([rng.uniform(lo, hi, 40), [math.nan, -math.inf]])
+        start = [float(rng.uniform(lo, hi))]
+        x, s = TestBatchKernelMatchesReference.sweeps(rng, start, thresholds)
+        T = 300
+        self.match(p, 0.99, costs.bounded_demo(), x, s, T)
+        assert any(block_cut(t, m, rows, T) for t, m, rows in kernel_blocks()[:-1])
+
+    def test_checked_costs_raise_as_the_reference_without_warnings(self):
+        # a1 = inf takes active orbits to 0, where entropy is undefined.
+        p = ArmParams(r=0.9, a0=0.1, a1=math.inf)
+        x = np.geomspace(0.5, 5.0, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(costs.CostDomainError) as want:
+                reference_threshold_sums_batch(
+                    p, 0.9, costs.entropy(), np.tile(x, 2), np.tile(x, 2),
+                    np.arange(12) >= 6, 100,
+                )
+            with pytest.raises(costs.CostDomainError) as got:
+                marginal_sums_batch(p, 0.9, costs.entropy(), x, x, 100)
+        assert str(got.value) == str(want.value)
+
+    def test_first_domain_error_in_step_order(self):
+        # a1 r^2 v + a1 overflows beyond v = 0.8: an active step there gives 0.
+        # The first arm's orbits, NaN ones among them, reach 0 at step 6,
+        # the second arm's at step 5, in the block of steps 4-7: the error
+        # is the second arm's, as when the steps are evaluated one by one.
+        p = ArmParams(r=1.0, a0=0.0, a1=1e308)
+        cost = costs.power(0.5)
+        first = (p, cost, np.array([0.1, math.nan]), np.array([5.0, 5.0]))
+        second = (p, cost, np.array([0.1]), np.array([4.0]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(costs.CostDomainError, match=r"at v = nan "):
+                marginal_sums_batch(p, 0.9, cost, *first[2:], 100)
+            with pytest.raises(costs.CostDomainError) as info:
+                ps, cs, xs, ss = zip(first, second)
+                marginal_sums_batch(ps, 0.9, cs, xs, ss, 100)
+        assert str(info.value) == "cost 'power(0.5)' undefined at v = 0.0 (domain is (0, inf))"
+
+
 # Costs defined at 0, for noiseless arms and zero starts, and costs that are not.
 COSTS_AT_ZERO = (costs.linear(), costs.power(2.0), costs.bounded_demo())
 COSTS_ABOVE_ZERO = (costs.entropy(), costs.power(-0.5), costs.neg_precision())
@@ -1114,10 +1303,14 @@ def reference_index_table(p, cost, beta, grid, words):
         ))
     slack = 0.0
     if beta != 0.0:
+        # Only the records' finite entries bound the slack.
+        def finite(name):
+            return [getattr(rec, name) for rec in records if math.isfinite(getattr(rec, name))]
+
         tail = beta ** (T + 1) / (1.0 - beta)
-        den_min = min(rec.denominator for rec in records)
-        num_scale = max(1.0, (1.0 - beta) * max(abs(rec.numerator) for rec in records))
-        lam_max = max(abs(rec.lam) for rec in records)
+        den_min = min(finite("denominator"))
+        num_scale = max(1.0, (1.0 - beta) * max(map(abs, finite("numerator")), default=0.0))
+        lam_max = max(map(abs, finite("lam")), default=0.0)
         slack = tail * (num_scale + lam_max * cost_gap(p)) / den_min
     lams = np.array([rec.lam for rec in records])
     return records, int(np.sum(np.diff(lams) < -(1e-9 + slack))), T
@@ -1230,9 +1423,8 @@ class TestIndexTable:
     # Passive orbits above y0 = 500.25 that reach T = 2,750 with no repeat.
     @example(inputs=(ArmParams(r=0.999, a0=0.0, a1=1.0), costs.linear(), 0.99,
                      np.geomspace(300.0, 2000.0, 7)), words=True)
-    # A non-monotone index with NaN at its last three points (4 violations;
-    # numpy's max would give the slack NaN and none), and at its first point
-    # only (no violation, as the slack is NaN; the reverse order gives 7).
+    # A non-monotone index with NaN at its last three points (4 violations)
+    # and at its first point only (7): a NaN index counts wherever it sits.
     @example(inputs=(ArmParams(r=1.0, a0=0.0, a1=2.0), nan_band_cost(costs.power(-1.5), 8.0, 9.0),
                      0.99, np.geomspace(0.3, 30.0, 8)), words=False)
     @example(inputs=(ArmParams(r=1.0, a0=0.0, a1=2.0),
@@ -1252,6 +1444,18 @@ class TestIndexTable:
                 assert type(u) is float and struct.pack("<d", u) == struct.pack("<d", w)
             assert type(a.knife_edge) is bool and a.knife_edge == b.knife_edge
             assert a.word == b.word
+
+    @pytest.mark.parametrize("band, beta, grid, violations", [
+        ((8.0, 9.0), 0.99, np.geomspace(0.3, 30.0, 8), 4),
+        ((1.0 - 1e-9, 1.0 + 1e-9), 0.5, np.geomspace(1.0, 80.0, 9), 7),
+    ])
+    def test_nan_index_leaves_the_slack_finite(self, band, beta, grid, violations):
+        # The slack reads only finite indices: a NaN at the first grid point
+        # no longer makes it NaN, which hid every violation.
+        p = ArmParams(r=1.0, a0=0.0, a1=2.0)
+        table = index_table(p, nan_band_cost(costs.power(-1.5), *band), beta, grid, words=False)
+        assert any(math.isnan(rec.lam) for rec in table.records)
+        assert table.monotonicity_violations == violations
 
 
 NON_FINITE_CALLS = {
