@@ -476,6 +476,12 @@ def simulate(
 def tournament(
     scenario: Scenario, policies: Sequence[str] = POLICIES
 ) -> dict[str, SimTrace]:
-    """Run several policies on the same scenario, sharing index tables."""
+    """Run several policies on the same scenario, sharing index tables; an empty
+    or unknown policy list raises ValueError before any table is built."""
+    if not policies:
+        raise ValueError(f"no policy to run; choose from {POLICIES}")
+    for pol in policies:
+        if pol not in POLICIES:
+            raise ValueError(f"unknown policy {pol!r}; choose from {POLICIES}")
     tables = build_index_tables(scenario) if "whittle" in policies else None
     return {pol: simulate(scenario, pol, tables=tables) for pol in policies}

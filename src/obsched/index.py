@@ -35,6 +35,7 @@ from .dynamics import (  # noqa: F401
     InconsistencyError,
     batch_map,
     certified_word,
+    check_denominator,
     check_discounted_sums,
     knife_edge_tol,
     map_coefficients,
@@ -47,6 +48,9 @@ from .dynamics import (  # noqa: F401
 from .words import Word, is_balanced  # noqa: F401
 
 MAX_TRUNCATION_STEPS = 5_000_000
+# The T that a beta = 1 table reports.  It bounds nothing, as the limit sums
+# certified cycles whole; the golden files and the benchmark refs pin it.
+BETA1_T = 400
 # States the batch kernel buffers per block of steps (64 KB).
 _BLOCK_STATES = 8192
 # Mean-cost gap of index_beta1's two cycles, relative to their largest cost,
@@ -700,16 +704,19 @@ def index_table(
     grid: Sequence[float],
     words: bool = True,
 ) -> IndexTable:
-    """Tabulate the index over an ascending finite state grid.
+    """Tabulate the index at beta in [0, 1] over an ascending finite state grid.
 
     Sums that could overflow on the grid's orbits raise ValueError first
-    (:func:`dynamics.check_discounted_sums`).  One :func:`marginal_sums_batch`
-    call gives every point's sums and knife-edge flag; with ``words`` each
-    point also gets its certified :func:`threshold_word` of period at most
-    64 (None when uncertified).  The records are output only: decreases of
-    lambda beyond 1e-9 plus the slack of orbits truncated at the step cap
-    are counted from the kernel's columns as monotonicity violations
-    (admissible costs must produce none).
+    (:func:`dynamics.check_discounted_sums`; at beta = 1, whose sums are
+    finite, the map denominator and the costs at the ends of the orbits'
+    :func:`dynamics.orbit_range`).  One :func:`marginal_sums_batch` call
+    gives every point's sums and knife-edge flag; with ``words`` each point
+    also gets its certified :func:`threshold_word` of period at most 64
+    (None when uncertified).  At beta = 1 the records are
+    :func:`index_beta1`'s, which needs the words.  The records are output
+    only: decreases of lambda beyond 1e-9 plus the slack of orbits
+    truncated at the step cap count as monotonicity violations (admissible
+    costs must produce none).
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or len(xs) == 0:
@@ -718,28 +725,42 @@ def index_table(
         raise ValueError("grid must be strictly ascending")
     if not np.isfinite(xs).all():
         raise ValueError("grid must be finite")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
     p = params
-    check_discounted_sums(p, cost, beta, xs[0], xs[-1])
-    gap = cost_gap(p)
-    T = truncation_horizon(beta)
-    sums = marginal_sums_batch(p, beta, cost, xs, xs, T)
-    lam = sums.cost / sums.work
-    cols = (lam.tolist(), sums.cost.tolist(), sums.work.tolist())
-    records = []
-    for x, lx, num, den, knife in zip(xs.tolist(), *cols, sums.knife.tolist()):
-        tw = threshold_word(p, x, 64) if words else None
-        word = tw.word if tw is not None and tw.periodic else None
-        records.append(IndexRecord(x, lx, num, den, word, knife))
+    if beta == 1.0:
+        if not words:
+            raise ValueError("words=False: the beta = 1 limit needs each point's certified word")
+        check_denominator(p, xs[-1])
+        ends = orbit_range(p, xs[0], xs[-1])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            finite = np.isfinite(cost.eval(np.array(ends))).all()
+        if not finite:
+            raise ValueError(f"cost {cost.kind!r} is not finite on the orbits' states {list(ends)}")
+        gap, T = cost_gap(p), BETA1_T
+        records = [index_beta1(p, cost, x) for x in xs.tolist()]
+        cols = tuple(zip(*((rec.lam, rec.numerator, rec.denominator) for rec in records)))
+    else:
+        check_discounted_sums(p, cost, beta, xs[0], xs[-1])
+        gap, T = cost_gap(p), truncation_horizon(beta)
+        sums = marginal_sums_batch(p, beta, cost, xs, xs, T)
+        cols = ((sums.cost / sums.work).tolist(), sums.cost.tolist(), sums.work.tolist())
+        records = []
+        for x, lx, num, den, knife in zip(xs.tolist(), *cols, sums.knife.tolist()):
+            tw = threshold_word(p, x, 64) if words else None
+            word = tw.word if tw is not None and tw.periodic else None
+            records.append(IndexRecord(x, lx, num, den, word, knife))
     slack = _lambda_slack(gap, beta, T, *cols)
-    violations = int(np.sum(np.diff(lam) < -(1e-9 + slack)))
+    violations = int(np.sum(np.diff(cols[0]) < -(1e-9 + slack)))
     return IndexTable(records, violations, T)
 
 
 def _lambda_slack(gap, beta, T, lams, nums, dens) -> float:
     """Bound on the index perturbation of sums truncated at the step cap T,
     from the finite entries of the lists of the grid's indices, numerators
-    and denominators: a NaN index hides no violation of the others."""
-    if beta == 0.0:
+    and denominators: a NaN index hides no violation of the others.  It is 0
+    at beta = 0 (one term) and 1 (certified cycles are summed whole)."""
+    if beta in (0.0, 1.0):
         return 0.0
     lams, nums, dens = ([u for u in a if math.isfinite(u)] for a in (lams, nums, dens))
     tail = beta ** (T + 1) / (1.0 - beta)

@@ -58,9 +58,23 @@ class LqgSolution:
     z: float  # threshold on the raw posterior variance
 
 
+def _finite(p: LqgProblem, what: str, terms) -> tuple:
+    """terms(), a tuple of floats; ValueError naming B, D and F if one overflows."""
+    try:
+        q = terms()
+    except OverflowError:
+        q = (math.inf,)
+    if not all(map(math.isfinite, q)):
+        raise ValueError(
+            f"B = {p.B!r}, D = {p.D!r}, F = {p.F!r} are too large: {what} are not all finite"
+        )
+    return q
+
+
 def _riccati_quadratic(p: LqgProblem) -> tuple[float, float, float]:
     """Coefficients (qa, qb, qc) of the Riccati quadratic qa R^2 + qb R + qc."""
-    return -p.beta * p.B**2, p.beta * p.B**2 * p.D + p.beta * p.A**2 * p.F - p.F, p.D * p.F
+    return _finite(p, "the Riccati coefficients", lambda: (
+        -p.beta * p.B**2, p.beta * p.B**2 * p.D + p.beta * p.A**2 * p.F - p.F, p.D * p.F))
 
 
 def riccati_root(problem: LqgProblem) -> float:
@@ -74,7 +88,7 @@ def riccati_root(problem: LqgProblem) -> float:
     if p.F == 0.0:
         return p.D
     qa, qb, qc = _riccati_quadratic(p)
-    disc = qb * qb - 4.0 * qa * qc
+    (disc,) = _finite(p, "the Riccati discriminant", lambda: (qb * qb - 4.0 * qa * qc,))
     s = math.sqrt(disc)
     if qb >= 0.0:
         return (qb + s) / (-2.0 * qa)
@@ -117,6 +131,8 @@ def observation_threshold(problem: LqgProblem, alpha: float) -> float:
     def lam(v: float) -> float:
         return whittle_index(IndexQuery(probe, cost, p.beta, v)).lam
 
+    if alpha * p.sigma_x == 0.0:
+        raise ValueError(f"sigma_x = {p.sigma_x!r} is too small: alpha * sigma_x underflows to 0")
     target = price / (alpha * p.sigma_x)
     lo = 1e-9
     top = y0(arm)
@@ -146,9 +162,11 @@ def solve_lqg(problem: LqgProblem) -> LqgSolution:
     """Riccati root, feedback gain, variance-cost rate and observation threshold."""
     R = riccati_root(problem)
     qa, qb, qc = _riccati_quadratic(problem)
-    residual = abs(qa * R**2 + qb * R + qc)
+    qa_r2, qb_r, _ = _finite(problem, f"the Riccati residual's terms at R = {R!r}",
+                             lambda: (qa * R**2, qb * R, qc))
+    residual = abs(qa_r2 + qb_r + qc)
     scale = max(1.0, problem.D * max(1.0, problem.F), R * R * problem.beta * problem.B**2)
-    if residual > 1e-10 * scale:
+    if not (residual <= 1e-10 * scale):
         raise InconsistencyError(f"Riccati residual {residual} too large")
     alpha = problem.D - (1.0 - problem.beta * problem.A**2) * R
     if alpha < -1e-12 * max(1.0, problem.D):

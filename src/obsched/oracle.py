@@ -594,3 +594,38 @@ def cross_validate(
         and dp_threshold(sol_below).is_threshold,
         values=sol_below.values,
     )
+
+
+def verify(
+    params: ArmParams, cost: CostFn, beta: float, *, seed: int, cross_checks: int, grid_n: int
+) -> dict:
+    """:func:`pcli_report` plus :func:`cross_validate` at random x*; findings are data.
+
+    Sums that could overflow on the orbits of the report or of the DP grid
+    (:func:`default_grid`, ``grid_n`` points) raise ValueError first.  The
+    x* are drawn with ``seed``, checked from the highest (the highest
+    price) down, each DP warm-started from the last, and listed as drawn.
+    The grid spans [1e-4 y1, 4 y0], so r = 1, a0 = 0 gets no cross-checks.
+    ``ok`` holds when the report's does and each cross-check flips between
+    two threshold policies.
+    """
+    cfg = PcliConfig(seed=seed)
+    lo, hi = state_bounds(params, cfg)
+    grid = default_grid(params, n=grid_n) if math.isfinite(y0(params)) else None
+    v_lo, v_hi = (lo, hi) if grid is None else (min(lo, grid.lo), max(hi, grid.hi))
+    check_discounted_sums(params, cost, beta, v_lo, v_hi)
+    report = pcli_report(params, cost, beta, cfg)
+    cvs = []
+    if grid is not None:
+        x_stars = np.random.default_rng(seed).uniform(lo, min(hi, grid.hi * 0.5), cross_checks)
+        cvs, values = [None] * len(x_stars), None
+        for j in np.argsort(-x_stars, kind="stable"):
+            cvs[j] = cross_validate(params, cost, beta, float(x_stars[j]), grid, start=values)
+            values = cvs[j].values
+    crosses = [{"x_star": cv.x_star, "lambda": cv.lam, "delta": cv.delta,
+                "action_at_higher_price": cv.action_above,
+                "action_at_lower_price": cv.action_below,
+                "flip_ok": cv.action_above == 0 and cv.action_below == 1,
+                "threshold_ok": cv.threshold_ok} for cv in cvs]
+    ok = bool(report["ok"] and all(c["flip_ok"] and c["threshold_ok"] for c in crosses))
+    return {"command": "verify", "pcli": report, "cross_validation": crosses, "ok": ok}

@@ -584,6 +584,16 @@ class TestFig7:
         assert tot["whittle"] < tot["myopic"]
         assert tot["whittle"] < tot["round_robin"]
 
+    @pytest.mark.parametrize("policies", [(), ("bogus",), ("whittle", "bogus")])
+    def test_bad_policy_list_raises_before_any_table(self, policies, monkeypatch):
+        def no_tables(scenario):
+            raise AssertionError("an index table was built")
+
+        monkeypatch.setattr(bandit, "build_index_tables", no_tables)
+        want = "no policy" if not policies else "unknown policy 'bogus'"
+        with pytest.raises(ValueError, match=want):
+            tournament(fig7_scenario(horizon=10), policies)
+
     def test_myopic_over_eager_on_heavy_arm(self):
         sc = fig7_scenario(horizon=100)
         trace = simulate(sc, "myopic")

@@ -1457,6 +1457,50 @@ class TestIndexTable:
         assert any(math.isnan(rec.lam) for rec in table.records)
         assert table.monotonicity_violations == violations
 
+    @pytest.mark.parametrize("p, cost, grid", [
+        (ArmParams(r=1.0, a0=0.0, a1=1e6), costs.linear(), np.linspace(0.25, 3.75, 5)),
+        (ArmParams(r=1.0, a0=0.0, a1=1e6, c0=0.5, c1=3.0), costs.linear(),
+         np.linspace(0.1, 4.0, 9)),
+        (ArmParams(r=1.0, a0=0.0, a1=1e4), costs.power(-1.5), np.linspace(0.3, 5.0, 8)),
+        (ArmParams(r=0.9, a0=0.1, a1=1.0), costs.entropy(), np.array([0.5, 1.0, 2.0])),
+    ])
+    def test_beta1_is_the_limit_record_loop(self, p, cost, grid):
+        # The beta = 1 table is index_beta1 point by point, with violations
+        # counted below -1e-9, as the slack of certified cycles is 0.
+        table = index_table(p, cost, 1.0, grid)
+        records = [index_beta1(p, cost, x) for x in grid]
+        assert table.records == records and table.T == 400
+        lams = np.array([rec.lam for rec in records])
+        assert table.monotonicity_violations == int(np.sum(np.diff(lams) < -1e-9))
+
+    def test_beta1_counts_violations(self):
+        p, cost = ArmParams(r=1.0, a0=0.0, a1=1e4), costs.power(-1.5)
+        table = index_table(p, cost, 1.0, np.linspace(0.3, 5.0, 8))
+        assert table.monotonicity_violations > 0
+
+    def test_beta1_rejects_no_words_and_bad_grids(self):
+        p = ArmParams(r=1.0, a0=0.0, a1=1e6)
+        with pytest.raises(ValueError, match="certified word"):
+            index_table(p, costs.linear(), 1.0, [0.5, 1.5], words=False)
+        for grid in ([1.5, 1.5, 2.0], [2.0, 1.0], [1.0, math.nan], [1.0, math.inf], [[1.0]]):
+            with pytest.raises(ValueError, match="^grid must be"):
+                index_table(p, costs.linear(), 1.0, grid)
+
+    @pytest.mark.parametrize("beta", [-0.5, 1.5, math.nan])
+    def test_rejects_beta_outside_the_unit_interval(self, beta):
+        with pytest.raises(ValueError, match=r"^beta must be in \[0, 1\]"):
+            index_table(ArmParams(r=0.9, a0=0.0, a1=1.0), costs.linear(), beta, [1.0, 2.0])
+
+    def test_beta1_guard_names_the_cost(self):
+        # -1/v overflows at v = 1e-320, an end of the orbits' range.
+        p = ArmParams(r=0.9, a0=0.0, a1=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cost 'neg_precision' is not finite"):
+                index_table(p, costs.neg_precision(), 1.0, [1e-320, 1e-3])
+            with pytest.raises(ValueError, match="^a1 = 1e\\+308 is too large"):
+                index_table(ArmParams(r=0.9, a0=0.0, a1=1e308), costs.linear(), 1.0, [1.0, 2.0])
+
 
 NON_FINITE_CALLS = {
     "whittle_index": lambda p, cost, x: whittle_index(IndexQuery(p, cost, 0.9, x)),

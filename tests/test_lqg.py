@@ -1,6 +1,7 @@
 """LQG with costly observations: Riccati root, gain, threshold inversion."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,20 @@ class TestRiccati:
             assert sol.L == pytest.approx(printed, rel=1e-10)
 
 
+    @pytest.mark.parametrize("B, D, F, what", [
+        (1e-3, 1e300, 1e300, "coefficients"),            # D F overflows
+        (1e200, 1.0, 1.0, "coefficients"),               # B**2 raises OverflowError
+        (-0.43, 1e300, 5.7, "discriminant"),              # qb * qb overflows
+        (1.0, 1e300, 0.0, "residual's terms at R = 1e+300"),  # R**2 raises OverflowError
+    ])
+    def test_overflow_names_the_inputs(self, B, D, F, what):
+        prob = LqgProblem(A=0.5, B=B, D=D, F=F, beta=0.7, sigma_x=1.0,
+                          sigma_y0=math.inf, sigma_y1=1.0)
+        want = f"B = {B!r}, D = {D!r}, F = {F!r} are too large: the Riccati {what}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            solve_lqg(prob)
+
+
 class TestThreshold:
     def test_equal_costs_always_observe(self):
         prob = LqgProblem(A=0.9, B=1.0, D=1.0, F=0.5, beta=0.9, sigma_x=1.0,
@@ -172,6 +187,12 @@ class TestThreshold:
         with pytest.raises(ValueError, match=r"overflows at v = 17\.0$"):
             solve_lqg(doubling)
         assert math.isfinite(solve_lqg(replace(doubling, D=1.0)).z)
+
+    def test_underflowing_sigma_x_is_named(self):
+        prob = LqgProblem(A=0.9, B=1.0, D=1.0, F=1.0, beta=0.5, sigma_x=5e-324,
+                          sigma_y0=math.inf, sigma_y1=1.0)
+        with pytest.raises(ValueError, match=r"^sigma_x = 5e-324 is too small"):
+            solve_lqg(prob)
 
     def test_bisection_stops_when_the_bracket_cannot_shrink(self, monkeypatch):
         # Against the bisection that always runs all BISECTION_STEPS steps:

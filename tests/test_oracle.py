@@ -3,6 +3,8 @@
 import json
 import math
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,6 +652,40 @@ class TestCrossValidation:
         assert cv.action_above == 0
         assert cv.action_below == 1
         assert cv.threshold_ok
+
+
+class TestVerify:
+    def test_golden_report(self):
+        # The library call behind `obsched verify`, on the golden input.
+        golden = Path(__file__).resolve().parent / "golden" / "verify.json"
+        payload = oracle.verify(ArmParams(r=0.9, a0=0.0, a1=0.8), costs.linear(), 0.8,
+                                seed=20260810, cross_checks=3, grid_n=1024)
+        assert json.dumps(payload, indent=2) + "\n" == golden.read_text()
+
+    def test_no_cross_checks_without_a_passive_fixed_point(self):
+        # r = 1, a0 = 0: y0 is infinite, so the DP grid [1e-4 y1, 4 y0] is not.
+        payload = oracle.verify(ArmParams(r=1.0, a0=0.0, a1=1.0), costs.linear(), 0.5,
+                                seed=1, cross_checks=3, grid_n=64)
+        assert payload["cross_validation"] == [] and payload["ok"] == payload["pcli"]["ok"]
+
+    def test_failed_flip_is_not_ok(self, monkeypatch):
+        check = oracle.cross_validate
+
+        def stuck(*args, **kwargs):
+            return replace(check(*args, **kwargs), action_below=0)
+
+        monkeypatch.setattr(oracle, "cross_validate", stuck)
+        payload = oracle.verify(ArmParams(r=0.9, a0=0.0, a1=0.8), costs.linear(), 0.8,
+                                seed=1, cross_checks=2, grid_n=64)
+        assert payload["pcli"]["ok"] and not payload["ok"]
+        assert [c["flip_ok"] for c in payload["cross_validation"]] == [False, False]
+
+    def test_overflowing_sums_raise_first(self, monkeypatch):
+        # The overflow guard runs before the report.
+        monkeypatch.setattr(oracle, "pcli_report", None)
+        with pytest.raises(ValueError, match=r"^cost 'power\(-3\.0\)' is too large"):
+            oracle.verify(ArmParams(r=0.9, a0=0.0, a1=1e250), costs.power(-3.0), 0.9,
+                          seed=1, cross_checks=1, grid_n=64)
 
 
 # Thresholds above y0 = 5.26 and an x_probe below an interval: neither
