@@ -75,17 +75,6 @@ class CostFn:
             _deriv=lambda v: k * dv(v),
         )
 
-    def shift(self, c: float) -> "CostFn":
-        """C + c; additive constants never change the index."""
-        ev, dv = self._eval, self._deriv
-        return CostFn(
-            kind=f"{self.kind}+{c!r}",
-            condition_c=self.condition_c,
-            positive_only=self.positive_only,
-            _eval=lambda v: ev(v) + c,
-            _deriv=dv,
-        )
-
 
 def linear() -> CostFn:
     return CostFn("linear", True, False, lambda v: v, lambda v: np.ones_like(v))

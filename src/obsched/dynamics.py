@@ -13,6 +13,7 @@ steps a Python float, and :func:`batch_map` steps an array of states, of
 one arm or of several, from :func:`map_coefficients` columns; both give
 bitwise the floats of :func:`phi`, as does the loop of
 :func:`threshold_walk`, off which every scalar threshold orbit is read.
+Every fixed point and the LQG Riccati root come from :func:`positive_root`.
 """
 
 from __future__ import annotations
@@ -70,9 +71,6 @@ class ArmParams:
     @property
     def r2(self) -> float:
         return self.r * self.r
-
-    def work_cost(self, action: int) -> float:
-        return self.c1 if action else self.c0
 
     @classmethod
     def from_kalman(
@@ -262,27 +260,49 @@ def phi_word(p: ArmParams, w: Word, v: float) -> float:
     return v
 
 
-def _fixed_point_single(p: ArmParams, a_q: float) -> float:
-    """Fixed point of a single map with precision a_q (inf for y1 = 0)."""
-    if math.isinf(a_q):
-        return 0.0
-    r2 = p.r2
-    qa, qb = a_q * r2, a_q + 1.0 - r2
+def positive_root(qa: float, qb: float, qc: float) -> float:
+    """Root (s - qb) / (2 qa), s = sqrt(qb^2 - 4 qa qc), of qa y^2 + qb y + qc.
+
+    For qa >= 0 >= qc it is the non-negative root (-qc / qb at qa = 0, or
+    inf if qb <= 0 too), computed without cancelling s against qb.  Where
+    the discriminant leaves the normal float range the equation is solved
+    rescaled, so all float coefficients give roots within 4 ulps.
+    """
     if qa == 0.0:
-        return math.inf if qb <= 0.0 else 1.0 / qb
-    # root of qa y^2 + qb y - 1 with qb >= 0; reciprocal form avoids the
-    # cancellation of (-qb + sqrt) when qa is tiny
-    return 2.0 / (qb + math.sqrt(qb * qb + 4.0 * qa))
+        return -qc / qb if qb > 0.0 else math.inf
+    disc = qb * qb - 4.0 * qa * qc
+    if 2.2250738585072014e-308 <= disc < math.inf:  # sys.float_info.min
+        s = math.sqrt(disc)
+        # The forms round differently at qb = 0: +0.0 (y0, y1 at r = 1 and
+        # a + 1 == 1) takes the first and -0.0 (riccati_root, equal matrix
+        # diagonals) the second, as the callers' printed outputs require.
+        if qb > 0.0 or qb == 0.0 and math.copysign(1.0, qb) > 0.0:
+            return qc / (-0.5 * (qb + s))
+        return 0.5 * (s - qb) / qa
+    # Rescaled: y = 2^m u, with m halving the exponent gap of qa and qc, and
+    # the equation divided by 2^e(qc); u's quadratic and constant terms then
+    # lie in [1/4, 1).  Past 2^500 for its linear one (so too at qc = 0 and
+    # at a1 = inf) the root is the linear one to well under an ulp.
+    ea, eb, ec = math.frexp(qa)[1], math.frexp(qb)[1], math.frexp(qc)[1]
+    if qb and (not qc or qb == math.inf or 2 * eb > ea + ec + 1000):
+        return -qc / qb if qb > 0.0 else -qb / qa
+    m = (ec - ea) // 2
+    a, b, c = math.ldexp(qa, 2 * m - ec), math.ldexp(qb, m - ec), math.ldexp(qc, -ec)
+    s = math.sqrt(b * b - 4.0 * a * c)
+    u = c / (-0.5 * (b + s)) if b > 0.0 else 0.5 * (s - b) / a
+    return u * 2.0 ** (m // 2) * 2.0 ** (m - m // 2)  # exact; inf past the float range
 
 
 def y0(p: ArmParams) -> float:
     """Fixed point of the passive map (inf when r = 1 and a0 = 0)."""
-    return _fixed_point_single(p, p.a0)
+    a, r2 = p.a0, p.r2
+    return positive_root(a * r2, a + 1.0 - r2, -1.0)
 
 
 def y1(p: ArmParams) -> float:
-    """Fixed point of the active map."""
-    return _fixed_point_single(p, p.a1)
+    """Fixed point of the active map (0 when a1 = inf)."""
+    a, r2 = p.a1, p.r2
+    return positive_root(a * r2, a + 1.0 - r2, -1.0)
 
 
 @dataclass(frozen=True)
@@ -345,18 +365,11 @@ def _positive_root(m: MoebiusMat) -> float:
     the positive root is unique; the expanding linear case (degenerate
     quadratic with non-positive slope) has no finite fixed point.
     """
-    qa, qb, qc = m.m21, m.m22 - m.m11, -m.m12
-    if qa == 0.0:
-        return -qc / qb if qb > 0.0 else math.inf
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        raise ArithmeticError("no real fixed point; invalid parameters")
-    s = math.sqrt(disc)
-    if qb == 0.0:
-        y = s / (2.0 * qa)
-    else:
-        q = -0.5 * (qb + math.copysign(s, qb))
-        y = max(q / qa, qc / q)
+    # -(m11 - m22) is m22 - m11, but -0.0 for equal diagonals (common at r = 1).
+    try:
+        y = positive_root(m.m21, -(m.m11 - m.m22), -m.m12)
+    except ValueError:  # math.sqrt of a negative discriminant
+        raise ArithmeticError("no real fixed point; invalid parameters") from None
     if y <= 0.0:
         raise ArithmeticError("no positive fixed point; invalid parameters")
     return y

@@ -1,9 +1,9 @@
 """LQG control with costly observations.
 
-The certainty-equivalent feedback gain comes from a scalar Riccati
-quadratic; the observation decision reduces to a threshold on the
-posterior variance, found by inverting the monotone Whittle index of the
-induced variance problem with linear cost alpha * v and price c1 - c0.
+The certainty-equivalent feedback gain comes from the positive Riccati
+root (``dynamics.positive_root``); the observation decision reduces to a
+threshold on the posterior variance, found by inverting the monotone
+Whittle index of the induced variance problem (cost alpha v, price c1 - c0).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import linear
-from .dynamics import ArmParams, InconsistencyError, y0, y1
+from .dynamics import ArmParams, InconsistencyError, positive_root, y0, y1
 from .index import IndexQuery, whittle_index
 
 BISECTION_STEPS = 60
@@ -81,18 +81,15 @@ def riccati_root(problem: LqgProblem) -> float:
     """Unique positive root of -beta B^2 R^2 + (beta B^2 D + beta A^2 F - F) R + D F.
 
     F = 0 collapses the quadratic to R = D; otherwise the constant term is
-    positive and the leading coefficient negative, so exactly one positive
-    root exists and the numerically stable formula picks it.
+    positive and the leading coefficient non-positive, so exactly one
+    positive root exists: that of the negated coefficients.
     """
     p = problem
     if p.F == 0.0:
         return p.D
     qa, qb, qc = _riccati_quadratic(p)
-    (disc,) = _finite(p, "the Riccati discriminant", lambda: (qb * qb - 4.0 * qa * qc,))
-    s = math.sqrt(disc)
-    if qb >= 0.0:
-        return (qb + s) / (-2.0 * qa)
-    return -2.0 * qc / (qb - s)
+    _finite(p, "the Riccati discriminant", lambda: (qb * qb - 4.0 * qa * qc,))
+    return positive_root(-qa, -qb, -qc)
 
 
 def feedback_gain(problem: LqgProblem, R: float) -> float:

@@ -360,12 +360,12 @@ def state_bounds(params: ArmParams, cfg: PcliConfig) -> tuple[float, float]:
     """State range of the PCLI report: cfg's bounds, else around y1 and y0."""
     lo = cfg.state_lo
     hi = cfg.state_hi
-    if lo is None:
-        bottom = y1(params)
-        lo = max(1e-3, 0.25 * bottom) if bottom > 0 else 1e-3
     if hi is None:
         top = y0(params)
         hi = 2.0 * top if math.isfinite(top) else 50.0
+    if lo is None:  # floored at 1e-3, unless y0 < 5e-4 puts hi = 2 y0 below that
+        lo = max(1e-3, 0.25 * y1(params))
+        lo = lo if lo < hi else hi / 16.0
     return float(lo), float(hi)
 
 

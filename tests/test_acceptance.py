@@ -401,7 +401,7 @@ def test_criterion_11_lqg():
             tot, disc = 0.0, 1.0
             for _ in range(T):
                 act = int(v >= zhat)
-                tot += disc * (arm.work_cost(act) + cost.eval(v))
+                tot += disc * ((arm.c1 if act else arm.c0) + cost.eval(v))
                 v = phi(arm, act, v)
                 disc *= p.beta
             assert tot == pytest.approx(float(dp.values[k]), rel=1e-3, abs=1e-6)

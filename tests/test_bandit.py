@@ -412,7 +412,7 @@ def reference_simulate(scenario, policy, tables):
                 grid = tables.grids[i]
                 off_grid += not grid[0] <= v[i] <= grid[-1]
             act = int(actions[t, i])
-            step_cost += arm.weight * arm.cost.eval(v[i]) + arm.params.work_cost(act)
+            step_cost += arm.weight * arm.cost.eval(v[i]) + (arm.params.c1 if act else arm.params.c0)
             variances[t + 1, i] = phi(arm.params, act, float(v[i]))
         inst[t] = step_cost
         total += disc * step_cost

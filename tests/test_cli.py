@@ -434,6 +434,16 @@ class TestLqgCommand:
         assert payload["R"] == 1.0
         assert payload["L"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("B", ["1e-200", "1e-160"])
+    def test_tiny_B_and_F(self, capsys, B):
+        # qb^2 underflows; R is D / (1 - beta A^2), not twice that.
+        code, out, err = run(["lqg", "--A", "0.5", "--B", B, "--D", "1", "--F", "1e-170",
+                              "--beta", "0.5", "--sigma-x", "1", "--sigma-y1", "1"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["R"] == 1.1428571428571428
+        assert payload["alpha"] == 0.0 and payload["z"] == "inf"
+
     def test_validation(self, capsys):
         code, _, err = run(
             [a if a != "--B" else "--B" for a in self.ARGS[:-2]] + ["--sigma-y1", "10",

@@ -163,6 +163,21 @@ def run(argv):
 # The beta = 1 table printed the duplicate points that beta < 1 rejects.
 @example(call=(["index", "--r=1", "--a0=0", "--a1=1e6", "--beta=1",
                 "--grid-lin=1.5:1.5000000000000002:4"], None, (1, "strictly ascending")))
+# qb^2 underflowed in the Riccati root, so R came out doubled: "negative
+# variance-cost rate alpha=-1.0".  B = 1e-200 makes qa 0, B = 1e-160 subnormal.
+@example(call=(["lqg", "--A=0.5", "--B=1e-200", "--D=1", "--F=1e-170", "--beta=0.5",
+                "--sigma-x=1", "--sigma-y1=1"], None, (0, "")))
+@example(call=(["lqg", "--A=0.5", "--B=1e-160", "--D=1", "--F=1e-170", "--beta=0.5",
+                "--sigma-x=1", "--sigma-y1=1"], None, (0, "")))
+# y0 below 5e-4 put the PCLI range's floor lo = 1e-3 above hi = 2 y0: numpy's
+# "high - low < 0".  Above a0 = 1.34e154, y0 itself was 0: "need lo < hi".
+@example(call=(["verify", "--r=0.5", "--a0=1e4", "--a1=inf", "--beta=0.5"], None, (0, "")))
+@example(call=(["verify", "--r=1e-300", "--a0=1e300", "--a1=inf", "--cost=linear",
+                "--beta=0.5", "--grid-n=64", "--cross-checks=0"], None, (0, "")))
+@example(call=(["verify", "--r=1e-300", "--a0=1e300", "--a1=inf", "--cost=linear",
+                "--beta=0.5"], None, (0, "")))
+@example(call=(["verify", "--r=0.9", "--a0=1e300", "--a1=inf", "--cost=linear",
+                "--beta=0.5"], None, (0, "")))
 def test_exit_code_contract(call, tmp_path_factory):
     argv, payload, expected = call
     if payload is not None:

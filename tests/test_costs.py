@@ -30,7 +30,7 @@ def test_derivative_matches_finite_difference(cost):
     np.testing.assert_allclose(cost.deriv(v), fd, rtol=1e-6)
 
 
-@pytest.mark.parametrize("cost", ALL_KINDS + [costs.linear().scale(2.0).shift(1.0)],
+@pytest.mark.parametrize("cost", ALL_KINDS + [costs.linear().scale(2.0)],
                          ids=lambda c: c.kind)
 def test_unchecked_eval_gives_the_checked_floats(cost):
     v = np.random.default_rng(18).uniform(1e-3, 50.0, 300)
@@ -74,15 +74,12 @@ def test_domain_violations():
     assert costs.bounded_demo().eval(0.0) == 0.0
 
 
-def test_scale_and_shift():
+def test_scale():
     base = costs.entropy()
     scaled = base.scale(3.0)
-    shifted = base.shift(-2.0)
     v = np.array([0.5, 1.0, 4.0])
     np.testing.assert_allclose(scaled.eval(v), 3.0 * base.eval(v))
     np.testing.assert_allclose(scaled.deriv(v), 3.0 * base.deriv(v))
-    np.testing.assert_allclose(shifted.eval(v), base.eval(v) - 2.0)
-    np.testing.assert_allclose(shifted.deriv(v), base.deriv(v))
     assert scaled.condition_c
     assert not base.scale(-1.0).condition_c
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from obsched.dynamics import (
     phi0,
     phi1,
     phi_word,
+    positive_root,
     sturmian_fixed_point,
     threshold_word,
     y0,
@@ -336,6 +338,145 @@ class TestFixedPoints:
             assert lo <= y01p * (1 + 1e-12)
             assert y01p < y10p or (y10p - y01p) > -1e-12 * y10p
             assert y10p <= hi * (1 + 1e-12)
+
+
+def reference_single_map_root(qa, qb):
+    """Root of qa y^2 + qb y - 1 as y0 and y1 computed it on their own."""
+    if qa == 0.0:
+        return math.inf if qb <= 0.0 else 1.0 / qb
+    return 2.0 / (qb + math.sqrt(qb * qb + 4.0 * qa))
+
+
+def reference_matrix_root(m):
+    """The matrix fixed point's root as ``_positive_root`` computed it on its own."""
+    qa, qb, qc = m.m21, m.m22 - m.m11, -m.m12
+    if qa == 0.0:
+        return -qc / qb if qb > 0.0 else math.inf
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        raise ArithmeticError("no real fixed point; invalid parameters")
+    s = math.sqrt(disc)
+    if qb == 0.0:
+        y = s / (2.0 * qa)
+    else:
+        q = -0.5 * (qb + math.copysign(s, qb))
+        y = max(q / qa, qc / q)
+    if y <= 0.0:
+        raise ArithmeticError("no positive fixed point; invalid parameters")
+    return y
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ArithmeticError it raises."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def reference_riccati_root(qa, qb, qc):
+    """Root of qa R^2 + qb R + qc (qa < 0 < qc) as ``riccati_root`` computed it on its own."""
+    s = math.sqrt(qb * qb - 4.0 * qa * qc)
+    if qb >= 0.0:
+        return (qb + s) / (-2.0 * qa)
+    return -2.0 * qc / (qb - s)
+
+
+def exact_root(qa, qb, qc):
+    """positive_root's root as a Fraction, to about 2^-149 relative."""
+    qa, qb, qc = Fraction(qa), Fraction(qb), Fraction(qc)
+    if qa == 0:
+        return -qc / qb
+    disc = qb * qb - 4 * qa * qc
+    num, den = disc.numerator, disc.denominator
+    k = max(0, 300 - (num * den).bit_length()) // 2 + 1
+    s = Fraction(math.isqrt((num * den) << (2 * k)), den << k)
+    return -2 * qc / (qb + s) if qb > 0 else (s - qb) / (2 * qa)
+
+
+def magnitude(max_exp):
+    """0, or a float 2^e m with e in [-1074, max_exp]: every binade alike."""
+    return st.one_of(st.just(0.0), st.builds(
+        math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, max_exp)))
+
+
+def unscaled(qa, qb, qc):
+    """True where positive_root takes its unscaled path."""
+    return qa != 0.0 and 2.2250738585072014e-308 <= qb * qb - 4.0 * qa * qc < math.inf
+
+
+class TestPositiveRoot:
+    """One solver for y0, y1, the matrix fixed points and the Riccati root.
+
+    The reference_* functions are the three formulas it replaced; on its
+    unscaled path it must give their floats bit for bit.
+    """
+
+    # Magnitudes stay below 2^1020 so that the references' 2 qa, 4 qa and
+    # -2 qc stay finite.
+    @given(qa=magnitude(1020), qb=magnitude(1020), qc=magnitude(1020),
+           negative_qb=st.booleans(), diagonal=magnitude(1020))
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @example(qa=1.0, qb=0.0, qc=1.0, negative_qb=False, diagonal=1.0)
+    @example(qa=1.43e-45, qb=0.0, qc=1.0, negative_qb=False, diagonal=1.0)
+    def test_matches_the_replaced_formulas_bit_for_bit(self, qa, qb, qc, negative_qb,
+                                                       diagonal):
+        if negative_qb:
+            qb = -qb
+        if unscaled(qa, qb, -1.0) and not negative_qb:  # y0 and y1 pass qb >= +0.0
+            assert positive_root(qa, qb, -1.0) == reference_single_map_root(qa, qb)
+        # The matrix with m21 = qa, m12 = qc and m22 - m11 = qb, as far as
+        # the subtraction is exact; qb = 0 gives equal diagonals.
+        m = dynamics.MoebiusMat(diagonal, qc, qa, diagonal + qb)
+        if unscaled(m.m21, m.m22 - m.m11, -m.m12) and qc > 0.0:
+            assert outcome(dynamics._positive_root, m) == outcome(reference_matrix_root, m)
+        # riccati_root's qb, (beta B^2 D + beta A^2 F) - F, is never -0.0.
+        if unscaled(qa, qb, -qc) and qc > 0.0 and not (negative_qb and qb == 0.0):
+            assert positive_root(qa, -qb, -qc) == reference_riccati_root(-qa, qb, qc)
+
+    @given(qa=magnitude(1023), qb=magnitude(1023), qc=magnitude(1023),
+           negative_qb=st.booleans())
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    # y1 at a1 = 1e160 and a1 = max: qb^2 overflowed, and y1 was 0.0.
+    @example(qa=0.81e160, qb=1e160, qc=1.0, negative_qb=False)
+    @example(qa=1.7976931348623157e308, qb=1.7976931348623157e308, qc=1.0,
+             negative_qb=False)
+    # The Riccati root at B = 1e-160, F = 1e-170: qb^2 underflowed to 0.
+    @example(qa=5e-321, qb=8.75e-171, qc=1e-170, negative_qb=False)
+    # Every coefficient subnormal, or qa and qc at opposite ends of the range.
+    @example(qa=1e-310, qb=1e-310, qc=1e-310, negative_qb=True)
+    @example(qa=2.0**1000, qb=0.0, qc=2.0**-1000, negative_qb=False)
+    @example(qa=1e300, qb=1e300, qc=1e300, negative_qb=True)
+    def test_within_4_ulps_of_the_exact_root(self, qa, qb, qc, negative_qb):
+        if negative_qb:
+            qb = -qb
+        if qa == 0.0 and qb <= 0.0:
+            assert positive_root(qa, qb, -qc) == math.inf
+            return
+        y = positive_root(qa, qb, -qc)
+        exact = exact_root(qa, qb, -qc)
+        if 2.2250738585072014e-308 <= exact <= 1.7976931348623157e308:
+            assert abs(Fraction(y) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize("a", [1e150, 1e160, 1e200, 1e300, 1.7976931348623157e308])
+    @pytest.mark.parametrize("r", [1e-300, 0.5, 0.9, 1.0])
+    def test_fixed_points_of_the_largest_precisions(self, a, r):
+        p = ArmParams(r=r, a0=0.0, a1=a)
+        q = ArmParams(r=r, a0=a, a1=math.inf)
+        for arm, y, step in ((p, y1(p), phi1), (q, y0(q), phi0)):
+            assert 0.0 < y < math.inf
+            assert y * a == pytest.approx(1.0, rel=1e-12)
+            assert step(arm, y) == pytest.approx(y, rel=1e-12)
+
+    def test_infinite_precision(self):
+        assert y1(ArmParams(r=0.9, a0=0.0, a1=math.inf)) == 0.0
+        assert y1(ArmParams(r=1e-300, a0=0.0, a1=math.inf)) == 0.0
+
+    def test_matrix_errors(self):
+        with pytest.raises(ArithmeticError, match="no real fixed point"):
+            dynamics._positive_root(dynamics.MoebiusMat(0.0, 1.0, -1.0, 0.0))
+        with pytest.raises(ArithmeticError, match="no positive fixed point"):
+            dynamics._positive_root(dynamics.MoebiusMat(1.0, 0.0, 1.0, 2.0))
 
 
 class TestSturmian:

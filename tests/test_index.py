@@ -164,7 +164,7 @@ def stepped_sums(p, cost, beta, x, s, first, T):
         v = phi(p, act, v)
     disc = [beta**t for t in range(T + 1)]
     cterms = [d * c for d, c in zip(disc, cost.eval(np.array(states)))]
-    wterms = [d * p.work_cost(a) for d, a in zip(disc, acts)]
+    wterms = [d * (p.c1 if a else p.c0) for d, a in zip(disc, acts)]
     scale = math.fsum(abs(term) for term in cterms + wterms)
     return math.fsum(cterms), math.fsum(wterms), scale, knife
 
@@ -959,7 +959,8 @@ def word_pinned_sums(params, cost, beta, x, word, T):
     disc = 1.0
     for t in range(T + 1):
         num += disc * (cost.eval(v0) - cost.eval(v1))
-        den += disc * (params.work_cost(seq1[t]) - params.work_cost(seq0[t]))
+        den += disc * ((params.c1 if seq1[t] else params.c0)
+                       - (params.c1 if seq0[t] else params.c0))
         v0 = phi(params, seq0[t], v0)
         v1 = phi(params, seq1[t], v1)
         disc *= beta
@@ -997,9 +998,8 @@ class TestWhittleIndex:
         scaled = whittle_index(
             IndexQuery(p, costs.linear().scale(7.0), beta, 2.0)
         ).lam
-        shifted = whittle_index(
-            IndexQuery(p, costs.linear().shift(11.0), beta, 2.0)
-        ).lam
+        plus_11 = costs.custom(lambda v: v + 11.0, lambda v: np.ones_like(v), condition_c=True)
+        shifted = whittle_index(IndexQuery(p, plus_11, beta, 2.0)).lam
         assert scaled == pytest.approx(7.0 * base, rel=1e-12)
         assert shifted == pytest.approx(base, rel=1e-9, abs=1e-9)
 

@@ -255,7 +255,7 @@ class TestThreshold:
                 tot, disc = 0.0, 1.0
                 for _ in range(T):
                     act = int(v >= zhat)
-                    tot += disc * (arm.work_cost(act) + cost.eval(v))
+                    tot += disc * ((arm.c1 if act else arm.c0) + cost.eval(v))
                     v = phi(arm, act, v)
                     disc *= prob.beta
                 vdp = float(dp.values[k])
