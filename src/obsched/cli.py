@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import costs
-from .dynamics import ArmParams, InconsistencyError, check_denominator, itinerary, threshold_word
+from .dynamics import ArmParams, InconsistencyError, itinerary, threshold_word
 # ``index_beta1`` is unused here but stays a module attribute: perfbench/layers.py
 # wraps ``cli.index_beta1`` by name in its traced pass.
 from .index import IndexTable, index_beta1, index_table  # noqa: F401
@@ -220,13 +220,7 @@ def _cmd_word(args: argparse.Namespace) -> int:
         raise CliError("--len must be positive")
     if args.max_period < 1:
         raise CliError(f"--max-period must be positive, got {args.max_period}")
-    z = args.x if args.z is None else args.z
-    # The states stay near max(x, z), except that an itinerary that never
-    # acts (z = inf) climbs by at most 1 a letter.  itinerary rejects a
-    # non-finite x.
-    if math.isfinite(args.x):
-        check_denominator(params, max(args.x, min(z, args.x + args.length)))
-    itin = itinerary(params, args.x, z, args.length)
+    itin = itinerary(params, args.x, args.x if args.z is None else args.z, args.length)
     tw = threshold_word(params, args.x, args.max_period)
     if args.format == "text":
         status = "periodic" if tw.periodic else "uncertified"

@@ -489,12 +489,15 @@ def itinerary(p: ArmParams, x: float, z: float, n: int) -> Word:
     after 0, 1, 2, 4, ... steps finds a repeat (Brent), from which the
     letters are tiled; the anchor lies in the cycle, so each is the orbit's.
     x must be finite; z = -inf and z = inf give the all-active and
-    all-passive itineraries.
+    all-passive itineraries.  The states stay near max(x, z), but climb by
+    at most 1 a letter while passive (z = inf), so the walk starts only
+    once :func:`check_denominator` passes at max(x, min(z, x + n)).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not math.isfinite(x) or math.isnan(z):
         raise ValueError(f"need a finite x and a non-NaN z, got x={x}, z={z}")
+    check_denominator(p, max(x, min(z, x + n)))
     step, v, z = scalar_map(p), float(x), float(z)
     letters, anchor, k = bytearray(), v, 0
     for i in range(n):

@@ -9,7 +9,9 @@ Whittle index of the induced variance problem (cost alpha v, price c1 - c0).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .costs import linear
 from .dynamics import ArmParams, InconsistencyError, positive_root, y0, y1
@@ -65,9 +67,8 @@ def _finite(p: LqgProblem, what: str, terms) -> tuple:
     except OverflowError:
         q = (math.inf,)
     if not all(map(math.isfinite, q)):
-        raise ValueError(
-            f"B = {p.B!r}, D = {p.D!r}, F = {p.F!r} are too large: {what} are not all finite"
-        )
+        raise ValueError(f"B = {p.B!r}, D = {p.D!r}, F = {p.F!r} are too large: "
+                         f"{what} are not all finite")
     return q
 
 
@@ -82,23 +83,35 @@ def riccati_root(problem: LqgProblem) -> float:
 
     F = 0 collapses the quadratic to R = D; otherwise the constant term is
     positive and the leading coefficient non-positive, so exactly one
-    positive root exists: that of the negated coefficients.
+    positive root exists: that of the negated coefficients.  Where qa or qc
+    underflows, or c = 1 - beta A^2 < 2^-10 (alpha = D - c R may then go
+    negative), R = D rho, k rho^2 + (c - k) rho - 1 = 0 with k = beta B^2 D / F.
     """
     p = problem
     if p.F == 0.0:
         return p.D
     qa, qb, qc = _riccati_quadratic(p)
-    _finite(p, "the Riccati discriminant", lambda: (qb * qb - 4.0 * qa * qc,))
-    return positive_root(-qa, -qb, -qc)
+    c = 1.0 - p.beta * p.A**2
+    if c >= 2**-10 and min(abs(qa), abs(qc)) >= sys.float_info.min:
+        return positive_root(-qa, -qb, -qc)
+    beta, B, D, F = map(Fraction, (p.beta, p.B, p.D, p.F))
+    k = float(min(beta * B * B * D / F, 2**1000))  # exact, rounded once; rho = 1 past 2^1000
+    return p.D * positive_root(k, c - k, -1.0)
 
 
 def feedback_gain(problem: LqgProblem, R: float) -> float:
-    """L = beta A B R / (F + beta B^2 R), the stable form of A / (B + F/(beta B R))."""
+    """L = beta A B R / (F + beta B^2 R), the stable form of A / (B + F/(beta B R)).
+
+    Exact at R and rounded once where a product or the denominator is not a normal float.
+    """
     p = problem
-    denom = p.F + p.beta * p.B**2 * R
-    if denom == 0.0:
-        return 0.0
-    return p.beta * p.A * p.B * R / denom
+    bb, ba = p.beta * p.B**2, p.beta * p.A
+    num, den = ba * p.B * R, p.F + bb * R
+    if all(sys.float_info.min <= abs(t) < math.inf for t in (bb, ba, ba * p.B, num, den)):
+        return num / den
+    A, B, F, beta, R = map(Fraction, (p.A, p.B, p.F, p.beta, R))
+    L = beta * A * B * R / (F + beta * B * B * R)
+    return float(L) if abs(L) < 2**1024 - 2**970 else math.copysign(math.inf, p.A * p.B)
 
 
 def observation_threshold(problem: LqgProblem, alpha: float) -> float:
@@ -162,12 +175,15 @@ def solve_lqg(problem: LqgProblem) -> LqgSolution:
     qa_r2, qb_r, _ = _finite(problem, f"the Riccati residual's terms at R = {R!r}",
                              lambda: (qa * R**2, qb * R, qc))
     residual = abs(qa_r2 + qb_r + qc)
-    scale = max(1.0, problem.D * max(1.0, problem.F), R * R * problem.beta * problem.B**2)
+    # The scale bounds the size of every term, the cancelling F R and beta A^2 F R too.
+    scale = max(1.0, problem.D * max(1.0, problem.F),
+                R * max(problem.F, R * problem.beta * problem.B**2))
     if not (residual <= 1e-10 * scale):
         raise InconsistencyError(f"Riccati residual {residual} too large")
+    # alpha >= 0 for every valid problem, as R - D <= beta A^2 R: a solver fault.
     alpha = problem.D - (1.0 - problem.beta * problem.A**2) * R
     if alpha < -1e-12 * max(1.0, problem.D):
-        raise ArithmeticError(f"negative variance-cost rate alpha={alpha}")
+        raise InconsistencyError(f"negative variance-cost rate alpha={alpha}")
     alpha = max(alpha, 0.0)
     L = feedback_gain(problem, R)
     z = observation_threshold(problem, alpha)

@@ -43,40 +43,32 @@ from .index import (
 
 @dataclass(frozen=True)
 class DPGrid:
-    """State grid for value iteration; off-grid images clamp and interpolate."""
+    """Log-spaced state grid for value iteration; off-grid images clamp and interpolate."""
 
     lo: float
     hi: float
-    n: int = 4096
-    spacing: str = "log"
+    n: int
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.n < 64:
             raise ValueError(f"grid needs at least 64 points, got {self.n}")
-        if self.spacing not in ("log", "linear"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and self.lo <= 0:
+        if self.lo <= 0:
             raise ValueError("log spacing requires lo > 0")
 
-    def points(self) -> np.ndarray:
-        """The grid points, computed once and shared read-only."""
-        return self._points
-
     @cached_property
-    def _points(self) -> np.ndarray:
-        make = np.geomspace if self.spacing == "log" else np.linspace
-        pts = make(self.lo, self.hi, self.n)
+    def points(self) -> np.ndarray:
+        """The n grid points, computed once and shared read-only."""
+        pts = np.geomspace(self.lo, self.hi, self.n)
         pts.flags.writeable = False
         return pts
 
 
-def default_grid(params: ArmParams, n: int = 4096) -> DPGrid:
-    """Log grid on [1e-4 y_1, 4 y_0]; variance dynamics are multiplicative
-    near zero and saturate near the passive fixed point."""
-    top = y0(params)
-    bottom = y1(params)
+def default_grid(params: ArmParams, n: int) -> DPGrid:
+    """n-point log grid on [1e-4 y_1, 4 y_0]; variance dynamics are
+    multiplicative near zero and saturate near the passive fixed point."""
+    top, bottom = y0(params), y1(params)
     if not math.isfinite(top):
         raise ValueError("passive fixed point is infinite; supply explicit bounds")
     if bottom <= 0.0:
@@ -172,7 +164,7 @@ def value_iteration(
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    pts = grid.points()
+    pts = grid.points
     w0 = nu * params.c0
     w1 = nu * params.c1
     gain = beta / (1.0 - beta)
@@ -275,7 +267,7 @@ def dp_threshold(sol: DPSolution) -> ThresholdReport:
         return ThresholdReport(True, thr, 0, ())
     if len(diffs) == 1 and acts[0] == 0 and acts[-1] == 1:
         k = int(diffs[0]) + 1
-        return ThresholdReport(True, float(sol.grid.points()[k]), 1, (k,))
+        return ThresholdReport(True, float(sol.grid.points[k]), 1, (k,))
     return ThresholdReport(False, math.nan, len(diffs), tuple(int(d) + 1 for d in diffs))
 
 
@@ -292,7 +284,6 @@ def majorisation_check(
     a_seq: Sequence[float],
     b_seq: Sequence[float],
     f_family: Sequence[Callable[[np.ndarray], np.ndarray]],
-    probe_points: Optional[np.ndarray] = None,
 ) -> MajorisationResult:
     """Check sum f_i(a_i) >= sum f_i(b_i) together with its hypotheses.
 
@@ -313,10 +304,8 @@ def majorisation_check(
         failures.append("sequences not non-decreasing")
     if np.any(np.cumsum(a) > np.cumsum(b) + 1e-12 * np.maximum(1, np.cumsum(b))):
         failures.append("prefix sums of a exceed those of b")
-    if probe_points is None:
-        top = float(max(a.max(), b.max()))
-        probe_points = np.geomspace(min(a.min(), b.min()) * 0.5, top * 2.0, 64)
-    u = probe_points
+    top = float(max(a.max(), b.max()))
+    u = np.geomspace(min(a.min(), b.min()) * 0.5, top * 2.0, 64)
     for i, f in enumerate(f_family):
         vals = np.asarray(f(u), dtype=float)
         if np.any(np.diff(vals) > 1e-12 * np.maximum(1, np.abs(vals[:-1]))):
@@ -548,11 +537,10 @@ def cross_validate(
     cost: CostFn,
     beta: float,
     x_star: float,
-    grid: Optional[DPGrid] = None,
-    tol: float = 1e-9,
+    grid: DPGrid,
     start: Optional[np.ndarray] = None,
 ) -> CrossValidation:
-    """Set nu = lambda(x*) +/- delta and confirm the DP flips the action at x*.
+    """Set nu = lambda(x*) +/- delta and confirm the DP on ``grid`` flips the action at x*.
 
     delta is ten grid cells of index variation, estimated from a local
     finite difference; both DP solutions must be threshold policies.  The
@@ -565,23 +553,21 @@ def cross_validate(
     ``start``; a nearby start, such as the ``values`` of the cross-check at
     the next higher x*, takes fewer sweeps.
     """
-    g = grid or default_grid(params, n=2048)
     rec = whittle_index(IndexQuery(params, cost, beta, x_star))
-    pts = g.points()
-    k = int(np.searchsorted(pts, x_star))
-    k = min(max(k, 1), g.n - 2)
+    pts = grid.points
+    k = min(max(int(np.searchsorted(pts, x_star)), 1), grid.n - 2)
     cell = pts[k + 1] - pts[k]
     h = max(cell, 1e-6 * (1.0 + abs(x_star)))
     lam_hi = whittle_index(IndexQuery(params, cost, beta, x_star + h)).lam
-    lam_lo = whittle_index(IndexQuery(params, cost, beta, max(g.lo, x_star - h))).lam
+    lam_lo = whittle_index(IndexQuery(params, cost, beta, max(grid.lo, x_star - h))).lam
     slope = abs(lam_hi - lam_lo) / (2.0 * h)
     delta = max(10.0 * cell * slope, 1e-6 * max(1.0, abs(rec.lam)))
     sol_above = value_iteration(
-        params, cost, beta, rec.lam + delta, g, tol=tol, start=start,
+        params, cost, beta, rec.lam + delta, grid, start=start,
         actions_only=True, exact_at=k,
     )
     sol_below = value_iteration(
-        params, cost, beta, rec.lam - delta, g, tol=tol, start=sol_above.values,
+        params, cost, beta, rec.lam - delta, grid, start=sol_above.values,
         actions_only=True, exact_at=k,
     )
     return CrossValidation(

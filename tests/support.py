@@ -1,6 +1,7 @@
 """Helpers shared by several test modules."""
 
 import math
+from fractions import Fraction
 
 from obsched import costs
 from obsched.bandit import Arm, Scenario
@@ -11,6 +12,18 @@ from obsched.index import _orbit_summands
 def is_knife_edge(v: float, s: float) -> bool:
     """Whether state v is within the knife-edge tolerance of threshold s."""
     return not math.isinf(s) and abs(v - s) <= KNIFE_EDGE_TOL * max(1.0, abs(s))
+
+
+def exact_root(qa, qb, qc):
+    """positive_root's root as a Fraction, to about 2^-149 relative."""
+    qa, qb, qc = Fraction(qa), Fraction(qb), Fraction(qc)
+    if qa == 0:
+        return -qc / qb
+    disc = qb * qb - 4 * qa * qc
+    num, den = disc.numerator, disc.denominator
+    k = max(0, 300 - (num * den).bit_length()) // 2 + 1
+    s = Fraction(math.isqrt((num * den) << (2 * k)), den << k)
+    return -2 * qc / (qb + s) if qb > 0 else (s - qb) / (2 * qa)
 
 
 def orbit_terms(p, cost, beta, x, s, first, T):

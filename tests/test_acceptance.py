@@ -395,7 +395,7 @@ def test_criterion_11_lqg():
         dp = oracle.value_iteration(arm, cost, p.beta, 1.0, grid, tol=1e-9)
         zhat = sol.z / p.sigma_x
         T = math.ceil(math.log(1e-10) / math.log(p.beta))
-        pts = grid.points()
+        pts = grid.points
         for k in (150, 1000, 1900):
             v = float(pts[k])
             tot, disc = 0.0, 1.0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import obsched
 from obsched import index as index_mod
-from obsched import cli, costs, lqg, oracle
+from obsched import cli, costs, dynamics, lqg, oracle
 from obsched.cli import main
 from obsched.dynamics import ArmParams
 from obsched.index import IndexRecord, IndexTable
@@ -644,10 +644,14 @@ class TestOverflowingActivePrecision:
         assert err.startswith("error: a1 = 1e+308 is too large") and err.count("\n") == 1
 
     def test_word_exits_1_before_walking(self, capsys, monkeypatch):
-        def itinerary(*args):
+        # itinerary checks the denominator before it builds its map, so
+        # neither the library call nor ``word`` walks the 2,000,000 letters.
+        def scalar_map(p):
             raise AssertionError("the itinerary was walked before the check")
 
-        monkeypatch.setattr(cli, "itinerary", itinerary)
+        monkeypatch.setattr(dynamics, "scalar_map", scalar_map)
+        with pytest.raises(ValueError, match=r"^a1 = 1e\+308 is too large"):
+            dynamics.itinerary(ArmParams(r=1.0, a0=0.0, a1=1e308), 0.5, math.inf, 2_000_000)
         code, out, err = self.run_quietly(
             ["word", *self.ARM, "--x", "0.5", "--z", "inf", "--len", "2000000"], capsys
         )

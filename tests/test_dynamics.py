@@ -33,6 +33,8 @@ from obsched.dynamics import (
 )
 from obsched.words import Word, central_palindrome, christoffel, farey, is_balanced
 
+from support import exact_root
+
 RNG = np.random.default_rng(20260810)
 
 
@@ -380,18 +382,6 @@ def reference_riccati_root(qa, qb, qc):
     if qb >= 0.0:
         return (qb + s) / (-2.0 * qa)
     return -2.0 * qc / (qb - s)
-
-
-def exact_root(qa, qb, qc):
-    """positive_root's root as a Fraction, to about 2^-149 relative."""
-    qa, qb, qc = Fraction(qa), Fraction(qb), Fraction(qc)
-    if qa == 0:
-        return -qc / qb
-    disc = qb * qb - 4 * qa * qc
-    num, den = disc.numerator, disc.denominator
-    k = max(0, 300 - (num * den).bit_length()) // 2 + 1
-    s = Fraction(math.isqrt((num * den) << (2 * k)), den << k)
-    return -2 * qc / (qb + s) if qb > 0 else (s - qb) / (2 * qa)
 
 
 def magnitude(max_exp):

@@ -2,24 +2,29 @@
 
 The benchmark's jobs (``test_bench_digests.py``) draw r from [0.8, 1] and
 moderate precisions.  The jobs here pin the answers elsewhere: lqg with
-F = 0, with a Riccati quadratic whose linear coefficient is exactly 0 and
-with B and F across [1e-100, 1e100]; index and word with a1 = inf,
-a1 = 1e100, r = 1e-3 and beta = 0.9999; and verify at r = 0.05 and 0.5
-with every admissible cost.  ``golden/edge_digests.json`` holds each job's
+F = 0, with a Riccati quadratic whose linear coefficient is exactly 0,
+with B and F across [1e-100, 1e100] and with B^2 underflowing; index and
+word with a1 = inf, a1 = 1e100, r = 1e-3 and beta = 0.9999; and verify at
+r = 0.05 and 0.5 with every admissible cost.  ``golden/edge_digests.json`` holds each job's
 argv, its exit code and the sha256 of what it writes to stdout and stderr.
 A change that keeps every byte of every job's output keeps every digest.
 
 Like ``bench_digests.json``, the manifest was written with numpy 2.4.6 on
 x86-64 with AVX-512; another numpy build may round a last printed bit
-differently.  Regenerate it only for an intended output change:
+differently.  Regenerate it only for an intended output change, naming
+the jobs that change; each named job's old and new (exit, sha256) print,
+and no other entry is touched:
 
-    PYTHONPATH=src python tests/test_edge_digests.py
+    PYTHONPATH=src python tests/test_edge_digests.py lqg/F0 lqg/qb0
+
+With no job named, every entry is rewritten.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,7 +42,8 @@ _VERIFY_COSTS = (["--cost=linear"], ["--cost=entropy"], ["--cost=neg_precision"]
 
 def jobs() -> dict[str, list[str]]:
     """Job name -> argv.  Precisions stay at or below 1e100, |B| and F at or
-    above 1e-100 and every verify arm's 2 y0 above 1e-3."""
+    above 1e-100 but in the three jobs whose B^2 underflows, and every verify
+    arm's 2 y0 above 1e-3."""
     out = {
         "lqg/F0": ["lqg", "--A=0.9", "--B=1", "--D=2", "--F=0", *_LQG],
         # qb = beta B^2 D + beta A^2 F - F = 0 exactly: R = sqrt(2).
@@ -47,6 +53,9 @@ def jobs() -> dict[str, list[str]]:
     for b in ("1e-100", "1", "1e100"):
         for f in ("1e-100", "1", "1e100"):
             out[f"lqg/B{b}-F{f}"] = ["lqg", "--A=0.7", f"--B={b}", "--D=1", f"--F={f}", *_LQG]
+    # B^2 underflows: L = A / B at F = 0, and F far below beta B^2 R.
+    for b, f in (("1e-200", "0"), ("1e-160", "0"), ("1e-160", "1e-323")):
+        out[f"lqg/B{b}-F{f}"] = ["lqg", "--A=0.7", f"--B={b}", "--D=1", f"--F={f}", *_LQG]
     arms = {"a1inf": ["--r=0.9", "--a0=0", "--a1=inf"],
             "a1e100": ["--r=0.9", "--a0=0.1", "--a1=1e100"],
             "r1e-3": ["--r=1e-3", "--a0=0", "--a1=1"]}
@@ -90,8 +99,14 @@ def test_manifest_lists_every_job():
 
 
 if __name__ == "__main__":
-    manifest = {}
-    for name, argv in jobs().items():
-        code, digest = run(argv)
-        manifest[name] = {"argv": argv, "exit": code, "sha256": digest}
+    all_jobs, names = jobs(), sys.argv[1:]
+    if unknown := [name for name in names if name not in all_jobs]:
+        raise SystemExit(f"unknown jobs: {', '.join(unknown)}")
+    manifest = dict(MANIFEST_JOBS) if names else {}
+    for name in names or all_jobs:
+        code, digest = run(all_jobs[name])
+        if names:
+            old = MANIFEST_JOBS.get(name, {})
+            print(f"{name}: ({old.get('exit')}, {old.get('sha256')}) -> ({code}, {digest})")
+        manifest[name] = {"argv": all_jobs[name], "exit": code, "sha256": digest}
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")

@@ -2,15 +2,21 @@
 
 import math
 import re
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obsched import costs, lqg, oracle
-from obsched.dynamics import phi, y0, y1
+from obsched.dynamics import InconsistencyError, phi, y0, y1
 from obsched.index import IndexQuery, whittle_index
 from obsched.lqg import LqgProblem, riccati_root, solve_lqg
+
+from support import exact_root
 
 
 def lqg_act(sol, mean, variance):
@@ -31,6 +37,15 @@ def random_problem(rng, f_zero=False):
         c0=0.0,
         c1=float(rng.uniform(0.05, 3.0)),
     )
+
+
+# A positive float 2^e m, e in [-1073, 1023]: every binade of the float
+# range alike, subnormals included.
+POSITIVE = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1023))
+
+
+def within_4_ulps(x, exact):
+    return abs(Fraction(x) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
 
 def probe_lambda(arm, beta, v):
@@ -140,7 +155,7 @@ class TestRiccati:
     @pytest.mark.parametrize("B, D, F, what", [
         (1e-3, 1e300, 1e300, "coefficients"),            # D F overflows
         (1e200, 1.0, 1.0, "coefficients"),               # B**2 raises OverflowError
-        (-0.43, 1e300, 5.7, "discriminant"),              # qb * qb overflows
+        (-0.43, 1e300, 5.7, "residual's terms at R = 1e+300"),  # R = D: R**2 overflows
         (1.0, 1e300, 0.0, "residual's terms at R = 1e+300"),  # R**2 raises OverflowError
     ])
     def test_overflow_names_the_inputs(self, B, D, F, what):
@@ -148,6 +163,89 @@ class TestRiccati:
                           sigma_y0=math.inf, sigma_y1=1.0)
         want = f"B = {B!r}, D = {D!r}, F = {F!r} are too large: the Riccati {what}"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            solve_lqg(prob)
+
+
+class TestAcrossTheDomain:
+    """Every valid problem, B, D and F across the float range: solve_lqg
+    names B, D and F as too large, or returns R = D at F = 0 and otherwise
+    R that solves the Riccati equation to rounding, alpha >= 0 and L within
+    4 ulps of the exact gain at R where that gain is a normal float.
+
+    R is checked twice.  Backward: R is the root of the equation with each
+    term perturbed by under 16 eps, moved by at most 8 ulps.  Forward: where
+    riccati_root solves the float coefficients qa, qb, qc (qa and qc normal,
+    1 - beta A^2 >= 2^-10), R is within 4 ulps of their exact root.  Those
+    coefficients are rounded, so that root may be several ulps from the
+    problem's where qb cancels.  The price c1 - c0 is 0, so z = -inf takes
+    no index probe: a probe's orbit may run 1/(1 - beta) steps, seconds near
+    beta = 1 (TestThreshold covers z).
+    """
+
+    @given(A=st.floats(-1.0, 1.0).filter(bool),
+           beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           B=POSITIVE, negative_B=st.booleans(), D=POSITIVE,
+           F=st.one_of(st.just(0.0), POSITIVE))
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    # Corners of random_problem's ranges.
+    @example(A=0.3, beta=0.98, B=0.2, negative_B=False, D=0.1, F=3.0)
+    @example(A=-1.0, beta=0.3, B=3.0, negative_B=True, D=3.0, F=0.0)
+    @example(A=0.9, beta=0.9, B=1.0, negative_B=False, D=1.0, F=0.5)
+    # The discriminant overflowed (R = 1); B^2 underflowed (L = A / B);
+    # F far below beta B^2 R.
+    @example(A=0.7, beta=0.5, B=1e100, negative_B=False, D=1.0, F=1.0)
+    @example(A=0.7, beta=0.5, B=1e-200, negative_B=False, D=1.0, F=0.0)
+    @example(A=0.7, beta=0.5, B=1e-160, negative_B=False, D=1.0, F=0.0)
+    @example(A=0.7, beta=0.5, B=1e-160, negative_B=False, D=1.0, F=1e-323)
+    @example(A=0.7, beta=0.5, B=5e-324, negative_B=True, D=1.0, F=0.0)
+    # D F underflowed to 0 (R was 0); F subnormal (alpha was below 0).
+    @example(A=0.7, beta=0.5, B=1.0, negative_B=False, D=1e-200, F=1e-200)
+    @example(A=1.0, beta=0.08836243469452842, B=math.ldexp(0.5, -534), negative_B=False,
+             D=1.0, F=math.ldexp(0.5, -1036))
+    # 1 - beta A^2 below 2^-10 cancels in qb: alpha was -0.019, then the
+    # residual check (scaled without F R) failed.
+    @example(A=0.9999999999999999, beta=0.9999999999999999, B=0.5, negative_B=False,
+             D=0.5, F=math.ldexp(0.8125, 103))
+    @example(A=1.0, beta=0.9999999999999998, B=0.5, negative_B=False, D=0.5, F=412316860416.0)
+    def test_solves_or_names_the_inputs(self, A, beta, B, negative_B, D, F):
+        B = -B if negative_B else B
+        prob = LqgProblem(A=A, B=B, D=D, F=F, beta=beta, sigma_x=1.0,
+                          sigma_y0=math.inf, sigma_y1=0.5, c1=0.0)
+        try:
+            sol = solve_lqg(prob)
+        except ValueError as exc:
+            assert str(exc).startswith(f"B = {B!r}, D = {D!r}, F = {F!r} are too large: ")
+            return
+        assert sol.alpha >= 0.0
+        qa, qb, qc = lqg._riccati_quadratic(prob)
+        kept = min(abs(qa), abs(qc)) >= sys.float_info.min and 1.0 - beta * A**2 >= 2**-10
+        A, B, D, F, beta, R = map(Fraction, (A, B, D, F, beta, sol.R))
+        if F == 0:
+            assert R == D
+        else:
+            terms = (-beta * B * B * R * R, beta * B * B * D * R, beta * A * A * F * R,
+                     -F * R, D * F)
+            slope = -2 * beta * B * B * R + beta * B * B * D + beta * A * A * F - F
+            eps = Fraction(sys.float_info.epsilon)
+            bound = 16 * eps * sum(map(abs, terms)) + 8 * abs(slope) * Fraction(math.ulp(sol.R))
+            assert abs(sum(terms)) <= bound
+            if kept:
+                assert within_4_ulps(sol.R, exact_root(-qa, -qb, -qc))
+        gain = beta * A * B * R / (F + beta * B * B * R)
+        if sys.float_info.min <= abs(gain) <= sys.float_info.max:
+            assert within_4_ulps(sol.L, gain)
+
+    def test_negative_alpha_is_an_inconsistency(self, monkeypatch):
+        # alpha >= 0 for every valid problem, so a root that passes the
+        # residual check but gives alpha < 0 is the solver's fault.
+        prob = LqgProblem(A=1.0, B=1.0, D=1.0, F=1e12, beta=0.5, sigma_x=1.0,
+                          sigma_y0=math.inf, sigma_y1=0.5)
+        R = riccati_root(prob)
+        monkeypatch.setattr(lqg, "riccati_root", lambda p: R + 1e-10)
+        with pytest.raises(InconsistencyError, match="^negative variance-cost rate alpha=-4.8999"):
+            solve_lqg(prob)
+        monkeypatch.setattr(lqg, "riccati_root", lambda p: R + 1e-8)
+        with pytest.raises(InconsistencyError, match="^Riccati residual"):
             solve_lqg(prob)
 
 
@@ -249,7 +347,7 @@ class TestThreshold:
             dp = oracle.value_iteration(arm, cost, prob.beta, 1.0, grid, tol=1e-9)
             zhat = sol.z / prob.sigma_x
             T = math.ceil(math.log(1e-10) / math.log(prob.beta))
-            pts = grid.points()
+            pts = grid.points
             for k in (150, 1000, 1900):
                 v = float(pts[k])
                 tot, disc = 0.0, 1.0

@@ -125,32 +125,27 @@ def reference_pcli_report(params, cost, beta, cfg):
 class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DPGrid(2.0, 1.0)
+            DPGrid(2.0, 1.0, n=128)
         with pytest.raises(ValueError):
             DPGrid(1.0, 2.0, n=8)
         with pytest.raises(ValueError):
-            DPGrid(0.0, 2.0, spacing="log")
-        with pytest.raises(ValueError):
-            DPGrid(1.0, 2.0, spacing="cubic")
+            DPGrid(0.0, 2.0, n=128)
 
     def test_default_grid_brackets_fixed_points(self):
         p = ArmParams(r=0.9, a0=0.1, a1=1.0)
-        g = default_grid(p)
-        pts = g.points()
+        g = default_grid(p, n=4096)
+        pts = g.points
         assert pts[0] < y1(p) < y0(p) < pts[-1]
 
     def test_default_grid_rejects_infinite_y0(self):
         with pytest.raises(ValueError):
-            default_grid(ArmParams(r=1.0, a0=0.0, a1=1.0))
+            default_grid(ArmParams(r=1.0, a0=0.0, a1=1.0), n=4096)
 
-    @pytest.mark.parametrize(
-        "spacing, make", [("log", np.geomspace), ("linear", np.linspace)]
-    )
-    def test_points_computed_once_and_read_only(self, spacing, make):
-        g = DPGrid(0.1, 10.0, 128, spacing)
-        pts = g.points()
-        assert g.points() is pts
-        np.testing.assert_array_equal(pts, make(0.1, 10.0, 128))
+    def test_points_computed_once_and_read_only(self):
+        g = DPGrid(0.1, 10.0, 128)
+        pts = g.points
+        assert g.points is pts
+        np.testing.assert_array_equal(pts, np.geomspace(0.1, 10.0, 128))
         assert not pts.flags.writeable
         with pytest.raises(ValueError):
             pts[0] = 1.0
@@ -178,7 +173,7 @@ class TestValueIteration:
         p = ArmParams(r=0.9, a0=0.0, a1=1.0)
         sol = value_iteration(p, costs.linear(), 0.0, 0.5, default_grid(p, n=128))
         assert np.all(sol.actions == 0)
-        np.testing.assert_allclose(sol.values, sol.grid.points(), rtol=1e-12)
+        np.testing.assert_allclose(sol.values, sol.grid.points, rtol=1e-12)
 
     def test_value_sandwich(self):
         # V must lie between the all-active and all-passive policy values.
@@ -189,7 +184,7 @@ class TestValueIteration:
         from obsched.index import q_value
 
         for k in (10, 200, 400):
-            x = float(g.points()[k])
+            x = float(g.points[k])
             best_threshold = min(
                 q_value(p, costs.linear(), beta, nu, x, a, s)
                 for a in (0, 1)
@@ -229,7 +224,7 @@ def reference_bellman(params, cost, beta, nu, grid):
 
     Returns T, where T(V) is the Bellman image TV and the greedy actions.
     """
-    pts = grid.points()
+    pts = grid.points
     stage = cost.eval(pts)
     img0 = np.clip(phi0(params, pts), grid.lo, grid.hi)
     img1 = np.clip(phi1(params, pts), grid.lo, grid.hi)
@@ -306,25 +301,22 @@ class TestSweepMatchesReference:
         p = random_params(rng).with_costs(float(rng.uniform(0, 0.5)), 1.0)
         cost = self.COSTS[seed % len(self.COSTS)]
         beta = float(rng.choice([0.0, rng.uniform(0.3, 0.9)]))
-        spacing = "linear" if seed % 2 else "log"
         top = y0(p)
         # Grids that stop short of y1 and y0 clip images at both ends.
         grid = DPGrid(
             float(rng.uniform(0.5, 1.5)) * y1(p),
             float(rng.uniform(0.7, 4.0)) * top,
             n=int(rng.integers(64, 300)),
-            spacing=spacing,
         )
         lam = whittle_index(IndexQuery(p, cost, max(beta, 0.1), 0.5 * (y1(p) + top))).lam
         for nu in (lam, -0.3, 3.0 * abs(lam) + 1.0):
             assert_matches_reference(p, cost, beta, nu, grid)
 
     @pytest.mark.parametrize("beta", [0.0, 0.8])
-    @pytest.mark.parametrize("spacing", ["log", "linear"])
-    def test_clipped_at_both_ends_and_noiseless(self, beta, spacing):
+    def test_clipped_at_both_ends_and_noiseless(self, beta):
         p = ArmParams(r=0.9, a0=0.0, a1=math.inf)
-        grid = DPGrid(0.05, 0.5 * y0(p), n=128, spacing=spacing)
-        pts = grid.points()
+        grid = DPGrid(0.05, 0.5 * y0(p), n=128)
+        pts = grid.points
         assert phi1(p, pts).max() < grid.lo
         assert phi0(p, pts).max() > grid.hi
         for nu in (0.05, 0.5, 2.0):
@@ -446,7 +438,7 @@ class TestCertifiedPrintedPoint:
         else:
             start = np.random.default_rng(5).uniform(-5.0, 5.0, g.n)
         # x*'s grid point, as cross_validate reads it, sits at the switch.
-        k = min(max(int(np.searchsorted(g.points(), x_star)), 1), g.n - 2)
+        k = min(max(int(np.searchsorted(g.points, x_star)), 1), g.n - 2)
         k = k if at == "x_star" else at
         full = value_iteration(p, cost, beta, nu, g, start=start)
         fast = value_iteration(p, cost, beta, nu, g, start=start, actions_only=True)
@@ -467,7 +459,7 @@ class TestCertifiedPrintedPoint:
         p = ArmParams(r=0.9, a0=0.0, a1=0.8)
         g = default_grid(p, n=256)
         lam = whittle_index(IndexQuery(p, costs.linear(), 0.8, 2.0)).lam
-        k = int(np.searchsorted(g.points(), 2.0))
+        k = int(np.searchsorted(g.points, 2.0))
         full = value_iteration(p, costs.linear(), 0.8, lam, g)
         fast = value_iteration(p, costs.linear(), 0.8, lam, g, actions_only=True)
         exact = value_iteration(
@@ -506,7 +498,7 @@ class TestCertifiedPrintedPoint:
         # be k: from every start, k's action is the span-stopped solve's.
         p = ArmParams(r=0.9, a0=0.0, a1=0.8)
         g = default_grid(p, n=256)
-        k = int(np.searchsorted(g.points(), 2.0))
+        k = int(np.searchsorted(g.points, 2.0))
         lam = whittle_index(IndexQuery(p, costs.linear(), 0.8, 2.0)).lam
 
         def active_at_k(nu):
@@ -572,7 +564,7 @@ class TestDpThreshold:
             sol = value_iteration(p, costs.linear(), beta, lam, g)
             rep = dp_threshold(sol)
             assert rep.is_threshold
-            pts = g.points()
+            pts = g.points
             k = int(np.searchsorted(pts, x_star))
             cell = pts[min(k + 1, g.n - 1)] - pts[max(k - 1, 0)]
             assert abs(rep.threshold - x_star) <= 2.0 * cell
@@ -607,14 +599,14 @@ def cross_validation_instances():
 class TestCrossValidation:
     def test_action_flip(self):
         for p, beta, x_star in cross_validation_instances():
-            cv = cross_validate(p, costs.linear(), beta, x_star)
+            cv = cross_validate(p, costs.linear(), beta, x_star, default_grid(p, n=2048))
             assert cv.action_above == 0
             assert cv.action_below == 1
             assert cv.threshold_ok
 
     def test_warm_start_matches_cold_solves(self, monkeypatch):
         warm = [
-            cross_validate(p, costs.linear(), beta, x_star)
+            cross_validate(p, costs.linear(), beta, x_star, default_grid(p, n=2048))
             for p, beta, x_star in cross_validation_instances()
         ]
         solve = oracle.value_iteration
@@ -624,7 +616,7 @@ class TestCrossValidation:
 
         monkeypatch.setattr(oracle, "value_iteration", cold)
         for cv, (p, beta, x_star) in zip(warm, cross_validation_instances()):
-            assert cv == cross_validate(p, costs.linear(), beta, x_star)
+            assert cv == cross_validate(p, costs.linear(), beta, x_star, default_grid(p, n=2048))
 
     ADMISSIBLE = (
         costs.linear(), costs.entropy(), costs.neg_precision(), costs.power(0.5)
