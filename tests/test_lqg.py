@@ -155,7 +155,8 @@ class TestRiccati:
     @pytest.mark.parametrize("B, D, F, what", [
         (1e-3, 1e300, 1e300, "coefficients"),            # D F overflows
         (1e200, 1.0, 1.0, "coefficients"),               # B**2 raises OverflowError
-        (-0.43, 1e300, 5.7, "residual's terms at R = 1e+300"),  # R = D: R**2 overflows
+        pytest.param(-0.43, 1e300, 5.7, "residual's terms at R = 1e+300",
+                     id="-0.43-1e+300-5.7-residual"),  # R = D: R**2 overflows
         (1.0, 1e300, 0.0, "residual's terms at R = 1e+300"),  # R**2 raises OverflowError
     ])
     def test_overflow_names_the_inputs(self, B, D, F, what):
