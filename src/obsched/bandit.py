@@ -34,7 +34,7 @@ from .costs import CostFn, by_name
 # perfbench/layers.py wraps ``bandit.phi`` and ``bandit.phi0`` by name in its
 # traced pass.
 from .dynamics import (  # noqa: F401
-    ArmParams, check_discounted_sums, phi, phi0, scalar_map, y0,
+    ArmParams, check_discounted_sums, phi, phi0, scalar_map, y0, y1,
 )
 from .index import marginal_sums_batch, truncation_horizon
 
@@ -87,6 +87,9 @@ class Scenario:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         # Bounds the discounted cost of a run, summed over the arms: a run
         # visits each arm's start v0 and the states of its table's orbits.
+        # [min(lo, v0), hi] is the whole grid's range, wider than the slice
+        # that build_index_tables tabulates; narrowing it would change
+        # which scenarios are rejected.
         total = 0.0
         for i, arm in enumerate(self.arms):
             try:
@@ -187,6 +190,9 @@ class IndexTables:
     ``grids[i]`` is arm i's variance grid and ``rows[i]`` its table as
     Python floats for :meth:`lookup`: (grid[0], log grid, values), the
     values being weight_i * lambda_i.  Arms that share a table share its row.
+    Each grid is the slice of the arm's log grid that covers
+    [min(v0, y1), max(v0, y0)], the arm's states, since phi_1 <= phi_0 are
+    increasing with fixed points y1 <= y0 (:func:`build_index_tables`).
     """
 
     grids: list[np.ndarray]
@@ -233,12 +239,27 @@ def _reach_bound(p: ArmParams, v0: float, horizon: int) -> float:
     return 2.0 * max(v, v0, 1.0)
 
 
-def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
-    """Tabulate weight_i * lambda_i on 512-point log grids, one per arm.
+def _reach_slice(grid: np.ndarray, floor: float, ceiling: float) -> np.ndarray:
+    """grid from one point below its last at or below floor to one point
+    above its first at or above ceiling, as far as the grid goes."""
+    start = max(int(np.searchsorted(grid, floor, "right")) - 2, 0)
+    return grid[start:int(np.searchsorted(grid, ceiling)) + 2]
 
-    Identical (params, cost, weight, bounds) arms share a table; the index
-    is evaluated with the arm's weighted cost, so weights are baked in.
-    One :func:`~obsched.index.marginal_sums_batch` call steps the grids of
+
+def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
+    """Tabulate weight_i * lambda_i on the part of each arm's grid its runs read.
+
+    Arm i's grid is ``np.geomspace(lo, hi, n_points)`` on its
+    :func:`_table_range`; only the slice from the last point at or below
+    min(v0, y1) to the first at or above hi / 2 = max(v0, y0) (the passive
+    bound of :func:`_reach_bound` when y0 = inf), and one more point at
+    each end for rounding, is tabulated.  phi_0 and phi_1 are increasing
+    with fixed points y0 >= y1 and phi_1 <= phi_0, so a run's states stay
+    in [min(v0, y1), max(v0, y0)] and each lookup brackets the points it
+    would on the whole grid.  Identical (params, cost, weight, range) arms
+    share a table over the union of their slices; the index is evaluated
+    with the arm's weighted cost, so weights are baked in.  One
+    :func:`~obsched.index.marginal_sums_batch` call steps the slices of
     all distinct arms together, which gives each arm's own sums bit for
     bit in the steps of the slowest arm.  Each distinct arm's row is built
     once from the kernel's cost / work, and the arms that share its table
@@ -247,18 +268,23 @@ def build_index_tables(scenario: Scenario, n_points: int = 512) -> IndexTables:
     T = truncation_horizon(scenario.beta)
     keys: list = []
     todo: dict = {}
+    floors: dict = {}
     for arm in scenario.arms:
         lo, hi = _table_range(arm, scenario.horizon)
-        keys.append((arm.params, id(arm.cost), arm.weight, lo, hi))
-        if keys[-1] not in todo:
+        key = (arm.params, id(arm.cost), arm.weight, lo, hi)
+        keys.append(key)
+        floors[key] = min(floors.get(key, math.inf), arm.v0, y1(arm.params))
+        if key not in todo:
             # The index prices one unit of activation effort; when the
             # scenario's observation costs coincide they cannot serve as
             # the work scale.
             p = arm.params
             if not p.c1 > p.c0:
                 p = p.with_costs(0.0, 1.0)
-            todo[keys[-1]] = (p, arm.cost.scale(arm.weight), np.geomspace(lo, hi, n_points))
-    params, wcosts, grids = zip(*todo.values())
+            todo[key] = (p, arm.cost.scale(arm.weight))
+    params, wcosts = zip(*todo.values())
+    grids = [_reach_slice(np.geomspace(*key[3:], n_points), floors[key], key[4] / 2.0)
+             for key in todo]
     sums = marginal_sums_batch(params, scenario.beta, wcosts, grids, grids, T)
     cache = {
         key: (g, (float(g[0]), np.log(g).tolist(), (arm_sums.cost / arm_sums.work).tolist()))

@@ -261,6 +261,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number_or_text(x: float) -> Union[float, str]:
+    """x, or its text ("inf", "-inf", "nan") where strict JSON has no number."""
+    return x if math.isfinite(x) else format(x, ".17g")
+
+
 def _cmd_lqg(args: argparse.Namespace) -> int:
     from . import lqg
 
@@ -270,8 +275,8 @@ def _cmd_lqg(args: argparse.Namespace) -> int:
         c0=args.c0, c1=args.c1,
     )
     sol = lqg.solve_lqg(problem)
-    payload = {"command": "lqg", "R": sol.R, "L": sol.L, "alpha": sol.alpha,
-               "z": sol.z if math.isfinite(sol.z) else format(sol.z, ".17g")}
+    payload = {"command": "lqg", "R": sol.R, "L": _number_or_text(sol.L),
+               "alpha": sol.alpha, "z": _number_or_text(sol.z)}
     _emit(args.out, payload)
     return 0
 

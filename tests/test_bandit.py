@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from obsched import bandit, costs
@@ -27,8 +27,8 @@ from obsched.bandit import (
     tournament,
     whittle_policy,
 )
-from obsched.dynamics import ArmParams, check_discounted_sums, phi, phi0, phi1
-from obsched.index import truncation_horizon
+from obsched.dynamics import ArmParams, check_discounted_sums, phi, phi0, phi1, y1
+from obsched.index import marginal_sums_batch, truncation_horizon
 
 from support import fig7_scenario
 
@@ -493,9 +493,10 @@ SIM_COSTS = (costs.linear(), costs.entropy(), costs.neg_precision(), costs.power
 
 
 @st.composite
-def sim_arms(draw):
+def sim_arms(draw, r=st.floats(0.6, 1.0)):
     """One arm: plain, noiseless when active (a1 = inf, only with a cost
-    defined at v = 0) or Kalman with a negative A; v0 = 0 only if linear."""
+    defined at v = 0) or Kalman with a negative A = -r; v0 = 0 only if
+    linear."""
     kind = draw(st.sampled_from(["plain", "noiseless", "kalman"]))
     cost = draw(st.sampled_from(
         [c for c in SIM_COSTS if not c.positive_only] if kind == "noiseless" else SIM_COSTS))
@@ -504,12 +505,12 @@ def sim_arms(draw):
     a0 = draw(st.sampled_from([0.0, 0.02, 0.3]))
     if kind == "kalman":
         params = ArmParams.from_kalman(
-            A=-draw(st.floats(0.6, 1.0)), sigma_x=1.0,
+            A=-draw(r), sigma_x=1.0,
             sigma_y0=math.inf if a0 == 0.0 else 1.0 / a0,
             sigma_y1=draw(st.sampled_from([0.25, 0.7, 2.0])), c0=c0, c1=c1)
     else:
         a1 = math.inf if kind == "noiseless" else draw(st.sampled_from([0.8, 1.5, 4.0]))
-        params = ArmParams(r=draw(st.floats(0.6, 1.0)), a0=a0, a1=a1, c0=c0, c1=c1)
+        params = ArmParams(r=draw(r), a0=a0, a1=a1, c0=c0, c1=c1)
     v0 = draw(st.floats(0.1, 8.0))
     if cost.kind == "linear" and draw(st.booleans()):
         v0 = 0.0
@@ -517,9 +518,9 @@ def sim_arms(draw):
 
 
 @st.composite
-def sim_scenarios(draw):
+def sim_scenarios(draw, r=st.floats(0.6, 1.0)):
     n = draw(st.integers(2, 8))
-    return Scenario(arms=tuple(draw(sim_arms()) for _ in range(n)),
+    return Scenario(arms=tuple(draw(sim_arms(r)) for _ in range(n)),
                     m=draw(st.integers(1, n - 1)), beta=draw(st.sampled_from([0.5, 0.9])),
                     horizon=160, seed=draw(st.integers(0, 2**16)))
 
@@ -609,6 +610,17 @@ def assert_lookup_is_interp(tables, arm, v):
     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (v, got, want)
 
 
+def own_values(arm, beta, g):
+    """weight * lambda on the grid g from the arm's own kernel call, priced
+    through with_costs(0, 1) when c0 = c1."""
+    p = arm.params
+    if not p.c1 > p.c0:
+        p = p.with_costs(0.0, 1.0)
+    sums = marginal_sums_batch(p, beta, arm.cost.scale(arm.weight), g, g,
+                               truncation_horizon(beta))
+    return sums.cost / sums.work
+
+
 class TestTablesAndExports:
     def test_tables_shared_for_identical_arms(self):
         sc = fig7_scenario(horizon=10)
@@ -620,7 +632,8 @@ class TestTablesAndExports:
     def test_one_kernel_call_tabulates_every_distinct_arm(self, monkeypatch):
         # A noiseless arm, a c0 = c1 arm (priced through with_costs(0, 1)),
         # an entropy arm and a repeated arm: one kernel call steps the four
-        # distinct arms, and each table is its arm's own call, bit for bit.
+        # distinct arms, and each table is its arm's own call on its slice
+        # of the 64-point grid, bit for bit.
         kernel = bandit.marginal_sums_batch
         calls = []
 
@@ -639,27 +652,33 @@ class TestTablesAndExports:
         sc = Scenario(arms=arms + arms[:1], m=2, beta=0.99, horizon=50, seed=1)
         tables = build_index_tables(sc, n_points=64)
         assert len(calls) == 1 and len(calls[0][0]) == 4
-        T = truncation_horizon(sc.beta)
+        sizes = []
         for i, arm in enumerate(sc.arms):
             lo, hi = bandit._table_range(arm, sc.horizon)
-            g = np.geomspace(lo, hi, 64)
-            p = arm.params
-            if not p.c1 > p.c0:
-                p = p.with_costs(0.0, 1.0)
-            alone = kernel(p, sc.beta, arm.cost.scale(arm.weight), g, g, T)
+            whole = np.geomspace(lo, hi, 64)
+            # One point past the last at or below min(v0, y1) and the first
+            # at or above hi / 2 = max(v0, y0).
+            below = np.flatnonzero(whole <= min(arm.v0, y1(arm.params)))
+            above = np.flatnonzero(whole >= hi / 2.0)
+            g = whole[max(below[-1] - 1, 0) if below.size else 0:
+                      above[0] + 2 if above.size else 64]
             assert tables.grids[i].tobytes() == g.tobytes()
             first, xp, fp = tables.rows[i]
             assert (first, xp) == (float(g[0]), np.log(g).tolist())
-            assert np.array(fp).tobytes() == (alone.cost / alone.work).tobytes()
+            assert np.array(fp).tobytes() == own_values(arm, sc.beta, g).tobytes()
+            sizes.append(g.size)
         assert tables.rows[4] is tables.rows[0]
+        assert sizes == [21, 62, 19, 14, 21]
 
-    # tracemalloc peak of the kernel call below before it stepped in blocks
-    # of states (2,719 KB); the blocks may add at most 512 KB to it.
-    KERNEL_PEAK_BYTES = 2_784_741 + 512 * 1024
+    # tracemalloc peak of the kernel call below on the arms' slices (812 KB
+    # with numpy 2.4.6), plus 256 KB for other numpy builds.  On the whole
+    # 512-point grids it was 2,976 KB.
+    KERNEL_PEAK_BYTES = 831_754 + 256 * 1024
 
     def test_kernel_memory_on_the_benchmark_scenario(self, monkeypatch):
-        # The benchmark's seed-1 sim-1 scenario: 7 distinct arms of 512
-        # points at beta = 0.99, whose slowest orbits step to T = 2,750.
+        # The benchmark's seed-1 sim-1 scenario: 7 distinct arms at
+        # beta = 0.99, whose slowest orbits step to T = 2,750, tabulated on
+        # 56 to 192 of their grids' 512 points.
         job = next(j for j in make_jobs("tournament", 1) if j.name == "sim-1")
         scenario = Scenario.from_json(json.loads(job.files[0][1]))
         kernel = bandit.marginal_sums_batch
@@ -669,7 +688,7 @@ class TestTablesAndExports:
         )
         build_index_tables(scenario)
         (args,) = calls
-        assert len(args[0]) == 7 and [g.size for g in args[3]] == [512] * 7
+        assert [g.size for g in args[3]] == [59, 103, 101, 93, 148, 192, 56]
         tracemalloc.start()
         try:
             kernel(*args)
@@ -723,3 +742,50 @@ class TestTablesAndExports:
         trace = simulate(two_arm_scenario(horizon=3), "myopic")
         payload = json.dumps(trace.summary())
         assert "total_discounted_cost" in payload
+
+
+def whole_grid_tables(scenario, n_points):
+    """IndexTables on every arm's whole ``np.geomspace(lo, hi, n_points)``
+    grid, from one kernel call per arm."""
+    grids = [np.geomspace(*bandit._table_range(arm, scenario.horizon), n_points)
+             for arm in scenario.arms]
+    return IndexTables(grids, [
+        (float(g[0]), np.log(g).tolist(), own_values(arm, scenario.beta, g).tolist())
+        for arm, g in zip(scenario.arms, grids)])
+
+
+def shared_table_scenario():
+    """Two arms that share a table: the first starts below y1 = 0.091 and
+    the second above it, so the shared slice must reach down to the first."""
+    arm = Arm(ArmParams(r=0.9, a0=0.1, a1=10.0), costs.linear(), v0=0.01)
+    return Scenario(arms=(arm, replace(arm, v0=1.0)), m=1, beta=0.9, horizon=60, seed=0)
+
+
+class TestReachSlice:
+    @given(scenario=sim_scenarios(r=st.floats(0.0, 1.0, exclude_min=True)),
+           n_points=st.sampled_from([2, 64, 512]))
+    # Scenarios with r in [0.6, 1], the range the other tests draw from.
+    @example(scenario=mixed_scenario(), n_points=64)
+    @example(scenario=mixed_scenario(horizon=60), n_points=512)
+    @example(scenario=fig7_scenario(horizon=60), n_points=512)
+    @example(scenario=mixed_scenario(horizon=60), n_points=2)
+    @example(scenario=shared_table_scenario(), n_points=512)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_sliced_tables_run_as_whole_grids(self, scenario, n_points):
+        """Every policy's run on the sliced tables equals, field for field,
+        its run on whole-grid tables, and every visited state lies in its
+        arm's slice (below it only where the slice starts the grid)."""
+        sliced = build_index_tables(scenario, n_points=n_points)
+        whole = whole_grid_tables(scenario, n_points)
+        for policy in POLICIES:
+            got = simulate(scenario, policy, tables=sliced)
+            want = simulate(scenario, policy, tables=whole)
+            for field in fields(got):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), (policy, field.name)
+                else:
+                    assert a == b, (policy, field.name)
+            for g, w, col in zip(sliced.grids, whole.grids, got.variances.T):
+                assert col.max() <= g[-1]
+                assert g[0] == w[0] or col.min() >= g[0]

@@ -444,6 +444,19 @@ class TestLqgCommand:
         assert payload["R"] == 1.1428571428571428
         assert payload["alpha"] == 0.0 and payload["z"] == "inf"
 
+    def test_infinite_gain_is_strict_json(self, capsys, schema):
+        # L = A / B overflows at B = 5e-324; it prints as "inf", as z does.
+        code, out, err = run(["lqg", "--A", "0.7", "--B", "5e-324", "--D", "1", "--F", "0",
+                              "--beta", "0.5", "--sigma-x", "1", "--sigma-y1", "0.5"], capsys)
+        assert (code, err) == (0, "")
+
+        def no_constants(name):
+            raise AssertionError(f"{name} is not strict JSON")
+
+        payload = json.loads(out, parse_constant=no_constants)
+        jsonschema.validate(payload, schema)
+        assert payload["L"] == "inf" and payload["z"] == "inf"
+
     def test_validation(self, capsys):
         code, _, err = run(
             [a if a != "--B" else "--B" for a in self.ARGS[:-2]] + ["--sigma-y1", "10",
